@@ -27,8 +27,6 @@ from .data import (
     build_permuted,
     build_split,
     build_synthetic,
-    encode,
-    encode_batch,
     load_idx,
 )
 from .importance import (
@@ -51,9 +49,7 @@ from .network import (
     NetworkState,
     SpikeRecord,
     UnknownTaskError,
-    forward,
     forward_const,
-    lif_step,
     new_network,
     register_head,
 )

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -210,34 +211,22 @@ SWEEP_HEADER = "lambda,aa_mean,aa_std,af_mean,af_std"
 def cmd_sweep(cfg, lambdas):
     if len(lambdas) < 2:
         raise ConfigError("a sweep needs at least 2 lambda values")
+    # building every config first rejects a bad lambda before any training
+    configs = [replace(cfg, lam=lam) for lam in lambdas]
     base = _load_base(cfg)
     _ensure_dir(cfg.out_dir)
     lines = [SWEEP_HEADER]
-    for lam in lambdas:
-        aa, af, drift = [], [], []
-        for seed in cfg.seeds:
-            tasks = build_tasks(cfg, seed, base)
-            result = run_sequence(
-                tasks, cfg.method, lam=lam, seed=seed,
-                hidden_size=cfg.hidden_size,
-                lif_cfg=LIFConfig(timesteps=cfg.timesteps),
-                train_params=TrainParams(
-                    epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr
-                ),
-                importance_samples=cfg.importance_samples,
-            )
-            report = result.metrics()
-            aa.append(report.aa)
-            af.append(report.af)
-            # drift of the trunk away from its post-task-1 anchor
-            drift.append(result.logs[1].trunk_drift)
-        aa, af, drift = np.array(aa), np.array(af), np.array(drift)
-        lines.append(",".join([
-            _fmt(lam), _fmt(aa.mean()), _fmt(aa.std()),
-            _fmt(af.mean()), _fmt(af.std()),
-        ]))
-        print(f"lambda {lam:g}: AA={aa.mean():.4f} AF={af.mean():.4f} "
-              f"drift={drift.mean():.4f}")
+    for lam_cfg in configs:
+        results = [_run_one_seed(lam_cfg, seed, base) for seed in cfg.seeds]
+        agg = _aggregate(results)
+        lines.append(",".join(_fmt(v) for v in (
+            lam_cfg.lam, agg["aa_mean"], agg["aa_std"],
+            agg["af_mean"], agg["af_std"],
+        )))
+        # drift of the trunk away from its post-task-1 anchor
+        drift = np.mean([r.logs[1].trunk_drift for r in results])
+        print(f"lambda {lam_cfg.lam:g}: AA={agg['aa_mean']:.4f} "
+              f"AF={agg['af_mean']:.4f} drift={drift:.4f}")
     path = os.path.join(cfg.out_dir, "sweep.csv")
     _write_text(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")

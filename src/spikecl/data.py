@@ -4,7 +4,7 @@ Benchmarks are built from a base train/test pair: split (disjoint class
 pairs, labels remapped to {0, 1}), permuted (one fixed pixel permutation
 per task, all classes), or fully synthetic prototype tasks for fast
 deterministic tests.  Static images drive the network as constant input
-currents, so "encoding" is just tiling the pixel vector over timesteps.
+currents, so an encoding is just a timestep count and an input gain.
 """
 
 import os
@@ -167,33 +167,15 @@ def load_idx_dir(data_dir):
 
 @dataclass
 class EncodingSpec:
-    """How a static image becomes per-timestep input current."""
+    """How a static image becomes input current: ``gain * x`` at each of
+    ``timesteps`` steps."""
 
     timesteps: int
     gain: float = 1.0
-    mode: str = "direct-current"
 
     def __post_init__(self):
-        if self.mode != "direct-current":
-            raise ValueError(f"unknown encoding mode {self.mode!r}")
         if self.timesteps < 1:
             raise ValueError("timesteps must be >= 1")
-
-
-def encode(sample, spec):
-    """Tile one D-vector into (T, D) constant currents (times gain)."""
-    sample = np.asarray(sample, dtype=np.float64)
-    if sample.ndim != 1:
-        raise ValueError("encode takes a single flat sample")
-    return np.tile(sample * spec.gain, (spec.timesteps, 1))
-
-
-def encode_batch(images, spec):
-    """(N, D) images to (N, T, D) constant currents."""
-    images = np.asarray(images, dtype=np.float64)
-    return np.repeat(
-        (images * spec.gain)[:, np.newaxis, :], spec.timesteps, axis=1
-    )
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .network import SpikeRecord, forward_const
-from .training import log_softmax
+from .training import _current_grad, _logit_delta, log_softmax
 
 # CV denominator/importance floor; also the clip normalizer's epsilon.
 EPSILON = 1e-3
@@ -71,19 +71,11 @@ class ISIStats:
     intervals get mean = std = 0 and cv = SILENT_CV.
     """
 
-    record: SpikeRecord
     spike_counts: np.ndarray  # (H,) total spikes over all samples
     isi_counts: np.ndarray    # (H,) pooled interval count
     mean: np.ndarray          # (H,)
     std: np.ndarray           # (H,)
     cv: np.ndarray            # (H,)
-
-    def pooled_intervals(self, neuron):
-        """The pooled interval list for one neuron, sample order."""
-        out = []
-        for times in self.record.spike_times(neuron):
-            out.extend(np.diff(times).tolist())
-        return out
 
 
 def isi_stats(record, epsilon=EPSILON):
@@ -97,7 +89,6 @@ def isi_stats(record, epsilon=EPSILON):
     std[has] = np.sqrt(im2[has] / icounts[has])
     cv[has] = std[has] / (mean[has] + epsilon)
     return ISIStats(
-        record=record,
         spike_counts=counts,
         isi_counts=icounts,
         mean=mean,
@@ -113,12 +104,18 @@ def _clip_normalize(raw, epsilon, clip_percentile):
     return omega, cutoff
 
 
+def _isi_cv_scores(record, epsilon, clip_percentile):
+    """Interval statistics, raw 1 / (CV + eps) scores, Ω and clip cutoff."""
+    stats = isi_stats(record, epsilon)
+    raw = 1.0 / (stats.cv + epsilon)
+    omega, cutoff = _clip_normalize(raw, epsilon, clip_percentile)
+    return stats, raw, omega, cutoff
+
+
 def isi_cv_importance(record, epsilon=EPSILON, clip_percentile=CLIP_PERCENTILE,
                       task_id=None):
     """Regularity importance: 1 / (CV + eps), percentile-clipped."""
-    stats = isi_stats(record, epsilon)
-    raw = 1.0 / (stats.cv + epsilon)
-    omega, _ = _clip_normalize(raw, epsilon, clip_percentile)
+    _, _, omega, _ = _isi_cv_scores(record, epsilon, clip_percentile)
     return ImportanceVector(omega=omega, method="isi-cv", task_id=task_id)
 
 
@@ -130,9 +127,9 @@ def importance_report(record, epsilon=EPSILON,
     be inspected or serialized: spike/interval counts, mean, std, CV,
     the unclipped score and the final Ω for every neuron.
     """
-    stats = isi_stats(record, epsilon)
-    raw = 1.0 / (stats.cv + epsilon)
-    omega, cutoff = _clip_normalize(raw, epsilon, clip_percentile)
+    stats, raw, omega, cutoff = _isi_cv_scores(
+        record, epsilon, clip_percentile
+    )
     neurons = {}
     for i in range(record.hidden_size):
         neurons[str(i)] = {
@@ -211,13 +208,9 @@ def ewc_importance(net, images, labels, task_id, lif_cfg, surrogate_cfg,
         driven = xb if gain == 1.0 else xb * gain
         _, trace, _ = forward_const(driven, task_id, net, lif_cfg)
         # per-sample gradients: no 1/N on delta
-        delta = np.exp(log_softmax(trace.logits))
-        delta[np.arange(len(yb)), yb] -= 1.0
-        gsbar = np.ascontiguousarray(delta @ head.w2)
-        dusum = kernels.lif_backward_sum(
-            trace.u, gsbar, lif_cfg.beta, lif_cfg.theta, surrogate_cfg.alpha
-        )
-        sq = dusum * dusum
+        delta = _logit_delta(log_softmax(trace.logits), yb)
+        dcur = _current_grad(trace, delta, head, surrogate_cfg)
+        sq = dcur * dcur
         fisher_w1 += sq.T @ (driven * driven)
         fisher_b1 += sq.sum(axis=0)
     fisher_w1 /= n

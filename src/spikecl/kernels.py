@@ -1,62 +1,31 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels, in plain numpy.
 
 The per-timestep membrane recursion, its reverse-mode counterpart and the
-interval-statistics accumulation dominate runtime, so each exists twice:
-a numba ``@njit`` version and a vectorized pure-numpy fallback.  The
-backend is chosen once at import time from the ``SPIKECL_BACKEND``
-environment variable:
-
-    SPIKECL_BACKEND=numba   force the jitted kernels (error if numba missing)
-    SPIKECL_BACKEND=numpy   force the pure-numpy fallback
-    unset                   numba when importable, numpy otherwise
-
-Both implementations stay importable through ``IMPLEMENTATIONS`` so the
-benchmark and the equivalence tests can compare them directly.  The two
-LIF kernels use identical arithmetic expressions in both backends and
-produce bit-identical results; the interval statistics differ only in
-float summation order.
+interval-statistics accumulation dominate runtime.  The network always
+drives the trunk with a current that is constant over time, so the
+kernels take one (N, H) current per sample rather than a time series.
 
 All kernels expect float64 C-contiguous arrays (uint8 for spike rasters).
 """
-
-import os
 
 import numpy as np
 
 __all__ = [
     "BACKEND",
-    "IMPLEMENTATIONS",
-    "lif_forward",
     "lif_forward_const",
-    "lif_backward",
     "lif_backward_sum",
     "isi_raster_stats",
 ]
 
-
-# ---------------------------------------------------------------------------
-# pure-numpy fallback
-# ---------------------------------------------------------------------------
-
-def _lif_forward_np(currents, beta, theta):
-    """Membrane recursion over explicit per-timestep currents (N, T, H)."""
-    n_samples, timesteps, hidden = currents.shape
-    u = np.empty((n_samples, timesteps, hidden))
-    s = np.empty((n_samples, timesteps, hidden))
-    u_prev = np.zeros((n_samples, hidden))
-    s_prev = np.zeros((n_samples, hidden))
-    for t in range(timesteps):
-        u_t = beta * u_prev + currents[:, t, :] - theta * s_prev
-        s_t = (u_t >= theta).astype(np.float64)
-        u[:, t, :] = u_t
-        s[:, t, :] = s_t
-        u_prev = u_t
-        s_prev = s_t
-    return u, s
+# Kept for environment records such as the benchmark's; there is no other.
+BACKEND = "numpy"
 
 
-def _lif_forward_const_np(cur, timesteps, beta, theta):
-    """Same recursion when the input current is constant over time (N, H)."""
+def lif_forward_const(cur, timesteps, beta, theta):
+    """Membrane recursion for an input current constant over time (N, H).
+
+    Returns the membrane potentials and spikes, each (N, T, H).
+    """
     n_samples, hidden = cur.shape
     u = np.empty((n_samples, timesteps, hidden))
     s = np.empty((n_samples, timesteps, hidden))
@@ -72,31 +41,14 @@ def _lif_forward_const_np(cur, timesteps, beta, theta):
     return u, s
 
 
-def _lif_backward_np(u, gsbar, beta, theta, alpha):
-    """Reverse recursion; returns dL/du per timestep (N, T, H).
+def lif_backward_sum(u, gsbar, beta, theta, alpha):
+    """Reverse recursion; returns the sum over t of dL/du (N, H).
 
     ``gsbar`` is dL/d(mean spike count) per sample and neuron; the spike
     path feeds it back with weight 1/T at every step, the reset path
     feeds -theta times the next step's membrane gradient.  The threshold
     is differentiated with the ATan pseudo-derivative.
     """
-    n_samples, timesteps, hidden = u.shape
-    du = np.empty((n_samples, timesteps, hidden))
-    c = 0.5 * np.pi * alpha
-    t_inv = 1.0 / timesteps
-    du_next = np.zeros((n_samples, hidden))
-    for t in range(timesteps - 1, -1, -1):
-        ds = gsbar * t_inv - theta * du_next
-        y = c * (u[:, t, :] - theta)
-        g = alpha / (2.0 * (1.0 + y * y))
-        du_t = ds * g + beta * du_next
-        du[:, t, :] = du_t
-        du_next = du_t
-    return du
-
-
-def _lif_backward_sum_np(u, gsbar, beta, theta, alpha):
-    """As ``_lif_backward_np`` but returns only sum over t of dL/du (N, H)."""
     n_samples, timesteps, hidden = u.shape
     c = 0.5 * np.pi * alpha
     t_inv = 1.0 / timesteps
@@ -112,7 +64,7 @@ def _lif_backward_sum_np(u, gsbar, beta, theta, alpha):
     return total
 
 
-def _isi_raster_stats_np(raster):
+def isi_raster_stats(raster):
     """Pooled inter-spike-interval statistics per neuron.
 
     raster: (N, T, H) uint8 spike indicators.  Intervals are taken within
@@ -141,174 +93,3 @@ def _isi_raster_stats_np(raster):
             dev = isis - mean
             isi_m2[i] = float(np.dot(dev, dev))
     return spike_counts, isi_counts, isi_sums, isi_m2
-
-
-_NUMPY_IMPL = {
-    "lif_forward": _lif_forward_np,
-    "lif_forward_const": _lif_forward_const_np,
-    "lif_backward": _lif_backward_np,
-    "lif_backward_sum": _lif_backward_sum_np,
-    "isi_raster_stats": _isi_raster_stats_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via SPIKECL_BACKEND=numpy
-    _HAVE_NUMBA = False
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _lif_forward_nb(currents, beta, theta):
-        n_samples, timesteps, hidden = currents.shape
-        u = np.empty((n_samples, timesteps, hidden))
-        s = np.empty((n_samples, timesteps, hidden))
-        for n in range(n_samples):
-            for i in range(hidden):
-                u_prev = 0.0
-                s_prev = 0.0
-                for t in range(timesteps):
-                    u_t = beta * u_prev + currents[n, t, i] - theta * s_prev
-                    s_t = 1.0 if u_t >= theta else 0.0
-                    u[n, t, i] = u_t
-                    s[n, t, i] = s_t
-                    u_prev = u_t
-                    s_prev = s_t
-        return u, s
-
-    @njit(cache=True)
-    def _lif_forward_const_nb(cur, timesteps, beta, theta):
-        n_samples, hidden = cur.shape
-        u = np.empty((n_samples, timesteps, hidden))
-        s = np.empty((n_samples, timesteps, hidden))
-        for n in range(n_samples):
-            for i in range(hidden):
-                u_prev = 0.0
-                s_prev = 0.0
-                c = cur[n, i]
-                for t in range(timesteps):
-                    u_t = beta * u_prev + c - theta * s_prev
-                    s_t = 1.0 if u_t >= theta else 0.0
-                    u[n, t, i] = u_t
-                    s[n, t, i] = s_t
-                    u_prev = u_t
-                    s_prev = s_t
-        return u, s
-
-    @njit(cache=True)
-    def _lif_backward_nb(u, gsbar, beta, theta, alpha):
-        n_samples, timesteps, hidden = u.shape
-        du = np.empty((n_samples, timesteps, hidden))
-        c = 0.5 * np.pi * alpha
-        t_inv = 1.0 / timesteps
-        for n in range(n_samples):
-            for i in range(hidden):
-                du_next = 0.0
-                gs = gsbar[n, i]
-                for t in range(timesteps - 1, -1, -1):
-                    ds = gs * t_inv - theta * du_next
-                    y = c * (u[n, t, i] - theta)
-                    g = alpha / (2.0 * (1.0 + y * y))
-                    du_t = ds * g + beta * du_next
-                    du[n, t, i] = du_t
-                    du_next = du_t
-        return du
-
-    @njit(cache=True)
-    def _lif_backward_sum_nb(u, gsbar, beta, theta, alpha):
-        n_samples, timesteps, hidden = u.shape
-        total = np.zeros((n_samples, hidden))
-        c = 0.5 * np.pi * alpha
-        t_inv = 1.0 / timesteps
-        for n in range(n_samples):
-            for i in range(hidden):
-                du_next = 0.0
-                gs = gsbar[n, i]
-                for t in range(timesteps - 1, -1, -1):
-                    ds = gs * t_inv - theta * du_next
-                    y = c * (u[n, t, i] - theta)
-                    g = alpha / (2.0 * (1.0 + y * y))
-                    du_t = ds * g + beta * du_next
-                    total[n, i] += du_t
-                    du_next = du_t
-        return total
-
-    @njit(cache=True)
-    def _isi_raster_stats_nb(raster):
-        n_samples, timesteps, hidden = raster.shape
-        spike_counts = np.zeros(hidden, dtype=np.int64)
-        isi_counts = np.zeros(hidden, dtype=np.int64)
-        isi_sums = np.zeros(hidden, dtype=np.int64)
-        isi_m2 = np.zeros(hidden, dtype=np.float64)
-        for i in range(hidden):
-            # first pass: spike count, interval count and sum
-            for n in range(n_samples):
-                prev = -1
-                for t in range(timesteps):
-                    if raster[n, t, i] != 0:
-                        spike_counts[i] += 1
-                        if prev >= 0:
-                            isi_counts[i] += 1
-                            isi_sums[i] += t - prev
-                        prev = t
-            if isi_counts[i] == 0:
-                continue
-            # second pass: squared deviations from the pooled mean
-            mean = isi_sums[i] / isi_counts[i]
-            for n in range(n_samples):
-                prev = -1
-                for t in range(timesteps):
-                    if raster[n, t, i] != 0:
-                        if prev >= 0:
-                            dev = (t - prev) - mean
-                            isi_m2[i] += dev * dev
-                        prev = t
-        return spike_counts, isi_counts, isi_sums, isi_m2
-
-    _NUMBA_IMPL = {
-        "lif_forward": _lif_forward_nb,
-        "lif_forward_const": _lif_forward_const_nb,
-        "lif_backward": _lif_backward_nb,
-        "lif_backward_sum": _lif_backward_sum_nb,
-        "isi_raster_stats": _isi_raster_stats_nb,
-    }
-
-
-IMPLEMENTATIONS = {"numpy": _NUMPY_IMPL}
-if _HAVE_NUMBA:
-    IMPLEMENTATIONS["numba"] = _NUMBA_IMPL
-
-
-def _resolve_backend():
-    requested = os.environ.get("SPIKECL_BACKEND", "").strip().lower()
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba":
-        if not _HAVE_NUMBA:
-            raise ImportError(
-                "SPIKECL_BACKEND=numba but numba is not importable"
-            )
-        return "numba"
-    if requested:
-        raise ValueError(
-            f"SPIKECL_BACKEND must be 'numba' or 'numpy', got {requested!r}"
-        )
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-BACKEND = _resolve_backend()
-
-_active = IMPLEMENTATIONS[BACKEND]
-lif_forward = _active["lif_forward"]
-lif_forward_const = _active["lif_forward_const"]
-lif_backward = _active["lif_backward"]
-lif_backward_sum = _active["lif_backward_sum"]
-isi_raster_stats = _active["isi_raster_stats"]

@@ -109,29 +109,12 @@ def register_head(net, rng):
     return len(net.heads) - 1
 
 
-def lif_step(u_prev, input_current, s_prev, cfg):
-    """One membrane update; returns (u_new, s_new).
-
-    The reset enters only through the -theta * s_prev term, so a spike at
-    step t-1 subtracts one threshold from step t's potential.
-    """
-    u_prev = np.asarray(u_prev, dtype=np.float64)
-    input_current = np.asarray(input_current, dtype=np.float64)
-    s_prev = np.asarray(s_prev, dtype=np.float64)
-    if not (np.all(np.isfinite(u_prev)) and np.all(np.isfinite(input_current))):
-        raise DivergenceError("non-finite membrane state or input current")
-    u_new = cfg.beta * u_prev + input_current - cfg.theta * s_prev
-    s_new = (u_new >= cfg.theta).astype(np.float64)
-    return u_new, s_new
-
-
 @dataclass
 class ForwardTrace:
     """Everything the backward pass and the replay check need.
 
-    Arrays are batch-major.  When ``constant_input`` is set, ``inputs`` is
-    (N, D) and ``currents`` is (N, H), valid for every timestep; otherwise
-    both carry an explicit time axis.
+    Arrays are batch-major.  ``inputs`` (N, D) and ``currents`` (N, H)
+    hold the drive and trunk current, the same at every timestep.
     """
 
     inputs: np.ndarray
@@ -141,7 +124,6 @@ class ForwardTrace:
     sbar: np.ndarray    # (N, H) mean spike count over time
     logits: np.ndarray  # (N, C)
     task_id: int
-    constant_input: bool
     cfg: LIFConfig
 
     @property
@@ -191,68 +173,30 @@ class SpikeRecord:
         return cls(np.concatenate([r.raster for r in records], axis=0))
 
 
-def _trunk_currents(net, x):
-    return x @ net.w1.T + net.b1
-
-
-def forward(x, task_id, net, cfg, record_spikes=False):
-    """Run the network on encoded input over T timesteps.
-
-    ``x`` is (T, D) for a single sample or (N, T, D) for a batch, one
-    input-current vector per timestep.  Returns (logits, trace, spikes)
-    where spikes is a SpikeRecord only if requested.
-    """
-    head = net.head(task_id)
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 2
-    xb = x[np.newaxis] if single else x
-    if xb.ndim != 3:
-        raise ValueError(f"expected (T, D) or (N, T, D) input, got {x.shape}")
-    if xb.shape[1] != cfg.timesteps:
-        raise ValueError(
-            f"input has {xb.shape[1]} timesteps, config says {cfg.timesteps}"
-        )
-    currents = np.ascontiguousarray(_trunk_currents(net, xb))
-    u, s = kernels.lif_forward(currents, cfg.beta, cfg.theta)
-    trace, spikes = _finish_forward(
-        xb, currents, u, s, head, task_id, False, record_spikes, cfg
-    )
-    logits = trace.logits[0] if single else trace.logits
-    return logits, trace, spikes
-
-
 def forward_const(x, task_id, net, cfg, record_spikes=False):
     """Forward pass for constant-over-time input currents.
 
     ``x`` is (N, D); the same vector drives every timestep, so the trunk
-    projection is computed once.  Numerically equivalent to ``forward``
-    on the time-tiled input.
+    projection is computed once.  Returns (logits, trace, spikes) where
+    spikes is a SpikeRecord only if requested.
     """
     head = net.head(task_id)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected (N, D) input, got {x.shape}")
-    cur = np.ascontiguousarray(_trunk_currents(net, x))
+    cur = np.ascontiguousarray(x @ net.w1.T + net.b1)
     u, s = kernels.lif_forward_const(cur, cfg.timesteps, cfg.beta, cfg.theta)
-    trace, spikes = _finish_forward(
-        x, cur, u, s, head, task_id, True, record_spikes, cfg
-    )
-    return trace.logits, trace, spikes
-
-
-def _finish_forward(x, currents, u, s, head, task_id, constant, record, cfg):
     sbar = s.mean(axis=1)
     logits = sbar @ head.w2.T + head.b2
     trace = ForwardTrace(
         inputs=x,
-        currents=currents,
+        currents=cur,
         u=u,
         s=s,
         sbar=sbar,
         logits=logits,
         task_id=task_id,
-        constant_input=constant,
         cfg=cfg,
     )
-    spikes = SpikeRecord(s.astype(np.uint8)) if record else None
-    return trace, spikes
+    spikes = SpikeRecord(s.astype(np.uint8)) if record_spikes else None
+    return logits, trace, spikes

@@ -58,6 +58,25 @@ def cross_entropy(logits, targets):
     return float(-logp[np.arange(len(t)), t].mean())
 
 
+def _logit_delta(logp, targets):
+    """Per-sample d(cross-entropy)/d(logits): softmax minus one-hot."""
+    delta = np.exp(logp)
+    delta[np.arange(len(targets)), targets] -= 1.0
+    return delta
+
+
+def _current_grad(trace, delta, head, cfg):
+    """dL/d(trunk current) (N, H), given dL/d(logits) ``delta``.
+
+    The current is constant over time, so this is the sum over t of
+    dL/du[t].
+    """
+    gsbar = np.ascontiguousarray(delta @ head.w2)  # (N, H) = dL/d(sbar)
+    return kernels.lif_backward_sum(
+        trace.u, gsbar, trace.cfg.beta, trace.cfg.theta, cfg.alpha
+    )
+
+
 def backward(trace, targets, net, task_id, cfg):
     """Reverse-mode pass over a recorded forward trace.
 
@@ -84,23 +103,15 @@ def backward(trace, targets, net, task_id, cfg):
     loss = float(-logp[np.arange(n), targets].mean())
 
     # gradient of the mean loss w.r.t. logits
-    delta = np.exp(logp)
-    delta[np.arange(n), targets] -= 1.0
+    delta = _logit_delta(logp, targets)
     delta /= n
 
     dw2 = delta.T @ trace.sbar
     db2 = delta.sum(axis=0)
 
-    beta, theta = trace.cfg.beta, trace.cfg.theta
-    gsbar = np.ascontiguousarray(delta @ head.w2)  # (N, H) = dL/d(sbar)
-    if trace.constant_input:
-        dusum = kernels.lif_backward_sum(trace.u, gsbar, beta, theta, cfg.alpha)
-        dw1 = dusum.T @ trace.inputs
-        db1 = dusum.sum(axis=0)
-    else:
-        du = kernels.lif_backward(trace.u, gsbar, beta, theta, cfg.alpha)
-        dw1 = np.einsum("nth,ntd->hd", du, trace.inputs)
-        db1 = du.sum(axis=(0, 1))
+    dcur = _current_grad(trace, delta, head, cfg)
+    dw1 = dcur.T @ trace.inputs
+    db1 = dcur.sum(axis=0)
 
     return loss, GradientSet(w1=dw1, b1=db1, w2=dw2, b2=db2, task_id=task_id)
 

@@ -159,19 +159,17 @@ def test_c5_isi_cv_oracle():
 
 
 def test_c6_membrane_replay():
-    from spikecl.network import forward
-
     rng = np.random.default_rng(1003)
     exact = 0
     for _ in range(100):
         net, cfg = random_tiny_net(rng)
-        x = rng.normal(size=(int(rng.integers(1, 4)), cfg.timesteps,
-                             net.input_size))
-        _, trace, _ = forward(x, 0, net, cfg, record_spikes=True)
+        x = rng.normal(size=(int(rng.integers(1, 4)), net.input_size))
+        _, trace, _ = forward_const(x, 0, net, cfg, record_spikes=True)
         match = True
         for n in range(x.shape[0]):
             for h in range(net.hidden_size):
-                u, s = replay_membrane(trace.currents[n, :, h].tolist(),
+                cur = float(trace.currents[n, h])
+                u, s = replay_membrane([cur] * cfg.timesteps,
                                        cfg.tau, cfg.theta)
                 match &= trace.u[n, :, h].tolist() == u
                 match &= trace.s[n, :, h].tolist() == [float(v) for v in s]

@@ -94,8 +94,9 @@ def test_identical_configs_produce_identical_bytes(tmp_path):
 
 def test_sweep_writes_one_row_per_lambda(tmp_path):
     out = tmp_path / "res"
+    seeds = ["--seeds", "0,1"]
     code = main(["sweep", "--method", "isi-cv", "--lambdas", "5,50",
-                 *_flags(out)])
+                 *seeds, *_flags(out)])
     assert code == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == SWEEP_HEADER
@@ -103,6 +104,22 @@ def test_sweep_writes_one_row_per_lambda(tmp_path):
     for line in lines[1:]:
         assert len(line.split(",")) == 5
     assert [line.split(",")[0] for line in lines[1:]] == ["5", "50"]
+
+    # each row is the cross-seed aa/af mean and std of the matching run;
+    # run.json holds them unrounded, metrics.csv only per seed
+    for line in lines[1:]:
+        lam = line.split(",")[0]
+        run_out = tmp_path / f"run{lam}"
+        assert main(["run", "--method", "isi-cv", "--lambda", lam,
+                     *seeds, *_flags(run_out)]) == 0
+        agg = json.loads((run_out / "run.json").read_text())["aggregate"]
+        assert line == ",".join(f"{v:.10g}" for v in (
+            float(lam), agg["aa_mean"], agg["aa_std"],
+            agg["af_mean"], agg["af_std"],
+        ))
+        rows = (run_out / "metrics.csv").read_text().splitlines()[1:]
+        aa = [float(r.split(",")[3]) for r in rows]
+        assert agg["aa_mean"] == pytest.approx(np.mean(aa), rel=1e-9)
 
 
 def test_sweep_requires_two_lambdas(tmp_path, capsys):
@@ -185,6 +202,14 @@ def test_exit_codes(tmp_path, capsys):
     # 2: config validation failure
     assert main(["run", *_flags(tmp_path / "res", epochs="0")]) == 2
     assert "epochs" in capsys.readouterr().err
+
+    # 2: a bad sweep lambda is rejected before the good one is trained
+    assert main(["sweep", "--lambdas", "10,-1",
+                 *_flags(tmp_path / "sweep")]) == 2
+    captured = capsys.readouterr()
+    assert "lambda must be >= 0" in captured.err
+    assert "lambda 10" not in captured.out
+    assert not (tmp_path / "sweep" / "sweep.csv").exists()
 
     # 2: argparse rejects unknown choices itself
     with pytest.raises(SystemExit) as info:

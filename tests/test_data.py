@@ -1,4 +1,4 @@
-"""IDX parsing, encoding, and task-sequence construction."""
+"""IDX parsing and task-sequence construction."""
 
 import struct
 
@@ -16,8 +16,6 @@ from spikecl.data import (
     build_permuted,
     build_split,
     build_synthetic,
-    encode,
-    encode_batch,
     load_idx,
     load_idx_dir,
     write_idx_images,
@@ -130,36 +128,6 @@ def test_dataset_validation_and_take():
     short = ds.take(2)
     np.testing.assert_array_equal(short.images, ds.images[:2])
     np.testing.assert_array_equal(short.labels, [0, 1])
-
-
-# ---------------------------------------------------------------------------
-# current encoding
-# ---------------------------------------------------------------------------
-
-def test_encode_tiles_and_scales():
-    spec = EncodingSpec(timesteps=3)
-    out = encode(np.array([0.5, 0.0]), spec)
-    np.testing.assert_array_equal(out, [[0.5, 0.0]] * 3)
-    np.testing.assert_array_equal(encode(np.zeros(4), spec), np.zeros((3, 4)))
-    doubled = encode(np.array([0.5, 0.0]), EncodingSpec(timesteps=3, gain=2.0))
-    np.testing.assert_array_equal(doubled, [[1.0, 0.0]] * 3)
-    with pytest.raises(ValueError):
-        encode(np.zeros((2, 2)), spec)
-
-
-def test_encode_batch_matches_per_sample_encode():
-    rng = np.random.default_rng(52)
-    images = rng.random((4, 5))
-    spec = EncodingSpec(timesteps=4, gain=1.5)
-    batched = encode_batch(images, spec)
-    assert batched.shape == (4, 4, 5)
-    for n in range(4):
-        np.testing.assert_array_equal(batched[n], encode(images[n], spec))
-
-
-def test_encoding_spec_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        EncodingSpec(timesteps=3, mode="poisson")
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,10 @@ import pytest
 from conftest import random_tiny_net
 from oracles import replay_membrane
 from spikecl.network import (
-    DivergenceError,
     LIFConfig,
     SpikeRecord,
     UnknownTaskError,
-    forward,
     forward_const,
-    lif_step,
     new_network,
     register_head,
 )
@@ -34,56 +31,50 @@ def test_config_rejects_bad_values(bad):
         LIFConfig(**bad)
 
 
+def _one_neuron(weight, bias=0.0):
+    """A 1-input, 1-neuron net with fixed trunk weight and bias."""
+    net = new_network(1, 1, 2, np.random.default_rng(0))
+    net.w1[:] = weight
+    net.b1[:] = bias
+    register_head(net, np.random.default_rng(1))
+    return net
+
+
 def test_single_step_from_rest():
-    cfg = LIFConfig()
-    u, s = lif_step(np.zeros(1), np.array([0.6]), np.zeros(1), cfg)
-    assert u[0] == 0.6
-    assert s[0] == 0.0
+    _, trace, _ = forward_const(
+        np.array([[0.6]]), 0, _one_neuron(1.0), LIFConfig(timesteps=2)
+    )
+    assert trace.u[0, 0, 0] == 0.6
+    assert trace.s[0, 0, 0] == 0.0
 
 
 def test_constant_drive_hand_sequence():
     # u_t = 0.5 u_{t-1} + 0.6 - s_{t-1}: crosses threshold on step 3,
     # resets by subtraction on step 4
-    cfg = LIFConfig()
-    u = np.zeros(1)
-    s = np.zeros(1)
-    seq = []
-    for _ in range(4):
-        u, s = lif_step(u, np.array([0.6]), s, cfg)
-        seq.append((u[0], s[0]))
-    np.testing.assert_allclose(
-        [p[0] for p in seq], [0.6, 0.9, 1.05, 0.125], rtol=0, atol=1e-15
+    _, trace, _ = forward_const(
+        np.array([[0.6]]), 0, _one_neuron(1.0), LIFConfig(timesteps=4)
     )
-    assert [p[1] for p in seq] == [0.0, 0.0, 1.0, 0.0]
+    np.testing.assert_allclose(
+        trace.u[0, :, 0], [0.6, 0.9, 1.05, 0.125], rtol=0, atol=1e-15
+    )
+    assert trace.s[0, :, 0].tolist() == [0.0, 0.0, 1.0, 0.0]
 
 
 def test_zero_input_stays_silent():
-    cfg = LIFConfig()
-    u = np.zeros(3)
-    s = np.zeros(3)
-    for _ in range(10):
-        u, s = lif_step(u, np.zeros(3), s, cfg)
-        assert np.all(u == 0.0)
-        assert np.all(s == 0.0)
-
-
-def test_step_rejects_non_finite_input():
-    cfg = LIFConfig()
-    with pytest.raises(DivergenceError):
-        lif_step(np.zeros(2), np.array([1.0, np.inf]), np.zeros(2), cfg)
-    with pytest.raises(DivergenceError):
-        lif_step(np.array([np.nan, 0.0]), np.zeros(2), np.zeros(2), cfg)
+    net = new_network(3, 3, 2, np.random.default_rng(0))
+    net.b1[:] = 0.0
+    register_head(net, np.random.default_rng(1))
+    _, trace, _ = forward_const(np.zeros((2, 3)), 0, net,
+                                LIFConfig(timesteps=10))
+    assert np.all(trace.u == 0.0)
+    assert np.all(trace.s == 0.0)
 
 
 def test_strong_constant_drive_spikes_every_step():
     # current 2.0: u = 2.0 at every step after the reset subtraction
-    net = new_network(1, 1, 2, np.random.default_rng(0))
-    net.w1[:] = 2.0
-    net.b1[:] = 0.0
-    register_head(net, np.random.default_rng(1))
-    cfg = LIFConfig(timesteps=4)
     _, trace, record = forward_const(
-        np.ones((1, 1)), 0, net, cfg, record_spikes=True
+        np.ones((1, 1)), 0, _one_neuron(2.0), LIFConfig(timesteps=4),
+        record_spikes=True,
     )
     np.testing.assert_array_equal(trace.u[0, :, 0], [2.0, 2.0, 2.0, 2.0])
     np.testing.assert_array_equal(trace.s[0, :, 0], [1.0, 1.0, 1.0, 1.0])
@@ -116,43 +107,21 @@ def test_unknown_task_raises():
         forward_const(np.zeros((1, 3)), 1, net, LIFConfig())
 
 
-def test_forward_timestep_mismatch_rejected():
-    net = new_network(3, 2, 2, np.random.default_rng(0))
-    register_head(net, np.random.default_rng(1))
-    with pytest.raises(ValueError):
-        forward(np.zeros((1, 7, 3)), 0, net, LIFConfig(timesteps=10))
-
-
-def test_forward_single_sample_squeezes_logits():
-    rng = np.random.default_rng(3)
-    net, cfg = random_tiny_net(rng, hidden=3, dim=4, classes=2, timesteps=5)
-    x = rng.random((cfg.timesteps, 4))
-    logits, trace, _ = forward(x, 0, net, cfg)
-    assert logits.shape == (2,)
-    assert trace.batch_size == 1
-
-
-def test_forward_const_equals_general_forward_on_tiled_input():
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        net, cfg = random_tiny_net(rng)
-        x = rng.random((3, net.input_size))
-        tiled = np.repeat(x[:, np.newaxis, :], cfg.timesteps, axis=1)
-        la, ta, _ = forward_const(x, 0, net, cfg)
-        lb, tb, _ = forward(tiled, 0, net, cfg)
-        assert np.array_equal(la, lb)
-        assert np.array_equal(ta.u, tb.u)
-        assert np.array_equal(ta.s, tb.s)
-
-
 def test_batch_equals_concatenated_singles():
+    # A one-row product runs through a different BLAS kernel (gemv) than a
+    # batched one (gemm), which may round the trunk current differently in
+    # the last bit.  With inputs and weights on a 1/8 grid every product
+    # and sum is exact, so a mismatch can only mean samples leak into
+    # each other.
     rng = np.random.default_rng(5)
     net, cfg = random_tiny_net(rng, hidden=3, dim=4, classes=3, timesteps=4)
-    batch = rng.random((6, cfg.timesteps, 4))
-    logits_b, trace_b, _ = forward(batch, 0, net, cfg)
+    for param in (net.w1, net.b1, net.heads[0].w2, net.heads[0].b2):
+        param[:] = np.round(param * 8.0) / 8.0
+    batch = rng.integers(0, 9, size=(6, 4)) / 8.0
+    logits_b, trace_b, _ = forward_const(batch, 0, net, cfg)
     for n in range(6):
-        logits_1, trace_1, _ = forward(batch[n], 0, net, cfg)
-        assert np.array_equal(logits_b[n], logits_1)
+        logits_1, trace_1, _ = forward_const(batch[n:n + 1], 0, net, cfg)
+        assert np.array_equal(logits_b[n], logits_1[0])
         assert np.array_equal(trace_b.u[n], trace_1.u[0])
 
 
@@ -188,8 +157,8 @@ def test_membrane_bounded_under_bounded_input():
     rng = np.random.default_rng(8)
     net, cfg = random_tiny_net(rng, hidden=4, dim=3, timesteps=5)
     big = LIFConfig(tau=cfg.tau, theta=cfg.theta, timesteps=200)
-    x = rng.uniform(-1, 1, size=(4, 200, 3))
-    _, trace, _ = forward(x, 0, net, big)
+    x = rng.uniform(-1, 1, size=(4, 3))
+    _, trace, _ = forward_const(x, 0, net, big)
     m = np.abs(trace.currents).max()
     assert np.abs(trace.u).max() <= (m + big.theta) * big.tau + 1e-12
 
