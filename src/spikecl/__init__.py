@@ -21,7 +21,6 @@ from .continual import (
 )
 from .data import (
     Dataset,
-    EncodingSpec,
     Task,
     TaskSequence,
     build_permuted,

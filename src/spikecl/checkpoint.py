@@ -112,7 +112,17 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"{path}: {len(order)} arrays present, expected {expected}"
         )
-    return NetworkState(
-        w1=arrays["w1"], b1=arrays["b1"],
-        classes_per_task=classes, heads=heads,
-    )
+    w1, b1 = arrays["w1"], arrays["b1"]
+    if w1.ndim != 2:
+        raise CheckpointError(f"{path}: w1 has shape {w1.shape}, not (H, D)")
+    hidden = w1.shape[0]
+    shapes = [("b1", b1, (hidden,))]
+    for k, head in enumerate(heads):
+        shapes.append((f"head{k}.w2", head.w2, (classes, hidden)))
+        shapes.append((f"head{k}.b2", head.b2, (classes,)))
+    for name, arr, want in shapes:
+        if arr.shape != want:
+            raise CheckpointError(
+                f"{path}: {name} has shape {arr.shape}, expected {want}"
+            )
+    return NetworkState(w1=w1, b1=b1, classes_per_task=classes, heads=heads)

@@ -22,13 +22,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import (
-    BENCHMARKS,
-    METHODS,
-    ConfigError,
-    _parse_seeds,
-    load_config,
-)
+from .config import FIELDS, ConfigError, load_config, text_parser
 from .continual import run_sequence
 from .data import DataError, build_permuted, build_split, build_synthetic, load_idx_dir
 from .importance import collect_spike_record, importance_report
@@ -71,20 +65,17 @@ def build_tasks(cfg, seed, base=None):
             train_per_class=cfg.synthetic_train,
             test_per_class=cfg.synthetic_test,
             dim=cfg.synthetic_dim, noise=cfg.synthetic_noise, seed=seed,
-            timesteps=cfg.timesteps, gain=cfg.gain,
         )
     train, test = base if base is not None else load_idx_dir(cfg.data_dir)
     if cfg.benchmark == "permuted-mnist":
         return build_permuted(
             train, test, num_tasks=cfg.num_tasks, seed=seed,
-            timesteps=cfg.timesteps, gain=cfg.gain,
             train_cap=cfg.train_cap, test_cap=cfg.test_cap,
         )
     # split-mnist and split-fashionmnist share the pair structure; the
     # data directory decides which dataset is being split
     return build_split(
-        train, test, timesteps=cfg.timesteps, gain=cfg.gain,
-        train_cap=cfg.train_cap, test_cap=cfg.test_cap,
+        train, test, train_cap=cfg.train_cap, test_cap=cfg.test_cap,
         name=cfg.benchmark,
     )
 
@@ -94,7 +85,7 @@ def _run_one_seed(cfg, seed, base, on_task_complete=None):
     return run_sequence(
         tasks, cfg.method, lam=cfg.lam, seed=seed,
         hidden_size=cfg.hidden_size,
-        lif_cfg=LIFConfig(timesteps=cfg.timesteps),
+        lif_cfg=LIFConfig(timesteps=cfg.timesteps, gain=cfg.gain),
         train_params=TrainParams(
             epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr
         ),
@@ -253,8 +244,9 @@ def cmd_importance_dump(cfg, checkpoint_path, task_id=None, seed=None, out=None)
             f"provides {tasks.input_dim}"
         )
     record = collect_spike_record(
-        net, tasks[task_id].train.images, LIFConfig(timesteps=cfg.timesteps),
-        max_samples=cfg.importance_samples, task_id=task_id, gain=cfg.gain,
+        net, tasks[task_id].train.images,
+        LIFConfig(timesteps=cfg.timesteps, gain=cfg.gain),
+        max_samples=cfg.importance_samples, task_id=task_id,
     )
     report = importance_report(record, task_id=task_id)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -267,45 +259,20 @@ def cmd_importance_dump(cfg, checkpoint_path, task_id=None, seed=None, out=None)
 
 
 def _add_config_flags(parser):
+    """``--config`` plus one flag per ExperimentConfig field."""
     parser.add_argument("-c", "--config", metavar="FILE",
                         help="flat key = value config file")
-    parser.add_argument("--benchmark", choices=BENCHMARKS)
-    parser.add_argument("--method", choices=METHODS)
-    parser.add_argument("--lambda", dest="lam", type=float,
-                        help="penalty strength (default: per-method)")
-    parser.add_argument("--seeds", type=_parse_seeds, metavar="S0,S1,...")
-    parser.add_argument("--hidden-size", type=int)
-    parser.add_argument("--timesteps", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--train-cap", type=int,
-                        help="per-task training samples (default: all)")
-    parser.add_argument("--test-cap", type=int)
-    parser.add_argument("--num-tasks", type=int)
-    parser.add_argument("--data-dir")
-    parser.add_argument("--out-dir")
-    parser.add_argument("--importance-samples", type=int)
-    parser.add_argument("--gain", type=float)
-    parser.add_argument("--synthetic-dim", type=int)
-    parser.add_argument("--synthetic-noise", type=float)
-    parser.add_argument("--synthetic-train", type=int)
-    parser.add_argument("--synthetic-test", type=int)
-
-
-_CONFIG_FIELDS = (
-    "benchmark", "method", "lam", "seeds", "hidden_size", "timesteps",
-    "epochs", "batch_size", "lr", "train_cap", "test_cap", "num_tasks",
-    "data_dir", "out_dir", "importance_samples", "gain", "synthetic_dim",
-    "synthetic_noise", "synthetic_train", "synthetic_test",
-)
+    for name, f in FIELDS.items():
+        flag = "--lambda" if name == "lam" else "--" + name.replace("_", "-")
+        parser.add_argument(flag, dest=name, type=text_parser(f),
+                            **f.metadata)
 
 
 def _config_from_args(args):
     overrides = {
         name: getattr(args, name)
-        for name in _CONFIG_FIELDS
-        if getattr(args, name, None) is not None
+        for name in FIELDS
+        if getattr(args, name) is not None
     }
     return load_config(path=args.config, overrides=overrides)
 

@@ -6,11 +6,13 @@ flag.  Config files are plain text, one ``key = value`` per line with
 ``#`` comments.
 """
 
+import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+
+from .continual import METHODS
 
 BENCHMARKS = ("split-mnist", "permuted-mnist", "split-fashionmnist", "synthetic")
-METHODS = ("none", "isi-cv", "ewc", "si")
 
 DATA_DIR_ENV = "SPIKECL_DATA_DIR"
 
@@ -21,16 +23,23 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    benchmark: str = "synthetic"
-    method: str = "none"
-    lam: float = None            # None = method default
-    seeds: tuple = (0,)
+    """Every run setting, declared once: config-file keys and command-line
+    flags are both derived from these fields.  A field's ``metadata``
+    holds extra argparse settings for its flag."""
+
+    benchmark: str = field(default="synthetic",
+                           metadata={"choices": BENCHMARKS})
+    method: str = field(default="none", metadata={"choices": METHODS})
+    lam: float = field(default=None, metadata={   # None = method default
+        "help": "penalty strength (default: per-method)"})
+    seeds: tuple = field(default=(0,), metadata={"metavar": "S0,S1,..."})
     hidden_size: int = 128
     timesteps: int = 10
     epochs: int = 5
     batch_size: int = 128
     lr: float = 1e-3
-    train_cap: int = None        # per-task sample caps; None = full data
+    train_cap: int = field(default=None, metadata={   # None = full data
+        "help": "per-task training samples (default: all)"})
     test_cap: int = None
     num_tasks: int = 5           # permuted-mnist and synthetic only
     data_dir: str = "data"
@@ -51,10 +60,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown method {self.method!r}, expected one of {METHODS}"
             )
+        for name, value in (("lambda", self.lam), ("lr", self.lr),
+                            ("gain", self.gain)):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.lam is not None and self.lam < 0:
             raise ConfigError("lambda must be >= 0")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds repeat: {self.seeds}")
         for name in ("hidden_size", "epochs", "batch_size", "num_tasks",
                      "importance_samples", "synthetic_dim",
                      "synthetic_train", "synthetic_test"):
@@ -80,25 +95,7 @@ class ExperimentConfig:
         return out
 
 
-# how each config key is parsed from text
-def _parse_int(s):
-    return int(s)
-
-
-def _parse_float(s):
-    return float(s)
-
-
-def _parse_str(s):
-    return s
-
-
-def _parse_optional_int(s):
-    return None if s.lower() in ("none", "null", "") else int(s)
-
-
-def _parse_optional_float(s):
-    return None if s.lower() in ("none", "null", "") else float(s)
+FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
 def _parse_seeds(s):
@@ -108,28 +105,18 @@ def _parse_seeds(s):
         raise ConfigError(f"seeds must be comma-separated integers, got {s!r}")
 
 
-_PARSERS = {
-    "benchmark": _parse_str,
-    "method": _parse_str,
-    "lam": _parse_optional_float,
-    "seeds": _parse_seeds,
-    "hidden_size": _parse_int,
-    "timesteps": _parse_int,
-    "epochs": _parse_int,
-    "batch_size": _parse_int,
-    "lr": _parse_float,
-    "train_cap": _parse_optional_int,
-    "test_cap": _parse_optional_int,
-    "num_tasks": _parse_int,
-    "data_dir": _parse_str,
-    "out_dir": _parse_str,
-    "importance_samples": _parse_int,
-    "gain": _parse_float,
-    "synthetic_dim": _parse_int,
-    "synthetic_noise": _parse_float,
-    "synthetic_train": _parse_int,
-    "synthetic_test": _parse_int,
-}
+def text_parser(f):
+    """How one field's value is read from text: its type, or _parse_seeds."""
+    return _parse_seeds if f.type is tuple else f.type
+
+
+def _parse_value(f, text):
+    """Typed value of a config-file entry; "none"/"null"/empty unsets a
+    field whose default is None."""
+    if f.default is None and text.lower() in ("none", "null", ""):
+        return None
+    return text_parser(f)(text)
+
 
 # accepted aliases, mostly so config files can say "lambda"
 _ALIASES = {"lambda": "lam"}
@@ -146,7 +133,7 @@ def parse_config_text(text, source="<config>"):
             raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
         key = _ALIASES.get(key, key)
-        if key not in _PARSERS:
+        if key not in FIELDS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
@@ -169,7 +156,7 @@ def load_config(path=None, overrides=None, env=None):
             raw = parse_config_text(f.read(), source=path)
         for key, text in raw.items():
             try:
-                values[key] = _PARSERS[key](text)
+                values[key] = _parse_value(FIELDS[key], text)
             except ConfigError:
                 raise
             except ValueError:
@@ -179,7 +166,7 @@ def load_config(path=None, overrides=None, env=None):
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _PARSERS:
+        if key not in FIELDS:
             raise ConfigError(f"unknown config field {key!r}")
         values[key] = value
     try:

@@ -8,6 +8,7 @@ finishing task l) feeds the summary metrics.
 """
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ def resolve_lambda(method, lam=None):
     if lam is None:
         return DEFAULT_LAMBDA[method]
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     return lam
@@ -182,7 +185,7 @@ def compute_metrics(matrix):
     )
 
 
-def evaluate(net, images, labels, task_id, lif_cfg, gain=1.0, batch_size=512):
+def evaluate(net, images, labels, task_id, lif_cfg, batch_size=512):
     """Top-1 accuracy with the task's own head."""
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -192,8 +195,6 @@ def evaluate(net, images, labels, task_id, lif_cfg, gain=1.0, batch_size=512):
     correct = 0
     for lo in range(0, n, batch_size):
         xb = images[lo:lo + batch_size]
-        if gain != 1.0:
-            xb = xb * gain
         logits, _, _ = forward_const(xb, task_id, net, lif_cfg)
         correct += int((logits.argmax(axis=1) == labels[lo:lo + batch_size]).sum())
     return correct / n
@@ -231,17 +232,17 @@ class RunAbortedError(RuntimeError):
 
 
 def _task_importance(method, net, task, task_id, lif_cfg, surrogate_cfg,
-                     max_samples, gain, si_acc):
+                     max_samples, si_acc):
     if method == "isi-cv":
         record = collect_spike_record(
             net, task.train.images, lif_cfg, max_samples=max_samples,
-            task_id=task_id, gain=gain,
+            task_id=task_id,
         )
         return isi_cv_importance(record, task_id=task_id)
     if method == "ewc":
         return ewc_importance(
             net, task.train.images, task.train.labels, task_id, lif_cfg,
-            surrogate_cfg, max_samples=max_samples, gain=gain,
+            surrogate_cfg, max_samples=max_samples,
         )
     if method == "si":
         return si_importance(si_acc, net, task_id=task_id)
@@ -270,13 +271,9 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
     if k_total < 2:
         raise ValueError("a continual sequence needs at least 2 tasks")
     lam = resolve_lambda(method, lam)
-    if lif_cfg is None:
-        lif_cfg = LIFConfig(timesteps=tasks.encoding.timesteps)
-    elif lif_cfg.timesteps != tasks.encoding.timesteps:
-        raise ValueError("encoding and LIF config disagree on timesteps")
+    lif_cfg = lif_cfg or LIFConfig()
     surrogate_cfg = surrogate_cfg or SurrogateConfig()
     train_params = train_params or TrainParams()
-    gain = tasks.encoding.gain
 
     net = new_network(
         tasks.input_dim, hidden_size, tasks.classes_per_task,
@@ -301,7 +298,7 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
                 net, task.train.images, task.train.labels, k, lif_cfg,
                 surrogate_cfg, train_params,
                 rng=np.random.default_rng(np.random.SeedSequence([seed, 2, k])),
-                reg=reg, step_hook=hook, gain=gain,
+                reg=reg, step_hook=hook,
             )
         except Exception as exc:
             raise RunAbortedError(k, logs, matrix) from exc
@@ -312,8 +309,7 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
         accuracies = []
         for j in range(k + 1):
             acc = evaluate(
-                net, tasks[j].test.images, tasks[j].test.labels, j,
-                lif_cfg, gain=gain,
+                net, tasks[j].test.images, tasks[j].test.labels, j, lif_cfg,
             )
             matrix.set(k, j, acc)
             accuracies.append(acc)
@@ -323,7 +319,7 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
         if method != "none":
             vec = _task_importance(
                 method, net, task, k, lif_cfg, surrogate_cfg,
-                importance_samples, gain, si_acc,
+                importance_samples, si_acc,
             )
             importances.append(vec)
             omega_max = (

@@ -1,10 +1,10 @@
-"""Dataset ingestion (IDX binary files), task construction and encoding.
+"""Dataset ingestion (IDX binary files) and task construction.
 
 Benchmarks are built from a base train/test pair: split (disjoint class
 pairs, labels remapped to {0, 1}), permuted (one fixed pixel permutation
 per task, all classes), or fully synthetic prototype tasks for fast
-deterministic tests.  Static images drive the network as constant input
-currents, so an encoding is just a timestep count and an input gain.
+deterministic tests.  Tasks hold plain images in [0, 1]; how long and
+how strongly an image drives the network is set by its ``LIFConfig``.
 """
 
 import os
@@ -162,20 +162,13 @@ def load_idx_dir(data_dir):
             "missing IDX files: " + ", ".join(missing)
             + " (see scripts/fetch_mnist.py)"
         )
-    return load_idx(*paths["train"]), load_idx(*paths["test"])
-
-
-@dataclass
-class EncodingSpec:
-    """How a static image becomes input current: ``gain * x`` at each of
-    ``timesteps`` steps."""
-
-    timesteps: int
-    gain: float = 1.0
-
-    def __post_init__(self):
-        if self.timesteps < 1:
-            raise ValueError("timesteps must be >= 1")
+    train, test = load_idx(*paths["train"]), load_idx(*paths["test"])
+    if train.dim != test.dim:
+        raise DataError(
+            f"{data_dir}: train images have {train.dim} pixels but test "
+            f"images have {test.dim}"
+        )
+    return train, test
 
 
 @dataclass
@@ -190,7 +183,6 @@ class Task:
 @dataclass
 class TaskSequence:
     tasks: list
-    encoding: EncodingSpec
     classes_per_task: int
     name: str = "sequence"
 
@@ -217,8 +209,8 @@ class TaskSequence:
         return self.tasks[0].train.dim
 
 
-def build_split(train, test, pairs=SPLIT_PAIRS, timesteps=10, gain=1.0,
-                train_cap=None, test_cap=None, name="split"):
+def build_split(train, test, pairs=SPLIT_PAIRS, train_cap=None,
+                test_cap=None, name="split"):
     """Disjoint 2-class tasks; labels remapped to {0, 1} per pair."""
     flat = [c for pair in pairs for c in pair]
     if len(set(flat)) != len(flat):
@@ -243,14 +235,12 @@ def build_split(train, test, pairs=SPLIT_PAIRS, timesteps=10, gain=1.0,
             task_id=k, name=f"{name}-{pair[0]}v{pair[1]}",
             train=splits[0], test=splits[1], class_map=class_map,
         ))
-    return TaskSequence(
-        tasks=tasks, encoding=EncodingSpec(timesteps=timesteps, gain=gain),
-        classes_per_task=len(pairs[0]), name=name,
-    )
+    return TaskSequence(tasks=tasks, classes_per_task=len(pairs[0]),
+                        name=name)
 
 
-def build_permuted(train, test, num_tasks=5, seed=0, timesteps=10, gain=1.0,
-                   train_cap=None, test_cap=None, name="permuted"):
+def build_permuted(train, test, num_tasks=5, seed=0, train_cap=None,
+                   test_cap=None, name="permuted"):
     """One fixed random pixel permutation per task, all classes kept."""
     if num_tasks < 1:
         raise ValueError("need at least one task")
@@ -273,15 +263,12 @@ def build_permuted(train, test, num_tasks=5, seed=0, timesteps=10, gain=1.0,
             test=Dataset(base_test.images[:, perm], base_test.labels),
             class_map={c: c for c in range(classes)},
         ))
-    return TaskSequence(
-        tasks=tasks, encoding=EncodingSpec(timesteps=timesteps, gain=gain),
-        classes_per_task=classes, name=name,
-    )
+    return TaskSequence(tasks=tasks, classes_per_task=classes, name=name)
 
 
 def build_synthetic(num_tasks=2, classes=2, train_per_class=200,
                     test_per_class=50, dim=64, noise=0.05, seed=0,
-                    timesteps=10, gain=1.0, name="synthetic"):
+                    name="synthetic"):
     """Noisy-prototype tasks: per task and class, one fixed random binary
     prototype; samples flip each pixel independently with probability
     ``noise``.  Linearly separable at low noise, fully seeded.
@@ -310,7 +297,4 @@ def build_synthetic(num_tasks=2, classes=2, train_per_class=200,
             task_id=k, name=f"{name}-{k}", train=splits[0], test=splits[1],
             class_map={c: c for c in range(classes)},
         ))
-    return TaskSequence(
-        tasks=tasks, encoding=EncodingSpec(timesteps=timesteps, gain=gain),
-        classes_per_task=classes, name=name,
-    )
+    return TaskSequence(tasks=tasks, classes_per_task=classes, name=name)

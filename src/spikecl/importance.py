@@ -153,7 +153,7 @@ def importance_report(record, epsilon=EPSILON,
 
 
 def collect_spike_record(net, images, lif_cfg, max_samples=1024, task_id=None,
-                         batch_size=128, gain=1.0):
+                         batch_size=128):
     """Run the net over (at most) the first max_samples images, keeping
     the hidden spike raster.  ``task_id`` defaults to the newest head;
     the head only shapes the discarded logits, not the raster.
@@ -162,13 +162,13 @@ def collect_spike_record(net, images, lif_cfg, max_samples=1024, task_id=None,
     n = min(max_samples, len(images))
     if n == 0:
         raise ValueError("need at least one sample to record spikes")
+    images = images[:n]
     if task_id is None:
         task_id = net.num_heads - 1
-    driven = images[:n] if gain == 1.0 else images[:n] * gain
     parts = []
     for lo in range(0, n, batch_size):
         _, _, rec = forward_const(
-            driven[lo:lo + batch_size], task_id, net, lif_cfg,
+            images[lo:lo + batch_size], task_id, net, lif_cfg,
             record_spikes=True,
         )
         parts.append(rec)
@@ -183,7 +183,7 @@ def _max_normalize(per_neuron):
 
 
 def ewc_importance(net, images, labels, task_id, lif_cfg, surrogate_cfg,
-                   max_samples=1024, batch_size=128, gain=1.0):
+                   max_samples=1024, batch_size=128):
     """Diagonal Fisher of the trunk, reduced to per-neuron scores.
 
     Fisher is the mean over samples of the squared per-sample loss
@@ -205,13 +205,12 @@ def ewc_importance(net, images, labels, task_id, lif_cfg, surrogate_cfg,
     for lo in range(0, n, batch_size):
         xb = images[lo:lo + batch_size]
         yb = labels[lo:lo + batch_size]
-        driven = xb if gain == 1.0 else xb * gain
-        _, trace, _ = forward_const(driven, task_id, net, lif_cfg)
+        _, trace, _ = forward_const(xb, task_id, net, lif_cfg)
         # per-sample gradients: no 1/N on delta
         delta = _logit_delta(log_softmax(trace.logits), yb)
         dcur = _current_grad(trace, delta, head, surrogate_cfg)
         sq = dcur * dcur
-        fisher_w1 += sq.T @ (driven * driven)
+        fisher_w1 += sq.T @ (trace.inputs * trace.inputs)
         fisher_b1 += sq.sum(axis=0)
     fisher_w1 /= n
     fisher_b1 /= n

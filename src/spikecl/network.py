@@ -10,6 +10,7 @@ one linear head per task; head logits are the mean over timesteps of the
 per-step head pre-activations.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,17 +28,21 @@ class UnknownTaskError(KeyError):
 
 @dataclass
 class LIFConfig:
-    """Neuron parameters: time constant, threshold and steps per sample."""
+    """Neuron parameters: time constant, threshold, steps per sample, and
+    the input gain (a static image x drives ``gain * x`` at every step)."""
 
     tau: float = 2.0
     theta: float = 1.0
     timesteps: int = 10
+    gain: float = 1.0
 
     def __post_init__(self):
         if not self.tau > 1.0:
             raise ValueError(f"tau must be > 1, got {self.tau}")
         if not self.theta > 0.0:
             raise ValueError(f"theta must be > 0, got {self.theta}")
+        if not (math.isfinite(self.gain) and self.gain > 0.0):
+            raise ValueError(f"gain must be finite and > 0, got {self.gain}")
         if self.timesteps < 2:
             raise ValueError(f"timesteps must be >= 2, got {self.timesteps}")
 
@@ -114,7 +119,8 @@ class ForwardTrace:
     """Everything the backward pass and the replay check need.
 
     Arrays are batch-major.  ``inputs`` (N, D) and ``currents`` (N, H)
-    hold the drive and trunk current, the same at every timestep.
+    hold the drive (the input times the gain) and trunk current, the same
+    at every timestep.
     """
 
     inputs: np.ndarray
@@ -176,7 +182,7 @@ class SpikeRecord:
 def forward_const(x, task_id, net, cfg, record_spikes=False):
     """Forward pass for constant-over-time input currents.
 
-    ``x`` is (N, D); the same vector drives every timestep, so the trunk
+    ``x`` is (N, D); ``cfg.gain * x`` drives every timestep, so the trunk
     projection is computed once.  Returns (logits, trace, spikes) where
     spikes is a SpikeRecord only if requested.
     """
@@ -184,6 +190,8 @@ def forward_const(x, task_id, net, cfg, record_spikes=False):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected (N, D) input, got {x.shape}")
+    if cfg.gain != 1.0:
+        x = x * cfg.gain
     cur = np.ascontiguousarray(x @ net.w1.T + net.b1)
     u, s = kernels.lif_forward_const(cur, cfg.timesteps, cfg.beta, cfg.theta)
     sbar = s.mean(axis=1)

@@ -52,7 +52,7 @@ def log_softmax(logits):
 
 
 def cross_entropy(logits, targets):
-    """Mean cross-entropy of softmax(logits) against integer targets."""
+    """Mean cross-entropy of softmax(logits) for integer targets."""
     logp = log_softmax(np.atleast_2d(np.asarray(logits, dtype=np.float64)))
     t = np.atleast_1d(targets)
     return float(-logp[np.arange(len(t)), t].mean())
@@ -185,15 +185,15 @@ class EpochLog:
 
 
 def train_task(net, images, labels, task_id, lif_cfg, surrogate_cfg, params,
-               rng, reg=None, step_hook=None, gain=1.0):
+               rng, reg=None, step_hook=None):
     """Train one task head plus the shared trunk; mutates ``net``.
 
-    ``images`` is (N, D) in [0, 1]; the constant-current drive is
-    ``gain * x`` at every timestep.  ``reg``, when given, must expose
-    ``penalty(net)`` and ``gradient(net)`` and is added to the trunk loss
-    and gradients.  ``step_hook(grads, deltas)`` fires after every
-    optimizer step with the total-loss gradients and the applied trunk
-    deltas.  Returns one EpochLog per epoch (loss includes the penalty;
+    ``images`` is (N, D) in [0, 1]; each sample drives the trunk as a
+    constant current, scaled as ``forward_const`` does.  ``reg``, when
+    given, must expose ``penalty(net)`` and ``gradient(net)`` and is
+    added to the trunk loss and gradients.  ``step_hook(grads, deltas)``
+    fires after every optimizer step with the total-loss gradients and
+    the applied trunk deltas.  Returns one EpochLog per epoch (loss includes the penalty;
     accuracy is measured on the pre-update forward passes).
     """
     images = np.asarray(images, dtype=np.float64)
@@ -205,7 +205,6 @@ def train_task(net, images, labels, task_id, lif_cfg, surrogate_cfg, params,
         raise ValueError("images and labels disagree on sample count")
     net.head(task_id)
 
-    driven = images if gain == 1.0 else images * gain
     opt = OptimizerState(lr=params.lr)
     logs = []
     for _ in range(params.epochs):
@@ -214,7 +213,7 @@ def train_task(net, images, labels, task_id, lif_cfg, surrogate_cfg, params,
         correct = 0
         for lo in range(0, n, params.batch_size):
             idx = order[lo:lo + params.batch_size]
-            xb, yb = driven[idx], labels[idx]
+            xb, yb = images[idx], labels[idx]
             logits, trace, _ = forward_const(xb, task_id, net, lif_cfg)
             loss, grads = backward(trace, yb, net, task_id, surrogate_cfg)
             if reg is not None:

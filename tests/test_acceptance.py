@@ -48,8 +48,7 @@ DESK = dict(
 
 def _desk_split(mnist):
     train, test = mnist
-    return build_split(train, test, timesteps=10,
-                       train_cap=2000, test_cap=500)
+    return build_split(train, test, train_cap=2000, test_cap=500)
 
 
 def _mean_metrics(tasks, method, lam, seeds):
@@ -85,7 +84,7 @@ def test_c2_permuted_mnist_ordering(mnist):
     noreg_af, reg_af = [], []
     for seed in seeds:
         tasks = build_permuted(train, test, num_tasks=5, seed=seed,
-                               timesteps=10, train_cap=2000, test_cap=500)
+                               train_cap=2000, test_cap=500)
         noreg_af.append(run_sequence(tasks, "none", seed=seed,
                                      **DESK).metrics().af)
         reg_af.append(run_sequence(tasks, "isi-cv", lam=500.0, seed=seed,
@@ -241,7 +240,7 @@ def test_c8_baseline_plumbing():
 
     cfg = LIFConfig(timesteps=6)
     tasks = build_synthetic(num_tasks=1, train_per_class=20, test_per_class=5,
-                            dim=12, seed=5, timesteps=6)
+                            dim=12, seed=5)
     images = tasks[0].train.images
     labels = tasks[0].train.labels
     enet = new_network(12, 8, 2, np.random.default_rng(6))
@@ -254,12 +253,12 @@ def test_c8_baseline_plumbing():
     ewc_ok = np.allclose(once.omega, twice.omega, rtol=1e-12)
 
     seq = build_synthetic(num_tasks=2, train_per_class=40, test_per_class=20,
-                          dim=24, seed=8, timesteps=6)
+                          dim=24, seed=8)
     fast = TrainParams(epochs=3, batch_size=16)
     bounds_ok, end_to_end = True, True
     for method in ("ewc", "si"):
         result = run_sequence(seq, method, seed=0, hidden_size=12,
-                              train_params=fast)
+                              lif_cfg=cfg, train_params=fast)
         end_to_end &= result.matrix.is_complete()
         for vec in result.importances:
             bounds_ok &= 0.0 <= vec.omega.min() and vec.omega.max() <= 1.0
@@ -273,7 +272,7 @@ def test_c8_baseline_plumbing():
 @requires_mnist
 def test_c9_full_scale_spot_check(mnist):
     train, test = mnist
-    tasks = build_split(train, test, timesteps=20)
+    tasks = build_split(train, test)
     result = run_sequence(
         tasks, "isi-cv", lam=500.0, seed=0, hidden_size=512,
         lif_cfg=LIFConfig(timesteps=20),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spikecl.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
-from spikecl.network import new_network, register_head
+from spikecl.network import Head, NetworkState, new_network, register_head
 
 
 def _net(heads=2, seed=60):
@@ -100,4 +100,26 @@ def test_incomplete_head_is_rejected(tmp_path):
     blob[at:at + 8] = b"head0.zz"
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="lacks its bias"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, bad_shape", [
+    ("b1", (3,)),
+    ("w2", (2, 3)),
+    ("w2", (3,)),
+    ("b2", (2,)),
+    ("b2", (3, 1)),
+])
+def test_array_shapes_must_agree(tmp_path, field, bad_shape):
+    # 4 hidden neurons, 3 classes per head; one array has the wrong shape
+    rng = np.random.default_rng(61)
+    shapes = {"b1": (4,), "w2": (3, 4), "b2": (3,), field: bad_shape}
+    net = NetworkState(
+        w1=rng.random((4, 5)), b1=rng.random(shapes["b1"]),
+        classes_per_task=3,
+        heads=[Head(w2=rng.random(shapes["w2"]), b2=rng.random(shapes["b2"]))],
+    )
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, net)
+    with pytest.raises(CheckpointError, match="shape"):
         load_checkpoint(path)

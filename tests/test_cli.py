@@ -1,13 +1,17 @@
 """End-to-end command-line behavior: artifacts, determinism, exit codes."""
 
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from spikecl.checkpoint import load_checkpoint
+from spikecl.checkpoint import load_checkpoint, save_checkpoint
 from spikecl.cli import METRICS_HEADER, SWEEP_HEADER, main
+from spikecl.config import ExperimentConfig
 from spikecl.continual import ResultMatrix
+from spikecl.network import new_network, register_head
 
 
 def _flags(out_dir, **extra):
@@ -199,6 +203,16 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["importance-dump", "--checkpoint", str(bad),
                  *_flags(tmp_path / "res")]) == 3
 
+    # 3: a head that does not fit the trunk (12 hidden neurons)
+    net = new_network(24, 12, 2, np.random.default_rng(0))
+    register_head(net, np.random.default_rng(1))
+    net.heads[0].w2 = net.heads[0].w2[:, :11]
+    save_checkpoint(bad, net)
+    capsys.readouterr()
+    assert main(["importance-dump", "--checkpoint", str(bad),
+                 *_flags(tmp_path / "res")]) == 3
+    assert "shape" in capsys.readouterr().err
+
     # 2: config validation failure
     assert main(["run", *_flags(tmp_path / "res", epochs="0")]) == 2
     assert "epochs" in capsys.readouterr().err
@@ -211,6 +225,21 @@ def test_exit_codes(tmp_path, capsys):
     assert "lambda 10" not in captured.out
     assert not (tmp_path / "sweep" / "sweep.csv").exists()
 
+    # 2: non-finite numbers and repeated seeds are rejected before training
+    for argv, message in (
+        (["run", "--lambda", "nan"], "lambda must be finite"),
+        (["run", "--lr", "inf"], "lr must be finite"),
+        (["run", "--gain", "inf"], "gain must be finite"),
+        (["sweep", "--lambdas", "1,nan"], "lambda must be finite"),
+        (["run", "--seeds", "0,0"], "seeds repeat"),
+    ):
+        res = tmp_path / "nonfinite"
+        assert main([*argv, *_flags(res)]) == 2, argv
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not res.exists()
+
     # 2: argparse rejects unknown choices itself
     with pytest.raises(SystemExit) as info:
         main(["run", "--benchmark", "imagenet"])
@@ -220,6 +249,28 @@ def test_exit_codes(tmp_path, capsys):
     clash = tmp_path / "clash"
     clash.write_text("in the way")
     assert main(["run", *_flags(clash)]) == 4
+
+
+def test_run_flags_are_the_config_fields(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--help"])
+    assert info.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    expected = {"--help", "--config"} | {
+        "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
+        for f in fields(ExperimentConfig)
+    }
+    assert flags == expected
+
+
+def test_gain_reaches_the_network(tmp_path):
+    omegas = []
+    for gain in ("1", "1.5"):
+        out = tmp_path / gain
+        assert main(["run", "--method", "isi-cv", "--gain", gain,
+                     *_flags(out)]) == 0
+        omegas.append((out / "importance" / "seed0_task1.json").read_bytes())
+    assert omegas[0] != omegas[1]
 
 
 def test_version_flag():

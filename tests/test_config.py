@@ -38,6 +38,14 @@ def test_defaults():
     dict(gain=-1.0),
     dict(train_cap=0),
     dict(synthetic_noise=2.0),
+    dict(lam=float("nan")),
+    dict(lam=float("inf")),
+    dict(lr=float("inf")),
+    dict(lr=float("nan")),
+    dict(gain=float("inf")),
+    dict(gain=float("nan")),
+    dict(seeds=(0, 0)),
+    dict(seeds=(3, 1, 3)),
 ])
 def test_validation_rejects(bad):
     with pytest.raises(ConfigError):
@@ -82,6 +90,29 @@ def test_load_config_from_file(tmp_path):
     assert cfg.epochs == 3
 
 
+def test_load_config_parses_each_field_by_its_type(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(
+        "lambda = null\n"
+        "gain = 1.5\n"
+        "test_cap = 7\n"
+        "data_dir = 12\n"
+        "synthetic_noise = 0.25\n"
+    )
+    cfg = load_config(path, env={})
+    assert cfg.lam is None
+    assert cfg.gain == 1.5
+    assert cfg.test_cap == 7 and isinstance(cfg.test_cap, int)
+    assert cfg.data_dir == "12"
+    assert cfg.synthetic_noise == 0.25
+    path.write_text("hidden_size = none\n")   # only None-default fields unset
+    with pytest.raises(ConfigError, match="bad value for hidden_size"):
+        load_config(path, env={})
+    path.write_text("gain = inf\n")
+    with pytest.raises(ConfigError, match="gain must be finite"):
+        load_config(path, env={})
+
+
 def test_load_config_bad_value_and_missing_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("epochs = many\n")
@@ -106,13 +137,11 @@ def test_precedence_flag_over_env_over_file(tmp_path):
     assert load_config(env={}).data_dir == "data"
 
 
-def test_seeds_must_be_integers():
-    with pytest.raises(ConfigError, match="seeds"):
-        parse = parse_config_text("seeds = 0,a,2\n")
-        load_config_values = {"seeds": parse["seeds"]}
-        # force the typed parse the same way load_config does
-        from spikecl.config import _PARSERS
-        _PARSERS["seeds"](load_config_values["seeds"])
+def test_seeds_must_be_integers(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("seeds = 0,a,2\n")
+    with pytest.raises(ConfigError, match="seeds must be comma-separated"):
+        load_config(path, env={})
 
 
 def test_unknown_override_is_rejected():

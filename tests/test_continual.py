@@ -115,6 +115,12 @@ def test_resolve_lambda_defaults():
         resolve_lambda("isi-cv", -5.0)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+def test_resolve_lambda_rejects_non_finite(lam):
+    with pytest.raises(ValueError, match="finite"):
+        resolve_lambda("isi-cv", lam)
+
+
 # ---------------------------------------------------------------------------
 # result matrix and metrics
 # ---------------------------------------------------------------------------
@@ -192,30 +198,31 @@ def test_result_matrix_validation_and_csv_round_trip():
 FAST = TrainParams(epochs=4, batch_size=16)
 
 
+# the timestep count the toy-sequence tests below are tuned for
+TOY_LIF = LIFConfig(timesteps=6)
+
+
 def _toy_sequence(num_tasks=2, seed=0):
     return build_synthetic(
         num_tasks=num_tasks, dim=32, train_per_class=60, test_per_class=30,
-        noise=0.05, seed=seed, timesteps=6,
+        noise=0.05, seed=seed,
     )
 
 
-def test_run_sequence_needs_two_tasks_and_matching_timesteps():
+def test_run_sequence_needs_two_tasks():
     tasks = _toy_sequence()
-    single = TaskSequence(tasks=[tasks[0]], encoding=tasks.encoding,
-                          classes_per_task=2)
+    single = TaskSequence(tasks=[tasks[0]], classes_per_task=2)
     with pytest.raises(ValueError):
         run_sequence(single, "none")
-    with pytest.raises(ValueError):
-        run_sequence(tasks, "none", lif_cfg=LIFConfig(timesteps=9))
 
 
 def test_identical_tasks_show_no_forgetting_without_regularization():
     tasks = _toy_sequence()
     dup = Task(task_id=1, name="dup", train=tasks[0].train,
                test=tasks[0].test, class_map=tasks[0].class_map)
-    seq = TaskSequence(tasks=[tasks[0], dup], encoding=tasks.encoding,
-                       classes_per_task=2)
-    res = run_sequence(seq, "none", seed=0, hidden_size=16, train_params=FAST)
+    seq = TaskSequence(tasks=[tasks[0], dup], classes_per_task=2)
+    res = run_sequence(seq, "none", seed=0, hidden_size=16, lif_cfg=TOY_LIF,
+                       train_params=FAST)
     assert abs(res.matrix.get(1, 0) - res.matrix.get(0, 0)) <= 0.05
 
 
@@ -223,7 +230,8 @@ def test_huge_lambda_freezes_the_trunk():
     tasks = _toy_sequence()
     snaps = {}
     run_sequence(
-        tasks, "isi-cv", lam=1e9, seed=0, hidden_size=16, train_params=FAST,
+        tasks, "isi-cv", lam=1e9, seed=0, hidden_size=16, lif_cfg=TOY_LIF,
+        train_params=FAST,
         on_task_complete=lambda k, net: snaps.__setitem__(k, net.copy_trunk()),
     )
     drift = np.abs(snaps[1][0] - snaps[0][0]).max()
@@ -233,9 +241,9 @@ def test_huge_lambda_freezes_the_trunk():
 def test_method_none_ignores_lambda():
     tasks = _toy_sequence()
     a = run_sequence(tasks, "none", lam=0.0, seed=3, hidden_size=16,
-                     train_params=FAST)
+                     lif_cfg=TOY_LIF, train_params=FAST)
     b = run_sequence(tasks, "none", lam=123.0, seed=3, hidden_size=16,
-                     train_params=FAST)
+                     lif_cfg=TOY_LIF, train_params=FAST)
     assert np.array_equal(a.matrix.values, b.matrix.values,  equal_nan=True)
 
 
@@ -244,7 +252,7 @@ def test_trunk_drift_is_monotone_in_lambda():
     drifts = []
     for lam in (10.0, 100.0, 1000.0):
         res = run_sequence(tasks, "isi-cv", lam=lam, seed=1, hidden_size=16,
-                           train_params=FAST)
+                           lif_cfg=TOY_LIF, train_params=FAST)
         drifts.append(res.logs[1].trunk_drift)
     assert drifts[0] >= drifts[1] >= drifts[2]
 
@@ -254,7 +262,7 @@ def test_first_task_results_are_method_independent():
     r11 = set()
     for method in ("none", "isi-cv", "ewc", "si"):
         res = run_sequence(tasks, method, seed=2, hidden_size=16,
-                           train_params=FAST)
+                           lif_cfg=TOY_LIF, train_params=FAST)
         r11.add(res.matrix.get(0, 0))
         if method != "none":
             assert len(res.importances) == len(tasks)
@@ -267,15 +275,18 @@ def test_first_task_results_are_method_independent():
 
 def test_same_seed_reproduces_the_whole_matrix():
     tasks = _toy_sequence(seed=9)
-    a = run_sequence(tasks, "ewc", seed=4, hidden_size=16, train_params=FAST)
-    b = run_sequence(tasks, "ewc", seed=4, hidden_size=16, train_params=FAST)
+    a = run_sequence(tasks, "ewc", seed=4, hidden_size=16, lif_cfg=TOY_LIF,
+                     train_params=FAST)
+    b = run_sequence(tasks, "ewc", seed=4, hidden_size=16, lif_cfg=TOY_LIF,
+                     train_params=FAST)
     assert np.array_equal(a.matrix.values, b.matrix.values, equal_nan=True)
 
 
 def test_callback_fires_once_per_task():
     tasks = _toy_sequence(num_tasks=3, seed=11)
     seen = []
-    run_sequence(tasks, "none", seed=0, hidden_size=12, train_params=FAST,
+    run_sequence(tasks, "none", seed=0, hidden_size=12, lif_cfg=TOY_LIF,
+                 train_params=FAST,
                  on_task_complete=lambda k, net: seen.append(k))
     assert seen == [0, 1, 2]
 
@@ -285,7 +296,7 @@ def test_training_failure_aborts_with_partial_results():
     tasks[1].train.labels[:] = 7   # outside the head's class range
     with pytest.raises(RunAbortedError) as info:
         run_sequence(tasks, "none", seed=0, hidden_size=12,
-                     train_params=FAST)
+                     lif_cfg=TOY_LIF, train_params=FAST)
     err = info.value
     assert err.task_id == 1
     assert len(err.partial_logs) == 1

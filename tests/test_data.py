@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from spikecl.data import (
+    DataError,
     Dataset,
     IdxCountMismatchError,
     IdxMagicError,
     IdxTruncatedError,
     MissingDataError,
-    EncodingSpec,
     TaskSequence,
     build_permuted,
     build_split,
@@ -118,6 +118,18 @@ def test_load_idx_dir_round_trip(tmp_path):
     assert train.dim == 9
 
 
+def test_load_idx_dir_rejects_train_test_pixel_mismatch(tmp_path):
+    rng = np.random.default_rng(52)
+    for split, (iname, lname) in MNIST_FILES.items():
+        side = 8 if split == "train" else 7
+        write_idx_images(tmp_path / iname, rng.integers(
+            0, 256, size=(5, side, side)).astype(np.uint8))
+        write_idx_labels(tmp_path / lname,
+                         rng.integers(0, 10, size=5).astype(np.uint8))
+    with pytest.raises(DataError, match="64 pixels but test images have 49"):
+        load_idx_dir(tmp_path)
+
+
 def test_dataset_validation_and_take():
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64))
@@ -144,10 +156,9 @@ def _fake_digits(per_class=4, dim=6, seed=53):
 def test_build_split_partitions_and_remaps():
     train = _fake_digits(per_class=4)
     test = _fake_digits(per_class=2, seed=54)
-    seq = build_split(train, test, timesteps=5)
+    seq = build_split(train, test)
     assert len(seq) == 5
     assert seq.classes_per_task == 2
-    assert seq.encoding.timesteps == 5
     for k, task in enumerate(seq):
         assert task.class_map == {2 * k: 0, 2 * k + 1: 1}
         assert sorted(np.unique(task.train.labels)) == [0, 1]
@@ -170,7 +181,7 @@ def test_build_split_caps_and_bad_pairs():
 def test_build_permuted_draws_distinct_bijections():
     train = _fake_digits(per_class=3, dim=12)
     test = _fake_digits(per_class=2, dim=12, seed=56)
-    seq = build_permuted(train, test, num_tasks=4, seed=0, timesteps=5)
+    seq = build_permuted(train, test, num_tasks=4, seed=0)
     assert len(seq) == 4
     assert seq.classes_per_task == 10
     for task in seq:
@@ -180,10 +191,10 @@ def test_build_permuted_draws_distinct_bijections():
                                    np.sort(train.images, axis=1))
     rasters = [t.train.images[0].tolist() for t in seq]
     assert len({tuple(r) for r in rasters}) == 4
-    again = build_permuted(train, test, num_tasks=4, seed=0, timesteps=5)
+    again = build_permuted(train, test, num_tasks=4, seed=0)
     for a, b in zip(seq, again):
         np.testing.assert_array_equal(a.train.images, b.train.images)
-    other = build_permuted(train, test, num_tasks=4, seed=1, timesteps=5)
+    other = build_permuted(train, test, num_tasks=4, seed=1)
     assert not np.array_equal(other[0].train.images, seq[0].train.images)
 
 
@@ -212,5 +223,4 @@ def test_task_sequence_rejects_out_of_range_labels():
                                 test_per_class=1, dim=3).tasks
     task_list[0].train = ds
     with pytest.raises(ValueError, match="outside"):
-        TaskSequence(tasks=task_list, encoding=EncodingSpec(timesteps=3),
-                     classes_per_task=2)
+        TaskSequence(tasks=task_list, classes_per_task=2)

@@ -25,6 +25,8 @@ def test_config_defaults_give_half_decay():
 @pytest.mark.parametrize("bad", [
     {"tau": 1.0}, {"tau": 0.5}, {"theta": 0.0}, {"theta": -1.0},
     {"timesteps": 1}, {"timesteps": 0},
+    {"gain": 0.0}, {"gain": -1.0}, {"gain": float("inf")},
+    {"gain": float("nan")},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
@@ -96,6 +98,26 @@ def test_zero_weights_zero_logits_zero_spikes():
     assert np.all(logits == 0.0)
     assert np.all(trace.s == 0.0)
     assert record.spike_counts().sum() == 0
+
+
+def test_gain_scales_the_drive_exactly():
+    # forward_const with gain g is forward_const on g * x at gain 1, bit
+    # for bit, and the trace records the scaled drive that backward uses
+    rng = np.random.default_rng(8)
+    net, cfg = random_tiny_net(rng, hidden=5, dim=4, classes=3, timesteps=6)
+    x = rng.random((7, 4))
+    for g in (0.3, 1.5, 7.0):
+        gained = LIFConfig(tau=cfg.tau, theta=cfg.theta,
+                           timesteps=cfg.timesteps, gain=g)
+        logits, trace, record = forward_const(x, 0, net, gained,
+                                              record_spikes=True)
+        ref_logits, ref, ref_record = forward_const(g * x, 0, net, cfg,
+                                                    record_spikes=True)
+        np.testing.assert_array_equal(logits, ref_logits)
+        np.testing.assert_array_equal(trace.inputs, g * x)
+        np.testing.assert_array_equal(trace.u, ref.u)
+        np.testing.assert_array_equal(trace.s, ref.s)
+        np.testing.assert_array_equal(record.raster, ref_record.raster)
 
 
 def test_unknown_task_raises():
