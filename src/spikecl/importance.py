@@ -198,6 +198,8 @@ def ewc_importance(net, images, labels, task_id, lif_cfg, surrogate_cfg,
     n = min(max_samples, len(images))
     if n == 0:
         raise ValueError("need at least one sample to estimate Fisher")
+    images = images[:n]
+    labels = labels[:n]
     head = net.head(task_id)
 
     fisher_w1 = np.zeros_like(net.w1)

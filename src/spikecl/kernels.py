@@ -1,9 +1,11 @@
 """Hot numeric kernels, in plain numpy.
 
-The per-timestep membrane recursion, its reverse-mode counterpart and the
-interval-statistics accumulation dominate runtime.  The network always
-drives the trunk with a current that is constant over time, so the
-kernels take one (N, H) current per sample rather than a time series.
+The per-timestep membrane recursion and its reverse-mode counterpart
+dominate training time.  The network always drives the trunk with a
+current that is constant over time, so the kernels take one (N, H)
+current per sample rather than a time series.  Each kernel's Python loop
+runs over timesteps, not over samples; the interval statistics add one
+short reduction per neuron that has intervals.
 
 All kernels expect float64 C-contiguous arrays (uint8 for spike rasters).
 """
@@ -71,25 +73,32 @@ def isi_raster_stats(raster):
     each sample and pooled across samples.  Returns
     (spike_counts, isi_counts, isi_sums, isi_m2) where isi_m2 is the sum
     of squared deviations of the pooled intervals from their mean.
+
+    One pass over time keeps each sample's last spike time per neuron and
+    writes every interval at the step that closes it into an (N, T, H)
+    raster of the narrowest unsigned type that holds T (0 where no
+    interval ends).  Counts and sums are reductions of that raster.  The
+    squared deviations are summed per neuron over its intervals in
+    sample-then-time order, the order in which they are pooled, so the
+    float result does not depend on how the intervals were found.
+    Memory: the interval raster, the size of the input for T < 256, plus
+    O(N * H) per-step state.
     """
-    n_samples, _, hidden = raster.shape
-    spike_counts = np.zeros(hidden, dtype=np.int64)
-    isi_counts = np.zeros(hidden, dtype=np.int64)
-    isi_sums = np.zeros(hidden, dtype=np.int64)
+    n_samples, timesteps, hidden = raster.shape
+    intervals = np.zeros(raster.shape, dtype=np.min_scalar_type(timesteps))
+    last = np.full((n_samples, hidden), -1, dtype=np.int64)
+    for t in range(timesteps):
+        fired = raster[:, t, :] != 0
+        intervals[:, t, :] = np.where(fired & (last >= 0), t - last, 0)
+        last[fired] = t
+    spike_counts = raster.sum(axis=(0, 1), dtype=np.int64)
+    isi_counts = np.count_nonzero(intervals, axis=(0, 1)).astype(np.int64)
+    isi_sums = intervals.sum(axis=(0, 1), dtype=np.int64)
     isi_m2 = np.zeros(hidden, dtype=np.float64)
-    for i in range(hidden):
-        col = raster[:, :, i]
-        spike_counts[i] = int(col.sum())
-        pooled = []
-        for n in range(n_samples):
-            times = np.flatnonzero(col[n])
-            if times.size >= 2:
-                pooled.append(np.diff(times))
-        if pooled:
-            isis = np.concatenate(pooled).astype(np.int64)
-            isi_counts[i] = isis.size
-            isi_sums[i] = int(isis.sum())
-            mean = isi_sums[i] / isis.size
-            dev = isis - mean
-            isi_m2[i] = float(np.dot(dev, dev))
+    by_neuron = intervals.transpose(2, 0, 1)
+    for i in np.flatnonzero(isi_counts):
+        col = by_neuron[i]
+        isis = col[col != 0].astype(np.int64)
+        dev = isis - isi_sums[i] / isi_counts[i]
+        isi_m2[i] = float(np.dot(dev, dev))
     return spike_counts, isi_counts, isi_sums, isi_m2

@@ -2,11 +2,14 @@
 
 Everything here is deliberately scalar and dumb: forward-mode
 sensitivity propagation for gradients (the engine uses reverse mode),
-plain-python interval statistics, and a hand-written linear-interpolation
+plain-python interval statistics, a per-neuron, per-sample loop for the
+raster statistics kernel, and a hand-written linear-interpolation
 percentile.  Shared by the unit tests and the acceptance suite.
 """
 
 import math
+
+import numpy as np
 
 
 def _softmax(logits):
@@ -164,6 +167,36 @@ def oracle_isi_importance(raster, epsilon=1e-3, clip_percentile=95.0,
     cutoff = percentile_linear(raw, clip_percentile)
     omega = [min(r, cutoff) / (cutoff + epsilon) for r in raw]
     return omega, raw, cvs
+
+
+def oracle_isi_raster_stats(raster):
+    """Per-neuron, per-sample reference for ``kernels.isi_raster_stats``.
+
+    The kernel's former body.  It concatenates each neuron's intervals
+    sample by sample and reduces them with the same numpy calls, so the
+    kernel must match it bit for bit, dtypes included.
+    """
+    n_samples, _, hidden = raster.shape
+    spike_counts = np.zeros(hidden, dtype=np.int64)
+    isi_counts = np.zeros(hidden, dtype=np.int64)
+    isi_sums = np.zeros(hidden, dtype=np.int64)
+    isi_m2 = np.zeros(hidden, dtype=np.float64)
+    for i in range(hidden):
+        col = raster[:, :, i]
+        spike_counts[i] = int(col.sum())
+        pooled = []
+        for n in range(n_samples):
+            times = np.flatnonzero(col[n])
+            if times.size >= 2:
+                pooled.append(np.diff(times))
+        if pooled:
+            isis = np.concatenate(pooled).astype(np.int64)
+            isi_counts[i] = isis.size
+            isi_sums[i] = int(isis.sum())
+            mean = isi_sums[i] / isis.size
+            dev = isis - mean
+            isi_m2[i] = float(np.dot(dev, dev))
+    return spike_counts, isi_counts, isi_sums, isi_m2
 
 
 def replay_membrane(currents, tau, theta):

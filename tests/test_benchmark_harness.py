@@ -10,7 +10,15 @@ import os
 import numpy as np
 import pytest
 
-from spikecl.network import LIFConfig, forward_const, new_network, register_head
+from spikecl import kernels
+from spikecl.importance import isi_cv_importance
+from spikecl.network import (
+    LIFConfig,
+    SpikeRecord,
+    forward_const,
+    new_network,
+    register_head,
+)
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "perfbench")
@@ -37,3 +45,20 @@ def test_forward_const_returns_what_the_tracer_measures():
     assert len(result) == 3
     trace = result[1]
     assert trace.u.shape == trace.s.shape == (2, 5, 4)
+
+
+def test_isi_importance_calls_the_kernel_through_its_module(monkeypatch):
+    # the tracer replaces kernels.isi_raster_stats on the module; a copy
+    # bound by name at import time would escape it
+    calls = []
+    kernel = kernels.isi_raster_stats
+
+    def counting(raster):
+        calls.append(raster.shape)
+        return kernel(raster)
+
+    monkeypatch.setattr(kernels, "isi_raster_stats", counting)
+    raster = np.zeros((2, 5, 3), dtype=np.uint8)
+    raster[:, ::2, :] = 1
+    isi_cv_importance(SpikeRecord(raster))
+    assert calls == [(2, 5, 3)]

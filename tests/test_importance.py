@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import random_tiny_net
-from oracles import oracle_isi_importance, oracle_loss_and_grads
+from oracles import (
+    oracle_isi_importance,
+    oracle_isi_raster_stats,
+    oracle_loss_and_grads,
+)
+from spikecl import kernels
 from spikecl.importance import (
     ImportanceVector,
     SIAccumulator,
@@ -116,6 +121,62 @@ def test_isi_importance_matches_bruteforce_oracle():
         engine = isi_cv_importance(SpikeRecord(raster))
         omega, raw, cv = oracle_isi_importance(raster.tolist())
         np.testing.assert_allclose(engine.omega, omega, rtol=1e-12, atol=1e-12)
+
+
+def _assert_same_raster_stats(raster):
+    got = kernels.isi_raster_stats(raster)
+    want = oracle_isi_raster_stats(raster)
+    for name, g, w in zip(("spike_counts", "isi_counts", "isi_sums", "isi_m2"),
+                          got, want):
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+    return got
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
+def test_raster_stats_match_loop_oracle_bit_for_bit(p):
+    rng = np.random.default_rng(int(p * 100) + 40)
+    for _ in range(20):
+        n = int(rng.integers(1, 301))
+        t = int(rng.integers(2, 41))
+        h = int(rng.integers(1, 9))
+        _assert_same_raster_stats((rng.random((n, t, h)) < p).astype(np.uint8))
+
+
+def test_raster_stats_long_raster_intervals_beyond_uint8():
+    rng = np.random.default_rng(44)
+    raster = (rng.random((6, 300, 5)) < 0.02).astype(np.uint8)
+    raster[:, :, 0] = 0
+    raster[2, [3, 299], 0] = 1   # one interval of 296 > 255
+    stats = _assert_same_raster_stats(raster)
+    assert stats[1][0] == 1 and stats[2][0] == 296
+
+
+def test_raster_stats_match_loop_oracle_at_workload_shape():
+    rng = np.random.default_rng(45)
+    _assert_same_raster_stats((rng.random((1024, 10, 128)) < 0.3).astype(np.uint8))
+
+
+def test_raster_stats_first_and_last_step_give_one_full_interval():
+    timesteps = 9
+    raster = np.zeros((3, timesteps, 2), dtype=np.uint8)
+    raster[1, [0, timesteps - 1], 0] = 1
+    spikes, counts, sums, m2 = kernels.isi_raster_stats(raster)
+    assert spikes[0] == 2
+    assert counts[0] == 1
+    assert sums[0] == timesteps - 1
+    assert m2[0] == 0.0
+    assert counts[1] == sums[1] == spikes[1] == 0
+
+
+def test_raster_stats_neuron_firing_at_every_step():
+    n, timesteps = 7, 6
+    raster = np.ones((n, timesteps, 3), dtype=np.uint8)
+    spikes, counts, sums, m2 = kernels.isi_raster_stats(raster)
+    assert np.array_equal(spikes, np.full(3, n * timesteps))
+    assert np.array_equal(counts, np.full(3, n * (timesteps - 1)))
+    assert np.array_equal(sums, np.full(3, n * (timesteps - 1)))
+    assert np.array_equal(m2, np.zeros(3))
 
 
 def test_any_interval_forces_a_near_one_maximum():
@@ -261,6 +322,18 @@ def test_ewc_invariant_under_sample_duplication():
     twice = ewc_importance(net, np.concatenate([x, x]),
                            np.concatenate([y, y]), 0, cfg, SurrogateConfig())
     np.testing.assert_allclose(once.omega, twice.omega, rtol=1e-12, atol=1e-14)
+
+
+def test_ewc_max_samples_uses_only_the_first_samples():
+    rng = np.random.default_rng(40)
+    net, cfg = random_tiny_net(rng, hidden=4, dim=5, classes=3, timesteps=5)
+    x = rng.random((20, 5)) * 3.0
+    y = rng.integers(0, 3, size=20)
+    capped = ewc_importance(net, x, y, 0, cfg, SurrogateConfig(),
+                            max_samples=10, batch_size=8)
+    sliced = ewc_importance(net, x[:10], y[:10], 0, cfg, SurrogateConfig(),
+                            batch_size=8)
+    assert np.array_equal(capped.omega, sliced.omega)
 
 
 def test_ewc_silent_trunk_gives_zero_importance():
