@@ -87,7 +87,12 @@ def load_checkpoint(path):
     order = []
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("ascii")
+        raw_name = reader.take(name_len)
+        try:
+            name = raw_name.decode("ascii")
+        except UnicodeDecodeError:
+            raise CheckpointError(
+                f"{path}: array name {raw_name!r} is not ASCII") from None
         (ndim,) = reader.unpack("<B")
         dims = reader.unpack("<" + "I" * ndim)
         size = int(np.prod(dims, dtype=np.int64)) if ndim else 1

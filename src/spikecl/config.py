@@ -70,11 +70,17 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds repeat: {self.seeds}")
-        for name in ("hidden_size", "epochs", "batch_size", "num_tasks",
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
+        for name in ("hidden_size", "epochs", "batch_size",
                      "importance_samples", "synthetic_dim",
                      "synthetic_train", "synthetic_test"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.num_tasks < 2:
+            raise ConfigError(
+                "num_tasks must be >= 2 (a continual sequence needs at "
+                "least 2 tasks)")
         if self.timesteps < 2:
             raise ConfigError("timesteps must be >= 2")
         for name in ("lr", "gain"):

@@ -7,7 +7,8 @@ current per sample rather than a time series.  Each kernel's Python loop
 runs over timesteps, not over samples; the interval statistics add one
 short reduction per neuron that has intervals.
 
-All kernels expect float64 C-contiguous arrays (uint8 for spike rasters).
+Membrane potentials and currents are float64, spikes are bool and spike
+rasters uint8.
 """
 
 import numpy as np
@@ -26,21 +27,24 @@ BACKEND = "numpy"
 def lif_forward_const(cur, timesteps, beta, theta):
     """Membrane recursion for an input current constant over time (N, H).
 
-    Returns the membrane potentials and spikes, each (N, T, H).
+    Returns the membrane potentials (float64) and the spikes (bool), each
+    (N, T, H).  Both are views of time-major (T, N, H) storage, so every
+    step writes, and the backward kernel reads, one contiguous block.
     """
     n_samples, hidden = cur.shape
-    u = np.empty((n_samples, timesteps, hidden))
-    s = np.empty((n_samples, timesteps, hidden))
+    u = np.empty((timesteps, n_samples, hidden))
+    s = np.empty((timesteps, n_samples, hidden), dtype=bool)
     u_prev = np.zeros((n_samples, hidden))
-    s_prev = np.zeros((n_samples, hidden))
+    reset = np.zeros((n_samples, hidden))  # theta * s[t - 1]
     for t in range(timesteps):
-        u_t = beta * u_prev + cur - theta * s_prev
-        s_t = (u_t >= theta).astype(np.float64)
-        u[:, t, :] = u_t
-        s[:, t, :] = s_t
+        u_t = u[t]
+        np.multiply(u_prev, beta, out=u_t)
+        u_t += cur
+        u_t -= reset
+        np.greater_equal(u_t, theta, out=s[t])
+        np.multiply(s[t], theta, out=reset)
         u_prev = u_t
-        s_prev = s_t
-    return u, s
+    return u.transpose(1, 0, 2), s.transpose(1, 0, 2)
 
 
 def lif_backward_sum(u, gsbar, beta, theta, alpha):
@@ -49,20 +53,28 @@ def lif_backward_sum(u, gsbar, beta, theta, alpha):
     ``gsbar`` is dL/d(mean spike count) per sample and neuron; the spike
     path feeds it back with weight 1/T at every step, the reset path
     feeds -theta times the next step's membrane gradient.  The threshold
-    is differentiated with the ATan pseudo-derivative.
+    is differentiated with the ATan pseudo-derivative, evaluated for all
+    timesteps in one pass before the reverse loop.
     """
     n_samples, timesteps, hidden = u.shape
-    c = 0.5 * np.pi * alpha
-    t_inv = 1.0 / timesteps
-    du_next = np.zeros((n_samples, hidden))
+    # g = alpha / (2 * (1 + (c * (u - theta))^2)), in u's memory layout
+    g = u - theta
+    g *= 0.5 * np.pi * alpha
+    np.multiply(g, g, out=g)
+    g += 1.0
+    g *= 2.0
+    np.divide(alpha, g, out=g)
+    drive = gsbar * (1.0 / timesteps)
+    du = np.zeros((n_samples, hidden))  # dL/du[t + 1], then dL/du[t]
+    ds = np.empty((n_samples, hidden))
     total = np.zeros((n_samples, hidden))
     for t in range(timesteps - 1, -1, -1):
-        ds = gsbar * t_inv - theta * du_next
-        y = c * (u[:, t, :] - theta)
-        g = alpha / (2.0 * (1.0 + y * y))
-        du_t = ds * g + beta * du_next
-        total += du_t
-        du_next = du_t
+        np.multiply(du, theta, out=ds)
+        np.subtract(drive, ds, out=ds)
+        ds *= g[:, t, :]
+        du *= beta
+        du += ds
+        total += du
     return total
 
 

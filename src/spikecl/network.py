@@ -118,15 +118,16 @@ def register_head(net, rng):
 class ForwardTrace:
     """Everything the backward pass and the replay check need.
 
-    Arrays are batch-major.  ``inputs`` (N, D) and ``currents`` (N, H)
-    hold the drive (the input times the gain) and trunk current, the same
-    at every timestep.
+    Arrays are indexed batch-major.  ``inputs`` (N, D) and ``currents``
+    (N, H) hold the drive (the input times the gain) and trunk current,
+    the same at every timestep.  ``u`` (float64) and ``s`` (bool) are
+    the kernel's (N, T, H) views of time-major storage.
     """
 
     inputs: np.ndarray
     currents: np.ndarray
-    u: np.ndarray       # (N, T, H)
-    s: np.ndarray       # (N, T, H)
+    u: np.ndarray       # (N, T, H) float64
+    s: np.ndarray       # (N, T, H) bool
     sbar: np.ndarray    # (N, H) mean spike count over time
     logits: np.ndarray  # (N, C)
     task_id: int
@@ -206,5 +207,5 @@ def forward_const(x, task_id, net, cfg, record_spikes=False):
         task_id=task_id,
         cfg=cfg,
     )
-    spikes = SpikeRecord(s.astype(np.uint8)) if record_spikes else None
+    spikes = SpikeRecord(s.view(np.uint8)) if record_spikes else None
     return logits, trace, spikes

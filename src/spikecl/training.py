@@ -118,11 +118,13 @@ def backward(trace, targets, net, task_id, cfg):
 
 @dataclass
 class OptimizerState:
-    """Adam with per-parameter first/second moment estimates.
+    """Adam over the trunk and one head as a single flat parameter vector.
 
-    Moments are keyed by parameter name and created lazily on the first
-    step, so the same state object keeps working after a new head is
-    registered (each parameter carries its own step counter).
+    ``slots`` maps a task id to the (m, v, t) moments of the (trunk, head
+    ``task_id``) vector: m and v are allocated on that pair's first step
+    and updated in place.  A state that steps a second head starts fresh
+    trunk moments for it; ``train_task`` builds one state per task, so
+    every state it uses sees a single head.
     """
 
     lr: float = 1e-3
@@ -132,35 +134,54 @@ class OptimizerState:
     slots: dict = field(default_factory=dict)
 
     def update(self, key, grad):
-        """Return the additive delta for one parameter."""
-        m, v, t = self.slots.get(key, (0.0, 0.0, 0))
+        """Return the additive delta for the flat parameter vector ``key``."""
+        if key not in self.slots:
+            self.slots[key] = (np.zeros_like(grad), np.zeros_like(grad), 0)
+        m, v, t = self.slots[key]
         t += 1
-        m = self.beta1 * m + (1.0 - self.beta1) * grad
-        v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
         self.slots[key] = (m, v, t)
-        mhat = m / (1.0 - self.beta1 ** t)
-        vhat = v / (1.0 - self.beta2 ** t)
-        return -self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
+        m *= self.beta1
+        scratch = grad * (1.0 - self.beta1)
+        m += scratch
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=scratch)
+        scratch *= grad
+        v += scratch
+        # -lr * mhat / (sqrt(vhat) + eps)
+        delta = m / (1.0 - self.beta1 ** t)
+        delta *= -self.lr
+        np.divide(v, 1.0 - self.beta2 ** t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        delta /= scratch
+        return delta
 
 
 def adam_step(net, grads, opt):
     """Apply one Adam update in place; returns the applied trunk deltas.
 
-    The returned dict maps "w1"/"b1" to the actual parameter changes,
-    which path-integral importance accumulation needs verbatim.
+    The trunk and the active head are updated as one flat vector.  The
+    returned dict maps "w1"/"b1" to the actual parameter changes (views
+    of that step's delta), which path-integral importance accumulation
+    needs verbatim.
     """
-    for g in (grads.w1, grads.b1, grads.w2, grads.b2):
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient passed to the optimizer")
+    flat = np.concatenate(
+        [g.ravel() for g in (grads.w1, grads.b1, grads.w2, grads.b2)])
+    if not np.isfinite(flat).all():
+        raise DivergenceError("non-finite gradient passed to the optimizer")
     head = net.head(grads.task_id)
+    params = (net.w1, net.b1, head.w2, head.b2)
 
-    dw1 = opt.update("w1", grads.w1)
-    db1 = opt.update("b1", grads.b1)
-    net.w1 += dw1
-    net.b1 += db1
-    head.w2 += opt.update(f"head{grads.task_id}.w2", grads.w2)
-    head.b2 += opt.update(f"head{grads.task_id}.b2", grads.b2)
-    return {"w1": dw1, "b1": db1}
+    delta = opt.update(grads.task_id, flat)
+    deltas = []
+    lo = 0
+    for p in params:
+        d = delta[lo:lo + p.size].reshape(p.shape)
+        p += d
+        deltas.append(d)
+        lo += p.size
+    return {"w1": deltas[0], "b1": deltas[1]}
 
 
 @dataclass

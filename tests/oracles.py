@@ -4,12 +4,18 @@ Everything here is deliberately scalar and dumb: forward-mode
 sensitivity propagation for gradients (the engine uses reverse mode),
 plain-python interval statistics, a per-neuron, per-sample loop for the
 raster statistics kernel, and a hand-written linear-interpolation
-percentile.  Shared by the unit tests and the acceptance suite.
+percentile.  The former training step (float64 spikes, the surrogate
+recomputed inside the reverse loop, Adam as one pass per parameter) is
+kept here as the bit-for-bit reference for the engine's.  Shared by the
+unit tests and the acceptance suite.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from spikecl.network import DivergenceError, ForwardTrace, SpikeRecord
 
 
 def _softmax(logits):
@@ -218,3 +224,102 @@ def replay_membrane(currents, tau, theta):
         u_prev = u_t
         s_prev = s_t
     return u_out, s_out
+
+
+def oracle_lif_forward_const(cur, timesteps, beta, theta):
+    """Former ``kernels.lif_forward_const``: float64 spikes, batch-major."""
+    n_samples, hidden = cur.shape
+    u = np.empty((n_samples, timesteps, hidden))
+    s = np.empty((n_samples, timesteps, hidden))
+    u_prev = np.zeros((n_samples, hidden))
+    s_prev = np.zeros((n_samples, hidden))
+    for t in range(timesteps):
+        u_t = beta * u_prev + cur - theta * s_prev
+        s_t = (u_t >= theta).astype(np.float64)
+        u[:, t, :] = u_t
+        s[:, t, :] = s_t
+        u_prev = u_t
+        s_prev = s_t
+    return u, s
+
+
+def oracle_lif_backward_sum(u, gsbar, beta, theta, alpha):
+    """Former ``kernels.lif_backward_sum``: the surrogate per reverse step."""
+    n_samples, timesteps, hidden = u.shape
+    c = 0.5 * np.pi * alpha
+    t_inv = 1.0 / timesteps
+    du_next = np.zeros((n_samples, hidden))
+    total = np.zeros((n_samples, hidden))
+    for t in range(timesteps - 1, -1, -1):
+        ds = gsbar * t_inv - theta * du_next
+        y = c * (u[:, t, :] - theta)
+        g = alpha / (2.0 * (1.0 + y * y))
+        du_t = ds * g + beta * du_next
+        total += du_t
+        du_next = du_t
+    return total
+
+
+def oracle_forward_const(x, task_id, net, cfg, record_spikes=False):
+    """Former ``network.forward_const``, on ``oracle_lif_forward_const``."""
+    head = net.head(task_id)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected (N, D) input, got {x.shape}")
+    if cfg.gain != 1.0:
+        x = x * cfg.gain
+    cur = np.ascontiguousarray(x @ net.w1.T + net.b1)
+    u, s = oracle_lif_forward_const(cur, cfg.timesteps, cfg.beta, cfg.theta)
+    sbar = s.mean(axis=1)
+    logits = sbar @ head.w2.T + head.b2
+    trace = ForwardTrace(
+        inputs=x,
+        currents=cur,
+        u=u,
+        s=s,
+        sbar=sbar,
+        logits=logits,
+        task_id=task_id,
+        cfg=cfg,
+    )
+    spikes = SpikeRecord(s.astype(np.uint8)) if record_spikes else None
+    return logits, trace, spikes
+
+
+@dataclass
+class OracleOptimizerState:
+    """Former ``training.OptimizerState``: one Adam slot per parameter."""
+
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    slots: dict = field(default_factory=dict)
+
+    def update(self, key, grad):
+        """Return the additive delta for one parameter."""
+        m, v, t = self.slots.get(key, (0.0, 0.0, 0))
+        t += 1
+        m = self.beta1 * m + (1.0 - self.beta1) * grad
+        v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
+        self.slots[key] = (m, v, t)
+        mhat = m / (1.0 - self.beta1 ** t)
+        vhat = v / (1.0 - self.beta2 ** t)
+        return -self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def oracle_adam_step(net, grads, opt):
+    """Former ``training.adam_step``: four per-parameter Adam passes on an
+    ``OracleOptimizerState``."""
+    for g in (grads.w1, grads.b1, grads.w2, grads.b2):
+        if not np.all(np.isfinite(g)):
+            raise DivergenceError("non-finite gradient passed to the optimizer")
+    head = net.head(grads.task_id)
+
+    dw1 = opt.update("w1", grads.w1)
+    db1 = opt.update("b1", grads.b1)
+    net.w1 += dw1
+    net.b1 += db1
+    head.w2 += opt.update(f"head{grads.task_id}.w2", grads.w2)
+    head.b2 += opt.update(f"head{grads.task_id}.b2", grads.b2)
+    return {"w1": dw1, "b1": db1}

@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from spikecl import kernels
+from spikecl import kernels, training
 from spikecl.importance import isi_cv_importance
 from spikecl.network import (
     LIFConfig,
@@ -19,6 +19,7 @@ from spikecl.network import (
     new_network,
     register_head,
 )
+from spikecl.training import SurrogateConfig, TrainParams, train_task
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "perfbench")
@@ -45,6 +46,35 @@ def test_forward_const_returns_what_the_tracer_measures():
     assert len(result) == 3
     trace = result[1]
     assert trace.u.shape == trace.s.shape == (2, 5, 4)
+    # the tracer's out_bytes counter reads u.nbytes + s.nbytes
+    assert trace.u.dtype == np.float64 and trace.s.dtype == np.bool_
+    assert trace.s.nbytes == 2 * 5 * 4
+
+
+def _counting(monkeypatch, module, attr, calls):
+    original = getattr(module, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(attr)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counting)
+
+
+def test_training_step_calls_what_the_tracer_patches(monkeypatch):
+    # the tracer replaces training.adam_step and kernels.lif_forward_const
+    # on their modules; an inlined or name-bound copy would escape it
+    calls = []
+    _counting(monkeypatch, training, "adam_step", calls)
+    _counting(monkeypatch, kernels, "lif_forward_const", calls)
+    net = new_network(3, 4, 2, np.random.default_rng(0))
+    register_head(net, np.random.default_rng(1))
+    images = np.random.default_rng(2).random((6, 3))
+    train_task(net, images, np.arange(6) % 2, 0, LIFConfig(timesteps=3),
+               SurrogateConfig(), TrainParams(epochs=1, batch_size=4),
+               np.random.default_rng(3))
+    # two steps, each one forward pass and one optimizer update
+    assert calls == ["lif_forward_const", "adam_step"] * 2
 
 
 def test_isi_importance_calls_the_kernel_through_its_module(monkeypatch):

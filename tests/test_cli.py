@@ -2,11 +2,13 @@
 
 import json
 import re
+import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from spikecl.checkpoint import MAGIC as CHECKPOINT_MAGIC
 from spikecl.checkpoint import load_checkpoint, save_checkpoint
 from spikecl.cli import METRICS_HEADER, SWEEP_HEADER, main
 from spikecl.config import ExperimentConfig
@@ -232,6 +234,7 @@ def test_exit_codes(tmp_path, capsys):
         (["run", "--gain", "inf"], "gain must be finite"),
         (["sweep", "--lambdas", "1,nan"], "lambda must be finite"),
         (["run", "--seeds", "0,0"], "seeds repeat"),
+        (["run", "--seeds", "-1"], "seeds must be >= 0"),
     ):
         res = tmp_path / "nonfinite"
         assert main([*argv, *_flags(res)]) == 2, argv
@@ -239,6 +242,21 @@ def test_exit_codes(tmp_path, capsys):
         assert message in captured.err
         assert captured.out == ""
         assert not res.exists()
+
+    # 2: a one-task sequence is a config error, caught before any output
+    res = tmp_path / "onetask"
+    assert main(["run", *_flags(res, **{"num-tasks": "1"})]) == 2
+    captured = capsys.readouterr()
+    assert "num_tasks must be >= 2" in captured.err
+    assert captured.out == ""
+    assert not res.exists()
+
+    # 3: an array name that is not ASCII
+    bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIH", 2, 1, 2)
+                    + b"\xff\xfe" + b"\x00" * 16)
+    assert main(["importance-dump", "--checkpoint", str(bad),
+                 *_flags(tmp_path / "res")]) == 3
+    assert "not ASCII" in capsys.readouterr().err
 
     # 2: argparse rejects unknown choices itself
     with pytest.raises(SystemExit) as info:

@@ -46,6 +46,10 @@ def test_defaults():
     dict(gain=float("nan")),
     dict(seeds=(0, 0)),
     dict(seeds=(3, 1, 3)),
+    dict(num_tasks=1),
+    dict(num_tasks=0),
+    dict(seeds=(-1,)),
+    dict(seeds=(2, -5)),
 ])
 def test_validation_rejects(bad):
     with pytest.raises(ConfigError):

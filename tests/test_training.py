@@ -151,7 +151,7 @@ def test_adam_zero_gradient_leaves_parameters_unchanged():
     adam_step(net, _grad_like(net, 0.0), opt)
     assert np.array_equal(net.w1, before[0])
     assert np.array_equal(net.b1, before[1])
-    assert opt.slots["w1"][2] == 1  # step count advanced
+    assert opt.slots[0][2] == 1  # step count of (trunk, head 0) advanced
 
 
 def test_adam_first_step_magnitude_is_lr_times_sign():
