@@ -9,11 +9,32 @@ byte-identical files.
 Exit codes: 0 success, 2 configuration error (argparse uses the same
 code for usage errors), 3 data error (missing/corrupt data files or
 checkpoints), 4 runtime failure.
+
+Lanes.  The independent runs of one invocation (the seeds of ``run``,
+the (lambda, seed) pairs of ``sweep``) are spread over one lane per CPU
+the process may use (``os.sched_getaffinity``; ``taskset -c 0`` gives
+one lane, as does a platform without that call).  A lane runs its
+share in order: run i goes to lane i % lanes.  Lane 0 is this process;
+every other lane is a forked child that writes only its own
+checkpoints and sends its results back as one pickle over a pipe.
+Every other file and every printed line is written here, in
+seed/lambda order, so no output depends on the lane count.
+
+Failures.  A lane stops at its first failed run.  Results are used in
+run order up to the first failure, which is then raised as if the runs
+had gone one after another: same exit code, same message, and the files
+of every earlier seed written.  A child that ends without sending its
+results fails as a RuntimeError naming its lane and runs (exit 4).  No
+child outlives the command: all are reaped before it returns, and they
+are killed at once when this process's own lane fails on the first run
+or is interrupted.  After a failure, checkpoints of seeds later than the
+failed one may exist, written by lanes that ran ahead.
 """
 
 import argparse
 import json
 import os
+import pickle
 import sys
 import time
 from dataclasses import replace
@@ -94,6 +115,107 @@ def _run_one_seed(cfg, seed, base, on_task_complete=None):
     )
 
 
+def _lane(job, share):
+    """Run ``job`` over one lane's share in order, up to its first failure.
+
+    Returns (results, failure); failure is None or the exception raised.
+    """
+    results = []
+    for item in share:
+        try:
+            results.append(job(item))
+        except Exception as exc:  # noqa: BLE001 - reported in run order
+            return results, exc
+    return results, None
+
+
+def _portable(exc):
+    """``exc`` if it survives a pickle round trip, else a RuntimeError
+    holding its type name and message."""
+    try:
+        return pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001 - any unpicklable exception
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _child_lane(job, share, read_fd, write_fd):
+    """Body of a forked lane: send (results, failure) down the pipe, exit.
+
+    ``os._exit`` skips the atexit hooks and finalizers the child
+    inherited from the parent.
+    """
+    status = 1
+    try:
+        os.close(read_fd)
+        results, failure = _lane(job, share)
+        if failure is not None:
+            failure = _portable(failure)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump((results, failure), pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_lanes(job, items, label):
+    """``job`` over every item, one lane per available CPU.
+
+    Returns (results, failure): the results of the items before the
+    first one that failed, in item order, and that item's exception (or
+    None).  ``label(item)`` names an item in the error for a lane that
+    ended without sending results.  The module docstring states the
+    lane rules.
+    """
+    # sched_getaffinity (and so a lane per CPU) exists on Linux only
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    lanes = min(len(items), cpus)
+    pending = {}    # lane -> (pid, read end of its pipe), until reaped
+    outcomes = {}   # lane -> (results, failure)
+    try:
+        sys.stdout.flush()   # a child must not inherit unwritten output
+        for lane in range(1, lanes):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child_lane(job, items[lane::lanes], read_fd, write_fd)
+            os.close(write_fd)
+            pending[lane] = (pid, os.fdopen(read_fd, "rb"))
+        done, failure = outcomes[0] = _lane(job, items[0::lanes])
+        if failure is not None and not done:
+            # the first item failed: no other lane's result is needed
+            return [], failure
+        for lane in range(1, lanes):
+            pid, pipe = pending[lane]
+            # read to EOF first: a child blocked on a full pipe never exits
+            with pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del pending[lane]
+            try:
+                outcomes[lane] = pickle.loads(payload)
+            except Exception:  # noqa: BLE001 - empty or truncated payload
+                code = os.waitstatus_to_exitcode(status)
+                names = ", ".join(label(x) for x in items[lane::lanes])
+                outcomes[lane] = [], RuntimeError(
+                    f"lane {lane} ({names}) exited with status {code} "
+                    f"without sending its results"
+                )
+    finally:
+        for pid, pipe in pending.values():
+            pipe.close()
+            os.kill(pid, 9)   # SIGKILL
+            os.waitpid(pid, 0)
+
+    results = []
+    for i in range(len(items)):
+        done, failure = outcomes[i % lanes]
+        if i // lanes == len(done):
+            return results, failure
+        results.append(done[i // lanes])
+    return results, None
+
+
 METRICS_HEADER = "method,lambda,seed,aa,bwt,af"
 
 
@@ -120,10 +242,11 @@ def _aggregate(results):
     return out
 
 
-def _result_json(result):
+def _result_json(result, seconds):
     report = result.metrics()
     return {
         "seed": result.seed,
+        "wall_clock_seconds": seconds,
         "method": result.method,
         "lambda": result.lam,
         "metrics": report.to_dict(),
@@ -155,15 +278,19 @@ def cmd_run(cfg):
     _ensure_dir(ckpt_dir)
     _ensure_dir(imp_dir)
 
-    results = []
-    for seed in cfg.seeds:
-        def checkpointer(task_id, net, seed=seed):
+    def job(seed):
+        def checkpointer(task_id, net):
             save_checkpoint(
                 os.path.join(ckpt_dir, f"seed{seed}_task{task_id}.ckpt"), net
             )
 
+        run_started = time.perf_counter()
         result = _run_one_seed(cfg, seed, base, on_task_complete=checkpointer)
-        results.append(result)
+        return result, time.perf_counter() - run_started
+
+    timed, failure = _run_lanes(job, cfg.seeds, lambda seed: f"seed {seed}")
+    results = [result for result, _ in timed]
+    for seed, result in zip(cfg.seeds, results):
         _write_text(
             os.path.join(cfg.out_dir, f"rmatrix_seed{seed}.csv"),
             result.matrix.to_csv(),
@@ -176,6 +303,8 @@ def cmd_run(cfg):
         report = result.metrics()
         print(f"seed {seed}: AA={report.aa:.4f} BWT={report.bwt:+.4f} "
               f"AF={report.af:.4f}")
+    if failure is not None:
+        raise failure
 
     _write_text(
         os.path.join(cfg.out_dir, "metrics.csv"),
@@ -185,7 +314,7 @@ def cmd_run(cfg):
         "engine_version": __version__,
         "config": cfg.to_dict(),
         "aggregate": _aggregate(results),
-        "runs": [_result_json(r) for r in results],
+        "runs": [_result_json(r, s) for r, s in timed],
         "wall_clock_seconds": time.perf_counter() - started,
     }
     _write_text(
@@ -206,9 +335,15 @@ def cmd_sweep(cfg, lambdas):
     configs = [replace(cfg, lam=lam) for lam in lambdas]
     base = _load_base(cfg)
     _ensure_dir(cfg.out_dir)
+    pairs = [(lam_cfg, seed) for lam_cfg in configs for seed in cfg.seeds]
+    done, failure = _run_lanes(
+        lambda pair: _run_one_seed(*pair, base), pairs,
+        lambda pair: f"lambda {pair[0].lam:g} seed {pair[1]}",
+    )
+    n = len(cfg.seeds)
     lines = [SWEEP_HEADER]
-    for lam_cfg in configs:
-        results = [_run_one_seed(lam_cfg, seed, base) for seed in cfg.seeds]
+    for i in range(len(done) // n):   # every lambda whose seeds all ran
+        lam_cfg, results = configs[i], done[i * n:(i + 1) * n]
         agg = _aggregate(results)
         lines.append(",".join(_fmt(v) for v in (
             lam_cfg.lam, agg["aa_mean"], agg["aa_std"],
@@ -218,6 +353,8 @@ def cmd_sweep(cfg, lambdas):
         drift = np.mean([r.logs[1].trunk_drift for r in results])
         print(f"lambda {lam_cfg.lam:g}: AA={agg['aa_mean']:.4f} "
               f"AF={agg['af_mean']:.4f} drift={drift:.4f}")
+    if failure is not None:
+        raise failure
     path = os.path.join(cfg.out_dir, "sweep.csv")
     _write_text(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")

@@ -230,6 +230,11 @@ class RunAbortedError(RuntimeError):
         self.partial_logs = logs
         self.partial_matrix = matrix
 
+    def __reduce__(self):
+        # exceptions pickle as cls(*self.args), which lacks logs and matrix
+        return (type(self),
+                (self.task_id, self.partial_logs, self.partial_matrix))
+
 
 def _task_importance(method, net, task, task_id, lif_cfg, surrogate_cfg,
                      max_samples, si_acc):

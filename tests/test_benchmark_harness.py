@@ -5,12 +5,14 @@ reads the forward trace's arrays, so a rename or a changed return shape
 breaks the benchmark without breaking any other test.
 """
 
+import contextlib
+import io
 import os
 
 import numpy as np
 import pytest
 
-from spikecl import kernels, training
+from spikecl import cli, kernels, training
 from spikecl.importance import isi_cv_importance
 from spikecl.network import (
     LIFConfig,
@@ -92,3 +94,29 @@ def test_isi_importance_calls_the_kernel_through_its_module(monkeypatch):
     raster[:, ::2, :] = 1
     isi_cv_importance(SpikeRecord(raster))
     assert calls == [(2, 5, 3)]
+
+
+def test_the_cli_process_trains_its_own_lane(tmp_path, monkeypatch):
+    # the tracer's patches record spans only in the process that runs
+    # perfbench, so cli-permuted-si keeps per-layer figures only while
+    # the CLI process trains the first lane's seeds itself
+    seeds, lanes = (4, 5), 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    real = cli.run_sequence
+
+    def recording(*args, **kwargs):
+        (tmp_path / f"seed{kwargs['seed']}.pid").write_text(str(os.getpid()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_sequence", recording)
+    argv = ["run", "--benchmark", "synthetic", "--method", "si",
+            "--seeds", ",".join(map(str, seeds)), "--num-tasks", "2",
+            "--synthetic-dim", "8", "--synthetic-train", "10",
+            "--synthetic-test", "5", "--hidden-size", "4", "--timesteps",
+            "3", "--epochs", "1", "--out-dir", str(tmp_path / "res")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    pids = {s: int((tmp_path / f"seed{s}.pid").read_text()) for s in seeds}
+    assert [s for s in seeds if pids[s] == os.getpid()] == \
+        list(seeds[0::lanes])
+    assert pids[seeds[1]] != os.getpid()

@@ -1,18 +1,21 @@
 """End-to-end command-line behavior: artifacts, determinism, exit codes."""
 
 import json
+import os
 import re
 import struct
+import time
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from spikecl.checkpoint import MAGIC as CHECKPOINT_MAGIC
+from spikecl import cli
 from spikecl.checkpoint import load_checkpoint, save_checkpoint
 from spikecl.cli import METRICS_HEADER, SWEEP_HEADER, main
 from spikecl.config import ExperimentConfig
-from spikecl.continual import ResultMatrix
+from spikecl.continual import ResultMatrix, RunAbortedError
 from spikecl.network import new_network, register_head
 
 
@@ -295,3 +298,158 @@ def test_version_flag():
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+# Lanes: runs spread over one process per CPU, outputs in run order
+
+
+def _cpus(monkeypatch, n):
+    """Pretend the process may use ``n`` CPUs; None: a platform that
+    cannot tell (one lane)."""
+    if n is None:
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)))
+
+
+def _tree(root):
+    """Every file under ``root`` by relative path; run.json without the
+    fields that differ between otherwise identical runs."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if not path.is_file():
+            continue
+        name = str(path.relative_to(root))
+        if name == "run.json":
+            record = json.loads(path.read_text())
+            del record["wall_clock_seconds"], record["config"]["out_dir"]
+            for run in record["runs"]:
+                assert run.pop("wall_clock_seconds") > 0
+            files[name] = record
+        else:
+            files[name] = path.read_bytes()
+    return files
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--method", "si", "--seeds", "0,1,2"],
+    ["sweep", "--method", "ewc", "--lambdas", "10,500", "--seeds", "3,4"],
+])
+def test_outputs_do_not_depend_on_the_lane_count(tmp_path, monkeypatch,
+                                                  capsys, argv):
+    seen = []
+    for cpus in (1, 3, None):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main([*argv, *_flags(out)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        seen.append((_tree(out), stdout))
+    # run: metrics.csv, run.json and per seed one rmatrix, two importance
+    # JSONs and two checkpoints; sweep: sweep.csv
+    assert len(seen[0][0]) == (17 if argv[0] == "run" else 1)
+    assert seen[0] == seen[1] == seen[2]
+
+
+def _failing_run_sequence(monkeypatch, fails):
+    """cli.run_sequence that calls ``fails(lam, seed)`` before training."""
+    real = cli.run_sequence
+
+    def run_sequence(*args, **kwargs):
+        fails(kwargs["lam"], kwargs["seed"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_sequence", run_sequence)
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _abort(lam, seed):
+    # in the second lane for 2 CPUs: seed 1 of (0, 1, 2), or
+    # (lambda 500, seed 1) of the pairs (10, 0), (10, 1), (500, 0), (500, 1)
+    if seed == 1 and lam in (None, 500.0):
+        raise RunAbortedError(1, [], ResultMatrix(2))
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seeds", "0,1,2"],
+    ["sweep", "--lambdas", "10,500", "--seeds", "0,1"],
+])
+def test_a_failure_in_a_child_lane_reads_as_one_lane(tmp_path, monkeypatch,
+                                                      capsys, argv):
+    _failing_run_sequence(monkeypatch, _abort)
+    seen = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main([*argv, *_flags(out)]) == 4
+        captured = capsys.readouterr()
+        seen.append((captured.out.replace(str(out), "OUT"), captured.err))
+        _no_children_left()
+        if argv[0] == "run":
+            assert (out / "rmatrix_seed0.csv").exists()
+            assert not (out / "rmatrix_seed1.csv").exists()
+            assert not (out / "metrics.csv").exists()
+        else:
+            assert not (out / "sweep.csv").exists()
+    assert seen[0] == seen[1]
+    assert seen[0][1] == ("spikecl: RunAbortedError: sequence aborted "
+                          "while training task 1\n")
+    if argv[0] == "sweep":
+        assert seen[0][0].startswith("lambda 10: ")
+
+
+def test_a_child_lane_that_dies_is_named(tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+
+    def die(lam, seed):
+        if seed == 1 and os.getpid() != parent:
+            os._exit(1)
+
+    _failing_run_sequence(monkeypatch, die)
+    _cpus(monkeypatch, 2)
+    out = tmp_path / "res"
+    assert main(["run", "--seeds", "0,1,2", *_flags(out)]) == 4
+    assert capsys.readouterr().err == (
+        "spikecl: RuntimeError: lane 1 (seed 1) exited with status 1 "
+        "without sending its results\n"
+    )
+    _no_children_left()
+    assert (out / "rmatrix_seed0.csv").exists()
+
+
+def test_a_failed_first_run_stops_the_other_lanes(tmp_path, monkeypatch,
+                                                  capsys):
+    def first_fails_others_hang(lam, seed):
+        if seed == 0:
+            raise RuntimeError("first run failed")
+        time.sleep(60)
+
+    _failing_run_sequence(monkeypatch, first_fails_others_hang)
+    _cpus(monkeypatch, 2)
+    started = time.perf_counter()
+    assert main(["run", "--seeds", "0,1", *_flags(tmp_path / "res")]) == 4
+    assert time.perf_counter() - started < 30
+    assert capsys.readouterr().err == \
+        "spikecl: RuntimeError: first run failed\n"
+    _no_children_left()
+
+
+def test_an_unpicklable_failure_keeps_its_message(tmp_path, monkeypatch,
+                                                  capsys):
+    class LocalError(Exception):
+        pass   # defined in a function, so pickle cannot find it by name
+
+    def fail(lam, seed):
+        if seed == 1:
+            raise LocalError("boom")
+
+    _failing_run_sequence(monkeypatch, fail)
+    _cpus(monkeypatch, 2)
+    assert main(["run", "--seeds", "0,1", *_flags(tmp_path / "res")]) == 4
+    assert capsys.readouterr().err == \
+        "spikecl: RuntimeError: LocalError: boom\n"
+    _no_children_left()

@@ -1,5 +1,7 @@
 """Anchored penalty, result metrics, and full sequence orchestration."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -301,3 +303,22 @@ def test_training_failure_aborts_with_partial_results():
     assert err.task_id == 1
     assert len(err.partial_logs) == 1
     assert err.partial_matrix.get(0, 0) >= 0.0
+
+
+def test_aborted_error_survives_pickling():
+    # a seed that aborts in a forked CLI lane reaches the parent pickled
+    tasks = _toy_sequence()
+    tasks[1].train.labels[:] = 7
+    with pytest.raises(RunAbortedError) as info:
+        run_sequence(tasks, "none", seed=0, hidden_size=12,
+                     lif_cfg=TOY_LIF, train_params=FAST)
+    for err in (info.value, RunAbortedError(1, [], ResultMatrix(2))):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is RunAbortedError
+        assert str(back) == str(err)
+        assert back.task_id == err.task_id
+        assert back.partial_logs == err.partial_logs
+        assert np.array_equal(back.partial_matrix.values,
+                              err.partial_matrix.values, equal_nan=True)
+    assert len(back.partial_logs) == 0
+    assert len(pickle.loads(pickle.dumps(info.value)).partial_logs) == 1
