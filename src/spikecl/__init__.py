@@ -32,6 +32,7 @@ from .importance import (
     ImportanceVector,
     ISIStats,
     SIAccumulator,
+    SpikeRecord,
     collect_spike_record,
     ewc_importance,
     importance_report,
@@ -46,7 +47,6 @@ from .network import (
     Head,
     LIFConfig,
     NetworkState,
-    SpikeRecord,
     UnknownTaskError,
     forward_const,
     new_network,
@@ -60,8 +60,6 @@ from .training import (
     TrainParams,
     adam_step,
     backward,
-    cross_entropy,
-    surrogate_derivative,
     train_task,
 )
 

@@ -362,6 +362,8 @@ def cmd_sweep(cfg, lambdas):
 
 
 def cmd_importance_dump(cfg, checkpoint_path, task_id=None, seed=None, out=None):
+    if seed is not None and seed < 0:
+        raise ConfigError(f"run seed must be >= 0, got {seed}")
     net = load_checkpoint(checkpoint_path)
     if net.num_heads == 0:
         raise CheckpointError(f"{checkpoint_path}: checkpoint has no heads")

@@ -195,7 +195,8 @@ def evaluate(net, images, labels, task_id, lif_cfg, batch_size=512):
     correct = 0
     for lo in range(0, n, batch_size):
         xb = images[lo:lo + batch_size]
-        logits, _, _ = forward_const(xb, task_id, net, lif_cfg)
+        # [0]: a name bound to the trace keeps it alive into the next batch
+        logits = forward_const(xb, task_id, net, lif_cfg)[0]
         correct += int((logits.argmax(axis=1) == labels[lo:lo + batch_size]).sum())
     return correct / n
 

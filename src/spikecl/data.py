@@ -45,6 +45,10 @@ class MissingDataError(DataError, FileNotFoundError):
     pass
 
 
+class ClassesAbsentError(DataError, ValueError):
+    """A split lacks a class that a task needs."""
+
+
 @dataclass
 class Dataset:
     """Flat images in [0, 1] with integer class labels."""
@@ -215,10 +219,12 @@ def build_split(train, test, pairs=SPLIT_PAIRS, train_cap=None,
     flat = [c for pair in pairs for c in pair]
     if len(set(flat)) != len(flat):
         raise ValueError(f"class pairs overlap: {pairs}")
-    present = set(np.unique(train.labels))
-    unknown = [c for c in flat if c not in present]
-    if unknown:
-        raise ValueError(f"classes absent from the dataset: {unknown}")
+    for split, source in (("train", train), ("test", test)):
+        present = set(np.unique(source.labels))
+        unknown = [c for c in flat if c not in present]
+        if unknown:
+            raise ClassesAbsentError(
+                f"classes absent from the {split} split: {unknown}")
 
     tasks = []
     for k, pair in enumerate(pairs):

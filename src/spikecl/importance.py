@@ -3,21 +3,21 @@
 Three estimators share one output contract, an ImportanceVector whose
 entries live in [0, 1]:
 
-* isi-cv: firing-regularity statistics read off a spike raster, no
-  gradients involved.  Neurons with regular inter-spike intervals (low
-  coefficient of variation) score high.
+* isi-cv: firing-regularity statistics from integer spike and interval
+  counters, no raster and no gradients involved.  Neurons with regular
+  inter-spike intervals (low coefficient of variation) score high.
 * ewc: diagonal Fisher information of the trunk parameters, reduced to
   one value per hidden neuron.
 * si: path-integral of gradient times parameter displacement accumulated
   during training, reduced the same way.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .network import SpikeRecord, forward_const
+from .network import forward_const
 from .training import _current_grad, _logit_delta, log_softmax
 
 # CV denominator/importance floor; also the clip normalizer's epsilon.
@@ -62,6 +62,35 @@ class ImportanceVector:
 
 
 @dataclass
+class SpikeRecord:
+    """Hidden-layer counters from ``kernels.isi_raster_stats``, (H,) int64
+    each, summed over ``sample_count`` samples."""
+
+    sample_count: int
+    spike_counts: np.ndarray
+    isi_counts: np.ndarray
+    isi_sums: np.ndarray
+    isi_sq_sums: np.ndarray
+
+    @property
+    def hidden_size(self):
+        return self.spike_counts.shape[0]
+
+    @property
+    def isi_m2(self):
+        """Pooled intervals' summed squared deviation from their mean (H,).
+
+        The numerator of (n * sum(d^2) - sum(d)^2) / n is an exact integer;
+        below 2^53 (samples^2 * (T - 1)^3 bounds it) m2 is rounded once.
+        Raises OverflowError where n * sum(d^2) would not fit in int64.
+        """
+        n = self.isi_counts
+        if np.any(n * self.isi_sq_sums.astype(np.float64) >= 2.0 ** 63):
+            raise OverflowError("interval counters too large for int64 m2")
+        return (n * self.isi_sq_sums - self.isi_sums ** 2) / np.maximum(n, 1)
+
+
+@dataclass
 class ISIStats:
     """Pooled inter-spike-interval statistics, one row per neuron.
 
@@ -79,22 +108,12 @@ class ISIStats:
 
 
 def isi_stats(record, epsilon=EPSILON):
-    counts, icounts, isums, im2 = kernels.isi_raster_stats(record.raster)
-    hidden = record.hidden_size
-    mean = np.zeros(hidden)
-    std = np.zeros(hidden)
-    cv = np.full(hidden, SILENT_CV)
-    has = icounts > 0
-    mean[has] = isums[has] / icounts[has]
-    std[has] = np.sqrt(im2[has] / icounts[has])
-    cv[has] = std[has] / (mean[has] + epsilon)
-    return ISIStats(
-        spike_counts=counts,
-        isi_counts=icounts,
-        mean=mean,
-        std=std,
-        cv=cv,
-    )
+    n = np.maximum(record.isi_counts, 1)
+    mean = record.isi_sums / n
+    std = np.sqrt(record.isi_m2 / n)
+    cv = np.where(record.isi_counts > 0, std / (mean + epsilon), SILENT_CV)
+    return ISIStats(spike_counts=record.spike_counts,
+                    isi_counts=record.isi_counts, mean=mean, std=std, cv=cv)
 
 
 def _clip_normalize(raw, epsilon, clip_percentile):
@@ -154,9 +173,9 @@ def importance_report(record, epsilon=EPSILON,
 
 def collect_spike_record(net, images, lif_cfg, max_samples=1024, task_id=None,
                          batch_size=128):
-    """Run the net over (at most) the first max_samples images, keeping
-    the hidden spike raster.  ``task_id`` defaults to the newest head;
-    the head only shapes the discarded logits, not the raster.
+    """Count hidden spikes and intervals over (at most) the first
+    max_samples images, batch by batch.  ``task_id`` defaults to the
+    newest head; the head only shapes the discarded logits.
     """
     images = np.asarray(images, dtype=np.float64)
     n = min(max_samples, len(images))
@@ -165,14 +184,13 @@ def collect_spike_record(net, images, lif_cfg, max_samples=1024, task_id=None,
     images = images[:n]
     if task_id is None:
         task_id = net.num_heads - 1
-    parts = []
+    totals = np.zeros((4, net.hidden_size), dtype=np.int64)
     for lo in range(0, n, batch_size):
-        _, _, rec = forward_const(
-            images[lo:lo + batch_size], task_id, net, lif_cfg,
-            record_spikes=True,
-        )
-        parts.append(rec)
-    return SpikeRecord.concatenate(parts)
+        # keep only the spikes: the trace's potentials are freed at once
+        spikes = forward_const(
+            images[lo:lo + batch_size], task_id, net, lif_cfg)[1].s
+        totals += kernels.isi_raster_stats(spikes)
+    return SpikeRecord(n, *totals)
 
 
 def _max_normalize(per_neuron):
@@ -207,7 +225,7 @@ def ewc_importance(net, images, labels, task_id, lif_cfg, surrogate_cfg,
     for lo in range(0, n, batch_size):
         xb = images[lo:lo + batch_size]
         yb = labels[lo:lo + batch_size]
-        _, trace, _ = forward_const(xb, task_id, net, lif_cfg)
+        _, trace = forward_const(xb, task_id, net, lif_cfg)
         # per-sample gradients: no 1/N on delta
         delta = _logit_delta(log_softmax(trace.logits), yb)
         dcur = _current_grad(trace, delta, head, surrogate_cfg)

@@ -4,11 +4,10 @@ The per-timestep membrane recursion and its reverse-mode counterpart
 dominate training time.  The network always drives the trunk with a
 current that is constant over time, so the kernels take one (N, H)
 current per sample rather than a time series.  Each kernel's Python loop
-runs over timesteps, not over samples; the interval statistics add one
-short reduction per neuron that has intervals.
+runs over timesteps, not over samples, and so does the interval count.
 
-Membrane potentials and currents are float64, spikes are bool and spike
-rasters uint8.
+Membrane potentials and currents are float64, spikes are bool and
+interval counters int64.
 """
 
 import numpy as np
@@ -78,39 +77,30 @@ def lif_backward_sum(u, gsbar, beta, theta, alpha):
     return total
 
 
-def isi_raster_stats(raster):
-    """Pooled inter-spike-interval statistics per neuron.
+def isi_raster_stats(spikes):
+    """Inter-spike-interval counters per neuron of one (N, T, H) block.
 
-    raster: (N, T, H) uint8 spike indicators.  Intervals are taken within
-    each sample and pooled across samples.  Returns
-    (spike_counts, isi_counts, isi_sums, isi_m2) where isi_m2 is the sum
-    of squared deviations of the pooled intervals from their mean.
-
-    One pass over time keeps each sample's last spike time per neuron and
-    writes every interval at the step that closes it into an (N, T, H)
-    raster of the narrowest unsigned type that holds T (0 where no
-    interval ends).  Counts and sums are reductions of that raster.  The
-    squared deviations are summed per neuron over its intervals in
-    sample-then-time order, the order in which they are pooled, so the
-    float result does not depend on how the intervals were found.
-    Memory: the interval raster, the size of the input for T < 256, plus
-    O(N * H) per-step state.
+    Intervals are taken within each sample and pooled across samples.
+    Returns int64 (H,) (spike_counts, isi_counts, isi_sums, isi_sq_sums);
+    counters of separate blocks add.  One pass over time keeps each
+    sample's first and last spike time and adds d * d where an interval d
+    closes; c spikes make max(c - 1, 0) intervals summing to last - first.
     """
-    n_samples, timesteps, hidden = raster.shape
-    intervals = np.zeros(raster.shape, dtype=np.min_scalar_type(timesteps))
+    spikes = np.asarray(spikes, dtype=bool)
+    n_samples, timesteps, hidden = spikes.shape
+    first = np.full((n_samples, hidden), -1, dtype=np.int64)
     last = np.full((n_samples, hidden), -1, dtype=np.int64)
+    sq_sums = np.zeros((n_samples, hidden), dtype=np.int64)
+    d = np.empty((n_samples, hidden), dtype=np.int64)
     for t in range(timesteps):
-        fired = raster[:, t, :] != 0
-        intervals[:, t, :] = np.where(fired & (last >= 0), t - last, 0)
-        last[fired] = t
-    spike_counts = raster.sum(axis=(0, 1), dtype=np.int64)
-    isi_counts = np.count_nonzero(intervals, axis=(0, 1)).astype(np.int64)
-    isi_sums = intervals.sum(axis=(0, 1), dtype=np.int64)
-    isi_m2 = np.zeros(hidden, dtype=np.float64)
-    by_neuron = intervals.transpose(2, 0, 1)
-    for i in np.flatnonzero(isi_counts):
-        col = by_neuron[i]
-        isis = col[col != 0].astype(np.int64)
-        dev = isis - isi_sums[i] / isi_counts[i]
-        isi_m2[i] = float(np.dot(dev, dev))
-    return spike_counts, isi_counts, isi_sums, isi_m2
+        fired = spikes[:, t, :]
+        opened = last >= 0
+        np.subtract(t, last, out=d)
+        d *= d
+        d *= fired & opened
+        sq_sums += d
+        np.copyto(first, t, where=fired & ~opened)
+        np.copyto(last, t, where=fired)
+    counts = spikes.sum(axis=1, dtype=np.int64)
+    return (counts.sum(axis=0), np.maximum(counts - 1, 0).sum(axis=0),
+            (last - first).sum(axis=0), sq_sums.sum(axis=0))

@@ -116,7 +116,8 @@ def register_head(net, rng):
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass and the replay check need.
+    """Everything the backward pass, the replay check and the interval
+    counters need, for one batch.
 
     Arrays are indexed batch-major.  ``inputs`` (N, D) and ``currents``
     (N, H) hold the drive (the input times the gain) and trunk current,
@@ -137,55 +138,12 @@ class ForwardTrace:
     def batch_size(self):
         return self.u.shape[0]
 
-    @property
-    def timesteps(self):
-        return self.u.shape[1]
 
-
-@dataclass
-class SpikeRecord:
-    """Hidden-layer spike times collected sample by sample.
-
-    Stored densely as a (samples, timesteps, neurons) uint8 raster;
-    ``spike_times`` recovers the per-sample time lists for one neuron.
-    """
-
-    raster: np.ndarray
-
-    def __post_init__(self):
-        self.raster = np.ascontiguousarray(self.raster, dtype=np.uint8)
-
-    @property
-    def sample_count(self):
-        return self.raster.shape[0]
-
-    @property
-    def timesteps(self):
-        return self.raster.shape[1]
-
-    @property
-    def hidden_size(self):
-        return self.raster.shape[2]
-
-    def spike_times(self, neuron):
-        """Strictly increasing spike times of one neuron, per sample."""
-        col = self.raster[:, :, neuron]
-        return [np.flatnonzero(col[n]) for n in range(self.raster.shape[0])]
-
-    def spike_counts(self):
-        return self.raster.sum(axis=(0, 1), dtype=np.int64)
-
-    @classmethod
-    def concatenate(cls, records):
-        return cls(np.concatenate([r.raster for r in records], axis=0))
-
-
-def forward_const(x, task_id, net, cfg, record_spikes=False):
+def forward_const(x, task_id, net, cfg):
     """Forward pass for constant-over-time input currents.
 
     ``x`` is (N, D); ``cfg.gain * x`` drives every timestep, so the trunk
-    projection is computed once.  Returns (logits, trace, spikes) where
-    spikes is a SpikeRecord only if requested.
+    projection is computed once.  Returns (logits, trace).
     """
     head = net.head(task_id)
     x = np.asarray(x, dtype=np.float64)
@@ -207,5 +165,4 @@ def forward_const(x, task_id, net, cfg, record_spikes=False):
         task_id=task_id,
         cfg=cfg,
     )
-    spikes = SpikeRecord(s.view(np.uint8)) if record_spikes else None
-    return logits, trace, spikes
+    return logits, trace

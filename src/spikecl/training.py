@@ -25,15 +25,6 @@ class SurrogateConfig:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
 
 
-def surrogate_derivative(u_minus_theta, cfg):
-    """ATan pseudo-derivative alpha / (2 * (1 + ((pi/2) * alpha * x)^2))."""
-    x = np.asarray(u_minus_theta, dtype=np.float64)
-    c = 0.5 * np.pi * cfg.alpha
-    y = c * x
-    out = cfg.alpha / (2.0 * (1.0 + y * y))
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass
 class GradientSet:
     """Gradients for the trunk and the single active head."""
@@ -49,13 +40,6 @@ def log_softmax(logits):
     m = logits.max(axis=-1, keepdims=True)
     z = logits - m
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def cross_entropy(logits, targets):
-    """Mean cross-entropy of softmax(logits) for integer targets."""
-    logp = log_softmax(np.atleast_2d(np.asarray(logits, dtype=np.float64)))
-    t = np.atleast_1d(targets)
-    return float(-logp[np.arange(len(t)), t].mean())
 
 
 def _logit_delta(logp, targets):
@@ -235,7 +219,7 @@ def train_task(net, images, labels, task_id, lif_cfg, surrogate_cfg, params,
         for lo in range(0, n, params.batch_size):
             idx = order[lo:lo + params.batch_size]
             xb, yb = images[idx], labels[idx]
-            logits, trace, _ = forward_const(xb, task_id, net, lif_cfg)
+            logits, trace = forward_const(xb, task_id, net, lif_cfg)
             loss, grads = backward(trace, yb, net, task_id, surrogate_cfg)
             if reg is not None:
                 loss += reg.penalty(net)

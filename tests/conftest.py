@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from spikecl import kernels
 from spikecl.data import MNIST_FILES, load_idx_dir
+from spikecl.importance import SpikeRecord
 from spikecl.network import LIFConfig, NetworkState, Head
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -39,6 +41,12 @@ def mnist():
     if not mnist_available():
         pytest.skip("MNIST data not present")
     return load_idx_dir(MNIST_DIR)
+
+
+def record_from_raster(raster):
+    """The SpikeRecord of an (N, T, H) 0/1 raster, counted in one block."""
+    raster = np.asarray(raster, dtype=bool)
+    return SpikeRecord(len(raster), *kernels.isi_raster_stats(raster))
 
 
 def random_tiny_net(rng, hidden=None, dim=None, classes=None, timesteps=None):

@@ -3,10 +3,10 @@
 Everything here is deliberately scalar and dumb: forward-mode
 sensitivity propagation for gradients (the engine uses reverse mode),
 plain-python interval statistics, a per-neuron, per-sample loop for the
-raster statistics kernel, and a hand-written linear-interpolation
-percentile.  The former training step (float64 spikes, the surrogate
-recomputed inside the reverse loop, Adam as one pass per parameter) is
-kept here as the bit-for-bit reference for the engine's.  Shared by the
+interval counters, and a hand-written linear-interpolation percentile.
+The former training step (float64 spikes, the surrogate recomputed
+inside the reverse loop, Adam as one pass per parameter) is kept here as
+the bit-for-bit reference for the engine's.  Shared by the
 unit tests and the acceptance suite.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spikecl.network import DivergenceError, ForwardTrace, SpikeRecord
+from spikecl.network import DivergenceError, ForwardTrace
 
 
 def _softmax(logits):
@@ -178,9 +178,10 @@ def oracle_isi_importance(raster, epsilon=1e-3, clip_percentile=95.0,
 def oracle_isi_raster_stats(raster):
     """Per-neuron, per-sample reference for ``kernels.isi_raster_stats``.
 
-    The kernel's former body.  It concatenates each neuron's intervals
-    sample by sample and reduces them with the same numpy calls, so the
-    kernel must match it bit for bit, dtypes included.
+    It concatenates each neuron's intervals sample by sample.  The int64
+    spike counts, interval counts and interval sums must match the
+    kernel's exactly; the float m2 (a dot product of the deviations from
+    the mean) must match ``SpikeRecord.isi_m2`` to rounding.
     """
     n_samples, _, hidden = raster.shape
     spike_counts = np.zeros(hidden, dtype=np.int64)
@@ -260,7 +261,7 @@ def oracle_lif_backward_sum(u, gsbar, beta, theta, alpha):
     return total
 
 
-def oracle_forward_const(x, task_id, net, cfg, record_spikes=False):
+def oracle_forward_const(x, task_id, net, cfg):
     """Former ``network.forward_const``, on ``oracle_lif_forward_const``."""
     head = net.head(task_id)
     x = np.asarray(x, dtype=np.float64)
@@ -282,8 +283,7 @@ def oracle_forward_const(x, task_id, net, cfg, record_spikes=False):
         task_id=task_id,
         cfg=cfg,
     )
-    spikes = SpikeRecord(s.astype(np.uint8)) if record_spikes else None
-    return logits, trace, spikes
+    return logits, trace
 
 
 @dataclass

@@ -13,7 +13,7 @@ import pytest
 from test_continual import penalty_fd_discrepancy
 from test_training import gradient_oracle_discrepancy
 
-from conftest import random_tiny_net, requires_mnist
+from conftest import random_tiny_net, record_from_raster, requires_mnist
 from oracles import oracle_isi_importance, replay_membrane
 from spikecl.continual import ResultMatrix, compute_metrics, run_sequence
 from spikecl.data import build_split, build_synthetic, build_permuted
@@ -25,7 +25,6 @@ from spikecl.importance import (
 )
 from spikecl.network import (
     LIFConfig,
-    SpikeRecord,
     forward_const,
     new_network,
     register_head,
@@ -126,7 +125,7 @@ def test_c5_isi_cv_oracle():
         shape = (int(rng.integers(1, 5)), int(rng.integers(2, 12)),
                  int(rng.integers(1, 7)))
         raster = (rng.random(shape) < rng.uniform(0, 0.8)).astype(np.uint8)
-        record = SpikeRecord(raster)
+        record = record_from_raster(raster)
         got = isi_cv_importance(record).omega
         want, _, _ = oracle_isi_importance(
             [raster[n] for n in range(shape[0])]
@@ -136,7 +135,7 @@ def test_c5_isi_cv_oracle():
     def one(times, timesteps):
         raster = np.zeros((1, timesteps, 1), dtype=np.uint8)
         raster[0, list(times), 0] = 1
-        stats_rec = SpikeRecord(raster)
+        stats_rec = record_from_raster(raster)
         from spikecl.importance import isi_stats
         st = isi_stats(stats_rec)
         return st.cv[0], 1.0 / (st.cv[0] + 1e-3)
@@ -163,7 +162,7 @@ def test_c6_membrane_replay():
     for _ in range(100):
         net, cfg = random_tiny_net(rng)
         x = rng.normal(size=(int(rng.integers(1, 4)), net.input_size))
-        _, trace, _ = forward_const(x, 0, net, cfg, record_spikes=True)
+        _, trace = forward_const(x, 0, net, cfg)
         match = True
         for n in range(x.shape[0]):
             for h in range(net.hidden_size):
@@ -178,8 +177,8 @@ def test_c6_membrane_replay():
     net.w1[:] = 1.0
     net.b1[:] = 0.0
     register_head(net, np.random.default_rng(0))
-    _, trace, _ = forward_const(np.array([[0.6]]), 0, net,
-                                LIFConfig(timesteps=4), record_spikes=True)
+    _, trace = forward_const(np.array([[0.6]]), 0, net,
+                             LIFConfig(timesteps=4))
     u_hand, s_hand = replay_membrane(trace.currents[0, 0] * np.ones(4),
                                      2.0, 1.0)
     hand = (np.allclose(trace.u[0, :, 0], [0.6, 0.9, 1.05, 0.125],

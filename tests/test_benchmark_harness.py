@@ -8,15 +8,15 @@ breaks the benchmark without breaking any other test.
 import contextlib
 import io
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from spikecl import cli, kernels, training
-from spikecl.importance import isi_cv_importance
+from spikecl import cli, continual, importance, kernels, training
+from spikecl.importance import collect_spike_record, isi_cv_importance
 from spikecl.network import (
     LIFConfig,
-    SpikeRecord,
     forward_const,
     new_network,
     register_head,
@@ -45,7 +45,7 @@ def test_forward_const_returns_what_the_tracer_measures():
     net = new_network(3, 4, 2, np.random.default_rng(0))
     register_head(net, np.random.default_rng(1))
     result = forward_const(np.ones((2, 3)), 0, net, LIFConfig(timesteps=5))
-    assert len(result) == 3
+    assert len(result) == 2
     trace = result[1]
     assert trace.u.shape == trace.s.shape == (2, 5, 4)
     # the tracer's out_bytes counter reads u.nbytes + s.nbytes
@@ -79,21 +79,56 @@ def test_training_step_calls_what_the_tracer_patches(monkeypatch):
     assert calls == ["lif_forward_const", "adam_step"] * 2
 
 
+def _tiny_net():
+    net = new_network(3, 4, 2, np.random.default_rng(0))
+    register_head(net, np.random.default_rng(1))
+    return net
+
+
 def test_isi_importance_calls_the_kernel_through_its_module(monkeypatch):
-    # the tracer replaces kernels.isi_raster_stats on the module; a copy
-    # bound by name at import time would escape it
+    # the tracer replaces kernels.isi_raster_stats on the module and counts
+    # its calls and input bytes; a copy bound by name at import time would
+    # escape it.  It runs once per batch, on that batch's bool spikes.
     calls = []
     kernel = kernels.isi_raster_stats
 
-    def counting(raster):
-        calls.append(raster.shape)
-        return kernel(raster)
+    def counting(spikes):
+        calls.append((spikes.dtype, spikes.shape))
+        return kernel(spikes)
 
     monkeypatch.setattr(kernels, "isi_raster_stats", counting)
-    raster = np.zeros((2, 5, 3), dtype=np.uint8)
-    raster[:, ::2, :] = 1
-    isi_cv_importance(SpikeRecord(raster))
-    assert calls == [(2, 5, 3)]
+    images = np.random.default_rng(2).random((20, 3))
+    record = collect_spike_record(_tiny_net(), images, LIFConfig(timesteps=5),
+                                  batch_size=8)
+    isi_cv_importance(record)
+    bool_ = np.dtype(bool)
+    assert calls == [(bool_, (8, 5, 4)), (bool_, (8, 5, 4)),
+                     (bool_, (4, 5, 4))]
+
+
+@pytest.mark.parametrize("module, run", [
+    (continual, lambda net, x, cfg: continual.evaluate(
+        net, x, np.zeros(len(x), dtype=int), 0, cfg, batch_size=4)),
+    (importance, lambda net, x, cfg: importance.collect_spike_record(
+        net, x, cfg, batch_size=4)),
+], ids=["evaluate", "collect_spike_record"])
+def test_no_batch_trace_outlives_its_batch(module, run, monkeypatch):
+    # peak_rss_mb: a name still bound to the previous batch's trace keeps
+    # its potentials and spikes alive through the next forward pass
+    traces = []
+    real = module.forward_const
+
+    def watching(*args, **kwargs):
+        assert all(ref() is None for ref in traces), \
+            "an earlier batch's ForwardTrace is still alive"
+        result = real(*args, **kwargs)
+        traces.append(weakref.ref(result[1]))
+        return result
+
+    monkeypatch.setattr(module, "forward_const", watching)
+    run(_tiny_net(), np.random.default_rng(2).random((10, 3)),
+        LIFConfig(timesteps=3))
+    assert len(traces) == 3
 
 
 def test_the_cli_process_trains_its_own_lane(tmp_path, monkeypatch):

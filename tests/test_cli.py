@@ -16,6 +16,7 @@ from spikecl.checkpoint import load_checkpoint, save_checkpoint
 from spikecl.cli import METRICS_HEADER, SWEEP_HEADER, main
 from spikecl.config import ExperimentConfig
 from spikecl.continual import ResultMatrix, RunAbortedError
+from spikecl.data import MNIST_FILES, write_idx_images, write_idx_labels
 from spikecl.network import new_network, register_head
 
 
@@ -270,6 +271,40 @@ def test_exit_codes(tmp_path, capsys):
     clash = tmp_path / "clash"
     clash.write_text("in the way")
     assert main(["run", *_flags(clash)]) == 4
+
+    # 2: a negative run seed, rejected before the checkpoint is read
+    assert main(["importance-dump", "--checkpoint", str(tmp_path / "none"),
+                 "--run-seed", "-1", *_flags(tmp_path / "res")]) == 2
+    captured = capsys.readouterr()
+    assert "run seed must be >= 0" in captured.err
+    assert captured.out == ""
+
+
+def _write_digits(data_dir, train_labels, test_labels):
+    """An IDX quartet of 4x4 random images with the given labels."""
+    rng = np.random.default_rng(0)
+    data_dir.mkdir()
+    for split, labels in (("train", train_labels), ("test", test_labels)):
+        images_name, labels_name = MNIST_FILES[split]
+        write_idx_images(data_dir / images_name,
+                         rng.integers(0, 256, size=(len(labels), 4, 4)))
+        write_idx_labels(data_dir / labels_name, labels)
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_split_missing_classes_is_a_data_error_before_training(
+        tmp_path, capsys, split):
+    full = np.repeat(np.arange(10), 3)
+    short = full[full < 8]
+    _write_digits(tmp_path / "idx", *((short, full) if split == "train"
+                                      else (full, short)))
+    out = tmp_path / "res"
+    assert main(["run", "--benchmark", "split-mnist", "--data-dir",
+                 str(tmp_path / "idx"), "--out-dir", str(out),
+                 "--hidden-size", "4", "--epochs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert f"classes absent from the {split} split: [8, 9]" in err
+    assert not list(out.glob("checkpoints/*.ckpt"))
 
 
 def test_run_flags_are_the_config_fields(capsys):

@@ -1,11 +1,12 @@
 """Interval statistics, the three importance estimators, serialization."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import random_tiny_net
+from conftest import random_tiny_net, record_from_raster
 from oracles import (
     oracle_isi_importance,
     oracle_isi_raster_stats,
@@ -15,6 +16,7 @@ from spikecl import kernels
 from spikecl.importance import (
     ImportanceVector,
     SIAccumulator,
+    SpikeRecord,
     collect_spike_record,
     ewc_importance,
     importance_report,
@@ -23,12 +25,7 @@ from spikecl.importance import (
     si_accumulate,
     si_importance,
 )
-from spikecl.network import (
-    LIFConfig,
-    SpikeRecord,
-    new_network,
-    register_head,
-)
+from spikecl.network import LIFConfig, new_network, register_head
 from spikecl.training import GradientSet, SurrogateConfig
 
 EPS = 1e-3
@@ -41,7 +38,7 @@ def _record_from_times(times_per_neuron, timesteps):
     for i, times in enumerate(times_per_neuron):
         for t in times:
             raster[0, t, i] = 1
-    return SpikeRecord(raster)
+    return record_from_raster(raster)
 
 
 def test_regular_train_reaches_maximal_raw_importance():
@@ -94,7 +91,7 @@ def test_pooling_is_within_sample_only():
     raster = np.zeros((2, 6, 1), dtype=np.uint8)
     raster[0, 5, 0] = 1
     raster[1, 0, 0] = 1
-    stats = isi_stats(SpikeRecord(raster))
+    stats = isi_stats(record_from_raster(raster))
     assert stats.spike_counts[0] == 2
     assert stats.isi_counts[0] == 0
     assert stats.cv[0] == 2.0
@@ -106,8 +103,8 @@ def test_inserting_silent_sample_changes_nothing():
     with_gap = np.concatenate(
         [raster[:2], np.zeros((1, 12, 5), dtype=np.uint8), raster[2:]]
     )
-    a = isi_cv_importance(SpikeRecord(raster))
-    b = isi_cv_importance(SpikeRecord(with_gap))
+    a = isi_cv_importance(record_from_raster(raster))
+    b = isi_cv_importance(record_from_raster(with_gap))
     assert np.array_equal(a.omega, b.omega)
 
 
@@ -118,23 +115,29 @@ def test_isi_importance_matches_bruteforce_oracle():
         t = int(rng.integers(2, 21))
         h = int(rng.integers(1, 9))
         raster = (rng.random((n, t, h)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
-        engine = isi_cv_importance(SpikeRecord(raster))
+        engine = isi_cv_importance(record_from_raster(raster))
         omega, raw, cv = oracle_isi_importance(raster.tolist())
         np.testing.assert_allclose(engine.omega, omega, rtol=1e-12, atol=1e-12)
 
 
 def _assert_same_raster_stats(raster):
-    got = kernels.isi_raster_stats(raster)
+    # counts exactly, dtypes included; m2 from the integer counters to
+    # 1e-12 relative of the oracle's dot product of deviations
+    got = kernels.isi_raster_stats(raster.astype(bool))
     want = oracle_isi_raster_stats(raster)
-    for name, g, w in zip(("spike_counts", "isi_counts", "isi_sums", "isi_m2"),
+    for name, g, w in zip(("spike_counts", "isi_counts", "isi_sums"),
                           got, want):
-        assert g.dtype == w.dtype, name
+        assert g.dtype == w.dtype == np.int64, name
         assert np.array_equal(g, w), name
+    assert got[3].dtype == np.int64
+    m2 = record_from_raster(raster).isi_m2
+    np.testing.assert_allclose(m2, want[3], rtol=1e-12, atol=0)
     return got
 
 
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
 def test_raster_stats_match_loop_oracle_bit_for_bit(p):
+    # bit for bit in the counts; m2 to rounding, see the helper
     rng = np.random.default_rng(int(p * 100) + 40)
     for _ in range(20):
         n = int(rng.integers(1, 301))
@@ -161,29 +164,61 @@ def test_raster_stats_first_and_last_step_give_one_full_interval():
     timesteps = 9
     raster = np.zeros((3, timesteps, 2), dtype=np.uint8)
     raster[1, [0, timesteps - 1], 0] = 1
-    spikes, counts, sums, m2 = kernels.isi_raster_stats(raster)
+    spikes, counts, sums, sq_sums = kernels.isi_raster_stats(raster)
     assert spikes[0] == 2
     assert counts[0] == 1
     assert sums[0] == timesteps - 1
-    assert m2[0] == 0.0
-    assert counts[1] == sums[1] == spikes[1] == 0
+    assert sq_sums[0] == (timesteps - 1) ** 2
+    assert record_from_raster(raster).isi_m2[0] == 0.0
+    assert counts[1] == sums[1] == spikes[1] == sq_sums[1] == 0
 
 
 def test_raster_stats_neuron_firing_at_every_step():
     n, timesteps = 7, 6
-    raster = np.ones((n, timesteps, 3), dtype=np.uint8)
-    spikes, counts, sums, m2 = kernels.isi_raster_stats(raster)
+    raster = np.ones((n, timesteps, 3), dtype=bool)
+    spikes, counts, sums, sq_sums = kernels.isi_raster_stats(raster)
     assert np.array_equal(spikes, np.full(3, n * timesteps))
     assert np.array_equal(counts, np.full(3, n * (timesteps - 1)))
     assert np.array_equal(sums, np.full(3, n * (timesteps - 1)))
-    assert np.array_equal(m2, np.zeros(3))
+    assert np.array_equal(sq_sums, np.full(3, n * (timesteps - 1)))
+    assert np.array_equal(record_from_raster(raster).isi_m2, np.zeros(3))
+
+
+def test_m2_is_the_exact_value_rounded_once():
+    rng = np.random.default_rng(46)
+    for _ in range(200):
+        shape = (int(rng.integers(1, 40)), int(rng.integers(2, 60)),
+                 int(rng.integers(1, 6)))
+        raster = rng.random(shape) < rng.uniform(0.02, 0.9)
+        m2 = record_from_raster(raster).isi_m2
+        for i in range(shape[2]):
+            pooled = []
+            for n in range(shape[0]):
+                times = np.flatnonzero(raster[n, :, i]).tolist()
+                pooled.extend(b - a for a, b in zip(times, times[1:]))
+            exact = Fraction(0)
+            if pooled:
+                mean = Fraction(sum(pooled), len(pooled))
+                exact = sum((d - mean) ** 2 for d in pooled)
+            assert m2[i] == float(exact)
+
+
+def test_m2_refuses_counters_that_would_overflow_int64():
+    # 2^31 intervals of length 1: n * sum(d^2) = 2^62 still fits
+    n = 2 ** 31
+    record = SpikeRecord(1, np.array([n]), np.array([n]), np.array([n]),
+                         np.array([n]))
+    assert record.isi_m2[0] == 0.0
+    record.isi_sq_sums[0] = 2 * n   # 2^63 would wrap
+    with pytest.raises(OverflowError):
+        record.isi_m2
 
 
 def test_any_interval_forces_a_near_one_maximum():
     rng = np.random.default_rng(32)
     for _ in range(50):
         raster = (rng.random((3, 10, 6)) < 0.3).astype(np.uint8)
-        record = SpikeRecord(raster)
+        record = record_from_raster(raster)
         if isi_stats(record).isi_counts.max() == 0:
             continue
         assert isi_cv_importance(record).omega.max() >= 0.99
@@ -202,7 +237,7 @@ def test_omega_always_unit_interval():
     rng = np.random.default_rng(33)
     for _ in range(50):
         raster = (rng.random((2, 8, 4)) < rng.uniform(0, 0.9)).astype(np.uint8)
-        omega = isi_cv_importance(SpikeRecord(raster)).omega
+        omega = isi_cv_importance(record_from_raster(raster)).omega
         assert omega.min() >= 0.0
         assert omega.max() <= 1.0
 
@@ -210,7 +245,7 @@ def test_omega_always_unit_interval():
 def test_report_matches_importance_bit_exactly():
     rng = np.random.default_rng(34)
     raster = (rng.random((5, 12, 16)) < 0.25).astype(np.uint8)
-    record = SpikeRecord(raster)
+    record = record_from_raster(raster)
     vec = isi_cv_importance(record, task_id=3)
     report = importance_report(record, task_id=3)
     assert len(report["neurons"]) == 16
@@ -239,6 +274,14 @@ def test_importance_vector_validation():
 # spike collection
 # ---------------------------------------------------------------------------
 
+def _counters(record):
+    """A record's four counters as one (4, H) int64 array."""
+    counters = np.array([record.spike_counts, record.isi_counts,
+                         record.isi_sums, record.isi_sq_sums])
+    assert counters.dtype == np.int64
+    return counters
+
+
 def test_collect_all_zero_weights_is_silent():
     net = new_network(4, 6, 2, np.random.default_rng(0))
     net.w1[:] = 0.0
@@ -247,8 +290,8 @@ def test_collect_all_zero_weights_is_silent():
     record = collect_spike_record(
         net, np.random.default_rng(2).random((10, 4)), LIFConfig()
     )
-    assert record.spike_counts().sum() == 0
-    assert all(len(t) == 0 for t in record.spike_times(0))
+    assert record.sample_count == 10
+    assert np.array_equal(_counters(record), np.zeros((4, 6)))
 
 
 def test_collect_strong_neuron_spikes_every_step():
@@ -259,27 +302,44 @@ def test_collect_strong_neuron_spikes_every_step():
     record = collect_spike_record(
         net, np.ones((3, 1)), LIFConfig(timesteps=4)
     )
-    for times in record.spike_times(0):
-        assert times.tolist() == [0, 1, 2, 3]
+    # 3 samples, each spiking at t = 0..3: three intervals of 1 apiece
+    assert record.spike_counts.tolist() == [12]
+    assert record.isi_counts.tolist() == [9]
+    assert record.isi_sums.tolist() == [9]
+    assert record.isi_sq_sums.tolist() == [9]
 
 
 def test_collect_identical_samples_identical_rows():
     rng = np.random.default_rng(35)
     net, cfg = random_tiny_net(rng, hidden=4, dim=5)
     x = np.repeat(rng.random((1, 5)), 6, axis=0)
-    record = collect_spike_record(net, x, cfg)
-    for n in range(1, 6):
-        assert np.array_equal(record.raster[0], record.raster[n])
+    one = _counters(collect_spike_record(net, x[:1], cfg))
+    six = _counters(collect_spike_record(net, x, cfg))
+    assert np.array_equal(six, 6 * one)
 
 
 def test_collect_caps_at_max_samples_and_rejects_empty():
     rng = np.random.default_rng(36)
     net, cfg = random_tiny_net(rng, hidden=3, dim=4)
-    record = collect_spike_record(net, rng.random((50, 4)), cfg,
-                                  max_samples=8)
+    x = rng.random((50, 4))
+    record = collect_spike_record(net, x, cfg, max_samples=8)
     assert record.sample_count == 8
+    assert np.array_equal(_counters(record),
+                          _counters(collect_spike_record(net, x[:8], cfg)))
     with pytest.raises(ValueError):
         collect_spike_record(net, np.zeros((0, 4)), cfg)
+
+
+def test_collect_counters_do_not_depend_on_the_batch_size():
+    rng = np.random.default_rng(47)
+    net, cfg = random_tiny_net(rng, hidden=6, dim=5, timesteps=9)
+    x = rng.random((300, 5)) * 2.0
+    records = [collect_spike_record(net, x, cfg, max_samples=300,
+                                    batch_size=b) for b in (1, 7, 128)]
+    assert records[0].isi_counts.sum() > 0
+    for record in records[1:]:
+        assert record.sample_count == 300
+        assert np.array_equal(_counters(record), _counters(records[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Membrane recursion, forward pass and spike recording."""
+"""Membrane recursion and forward pass."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from conftest import random_tiny_net
 from oracles import replay_membrane
 from spikecl.network import (
     LIFConfig,
-    SpikeRecord,
     UnknownTaskError,
     forward_const,
     new_network,
@@ -43,7 +42,7 @@ def _one_neuron(weight, bias=0.0):
 
 
 def test_single_step_from_rest():
-    _, trace, _ = forward_const(
+    _, trace = forward_const(
         np.array([[0.6]]), 0, _one_neuron(1.0), LIFConfig(timesteps=2)
     )
     assert trace.u[0, 0, 0] == 0.6
@@ -53,7 +52,7 @@ def test_single_step_from_rest():
 def test_constant_drive_hand_sequence():
     # u_t = 0.5 u_{t-1} + 0.6 - s_{t-1}: crosses threshold on step 3,
     # resets by subtraction on step 4
-    _, trace, _ = forward_const(
+    _, trace = forward_const(
         np.array([[0.6]]), 0, _one_neuron(1.0), LIFConfig(timesteps=4)
     )
     np.testing.assert_allclose(
@@ -66,7 +65,7 @@ def test_zero_input_stays_silent():
     net = new_network(3, 3, 2, np.random.default_rng(0))
     net.b1[:] = 0.0
     register_head(net, np.random.default_rng(1))
-    _, trace, _ = forward_const(np.zeros((2, 3)), 0, net,
+    _, trace = forward_const(np.zeros((2, 3)), 0, net,
                                 LIFConfig(timesteps=10))
     assert np.all(trace.u == 0.0)
     assert np.all(trace.s == 0.0)
@@ -74,13 +73,13 @@ def test_zero_input_stays_silent():
 
 def test_strong_constant_drive_spikes_every_step():
     # current 2.0: u = 2.0 at every step after the reset subtraction
-    _, trace, record = forward_const(
+    _, trace = forward_const(
         np.ones((1, 1)), 0, _one_neuron(2.0), LIFConfig(timesteps=4),
-        record_spikes=True,
     )
     np.testing.assert_array_equal(trace.u[0, :, 0], [2.0, 2.0, 2.0, 2.0])
     np.testing.assert_array_equal(trace.s[0, :, 0], [1.0, 1.0, 1.0, 1.0])
-    np.testing.assert_array_equal(record.spike_times(0)[0], [0, 1, 2, 3])
+    np.testing.assert_array_equal(np.flatnonzero(trace.s[0, :, 0]),
+                                  [0, 1, 2, 3])
 
 
 def test_zero_weights_zero_logits_zero_spikes():
@@ -91,13 +90,11 @@ def test_zero_weights_zero_logits_zero_spikes():
     net.heads[0].w2[:] = 0.0
     net.heads[0].b2[:] = 0.0
     cfg = LIFConfig()
-    logits, trace, record = forward_const(
+    logits, trace = forward_const(
         np.random.default_rng(2).random((3, 5)), 0, net, cfg,
-        record_spikes=True,
     )
     assert np.all(logits == 0.0)
     assert np.all(trace.s == 0.0)
-    assert record.spike_counts().sum() == 0
 
 
 def test_gain_scales_the_drive_exactly():
@@ -109,15 +106,12 @@ def test_gain_scales_the_drive_exactly():
     for g in (0.3, 1.5, 7.0):
         gained = LIFConfig(tau=cfg.tau, theta=cfg.theta,
                            timesteps=cfg.timesteps, gain=g)
-        logits, trace, record = forward_const(x, 0, net, gained,
-                                              record_spikes=True)
-        ref_logits, ref, ref_record = forward_const(g * x, 0, net, cfg,
-                                                    record_spikes=True)
+        logits, trace = forward_const(x, 0, net, gained)
+        ref_logits, ref = forward_const(g * x, 0, net, cfg)
         np.testing.assert_array_equal(logits, ref_logits)
         np.testing.assert_array_equal(trace.inputs, g * x)
         np.testing.assert_array_equal(trace.u, ref.u)
         np.testing.assert_array_equal(trace.s, ref.s)
-        np.testing.assert_array_equal(record.raster, ref_record.raster)
 
 
 def test_unknown_task_raises():
@@ -140,9 +134,9 @@ def test_batch_equals_concatenated_singles():
     for param in (net.w1, net.b1, net.heads[0].w2, net.heads[0].b2):
         param[:] = np.round(param * 8.0) / 8.0
     batch = rng.integers(0, 9, size=(6, 4)) / 8.0
-    logits_b, trace_b, _ = forward_const(batch, 0, net, cfg)
+    logits_b, trace_b = forward_const(batch, 0, net, cfg)
     for n in range(6):
-        logits_1, trace_1, _ = forward_const(batch[n:n + 1], 0, net, cfg)
+        logits_1, trace_1 = forward_const(batch[n:n + 1], 0, net, cfg)
         assert np.array_equal(logits_b[n], logits_1[0])
         assert np.array_equal(trace_b.u[n], trace_1.u[0])
 
@@ -151,7 +145,7 @@ def test_identical_samples_identical_traces():
     rng = np.random.default_rng(6)
     net, cfg = random_tiny_net(rng)
     x = np.repeat(rng.random((1, net.input_size)), 4, axis=0)
-    _, trace, _ = forward_const(x, 0, net, cfg)
+    _, trace = forward_const(x, 0, net, cfg)
     for n in range(1, 4):
         assert np.array_equal(trace.u[0], trace.u[n])
 
@@ -163,7 +157,7 @@ def test_replay_recorded_membrane_bit_exact():
     for _ in range(30):
         net, cfg = random_tiny_net(rng)
         x = rng.random((2, net.input_size))
-        _, trace, _ = forward_const(x, 0, net, cfg)
+        _, trace = forward_const(x, 0, net, cfg)
         for n in range(2):
             for i in range(net.hidden_size):
                 cur = trace.currents[n, i]
@@ -180,20 +174,9 @@ def test_membrane_bounded_under_bounded_input():
     net, cfg = random_tiny_net(rng, hidden=4, dim=3, timesteps=5)
     big = LIFConfig(tau=cfg.tau, theta=cfg.theta, timesteps=200)
     x = rng.uniform(-1, 1, size=(4, 3))
-    _, trace, _ = forward_const(x, 0, net, big)
+    _, trace = forward_const(x, 0, net, big)
     m = np.abs(trace.currents).max()
     assert np.abs(trace.u).max() <= (m + big.theta) * big.tau + 1e-12
-
-
-def test_spike_record_concatenate_and_counts():
-    r1 = SpikeRecord(np.array([[[1, 0], [0, 1], [1, 0]]], dtype=np.uint8))
-    r2 = SpikeRecord(np.zeros((2, 3, 2), dtype=np.uint8))
-    merged = SpikeRecord.concatenate([r1, r2])
-    assert merged.sample_count == 3
-    np.testing.assert_array_equal(merged.spike_counts(), [2, 1])
-    times = merged.spike_times(0)
-    assert times[0].tolist() == [0, 2]
-    assert times[1].tolist() == []
 
 
 def test_seeded_init_is_reproducible():
