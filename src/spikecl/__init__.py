@@ -14,8 +14,6 @@ from .continual import (
     SequenceResult,
     compute_metrics,
     evaluate,
-    penalty,
-    penalty_gradient,
     resolve_lambda,
     run_sequence,
 )
@@ -56,7 +54,6 @@ from .training import (
     EpochLog,
     GradientSet,
     OptimizerState,
-    SurrogateConfig,
     TrainParams,
     adam_step,
     backward,

@@ -331,6 +331,8 @@ SWEEP_HEADER = "lambda,aa_mean,aa_std,af_mean,af_std"
 def cmd_sweep(cfg, lambdas):
     if len(lambdas) < 2:
         raise ConfigError("a sweep needs at least 2 lambda values")
+    if len(set(lambdas)) != len(lambdas):
+        raise ConfigError(f"lambdas repeat: {lambdas}")
     # building every config first rejects a bad lambda before any training
     configs = [replace(cfg, lam=lam) for lam in lambdas]
     base = _load_base(cfg)

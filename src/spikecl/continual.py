@@ -22,7 +22,7 @@ from .importance import (
     si_importance,
 )
 from .network import LIFConfig, forward_const, new_network, register_head
-from .training import SurrogateConfig, TrainParams, train_task
+from .training import TrainParams, train_task
 
 METHODS = ("none", "isi-cv", "ewc", "si")
 
@@ -60,31 +60,23 @@ class Anchor:
             raise ValueError("anchor shapes disagree on hidden size")
 
     def penalty(self, net):
-        return penalty(net, self)
+        """Quadratic pull toward the anchor, weighted per neuron.
+
+        (lambda/2) * sum_i omega_i * (|W1[i] - W1*[i]|^2 + (b1[i] - b1*[i])^2);
+        heads are exempt by construction.
+        """
+        dw = net.w1 - self.w1
+        db = net.b1 - self.b1
+        per_neuron = (dw * dw).sum(axis=1) + db * db
+        return 0.5 * self.lam * float(self.omega @ per_neuron)
 
     def gradient(self, net):
-        return penalty_gradient(net, self)
-
-
-def penalty(net, anchor):
-    """Quadratic pull toward the anchor, weighted per neuron.
-
-    (lambda/2) * sum_i omega_i * (|W1[i] - W1*[i]|^2 + (b1[i] - b1*[i])^2);
-    heads are exempt by construction.
-    """
-    dw = net.w1 - anchor.w1
-    db = net.b1 - anchor.b1
-    per_neuron = (dw * dw).sum(axis=1) + db * db
-    return 0.5 * anchor.lam * float(anchor.omega @ per_neuron)
-
-
-def penalty_gradient(net, anchor):
-    """d(penalty)/d(trunk): lambda * omega_i * (w - w*) per row. Heads get
-    nothing, so only (dW1, db1) is returned."""
-    scale = anchor.lam * anchor.omega
-    dw1 = scale[:, np.newaxis] * (net.w1 - anchor.w1)
-    db1 = scale * (net.b1 - anchor.b1)
-    return dw1, db1
+        """d(penalty)/d(trunk): lambda * omega_i * (w - w*) per row. Heads
+        get nothing, so only (dW1, db1) is returned."""
+        scale = self.lam * self.omega
+        dw1 = scale[:, np.newaxis] * (net.w1 - self.w1)
+        db1 = scale * (net.b1 - self.b1)
+        return dw1, db1
 
 
 class ResultMatrix:
@@ -237,8 +229,7 @@ class RunAbortedError(RuntimeError):
                 (self.task_id, self.partial_logs, self.partial_matrix))
 
 
-def _task_importance(method, net, task, task_id, lif_cfg, surrogate_cfg,
-                     max_samples, si_acc):
+def _task_importance(method, net, task, task_id, lif_cfg, max_samples, si_acc):
     if method == "isi-cv":
         record = collect_spike_record(
             net, task.train.images, lif_cfg, max_samples=max_samples,
@@ -248,7 +239,7 @@ def _task_importance(method, net, task, task_id, lif_cfg, surrogate_cfg,
     if method == "ewc":
         return ewc_importance(
             net, task.train.images, task.train.labels, task_id, lif_cfg,
-            surrogate_cfg, max_samples=max_samples,
+            max_samples=max_samples,
         )
     if method == "si":
         return si_importance(si_acc, net, task_id=task_id)
@@ -256,7 +247,7 @@ def _task_importance(method, net, task, task_id, lif_cfg, surrogate_cfg,
 
 
 def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
-                 lif_cfg=None, surrogate_cfg=None, train_params=None,
+                 lif_cfg=None, train_params=None,
                  importance_samples=1024, on_task_complete=None):
     """Train the task sequence under one method; returns a SequenceResult.
 
@@ -278,7 +269,6 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
         raise ValueError("a continual sequence needs at least 2 tasks")
     lam = resolve_lambda(method, lam)
     lif_cfg = lif_cfg or LIFConfig()
-    surrogate_cfg = surrogate_cfg or SurrogateConfig()
     train_params = train_params or TrainParams()
 
     net = new_network(
@@ -302,7 +292,7 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
         try:
             epochs = train_task(
                 net, task.train.images, task.train.labels, k, lif_cfg,
-                surrogate_cfg, train_params,
+                train_params,
                 rng=np.random.default_rng(np.random.SeedSequence([seed, 2, k])),
                 reg=reg, step_hook=hook,
             )
@@ -324,8 +314,7 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
 
         if method != "none":
             vec = _task_importance(
-                method, net, task, k, lif_cfg, surrogate_cfg,
-                importance_samples, si_acc,
+                method, net, task, k, lif_cfg, importance_samples, si_acc,
             )
             importances.append(vec)
             omega_max = (

@@ -25,6 +25,7 @@ EPSILON = 1e-3
 # CV assigned to neurons whose pooled interval list is empty (fewer than
 # two spikes in every sample): treated as maximally irregular.
 SILENT_CV = 2.0
+# Raw scores above this percentile are clipped before rescaling to [0, 1].
 CLIP_PERCENTILE = 95.0
 # SI damping added to the squared displacement.
 XI = 0.1
@@ -54,11 +55,15 @@ class ImportanceVector:
 
     @classmethod
     def from_json_dict(cls, doc):
+        """Inverse of ``to_json_dict``; the Ω keys must be "0".."H-1"."""
         entries = doc["omega"]
-        omega = np.zeros(len(entries))
-        for key, value in entries.items():
-            omega[int(key)] = value
-        return cls(omega=omega, method=doc["method"], task_id=doc["task_id"])
+        keys = [str(i) for i in range(len(entries))]
+        stray = sorted(set(entries) - set(keys))
+        if stray:
+            raise ValueError(f"omega keys must be 0..{len(keys) - 1}, "
+                             f"got {stray}")
+        return cls(omega=[entries[k] for k in keys], method=doc["method"],
+                   task_id=doc["task_id"])
 
 
 @dataclass
@@ -107,48 +112,42 @@ class ISIStats:
     cv: np.ndarray            # (H,)
 
 
-def isi_stats(record, epsilon=EPSILON):
+def isi_stats(record):
     n = np.maximum(record.isi_counts, 1)
     mean = record.isi_sums / n
     std = np.sqrt(record.isi_m2 / n)
-    cv = np.where(record.isi_counts > 0, std / (mean + epsilon), SILENT_CV)
+    cv = np.where(record.isi_counts > 0, std / (mean + EPSILON), SILENT_CV)
     return ISIStats(spike_counts=record.spike_counts,
                     isi_counts=record.isi_counts, mean=mean, std=std, cv=cv)
 
 
-def _clip_normalize(raw, epsilon, clip_percentile):
-    """Clip raw scores at their percentile and rescale into [0, 1]."""
-    cutoff = float(np.percentile(raw, clip_percentile))
-    omega = np.minimum(raw, cutoff) / (cutoff + epsilon)
-    return omega, cutoff
+def _isi_cv_scores(record):
+    """Interval statistics, raw 1 / (CV + eps) scores, Ω and clip cutoff.
 
-
-def _isi_cv_scores(record, epsilon, clip_percentile):
-    """Interval statistics, raw 1 / (CV + eps) scores, Ω and clip cutoff."""
-    stats = isi_stats(record, epsilon)
-    raw = 1.0 / (stats.cv + epsilon)
-    omega, cutoff = _clip_normalize(raw, epsilon, clip_percentile)
+    Ω clips the raw scores at their CLIP_PERCENTILE and rescales them into
+    [0, 1].
+    """
+    stats = isi_stats(record)
+    raw = 1.0 / (stats.cv + EPSILON)
+    cutoff = float(np.percentile(raw, CLIP_PERCENTILE))
+    omega = np.minimum(raw, cutoff) / (cutoff + EPSILON)
     return stats, raw, omega, cutoff
 
 
-def isi_cv_importance(record, epsilon=EPSILON, clip_percentile=CLIP_PERCENTILE,
-                      task_id=None):
+def isi_cv_importance(record, task_id=None):
     """Regularity importance: 1 / (CV + eps), percentile-clipped."""
-    _, _, omega, _ = _isi_cv_scores(record, epsilon, clip_percentile)
+    _, _, omega, _ = _isi_cv_scores(record)
     return ImportanceVector(omega=omega, method="isi-cv", task_id=task_id)
 
 
-def importance_report(record, epsilon=EPSILON,
-                      clip_percentile=CLIP_PERCENTILE, task_id=None):
+def importance_report(record, task_id=None):
     """Per-neuron diagnostic dict behind ``isi_cv_importance``.
 
     Same arithmetic, but keeps the intermediate quantities so they can
     be inspected or serialized: spike/interval counts, mean, std, CV,
     the unclipped score and the final Ω for every neuron.
     """
-    stats, raw, omega, cutoff = _isi_cv_scores(
-        record, epsilon, clip_percentile
-    )
+    stats, raw, omega, cutoff = _isi_cv_scores(record)
     neurons = {}
     for i in range(record.hidden_size):
         neurons[str(i)] = {
@@ -163,8 +162,8 @@ def importance_report(record, epsilon=EPSILON,
     return {
         "method": "isi-cv",
         "task_id": task_id,
-        "epsilon": epsilon,
-        "clip_percentile": clip_percentile,
+        "epsilon": EPSILON,
+        "clip_percentile": CLIP_PERCENTILE,
         "clip_cutoff": cutoff,
         "samples": record.sample_count,
         "neurons": neurons,
@@ -200,8 +199,8 @@ def _max_normalize(per_neuron):
     return per_neuron / top
 
 
-def ewc_importance(net, images, labels, task_id, lif_cfg, surrogate_cfg,
-                   max_samples=1024, batch_size=128):
+def ewc_importance(net, images, labels, task_id, lif_cfg, max_samples=1024,
+                   batch_size=128):
     """Diagonal Fisher of the trunk, reduced to per-neuron scores.
 
     Fisher is the mean over samples of the squared per-sample loss
@@ -228,10 +227,11 @@ def ewc_importance(net, images, labels, task_id, lif_cfg, surrogate_cfg,
         _, trace = forward_const(xb, task_id, net, lif_cfg)
         # per-sample gradients: no 1/N on delta
         delta = _logit_delta(log_softmax(trace.logits), yb)
-        dcur = _current_grad(trace, delta, head, surrogate_cfg)
+        dcur = _current_grad(trace, delta, head)
         sq = dcur * dcur
         fisher_w1 += sq.T @ (trace.inputs * trace.inputs)
         fisher_b1 += sq.sum(axis=0)
+        del trace  # free its potentials before the next forward pass
     fisher_w1 /= n
     fisher_b1 /= n
 
@@ -246,24 +246,21 @@ class SIAccumulator:
     """Running path-integral credit for the trunk parameters.
 
     omega_* accumulate -grad * applied-delta per optimizer step; the
-    start snapshot anchors the squared-displacement denominator.
+    start snapshot anchors the squared-displacement denominator, which
+    ``si_importance`` damps by the module constant XI.  ``start(net)``
+    snapshots the trunk and zeroes the credit.
     """
 
     w1_start: np.ndarray
     b1_start: np.ndarray
-    omega_w1: np.ndarray = None
-    omega_b1: np.ndarray = None
-    xi: float = XI
-
-    def __post_init__(self):
-        if self.omega_w1 is None:
-            self.omega_w1 = np.zeros_like(self.w1_start)
-        if self.omega_b1 is None:
-            self.omega_b1 = np.zeros_like(self.b1_start)
+    omega_w1: np.ndarray
+    omega_b1: np.ndarray
 
     @classmethod
-    def start(cls, net, xi=XI):
-        return cls(w1_start=net.w1.copy(), b1_start=net.b1.copy(), xi=xi)
+    def start(cls, net):
+        return cls(w1_start=net.w1.copy(), b1_start=net.b1.copy(),
+                   omega_w1=np.zeros_like(net.w1),
+                   omega_b1=np.zeros_like(net.b1))
 
 
 def si_accumulate(acc, grads, deltas):
@@ -283,13 +280,13 @@ def si_accumulate(acc, grads, deltas):
 def si_importance(acc, net, task_id=None):
     """Per-parameter credit over squared displacement, per-neuron reduced.
 
-    omega_param = max(0, omega) / ((w_end - w_start)^2 + xi), summed over
+    omega_param = max(0, omega) / ((w_end - w_start)^2 + XI), summed over
     each neuron's row plus bias, then max-normalized.
     """
     dw = net.w1 - acc.w1_start
     db = net.b1 - acc.b1_start
-    per_w = np.maximum(acc.omega_w1, 0.0) / (dw * dw + acc.xi)
-    per_b = np.maximum(acc.omega_b1, 0.0) / (db * db + acc.xi)
+    per_w = np.maximum(acc.omega_w1, 0.0) / (dw * dw + XI)
+    per_b = np.maximum(acc.omega_b1, 0.0) / (db * db + XI)
     per_neuron = per_w.sum(axis=1) + per_b
     return ImportanceVector(
         omega=_max_normalize(per_neuron), method="si", task_id=task_id

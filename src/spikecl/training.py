@@ -13,16 +13,12 @@ import numpy as np
 from . import kernels
 from .network import DivergenceError, forward_const
 
-
-@dataclass
-class SurrogateConfig:
-    """ATan pseudo-derivative sharpness."""
-
-    alpha: float = 2.0
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+# sharpness of the ATan pseudo-derivative that stands in for ds/du
+ALPHA = 2.0
+# Adam's moment decay rates and denominator floor
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -49,7 +45,7 @@ def _logit_delta(logp, targets):
     return delta
 
 
-def _current_grad(trace, delta, head, cfg):
+def _current_grad(trace, delta, head):
     """dL/d(trunk current) (N, H), given dL/d(logits) ``delta``.
 
     The current is constant over time, so this is the sum over t of
@@ -57,11 +53,11 @@ def _current_grad(trace, delta, head, cfg):
     """
     gsbar = np.ascontiguousarray(delta @ head.w2)  # (N, H) = dL/d(sbar)
     return kernels.lif_backward_sum(
-        trace.u, gsbar, trace.cfg.beta, trace.cfg.theta, cfg.alpha
+        trace.u, gsbar, trace.cfg.beta, trace.cfg.theta, ALPHA
     )
 
 
-def backward(trace, targets, net, task_id, cfg):
+def backward(trace, targets, net, task_id):
     """Reverse-mode pass over a recorded forward trace.
 
     Returns (mean cross-entropy loss, GradientSet).  The trace must come
@@ -93,7 +89,7 @@ def backward(trace, targets, net, task_id, cfg):
     dw2 = delta.T @ trace.sbar
     db2 = delta.sum(axis=0)
 
-    dcur = _current_grad(trace, delta, head, cfg)
+    dcur = _current_grad(trace, delta, head)
     dw1 = dcur.T @ trace.inputs
     db1 = dcur.sum(axis=0)
 
@@ -104,40 +100,38 @@ def backward(trace, targets, net, task_id, cfg):
 class OptimizerState:
     """Adam over the trunk and one head as a single flat parameter vector.
 
-    ``slots`` maps a task id to the (m, v, t) moments of the (trunk, head
-    ``task_id``) vector: m and v are allocated on that pair's first step
-    and updated in place.  A state that steps a second head starts fresh
-    trunk moments for it; ``train_task`` builds one state per task, so
-    every state it uses sees a single head.
+    ``lr`` is the one setting; the decay rates and the denominator floor
+    are the module constants BETA1, BETA2 and EPS.  The moments m and v
+    are allocated on the first step and updated in place; t counts the
+    steps taken.  A state serves one (trunk, head) pair, so ``train_task``
+    builds one per task.
     """
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    slots: dict = field(default_factory=dict)
+    m: np.ndarray = field(default=None, init=False)
+    v: np.ndarray = field(default=None, init=False)
+    t: int = field(default=0, init=False)
 
-    def update(self, key, grad):
-        """Return the additive delta for the flat parameter vector ``key``."""
-        if key not in self.slots:
-            self.slots[key] = (np.zeros_like(grad), np.zeros_like(grad), 0)
-        m, v, t = self.slots[key]
-        t += 1
-        self.slots[key] = (m, v, t)
+    def update(self, grad):
+        """Return the additive delta for the flat parameter vector."""
+        if self.t == 0:
+            self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
+        self.t += 1
+        m, v, t = self.m, self.v, self.t
         # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
-        m *= self.beta1
-        scratch = grad * (1.0 - self.beta1)
+        m *= BETA1
+        scratch = grad * (1.0 - BETA1)
         m += scratch
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=scratch)
+        v *= BETA2
+        np.multiply(grad, 1.0 - BETA2, out=scratch)
         scratch *= grad
         v += scratch
         # -lr * mhat / (sqrt(vhat) + eps)
-        delta = m / (1.0 - self.beta1 ** t)
+        delta = m / (1.0 - BETA1 ** t)
         delta *= -self.lr
-        np.divide(v, 1.0 - self.beta2 ** t, out=scratch)
+        np.divide(v, 1.0 - BETA2 ** t, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += self.eps
+        scratch += EPS
         delta /= scratch
         return delta
 
@@ -157,7 +151,7 @@ def adam_step(net, grads, opt):
     head = net.head(grads.task_id)
     params = (net.w1, net.b1, head.w2, head.b2)
 
-    delta = opt.update(grads.task_id, flat)
+    delta = opt.update(flat)
     deltas = []
     lo = 0
     for p in params:
@@ -189,8 +183,8 @@ class EpochLog:
     accuracy: float
 
 
-def train_task(net, images, labels, task_id, lif_cfg, surrogate_cfg, params,
-               rng, reg=None, step_hook=None):
+def train_task(net, images, labels, task_id, lif_cfg, params, rng, reg=None,
+               step_hook=None):
     """Train one task head plus the shared trunk; mutates ``net``.
 
     ``images`` is (N, D) in [0, 1]; each sample drives the trunk as a
@@ -220,7 +214,8 @@ def train_task(net, images, labels, task_id, lif_cfg, surrogate_cfg, params,
             idx = order[lo:lo + params.batch_size]
             xb, yb = images[idx], labels[idx]
             logits, trace = forward_const(xb, task_id, net, lif_cfg)
-            loss, grads = backward(trace, yb, net, task_id, surrogate_cfg)
+            loss, grads = backward(trace, yb, net, task_id)
+            del trace  # free its potentials before the next forward pass
             if reg is not None:
                 loss += reg.penalty(net)
                 pw1, pb1 = reg.gradient(net)

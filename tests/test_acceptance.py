@@ -29,7 +29,7 @@ from spikecl.network import (
     new_network,
     register_head,
 )
-from spikecl.training import GradientSet, SurrogateConfig, TrainParams
+from spikecl.training import GradientSet, TrainParams
 
 
 def _verdict(name, ok, detail=""):
@@ -222,7 +222,7 @@ def test_c8_baseline_plumbing():
     rng = np.random.default_rng(1004)
     net = new_network(2, 1, 2, rng)
     register_head(net, rng)
-    acc = SIAccumulator.start(net, xi=0.1)
+    acc = SIAccumulator.start(net)
 
     def step(g, d):
         grads = GradientSet(
@@ -244,10 +244,9 @@ def test_c8_baseline_plumbing():
     labels = tasks[0].train.labels
     enet = new_network(12, 8, 2, np.random.default_rng(6))
     register_head(enet, np.random.default_rng(7))
-    scfg = SurrogateConfig()
-    once = ewc_importance(enet, images, labels, 0, cfg, scfg)
+    once = ewc_importance(enet, images, labels, 0, cfg)
     twice = ewc_importance(enet, np.concatenate([images, images]),
-                           np.concatenate([labels, labels]), 0, cfg, scfg,
+                           np.concatenate([labels, labels]), 0, cfg,
                            max_samples=2 * len(images))
     ewc_ok = np.allclose(once.omega, twice.omega, rtol=1e-12)
 

@@ -21,7 +21,7 @@ from spikecl.network import (
     new_network,
     register_head,
 )
-from spikecl.training import SurrogateConfig, TrainParams, train_task
+from spikecl.training import TrainParams, train_task
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "perfbench")
@@ -73,8 +73,7 @@ def test_training_step_calls_what_the_tracer_patches(monkeypatch):
     register_head(net, np.random.default_rng(1))
     images = np.random.default_rng(2).random((6, 3))
     train_task(net, images, np.arange(6) % 2, 0, LIFConfig(timesteps=3),
-               SurrogateConfig(), TrainParams(epochs=1, batch_size=4),
-               np.random.default_rng(3))
+               TrainParams(epochs=1, batch_size=4), np.random.default_rng(3))
     # two steps, each one forward pass and one optimizer update
     assert calls == ["lif_forward_const", "adam_step"] * 2
 
@@ -111,7 +110,12 @@ def test_isi_importance_calls_the_kernel_through_its_module(monkeypatch):
         net, x, np.zeros(len(x), dtype=int), 0, cfg, batch_size=4)),
     (importance, lambda net, x, cfg: importance.collect_spike_record(
         net, x, cfg, batch_size=4)),
-], ids=["evaluate", "collect_spike_record"])
+    (training, lambda net, x, cfg: training.train_task(
+        net, x, np.arange(len(x)) % 2, 0, cfg,
+        TrainParams(epochs=1, batch_size=4), np.random.default_rng(0))),
+    (importance, lambda net, x, cfg: importance.ewc_importance(
+        net, x, np.arange(len(x)) % 2, 0, cfg, batch_size=4)),
+], ids=["evaluate", "collect_spike_record", "train_task", "ewc_importance"])
 def test_no_batch_trace_outlives_its_batch(module, run, monkeypatch):
     # peak_rss_mb: a name still bound to the previous batch's trace keeps
     # its potentials and spikes alive through the next forward pass
@@ -129,6 +133,43 @@ def test_no_batch_trace_outlives_its_batch(module, run, monkeypatch):
     run(_tiny_net(), np.random.default_rng(2).random((10, 3)),
         LIFConfig(timesteps=3))
     assert len(traces) == 3
+
+
+# sizes that keep each workload's real call sites and checks but run in
+# well under a second; every other attribute is the benchmark's own
+REDUCED = {
+    "dense-ewc": dict(tasks=2, epochs=1, train_per_class=64,
+                      test_per_class=16),
+    "dense-isicv": dict(tasks=2, epochs=1, train_per_class=64,
+                        test_per_class=16),
+    "cli-permuted-si": dict(tasks=2, epochs=2, train_per_class=150,
+                            test_per_class=20),
+}
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+    return workloads
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED))
+def test_every_workload_runs_and_checks_at_reduced_size(
+        name, workloads, tmp_path, monkeypatch):
+    # a library signature change that breaks a workload's call sites
+    # fails here, not only when the benchmark runs
+    assert set(workloads.WORKLOADS) == set(REDUCED)
+    workload = workloads.WORKLOADS[name]
+    for attr, value in REDUCED[name].items():
+        monkeypatch.setattr(workload, attr, value)  # raises if attr is gone
+    rundir = tmp_path / "run"
+    rundir.mkdir()
+    inputs = workload.setup(1, str(tmp_path))
+    result = workload.run(inputs, 1, str(rundir))
+    outcome = workload.check(result, 1, str(rundir))
+    assert outcome.aa >= workload.aa_floor
+    assert len(outcome.fingerprint) == 64
 
 
 def test_the_cli_process_trains_its_own_lane(tmp_path, monkeypatch):

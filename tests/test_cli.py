@@ -231,12 +231,14 @@ def test_exit_codes(tmp_path, capsys):
     assert "lambda 10" not in captured.out
     assert not (tmp_path / "sweep" / "sweep.csv").exists()
 
-    # 2: non-finite numbers and repeated seeds are rejected before training
+    # 2: non-finite numbers, repeated seeds and repeated lambdas are
+    # rejected before training
     for argv, message in (
         (["run", "--lambda", "nan"], "lambda must be finite"),
         (["run", "--lr", "inf"], "lr must be finite"),
         (["run", "--gain", "inf"], "gain must be finite"),
         (["sweep", "--lambdas", "1,nan"], "lambda must be finite"),
+        (["sweep", "--lambdas", "10,10.0"], "lambdas repeat"),
         (["run", "--seeds", "0,0"], "seeds repeat"),
         (["run", "--seeds", "-1"], "seeds must be >= 0"),
     ):

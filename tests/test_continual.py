@@ -10,8 +10,6 @@ from spikecl.continual import (
     ResultMatrix,
     RunAbortedError,
     compute_metrics,
-    penalty,
-    penalty_gradient,
     resolve_lambda,
     run_sequence,
 )
@@ -30,11 +28,11 @@ def _net_and_anchor(rng, hidden=4, dim=3, lam=1.0, omega=None):
 def test_penalty_zero_at_anchor_and_for_zero_lambda():
     rng = np.random.default_rng(40)
     net, anchor = _net_and_anchor(rng)
-    assert penalty(net, anchor) == 0.0
+    assert anchor.penalty(net) == 0.0
     net.w1 += 1.0
-    assert penalty(net, anchor) > 0.0
+    assert anchor.penalty(net) > 0.0
     anchor.lam = 0.0
-    assert penalty(net, anchor) == 0.0
+    assert anchor.penalty(net) == 0.0
 
 
 def test_penalty_worked_example():
@@ -44,8 +42,8 @@ def test_penalty_worked_example():
                     omega=np.ones(1), lam=2.0)
     net.w1 += 0.1
     net.b1 += 0.2
-    assert penalty(net, anchor) == pytest.approx(0.05, rel=1e-12)
-    dw1, db1 = penalty_gradient(net, anchor)
+    assert anchor.penalty(net) == pytest.approx(0.05, rel=1e-12)
+    dw1, db1 = anchor.gradient(net)
     assert dw1[0, 0] == pytest.approx(0.2, rel=1e-12)
     assert db1[0] == pytest.approx(0.4, rel=1e-12)
 
@@ -56,15 +54,15 @@ def test_penalty_non_negative_and_heads_ignored():
         net, anchor = _net_and_anchor(rng, omega=rng.random(4))
         net.w1 += rng.normal(scale=0.5, size=net.w1.shape)
         net.b1 += rng.normal(scale=0.5, size=net.b1.shape)
-        assert penalty(net, anchor) >= 0.0
+        assert anchor.penalty(net) >= 0.0
     register_head(net, rng)
-    before = penalty(net, anchor)
+    before = anchor.penalty(net)
     net.heads[0].w2 += 100.0   # heads must not enter the penalty
-    assert penalty(net, anchor) == before
+    assert anchor.penalty(net) == before
 
 
 def penalty_fd_discrepancy(n_cases, seed, step=1e-4, tol=1e-6):
-    """Max normalized gap between penalty_gradient and central differences."""
+    """Max normalized gap between Anchor.gradient and central differences."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_cases):
@@ -76,16 +74,16 @@ def penalty_fd_discrepancy(n_cases, seed, step=1e-4, tol=1e-6):
         )
         net.w1 += rng.normal(scale=0.3, size=net.w1.shape)
         net.b1 += rng.normal(scale=0.3, size=net.b1.shape)
-        dw1, db1 = penalty_gradient(net, anchor)
+        dw1, db1 = anchor.gradient(net)
         for arr, grad in ((net.w1, dw1), (net.b1, db1)):
             it = np.nditer(arr, flags=["multi_index"])
             for _value in it:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + step
-                hi = penalty(net, anchor)
+                hi = anchor.penalty(net)
                 arr[idx] = orig - step
-                lo = penalty(net, anchor)
+                lo = anchor.penalty(net)
                 arr[idx] = orig
                 fd = (hi - lo) / (2 * step)
                 gap = abs(grad[idx] - fd) / (tol + tol * abs(fd))

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from spikecl.importance import (
     si_importance,
 )
 from spikecl.network import LIFConfig, new_network, register_head
-from spikecl.training import GradientSet, SurrogateConfig
+from spikecl.training import GradientSet
 
 EPS = 1e-3
 
@@ -261,6 +262,18 @@ def test_importance_vector_json_round_trip():
     assert np.array_equal(back.omega, vec.omega)
     assert back.method == "isi-cv"
     assert back.task_id == 2
+    doc["omega"] = dict(reversed(doc["omega"].items()))
+    assert np.array_equal(ImportanceVector.from_json_dict(doc).omega, vec.omega)
+
+
+@pytest.mark.parametrize("keys", [("0", "-1"), ("0", "2"), ("1", "2"),
+                                  ("0", "01")],
+                         ids=["negative", "gap", "no-zero", "padded"])
+def test_importance_vector_json_needs_keys_zero_to_h_minus_one(keys):
+    # no negative, missing or zero-padded key may place a value in Ω
+    doc = {"method": "ewc", "task_id": 0, "omega": dict(zip(keys, (0.5, 0.7)))}
+    with pytest.raises(ValueError, match="omega keys"):
+        ImportanceVector.from_json_dict(doc)
 
 
 def test_importance_vector_validation():
@@ -353,7 +366,7 @@ def test_ewc_matches_scalar_oracle_fisher():
         n = int(rng.integers(2, 5))
         x = rng.random((n, net.input_size))
         y = rng.integers(0, net.classes_per_task, size=n)
-        vec = ewc_importance(net, x, y, 0, cfg, SurrogateConfig())
+        vec = ewc_importance(net, x, y, 0, cfg)
 
         fisher_w1 = np.zeros_like(net.w1)
         fisher_b1 = np.zeros_like(net.b1)
@@ -378,9 +391,9 @@ def test_ewc_invariant_under_sample_duplication():
     net, cfg = random_tiny_net(rng, hidden=3, dim=4, classes=2)
     x = rng.random((6, 4))
     y = rng.integers(0, 2, size=6)
-    once = ewc_importance(net, x, y, 0, cfg, SurrogateConfig())
+    once = ewc_importance(net, x, y, 0, cfg)
     twice = ewc_importance(net, np.concatenate([x, x]),
-                           np.concatenate([y, y]), 0, cfg, SurrogateConfig())
+                           np.concatenate([y, y]), 0, cfg)
     np.testing.assert_allclose(once.omega, twice.omega, rtol=1e-12, atol=1e-14)
 
 
@@ -389,9 +402,9 @@ def test_ewc_max_samples_uses_only_the_first_samples():
     net, cfg = random_tiny_net(rng, hidden=4, dim=5, classes=3, timesteps=5)
     x = rng.random((20, 5)) * 3.0
     y = rng.integers(0, 3, size=20)
-    capped = ewc_importance(net, x, y, 0, cfg, SurrogateConfig(),
+    capped = ewc_importance(net, x, y, 0, cfg,
                             max_samples=10, batch_size=8)
-    sliced = ewc_importance(net, x[:10], y[:10], 0, cfg, SurrogateConfig(),
+    sliced = ewc_importance(net, x[:10], y[:10], 0, cfg,
                             batch_size=8)
     assert np.array_equal(capped.omega, sliced.omega)
 
@@ -404,7 +417,7 @@ def test_ewc_silent_trunk_gives_zero_importance():
     net.heads[0].w2[:] = 0.0   # cut the loss path entirely instead
     x = np.random.default_rng(2).random((8, 4))
     y = np.zeros(8, dtype=int)
-    vec = ewc_importance(net, x, y, 0, LIFConfig(), SurrogateConfig())
+    vec = ewc_importance(net, x, y, 0, LIFConfig())
     assert np.array_equal(vec.omega, np.zeros(5))
 
 
@@ -412,7 +425,7 @@ def test_ewc_rejects_empty_subset():
     net, cfg = random_tiny_net(np.random.default_rng(39))
     with pytest.raises(ValueError):
         ewc_importance(net, np.zeros((0, net.input_size)),
-                       np.zeros(0, dtype=int), 0, cfg, SurrogateConfig())
+                       np.zeros(0, dtype=int), 0, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +439,14 @@ def _si_grads(w1_val):
     )
 
 
+def _zero_acc(hidden, dim):
+    """An accumulator started on an all-zero (hidden, dim) trunk."""
+    return SIAccumulator.start(
+        SimpleNamespace(w1=np.zeros((hidden, dim)), b1=np.zeros(hidden)))
+
+
 def test_si_two_step_worked_example():
-    acc = SIAccumulator(w1_start=np.zeros((1, 1)), b1_start=np.zeros(1))
+    acc = _zero_acc(1, 1)
     si_accumulate(acc, _si_grads(1.0), {"w1": np.array([[-0.1]]),
                                         "b1": np.zeros(1)})
     si_accumulate(acc, _si_grads(2.0), {"w1": np.array([[-0.2]]),
@@ -436,7 +455,7 @@ def test_si_two_step_worked_example():
 
 
 def test_si_zero_gradient_step_changes_nothing():
-    acc = SIAccumulator(w1_start=np.zeros((2, 2)), b1_start=np.zeros(2))
+    acc = _zero_acc(2, 2)
     si_accumulate(acc, GradientSet(
         w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros((2, 2)),
         b2=np.zeros(2), task_id=0,
@@ -446,7 +465,7 @@ def test_si_zero_gradient_step_changes_nothing():
 
 def test_si_sgd_steps_accumulate_positively():
     # delta = -eta * g  =>  each contribution is +eta * g^2
-    acc = SIAccumulator(w1_start=np.zeros((1, 1)), b1_start=np.zeros(1))
+    acc = _zero_acc(1, 1)
     g = 0.7
     eta = 0.01
     si_accumulate(acc, _si_grads(g), {"w1": np.array([[-eta * g]]),
@@ -455,7 +474,7 @@ def test_si_sgd_steps_accumulate_positively():
 
 
 def test_si_shape_mismatch_rejected():
-    acc = SIAccumulator(w1_start=np.zeros((2, 2)), b1_start=np.zeros(2))
+    acc = _zero_acc(2, 2)
     with pytest.raises(ValueError):
         si_accumulate(acc, _si_grads(1.0), {"w1": np.array([[-0.1]]),
                                             "b1": np.zeros(1)})
@@ -467,7 +486,7 @@ def test_si_importance_pre_normalization_value():
     net = new_network(1, 2, 2, np.random.default_rng(0))
     net.w1 = np.array([[0.3], [0.0]])
     net.b1 = np.zeros(2)
-    acc = SIAccumulator(w1_start=np.zeros((2, 1)), b1_start=np.zeros(2))
+    acc = _zero_acc(2, 1)
     acc.omega_w1 = np.array([[0.5], [1.0]])
     vec = si_importance(acc, net)
     pre = 0.5 / (0.09 + 0.1)
@@ -480,7 +499,7 @@ def test_si_untouched_parameters_score_zero_and_negatives_clip():
     net = new_network(1, 2, 2, np.random.default_rng(0))
     net.w1 = np.array([[0.0], [0.2]])
     net.b1 = np.zeros(2)
-    acc = SIAccumulator(w1_start=net.w1.copy(), b1_start=np.zeros(2))
+    acc = SIAccumulator.start(net)
     acc.w1_start = np.array([[0.0], [0.0]])
     acc.omega_w1 = np.array([[-3.0], [0.8]])   # negative must clip to 0
     vec = si_importance(acc, net)

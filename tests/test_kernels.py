@@ -154,7 +154,7 @@ def test_adam_matches_per_parameter_oracle_bit_for_bit(shape):
                             (ref.w1, ref.b1, ref.heads[task_id].w2,
                              ref.heads[task_id].b2)):
                 assert a.tobytes() == b.tobytes()
-        assert opt.slots[task_id][2] == 40
+        assert opt.t == 40
 
 
 def _run_bytes(method):
