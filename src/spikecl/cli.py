@@ -385,7 +385,7 @@ def cmd_importance_dump(cfg, checkpoint_path, task_id=None, seed=None, out=None)
             f"provides {tasks.input_dim}"
         )
     record = collect_spike_record(
-        net, tasks[task_id].train.images,
+        net, tasks[task_id].train,
         LIFConfig(timesteps=cfg.timesteps, gain=cfg.gain),
         max_samples=cfg.importance_samples, task_id=task_id,
     )

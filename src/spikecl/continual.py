@@ -65,16 +65,18 @@ class Anchor:
         (lambda/2) * sum_i omega_i * (|W1[i] - W1*[i]|^2 + (b1[i] - b1*[i])^2);
         heads are exempt by construction.
         """
-        dw = net.w1 - self.w1
+        sq = net.w1 - self.w1
+        sq *= sq
         db = net.b1 - self.b1
-        per_neuron = (dw * dw).sum(axis=1) + db * db
+        per_neuron = sq.sum(axis=1) + db * db
         return 0.5 * self.lam * float(self.omega @ per_neuron)
 
     def gradient(self, net):
         """d(penalty)/d(trunk): lambda * omega_i * (w - w*) per row. Heads
         get nothing, so only (dW1, db1) is returned."""
         scale = self.lam * self.omega
-        dw1 = scale[:, np.newaxis] * (net.w1 - self.w1)
+        dw1 = net.w1 - self.w1
+        dw1 *= scale[:, np.newaxis]
         db1 = scale * (net.b1 - self.b1)
         return dw1, db1
 
@@ -177,19 +179,18 @@ def compute_metrics(matrix):
     )
 
 
-def evaluate(net, images, labels, task_id, lif_cfg, batch_size=512):
-    """Top-1 accuracy with the task's own head."""
-    images = np.asarray(images, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = len(images)
+def evaluate(net, data, task_id, lif_cfg, batch_size=512):
+    """Top-1 accuracy on the Dataset ``data`` with the task's own head,
+    reading one batch of float rows at a time."""
+    n = len(data)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     correct = 0
     for lo in range(0, n, batch_size):
-        xb = images[lo:lo + batch_size]
+        batch = slice(lo, lo + batch_size)
         # [0]: a name bound to the trace keeps it alive into the next batch
-        logits = forward_const(xb, task_id, net, lif_cfg)[0]
-        correct += int((logits.argmax(axis=1) == labels[lo:lo + batch_size]).sum())
+        logits = forward_const(data.rows(batch), task_id, net, lif_cfg)[0]
+        correct += int((logits.argmax(axis=1) == data.labels[batch]).sum())
     return correct / n
 
 
@@ -232,14 +233,13 @@ class RunAbortedError(RuntimeError):
 def _task_importance(method, net, task, task_id, lif_cfg, max_samples, si_acc):
     if method == "isi-cv":
         record = collect_spike_record(
-            net, task.train.images, lif_cfg, max_samples=max_samples,
+            net, task.train, lif_cfg, max_samples=max_samples,
             task_id=task_id,
         )
         return isi_cv_importance(record, task_id=task_id)
     if method == "ewc":
         return ewc_importance(
-            net, task.train.images, task.train.labels, task_id, lif_cfg,
-            max_samples=max_samples,
+            net, task.train, task_id, lif_cfg, max_samples=max_samples,
         )
     if method == "si":
         return si_importance(si_acc, net, task_id=task_id)
@@ -268,6 +268,9 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
     if k_total < 2:
         raise ValueError("a continual sequence needs at least 2 tasks")
     lam = resolve_lambda(method, lam)
+    if importance_samples < 1:
+        raise ValueError(
+            f"importance_samples must be >= 1, got {importance_samples}")
     lif_cfg = lif_cfg or LIFConfig()
     train_params = train_params or TrainParams()
 
@@ -291,8 +294,7 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
         reg = anchor if method != "none" else None
         try:
             epochs = train_task(
-                net, task.train.images, task.train.labels, k, lif_cfg,
-                train_params,
+                net, task.train, k, lif_cfg, train_params,
                 rng=np.random.default_rng(np.random.SeedSequence([seed, 2, k])),
                 reg=reg, step_hook=hook,
             )
@@ -304,9 +306,7 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
             drift = float(np.linalg.norm(net.w1 - prev_trunk[0]))
         accuracies = []
         for j in range(k + 1):
-            acc = evaluate(
-                net, tasks[j].test.images, tasks[j].test.labels, j, lif_cfg,
-            )
+            acc = evaluate(net, tasks[j].test, j, lif_cfg)
             matrix.set(k, j, acc)
             accuracies.append(acc)
         logs.append(TaskLog(task_id=k, epochs=epochs, accuracies=accuracies,

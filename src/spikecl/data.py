@@ -3,10 +3,13 @@
 Benchmarks are built from a base train/test pair: split (disjoint class
 pairs, labels remapped to {0, 1}), permuted (one fixed pixel permutation
 per task, all classes), or fully synthetic prototype tasks for fast
-deterministic tests.  Tasks hold plain images in [0, 1]; how long and
-how strongly an image drives the network is set by its ``LIFConfig``.
+deterministic tests.  Tasks hold uint8 pixels, one byte per pixel,
+which ``Dataset.rows`` scales into [0, 1] float64 one batch at a time;
+how long and how strongly an image drives the network is set by its
+``LIFConfig``.
 """
 
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -51,33 +54,68 @@ class ClassesAbsentError(DataError, ValueError):
 
 @dataclass
 class Dataset:
-    """Flat images in [0, 1] with integer class labels."""
+    """Flat uint8 pixels with integer class labels.
 
-    images: np.ndarray  # (N, D) float64
+    ``max_value`` is the pixel value that means 1.0: 255 for IDX files,
+    1 for binary images.  Samples are stored at one byte per pixel and
+    scaled only when read, by ``rows``.
+    """
+
+    pixels: np.ndarray  # (N, D) uint8
     labels: np.ndarray  # (N,) int64
+    max_value: int
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.float64)
+        self.pixels = np.asarray(self.pixels)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.images.ndim != 2:
-            raise ValueError("images must be (N, D)")
-        if len(self.images) != len(self.labels):
+        self.max_value = operator.index(self.max_value)
+        if self.pixels.dtype != np.uint8:
+            raise ValueError(f"pixels must be uint8, got {self.pixels.dtype}")
+        if self.pixels.ndim != 2:
+            raise ValueError("pixels must be (N, D)")
+        if len(self.pixels) != len(self.labels):
             raise ValueError(
-                f"{len(self.images)} images but {len(self.labels)} labels"
+                f"{len(self.pixels)} images but {len(self.labels)} labels"
+            )
+        if not 1 <= self.max_value <= 255:
+            raise ValueError(
+                f"max_value must be in 1..255, got {self.max_value}")
+        if (self.max_value < 255 and self.pixels.size
+                and self.pixels.max() > self.max_value):
+            raise ValueError(
+                f"pixel value {self.pixels.max()} above max_value "
+                f"{self.max_value}"
             )
 
     def __len__(self):
-        return len(self.images)
+        return len(self.pixels)
 
     @property
     def dim(self):
-        return self.images.shape[1]
+        return self.pixels.shape[1]
+
+    def rows(self, index):
+        """The samples at ``index`` (a slice or index array) as float64 in
+        [0, 1]: pixel / max_value, the divide skipped when it is 1."""
+        x = self.pixels[index].astype(np.float64)
+        if self.max_value != 1:
+            x /= self.max_value
+        return x
+
+    @property
+    def images(self):
+        """Every sample as float64 in [0, 1], a fresh copy (N x D x 8 bytes)
+        for inspection; training and evaluation read ``rows`` per batch."""
+        return self.rows(slice(None))
 
     def take(self, count):
         """First ``count`` samples (all of them when count is None)."""
+        if count is not None and count < 0:
+            raise ValueError(f"cannot take {count} samples")
         if count is None or count >= len(self):
             return self
-        return Dataset(self.images[:count], self.labels[:count])
+        return Dataset(self.pixels[:count], self.labels[:count],
+                       self.max_value)
 
 
 def _read_exact(f, nbytes, path, what):
@@ -117,7 +155,7 @@ def _read_idx_labels(path):
 def load_idx(images_path, labels_path):
     """Read one IDX image/label file pair into a Dataset.
 
-    Pixels are scaled by 1/255 into [0, 1], row-major.  Raises
+    Pixels stay uint8, row-major, with max_value 255.  Raises
     IdxMagicError, IdxTruncatedError or IdxCountMismatchError as
     appropriate; missing files raise MissingDataError.
     """
@@ -131,7 +169,7 @@ def load_idx(images_path, labels_path):
             f"{images_path} holds {len(images)} images but "
             f"{labels_path} holds {len(labels)} labels"
         )
-    return Dataset(images.astype(np.float64) / 255.0, labels)
+    return Dataset(images, labels, 255)
 
 
 def write_idx_images(path, images):
@@ -232,11 +270,11 @@ def build_split(train, test, pairs=SPLIT_PAIRS, train_cap=None,
         splits = []
         for source, cap in ((train, train_cap), (test, test_cap)):
             mask = np.isin(source.labels, pair)
-            images = source.images[mask]
             labels = source.labels[mask]
             remapped = np.array([class_map[c] for c in labels.tolist()],
                                 dtype=np.int64)
-            splits.append(Dataset(images, remapped).take(cap))
+            splits.append(Dataset(source.pixels[mask], remapped,
+                                  source.max_value).take(cap))
         tasks.append(Task(
             task_id=k, name=f"{name}-{pair[0]}v{pair[1]}",
             train=splits[0], test=splits[1], class_map=class_map,
@@ -265,8 +303,10 @@ def build_permuted(train, test, num_tasks=5, seed=0, train_cap=None,
     for k, perm in enumerate(perms):
         tasks.append(Task(
             task_id=k, name=f"{name}-{k}",
-            train=Dataset(base_train.images[:, perm], base_train.labels),
-            test=Dataset(base_test.images[:, perm], base_test.labels),
+            train=Dataset(base_train.pixels[:, perm], base_train.labels,
+                          base_train.max_value),
+            test=Dataset(base_test.pixels[:, perm], base_test.labels,
+                         base_test.max_value),
             class_map={c: c for c in range(classes)},
         ))
     return TaskSequence(tasks=tasks, classes_per_task=classes, name=name)
@@ -277,7 +317,8 @@ def build_synthetic(num_tasks=2, classes=2, train_per_class=200,
                     name="synthetic"):
     """Noisy-prototype tasks: per task and class, one fixed random binary
     prototype; samples flip each pixel independently with probability
-    ``noise``.  Linearly separable at low noise, fully seeded.
+    ``noise``.  Linearly separable at low noise, fully seeded.  Pixels
+    are 0/1 with max_value 1.
     """
     if num_tasks < 1 or classes < 2:
         raise ValueError("need >= 1 task and >= 2 classes")
@@ -286,19 +327,17 @@ def build_synthetic(num_tasks=2, classes=2, train_per_class=200,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
     tasks = []
     for k in range(num_tasks):
-        protos = rng.integers(0, 2, size=(classes, dim)).astype(np.float64)
+        protos = rng.integers(0, 2, size=(classes, dim)).astype(np.uint8)
         splits = []
         for per_class in (train_per_class, test_per_class):
-            images = np.empty((classes * per_class, dim))
+            pixels = np.empty((classes * per_class, dim), dtype=np.uint8)
             labels = np.empty(classes * per_class, dtype=np.int64)
             for c in range(classes):
                 flips = rng.random((per_class, dim)) < noise
-                images[c * per_class:(c + 1) * per_class] = np.abs(
-                    protos[c] - flips
-                )
+                pixels[c * per_class:(c + 1) * per_class] = protos[c] ^ flips
                 labels[c * per_class:(c + 1) * per_class] = c
-            order = rng.permutation(len(images))
-            splits.append(Dataset(images[order], labels[order]))
+            order = rng.permutation(len(pixels))
+            splits.append(Dataset(pixels[order], labels[order], 1))
         tasks.append(Task(
             task_id=k, name=f"{name}-{k}", train=splits[0], test=splits[1],
             class_map={c: c for c in range(classes)},

@@ -170,24 +170,25 @@ def importance_report(record, task_id=None):
     }
 
 
-def collect_spike_record(net, images, lif_cfg, max_samples=1024, task_id=None,
+def collect_spike_record(net, data, lif_cfg, max_samples=1024, task_id=None,
                          batch_size=128):
     """Count hidden spikes and intervals over (at most) the first
-    max_samples images, batch by batch.  ``task_id`` defaults to the
-    newest head; the head only shapes the discarded logits.
+    max_samples samples of the Dataset ``data``, reading one batch of
+    float rows at a time.  ``task_id`` defaults to the newest head; the
+    head only shapes the discarded logits.
     """
-    images = np.asarray(images, dtype=np.float64)
-    n = min(max_samples, len(images))
+    if max_samples < 1:
+        raise ValueError(f"max_samples must be >= 1, got {max_samples}")
+    n = min(max_samples, len(data))
     if n == 0:
         raise ValueError("need at least one sample to record spikes")
-    images = images[:n]
     if task_id is None:
         task_id = net.num_heads - 1
     totals = np.zeros((4, net.hidden_size), dtype=np.int64)
     for lo in range(0, n, batch_size):
+        xb = data.rows(slice(lo, min(lo + batch_size, n)))
         # keep only the spikes: the trace's potentials are freed at once
-        spikes = forward_const(
-            images[lo:lo + batch_size], task_id, net, lif_cfg)[1].s
+        spikes = forward_const(xb, task_id, net, lif_cfg)[1].s
         totals += kernels.isi_raster_stats(spikes)
     return SpikeRecord(n, *totals)
 
@@ -199,31 +200,30 @@ def _max_normalize(per_neuron):
     return per_neuron / top
 
 
-def ewc_importance(net, images, labels, task_id, lif_cfg, max_samples=1024,
+def ewc_importance(net, data, task_id, lif_cfg, max_samples=1024,
                    batch_size=128):
-    """Diagonal Fisher of the trunk, reduced to per-neuron scores.
+    """Diagonal Fisher of the trunk over (at most) the first max_samples
+    samples of the Dataset ``data``, reduced to per-neuron scores.
 
     Fisher is the mean over samples of the squared per-sample loss
     gradient.  With constant input currents the per-sample trunk
     gradient factorizes as (sum_t du) outer x, so its square is
     (sum_t du)^2 outer x^2 and one batched backward kernel call covers
     every sample.  Per neuron: row sum over inputs plus the bias term,
-    then max-normalized.
+    then max-normalized.  Rows are read one batch at a time.
     """
-    images = np.asarray(images, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = min(max_samples, len(images))
+    if max_samples < 1:
+        raise ValueError(f"max_samples must be >= 1, got {max_samples}")
+    n = min(max_samples, len(data))
     if n == 0:
         raise ValueError("need at least one sample to estimate Fisher")
-    images = images[:n]
-    labels = labels[:n]
     head = net.head(task_id)
 
     fisher_w1 = np.zeros_like(net.w1)
     fisher_b1 = np.zeros_like(net.b1)
     for lo in range(0, n, batch_size):
-        xb = images[lo:lo + batch_size]
-        yb = labels[lo:lo + batch_size]
+        batch = slice(lo, min(lo + batch_size, n))
+        xb, yb = data.rows(batch), data.labels[batch]
         _, trace = forward_const(xb, task_id, net, lif_cfg)
         # per-sample gradients: no 1/N on delta
         delta = _logit_delta(log_softmax(trace.logits), yb)

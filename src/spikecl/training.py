@@ -183,25 +183,23 @@ class EpochLog:
     accuracy: float
 
 
-def train_task(net, images, labels, task_id, lif_cfg, params, rng, reg=None,
+def train_task(net, data, task_id, lif_cfg, params, rng, reg=None,
                step_hook=None):
-    """Train one task head plus the shared trunk; mutates ``net``.
+    """Train one task head plus the shared trunk on the Dataset ``data``;
+    mutates ``net``.
 
-    ``images`` is (N, D) in [0, 1]; each sample drives the trunk as a
-    constant current, scaled as ``forward_const`` does.  ``reg``, when
-    given, must expose ``penalty(net)`` and ``gradient(net)`` and is
-    added to the trunk loss and gradients.  ``step_hook(grads, deltas)``
-    fires after every optimizer step with the total-loss gradients and
-    the applied trunk deltas.  Returns one EpochLog per epoch (loss includes the penalty;
-    accuracy is measured on the pre-update forward passes).
+    Each shuffled batch is read as floats with ``data.rows`` and drives
+    the trunk as a constant current, scaled as ``forward_const`` does.
+    ``reg``, when given, must expose ``penalty(net)`` and ``gradient(net)``
+    and is added to the trunk loss and gradients.  ``step_hook(grads,
+    deltas)`` fires after every optimizer step with the total-loss
+    gradients and the applied trunk deltas.  Returns one EpochLog per
+    epoch (loss includes the penalty; accuracy is measured on the
+    pre-update forward passes).
     """
-    images = np.asarray(images, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = len(images)
+    n = len(data)
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
-    if len(labels) != n:
-        raise ValueError("images and labels disagree on sample count")
     net.head(task_id)
 
     opt = OptimizerState(lr=params.lr)
@@ -212,7 +210,7 @@ def train_task(net, images, labels, task_id, lif_cfg, params, rng, reg=None,
         correct = 0
         for lo in range(0, n, params.batch_size):
             idx = order[lo:lo + params.batch_size]
-            xb, yb = images[idx], labels[idx]
+            xb, yb = data.rows(idx), data.labels[idx]
             logits, trace = forward_const(xb, task_id, net, lif_cfg)
             loss, grads = backward(trace, yb, net, task_id)
             del trace  # free its potentials before the next forward pass

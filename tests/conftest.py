@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spikecl import kernels
-from spikecl.data import MNIST_FILES, load_idx_dir
+from spikecl.data import MNIST_FILES, Dataset, load_idx_dir
 from spikecl.importance import SpikeRecord
 from spikecl.network import LIFConfig, NetworkState, Head
 
@@ -47,6 +47,14 @@ def record_from_raster(raster):
     """The SpikeRecord of an (N, T, H) 0/1 raster, counted in one block."""
     raster = np.asarray(raster, dtype=bool)
     return SpikeRecord(len(raster), *kernels.isi_raster_stats(raster))
+
+
+def random_dataset(rng, n, dim, labels=None):
+    """``n`` random uint8 samples of ``dim`` pixels at max_value 255;
+    labels default to all zeros."""
+    pixels = rng.integers(0, 256, size=(n, dim), dtype=np.uint8)
+    labels = np.zeros(n, dtype=np.int64) if labels is None else labels
+    return Dataset(pixels, labels, 255)
 
 
 def random_tiny_net(rng, hidden=None, dim=None, classes=None, timesteps=None):

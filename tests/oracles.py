@@ -6,8 +6,9 @@ plain-python interval statistics, a per-neuron, per-sample loop for the
 interval counters, and a hand-written linear-interpolation percentile.
 The former training step (float64 spikes, the surrogate recomputed
 inside the reverse loop, Adam as one pass per parameter) is kept here as
-the bit-for-bit reference for the engine's.  Shared by the
-unit tests and the acceptance suite.
+the bit-for-bit reference for the engine's, and so is the former float64
+data path (images scaled once at load, stored as float64) for the uint8
+Datasets.  Shared by the unit tests and the acceptance suite.
 """
 
 import math
@@ -323,3 +324,32 @@ def oracle_adam_step(net, grads, opt):
     head.w2 += opt.update(f"head{grads.task_id}.w2", grads.w2)
     head.b2 += opt.update(f"head{grads.task_id}.b2", grads.b2)
     return {"w1": dw1, "b1": db1}
+
+
+def oracle_load_idx(pixels):
+    """Float images as ``load_idx`` once stored them: pixel / 255."""
+    return pixels.astype(np.float64) / 255.0
+
+
+def oracle_build_synthetic(num_tasks=2, classes=2, train_per_class=200,
+                           test_per_class=50, dim=64, noise=0.05, seed=0):
+    """``build_synthetic`` with float64 images, as it once was; returns
+    one ((train images, labels), (test images, labels)) pair per task."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
+    tasks = []
+    for k in range(num_tasks):
+        protos = rng.integers(0, 2, size=(classes, dim)).astype(np.float64)
+        splits = []
+        for per_class in (train_per_class, test_per_class):
+            images = np.empty((classes * per_class, dim))
+            labels = np.empty(classes * per_class, dtype=np.int64)
+            for c in range(classes):
+                flips = rng.random((per_class, dim)) < noise
+                images[c * per_class:(c + 1) * per_class] = np.abs(
+                    protos[c] - flips
+                )
+                labels[c * per_class:(c + 1) * per_class] = c
+            order = rng.permutation(len(images))
+            splits.append((images[order], labels[order]))
+        tasks.append(tuple(splits))
+    return tasks

@@ -16,7 +16,7 @@ from test_training import gradient_oracle_discrepancy
 from conftest import random_tiny_net, record_from_raster, requires_mnist
 from oracles import oracle_isi_importance, replay_membrane
 from spikecl.continual import ResultMatrix, compute_metrics, run_sequence
-from spikecl.data import build_split, build_synthetic, build_permuted
+from spikecl.data import Dataset, build_split, build_synthetic, build_permuted
 from spikecl.importance import (
     SIAccumulator,
     ewc_importance,
@@ -240,14 +240,15 @@ def test_c8_baseline_plumbing():
     cfg = LIFConfig(timesteps=6)
     tasks = build_synthetic(num_tasks=1, train_per_class=20, test_per_class=5,
                             dim=12, seed=5)
-    images = tasks[0].train.images
-    labels = tasks[0].train.labels
+    train = tasks[0].train
+    doubled = Dataset(np.concatenate([train.pixels, train.pixels]),
+                      np.concatenate([train.labels, train.labels]),
+                      train.max_value)
     enet = new_network(12, 8, 2, np.random.default_rng(6))
     register_head(enet, np.random.default_rng(7))
-    once = ewc_importance(enet, images, labels, 0, cfg)
-    twice = ewc_importance(enet, np.concatenate([images, images]),
-                           np.concatenate([labels, labels]), 0, cfg,
-                           max_samples=2 * len(images))
+    once = ewc_importance(enet, train, 0, cfg)
+    twice = ewc_importance(enet, doubled, 0, cfg,
+                           max_samples=len(doubled))
     ewc_ok = np.allclose(once.omega, twice.omega, rtol=1e-12)
 
     seq = build_synthetic(num_tasks=2, train_per_class=40, test_per_class=20,

@@ -13,6 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import random_dataset
 from spikecl import cli, continual, importance, kernels, training
 from spikecl.importance import collect_spike_record, isi_cv_importance
 from spikecl.network import (
@@ -71,8 +72,8 @@ def test_training_step_calls_what_the_tracer_patches(monkeypatch):
     _counting(monkeypatch, kernels, "lif_forward_const", calls)
     net = new_network(3, 4, 2, np.random.default_rng(0))
     register_head(net, np.random.default_rng(1))
-    images = np.random.default_rng(2).random((6, 3))
-    train_task(net, images, np.arange(6) % 2, 0, LIFConfig(timesteps=3),
+    data = random_dataset(np.random.default_rng(2), 6, 3, np.arange(6) % 2)
+    train_task(net, data, 0, LIFConfig(timesteps=3),
                TrainParams(epochs=1, batch_size=4), np.random.default_rng(3))
     # two steps, each one forward pass and one optimizer update
     assert calls == ["lif_forward_const", "adam_step"] * 2
@@ -96,8 +97,8 @@ def test_isi_importance_calls_the_kernel_through_its_module(monkeypatch):
         return kernel(spikes)
 
     monkeypatch.setattr(kernels, "isi_raster_stats", counting)
-    images = np.random.default_rng(2).random((20, 3))
-    record = collect_spike_record(_tiny_net(), images, LIFConfig(timesteps=5),
+    data = random_dataset(np.random.default_rng(2), 20, 3)
+    record = collect_spike_record(_tiny_net(), data, LIFConfig(timesteps=5),
                                   batch_size=8)
     isi_cv_importance(record)
     bool_ = np.dtype(bool)
@@ -107,14 +108,14 @@ def test_isi_importance_calls_the_kernel_through_its_module(monkeypatch):
 
 @pytest.mark.parametrize("module, run", [
     (continual, lambda net, x, cfg: continual.evaluate(
-        net, x, np.zeros(len(x), dtype=int), 0, cfg, batch_size=4)),
+        net, x, 0, cfg, batch_size=4)),
     (importance, lambda net, x, cfg: importance.collect_spike_record(
         net, x, cfg, batch_size=4)),
     (training, lambda net, x, cfg: training.train_task(
-        net, x, np.arange(len(x)) % 2, 0, cfg,
-        TrainParams(epochs=1, batch_size=4), np.random.default_rng(0))),
+        net, x, 0, cfg, TrainParams(epochs=1, batch_size=4),
+        np.random.default_rng(0))),
     (importance, lambda net, x, cfg: importance.ewc_importance(
-        net, x, np.arange(len(x)) % 2, 0, cfg, batch_size=4)),
+        net, x, 0, cfg, batch_size=4)),
 ], ids=["evaluate", "collect_spike_record", "train_task", "ewc_importance"])
 def test_no_batch_trace_outlives_its_batch(module, run, monkeypatch):
     # peak_rss_mb: a name still bound to the previous batch's trace keeps
@@ -130,7 +131,8 @@ def test_no_batch_trace_outlives_its_batch(module, run, monkeypatch):
         return result
 
     monkeypatch.setattr(module, "forward_const", watching)
-    run(_tiny_net(), np.random.default_rng(2).random((10, 3)),
+    run(_tiny_net(),
+        random_dataset(np.random.default_rng(2), 10, 3, np.arange(10) % 2),
         LIFConfig(timesteps=3))
     assert len(traces) == 3
 

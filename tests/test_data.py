@@ -1,10 +1,14 @@
 """IDX parsing and task-sequence construction."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import random_dataset
+from oracles import oracle_build_synthetic, oracle_load_idx
+from spikecl.continual import evaluate, run_sequence
 from spikecl.data import (
     DataError,
     Dataset,
@@ -21,7 +25,11 @@ from spikecl.data import (
     write_idx_images,
     write_idx_labels,
     MNIST_FILES,
+    SPLIT_PAIRS,
 )
+from spikecl.importance import collect_spike_record, ewc_importance
+from spikecl.network import LIFConfig, new_network, register_head
+from spikecl.training import TrainParams, train_task
 
 
 def _write_pair(tmp_path, images, labels, stem="t"):
@@ -37,6 +45,8 @@ def test_idx_round_trip_is_exact(tmp_path):
     images = rng.integers(0, 256, size=(5, 4, 3)).astype(np.uint8)
     labels = rng.integers(0, 10, size=5).astype(np.uint8)
     ds = load_idx(*_write_pair(tmp_path, images, labels))
+    assert ds.pixels.dtype == np.uint8 and ds.max_value == 255
+    np.testing.assert_array_equal(ds.pixels, images.reshape(5, 12))
     np.testing.assert_array_equal(ds.images * 255.0,
                                   images.reshape(5, 12).astype(np.float64))
     np.testing.assert_array_equal(ds.labels, labels.astype(np.int64))
@@ -131,15 +141,25 @@ def test_load_idx_dir_rejects_train_test_pixel_mismatch(tmp_path):
 
 
 def test_dataset_validation_and_take():
-    with pytest.raises(ValueError):
-        Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64))
-    ds = Dataset(np.arange(8, dtype=np.float64).reshape(4, 2),
-                 np.arange(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="3 images but 2 labels"):
+        Dataset(np.zeros((3, 2), dtype=np.uint8), np.zeros(2), 255)
+    with pytest.raises(ValueError, match="uint8"):
+        Dataset(np.zeros((3, 2)), np.zeros(3), 255)
+    with pytest.raises(ValueError, match="above max_value"):
+        Dataset(np.full((3, 2), 2, dtype=np.uint8), np.zeros(3), 1)
+    for bad in (0, 256):
+        with pytest.raises(ValueError, match="max_value"):
+            Dataset(np.zeros((3, 2), dtype=np.uint8), np.zeros(3), bad)
+    ds = Dataset(np.arange(8, dtype=np.uint8).reshape(4, 2),
+                 np.arange(4, dtype=np.int64), 255)
     assert len(ds.take(None)) == 4
     assert len(ds.take(10)) == 4
+    assert len(ds.take(0)) == 0
     short = ds.take(2)
     np.testing.assert_array_equal(short.images, ds.images[:2])
     np.testing.assert_array_equal(short.labels, [0, 1])
+    with pytest.raises(ValueError, match="-1"):
+        ds.take(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +167,9 @@ def test_dataset_validation_and_take():
 # ---------------------------------------------------------------------------
 
 def _fake_digits(per_class=4, dim=6, seed=53):
-    rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(10), per_class).astype(np.int64)
-    images = rng.random((10 * per_class, dim))
-    return Dataset(images, labels)
+    return random_dataset(np.random.default_rng(seed), 10 * per_class, dim,
+                          labels)
 
 
 def test_build_split_partitions_and_remaps():
@@ -218,9 +237,150 @@ def test_build_synthetic_prototypes_and_noise():
 
 
 def test_task_sequence_rejects_out_of_range_labels():
-    ds = Dataset(np.zeros((2, 3)), np.array([0, 2], dtype=np.int64))
+    ds = Dataset(np.zeros((2, 3), dtype=np.uint8),
+                 np.array([0, 2], dtype=np.int64), 1)
     task_list = build_synthetic(num_tasks=1, train_per_class=2,
                                 test_per_class=1, dim=3).tasks
     task_list[0].train = ds
     with pytest.raises(ValueError, match="outside"):
         TaskSequence(tasks=task_list, classes_per_task=2)
+
+
+# ---------------------------------------------------------------------------
+# uint8 storage against the former float64 data path
+# ---------------------------------------------------------------------------
+
+def _same_bytes(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def _assert_rows_match(split, floats, rng):
+    """``images`` and ``rows`` of a uint8 split equal the oracle floats."""
+    assert split.pixels.dtype == np.uint8
+    assert _same_bytes(split.images, floats)
+    idx = rng.permutation(len(split))[:17]
+    assert _same_bytes(split.rows(idx), floats[idx])
+    assert _same_bytes(split.rows(slice(3, 11)), floats[3:11])
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05, 0.3])
+def test_synthetic_rows_match_the_float_oracle(noise):
+    rng = np.random.default_rng(61)
+    for seed in range(4):
+        kwargs = dict(num_tasks=2, train_per_class=30, test_per_class=10,
+                      dim=20, noise=noise, seed=seed)
+        seq = build_synthetic(**kwargs)
+        for task, pair in zip(seq, oracle_build_synthetic(**kwargs)):
+            for split, (floats, labels) in zip((task.train, task.test), pair):
+                assert split.max_value == 1
+                _assert_rows_match(split, floats, rng)
+                assert np.array_equal(split.labels, labels)
+
+
+def test_idx_split_and_permuted_rows_match_the_float_oracle(tmp_path):
+    rng = np.random.default_rng(62)
+    raw = {}
+    for split, (iname, lname) in MNIST_FILES.items():
+        n = 60 if split == "train" else 30
+        pixels = rng.integers(0, 256, size=(n, 4, 5), dtype=np.uint8)
+        labels = np.arange(n) % 10
+        write_idx_images(tmp_path / iname, pixels)
+        write_idx_labels(tmp_path / lname, labels)
+        raw[split] = (oracle_load_idx(pixels.reshape(n, 20)), labels)
+    train, test = load_idx_dir(tmp_path)
+    for ds, split in ((train, "train"), (test, "test")):
+        _assert_rows_match(ds, raw[split][0], rng)
+
+    for task, pair in zip(build_split(train, test, train_cap=5), SPLIT_PAIRS):
+        for ds, split, cap in ((task.train, "train", 5),
+                               (task.test, "test", None)):
+            floats, labels = raw[split]
+            _assert_rows_match(ds, floats[np.isin(labels, pair)][:cap], rng)
+
+    seq = build_permuted(train, test, num_tasks=3, seed=4, train_cap=40)
+    perms = np.random.default_rng(np.random.SeedSequence([4, 3]))
+    for task in seq:
+        perm = perms.permutation(20)
+        _assert_rows_match(task.train, raw["train"][0][:40, perm], rng)
+        _assert_rows_match(task.test, raw["test"][0][:, perm], rng)
+
+
+def test_every_pixel_value_scales_like_the_float_oracle():
+    pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    ds = Dataset(pixels, np.zeros(16), 255)
+    _assert_rows_match(ds, oracle_load_idx(pixels), np.random.default_rng(63))
+    ds.images[:] = 0.0   # a fresh copy: the pixels stay
+    assert np.array_equal(ds.pixels, pixels)
+
+
+def _permuted_pixel_tasks():
+    rng = np.random.default_rng(64)
+    labels = np.arange(120) % 3
+    protos = rng.integers(0, 256, size=(3, 16), dtype=np.uint8)
+    noise = rng.integers(0, 40, size=(120, 16), dtype=np.uint8)
+    train = Dataset(protos[labels] // 2 + noise, labels, 255)
+    return build_permuted(train, train.take(60), num_tasks=2, seed=1)
+
+
+@pytest.mark.parametrize("source", ["synthetic", "idx"])
+@pytest.mark.parametrize("method", ["isi-cv", "ewc", "si"])
+def test_run_sequence_matches_the_float_oracle_rows(method, source,
+                                                    monkeypatch):
+    # every batch any consumer reads goes through Dataset.rows; serving
+    # the former float64 arrays from it must not move a single byte
+    if source == "synthetic":
+        kwargs = dict(num_tasks=2, train_per_class=40, test_per_class=20,
+                      dim=24, noise=0.1, seed=8)
+        tasks = build_synthetic(**kwargs)
+        floats = {
+            id(split): x
+            for task, pair in zip(tasks, oracle_build_synthetic(**kwargs))
+            for split, (x, _) in zip((task.train, task.test), pair)
+        }
+    else:
+        tasks = _permuted_pixel_tasks()
+        floats = {id(split): oracle_load_idx(split.pixels)
+                  for task in tasks for split in (task.train, task.test)}
+
+    def run():
+        result = run_sequence(
+            tasks, method, seed=0, hidden_size=12,
+            lif_cfg=LIFConfig(timesteps=6), importance_samples=50,
+            train_params=TrainParams(epochs=2, batch_size=16),
+        )
+        return (result.matrix.to_csv(),
+                [vec.omega.tobytes() for vec in result.importances],
+                [log.epochs for log in result.logs])
+
+    expected = run()
+    monkeypatch.setattr(Dataset, "rows",
+                        lambda self, index: floats[id(self)][index])
+    assert run() == expected
+
+
+@pytest.mark.parametrize("consumer", [
+    lambda net, data, cfg: train_task(
+        net, data, 0, cfg, TrainParams(epochs=1), np.random.default_rng(2)),
+    lambda net, data, cfg: evaluate(net, data, 0, cfg),
+    lambda net, data, cfg: collect_spike_record(net, data, cfg),
+    lambda net, data, cfg: ewc_importance(net, data, 0, cfg),
+], ids=["train_task", "evaluate", "collect_spike_record", "ewc_importance"])
+def test_consumers_never_hold_the_float_form(consumer):
+    # peak_rss_mb: each consumer reads float rows one batch at a time, so
+    # its peak stays far below the 8 MiB float64 form of the whole set
+    rng = np.random.default_rng(65)
+    data = random_dataset(rng, 4096, 256, np.arange(4096) % 2)
+    float_bytes = data.pixels.nbytes * 8
+    assert float_bytes >= 8 * 2 ** 20
+    net = new_network(256, 8, 2, np.random.default_rng(1))
+    register_head(net, np.random.default_rng(2))
+    cfg = LIFConfig(timesteps=3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        consumer(net, data, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < float_bytes / 4

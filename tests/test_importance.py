@@ -1,5 +1,6 @@
 """Interval statistics, the three importance estimators, serialization."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -7,13 +8,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import random_tiny_net, record_from_raster
+from conftest import random_dataset, random_tiny_net, record_from_raster
 from oracles import (
     oracle_isi_importance,
     oracle_isi_raster_stats,
     oracle_loss_and_grads,
 )
 from spikecl import kernels
+from spikecl.data import Dataset
 from spikecl.importance import (
     ImportanceVector,
     SIAccumulator,
@@ -301,7 +303,7 @@ def test_collect_all_zero_weights_is_silent():
     net.b1[:] = 0.0
     register_head(net, np.random.default_rng(1))
     record = collect_spike_record(
-        net, np.random.default_rng(2).random((10, 4)), LIFConfig()
+        net, random_dataset(np.random.default_rng(2), 10, 4), LIFConfig()
     )
     assert record.sample_count == 10
     assert np.array_equal(_counters(record), np.zeros((4, 6)))
@@ -312,9 +314,8 @@ def test_collect_strong_neuron_spikes_every_step():
     net.w1[:] = 2.0
     net.b1[:] = 0.0
     register_head(net, np.random.default_rng(1))
-    record = collect_spike_record(
-        net, np.ones((3, 1)), LIFConfig(timesteps=4)
-    )
+    ones = Dataset(np.ones((3, 1), dtype=np.uint8), np.zeros(3), 1)
+    record = collect_spike_record(net, ones, LIFConfig(timesteps=4))
     # 3 samples, each spiking at t = 0..3: three intervals of 1 apiece
     assert record.spike_counts.tolist() == [12]
     assert record.isi_counts.tolist() == [9]
@@ -325,8 +326,9 @@ def test_collect_strong_neuron_spikes_every_step():
 def test_collect_identical_samples_identical_rows():
     rng = np.random.default_rng(35)
     net, cfg = random_tiny_net(rng, hidden=4, dim=5)
-    x = np.repeat(rng.random((1, 5)), 6, axis=0)
-    one = _counters(collect_spike_record(net, x[:1], cfg))
+    pixels = rng.integers(0, 256, size=(1, 5), dtype=np.uint8)
+    x = Dataset(np.repeat(pixels, 6, axis=0), np.zeros(6), 255)
+    one = _counters(collect_spike_record(net, x.take(1), cfg))
     six = _counters(collect_spike_record(net, x, cfg))
     assert np.array_equal(six, 6 * one)
 
@@ -334,19 +336,23 @@ def test_collect_identical_samples_identical_rows():
 def test_collect_caps_at_max_samples_and_rejects_empty():
     rng = np.random.default_rng(36)
     net, cfg = random_tiny_net(rng, hidden=3, dim=4)
-    x = rng.random((50, 4))
+    x = random_dataset(rng, 50, 4)
     record = collect_spike_record(net, x, cfg, max_samples=8)
     assert record.sample_count == 8
     assert np.array_equal(_counters(record),
-                          _counters(collect_spike_record(net, x[:8], cfg)))
+                          _counters(collect_spike_record(net, x.take(8), cfg)))
     with pytest.raises(ValueError):
-        collect_spike_record(net, np.zeros((0, 4)), cfg)
+        collect_spike_record(net, x.take(0), cfg)
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="max_samples"):
+            collect_spike_record(net, x, cfg, max_samples=bad)
 
 
 def test_collect_counters_do_not_depend_on_the_batch_size():
     rng = np.random.default_rng(47)
     net, cfg = random_tiny_net(rng, hidden=6, dim=5, timesteps=9)
-    x = rng.random((300, 5)) * 2.0
+    cfg = dataclasses.replace(cfg, gain=2.0)
+    x = random_dataset(rng, 300, 5)
     records = [collect_spike_record(net, x, cfg, max_samples=300,
                                     batch_size=b) for b in (1, 7, 128)]
     assert records[0].isi_counts.sum() > 0
@@ -364,9 +370,10 @@ def test_ewc_matches_scalar_oracle_fisher():
     for _ in range(10):
         net, cfg = random_tiny_net(rng)
         n = int(rng.integers(2, 5))
-        x = rng.random((n, net.input_size))
-        y = rng.integers(0, net.classes_per_task, size=n)
-        vec = ewc_importance(net, x, y, 0, cfg)
+        data = random_dataset(rng, n, net.input_size,
+                              rng.integers(0, net.classes_per_task, size=n))
+        vec = ewc_importance(net, data, 0, cfg)
+        x, y = data.images, data.labels
 
         fisher_w1 = np.zeros_like(net.w1)
         fisher_b1 = np.zeros_like(net.b1)
@@ -389,23 +396,21 @@ def test_ewc_matches_scalar_oracle_fisher():
 def test_ewc_invariant_under_sample_duplication():
     rng = np.random.default_rng(38)
     net, cfg = random_tiny_net(rng, hidden=3, dim=4, classes=2)
-    x = rng.random((6, 4))
-    y = rng.integers(0, 2, size=6)
-    once = ewc_importance(net, x, y, 0, cfg)
-    twice = ewc_importance(net, np.concatenate([x, x]),
-                           np.concatenate([y, y]), 0, cfg)
+    x = random_dataset(rng, 6, 4, rng.integers(0, 2, size=6))
+    doubled = Dataset(np.concatenate([x.pixels, x.pixels]),
+                      np.concatenate([x.labels, x.labels]), 255)
+    once = ewc_importance(net, x, 0, cfg)
+    twice = ewc_importance(net, doubled, 0, cfg)
     np.testing.assert_allclose(once.omega, twice.omega, rtol=1e-12, atol=1e-14)
 
 
 def test_ewc_max_samples_uses_only_the_first_samples():
     rng = np.random.default_rng(40)
     net, cfg = random_tiny_net(rng, hidden=4, dim=5, classes=3, timesteps=5)
-    x = rng.random((20, 5)) * 3.0
-    y = rng.integers(0, 3, size=20)
-    capped = ewc_importance(net, x, y, 0, cfg,
-                            max_samples=10, batch_size=8)
-    sliced = ewc_importance(net, x[:10], y[:10], 0, cfg,
-                            batch_size=8)
+    cfg = dataclasses.replace(cfg, gain=3.0)
+    x = random_dataset(rng, 20, 5, rng.integers(0, 3, size=20))
+    capped = ewc_importance(net, x, 0, cfg, max_samples=10, batch_size=8)
+    sliced = ewc_importance(net, x.take(10), 0, cfg, batch_size=8)
     assert np.array_equal(capped.omega, sliced.omega)
 
 
@@ -415,17 +420,20 @@ def test_ewc_silent_trunk_gives_zero_importance():
     net.b1[:] = -5.0   # far below threshold, surrogate ~ 0 but not exactly;
     register_head(net, np.random.default_rng(1))
     net.heads[0].w2[:] = 0.0   # cut the loss path entirely instead
-    x = np.random.default_rng(2).random((8, 4))
-    y = np.zeros(8, dtype=int)
-    vec = ewc_importance(net, x, y, 0, LIFConfig())
+    x = random_dataset(np.random.default_rng(2), 8, 4)
+    vec = ewc_importance(net, x, 0, LIFConfig())
     assert np.array_equal(vec.omega, np.zeros(5))
 
 
 def test_ewc_rejects_empty_subset():
-    net, cfg = random_tiny_net(np.random.default_rng(39))
+    rng = np.random.default_rng(39)
+    net, cfg = random_tiny_net(rng)
+    x = random_dataset(rng, 4, net.input_size)
     with pytest.raises(ValueError):
-        ewc_importance(net, np.zeros((0, net.input_size)),
-                       np.zeros(0, dtype=int), 0, cfg)
+        ewc_importance(net, x.take(0), 0, cfg)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_samples"):
+            ewc_importance(net, x, 0, cfg, max_samples=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_tiny_net
 from oracles import _softmax, _surrogate, oracle_loss_and_grads
+from spikecl.data import Dataset
 from spikecl.network import (
     DivergenceError,
     LIFConfig,
@@ -196,18 +197,19 @@ def test_adam_rejects_non_finite_gradients():
 
 
 def _toy_task(rng, n=20, dim=6):
-    protos = np.array([np.zeros(dim), np.ones(dim)])
+    """Two classes of uint8 pixels: near 0 and near 229 (0.9) of 255."""
+    protos = np.array([np.zeros(dim), np.ones(dim)], dtype=np.uint8)
     labels = rng.integers(0, 2, size=n)
-    images = protos[labels] * 0.9 + rng.uniform(0, 0.1, size=(n, dim))
-    return images, labels
+    noise = rng.integers(0, 26, size=(n, dim), dtype=np.uint8)
+    return Dataset(protos[labels] * np.uint8(229) + noise, labels, 255)
 
 
 def test_train_task_epochs_zero_is_a_noop():
     rng = np.random.default_rng(17)
     net, cfg = random_tiny_net(rng, hidden=4, dim=6, classes=2)
-    images, labels = _toy_task(rng)
+    data = _toy_task(rng)
     w1 = net.w1.copy()
-    logs = train_task(net, images, labels, 0, cfg,
+    logs = train_task(net, data, 0, cfg,
                       TrainParams(epochs=0), np.random.default_rng(0))
     assert logs == []
     assert np.array_equal(net.w1, w1)
@@ -216,12 +218,12 @@ def test_train_task_epochs_zero_is_a_noop():
 def test_train_task_validates_inputs():
     rng = np.random.default_rng(18)
     net, cfg = random_tiny_net(rng, hidden=4, dim=6, classes=2)
+    data = _toy_task(rng)
     with pytest.raises(ValueError):
-        train_task(net, np.zeros((0, 6)), np.zeros(0, dtype=int), 0, cfg,
-                   TrainParams(), np.random.default_rng(0))
-    images, labels = _toy_task(rng)
+        train_task(net, data.take(0), 0, cfg, TrainParams(),
+                   np.random.default_rng(0))
     with pytest.raises(UnknownTaskError):
-        train_task(net, images, labels, 3, cfg, TrainParams(),
+        train_task(net, data, 3, cfg, TrainParams(),
                    np.random.default_rng(0))
 
 
@@ -230,23 +232,23 @@ def test_train_task_learns_separable_toy_data():
     net = new_network(6, 8, 2, np.random.default_rng(1))
     register_head(net, np.random.default_rng(2))
     cfg = LIFConfig(timesteps=6)
-    images, labels = _toy_task(rng)
-    logs = train_task(net, images, labels, 0, cfg,
+    data = _toy_task(rng)
+    logs = train_task(net, data, 0, cfg,
                       TrainParams(epochs=10, batch_size=8, lr=5e-3),
                       np.random.default_rng(3))
     assert len(logs) == 10
-    _, trace = forward_const(images, 0, net, cfg)
-    accuracy = (trace.logits.argmax(axis=1) == labels).mean()
+    _, trace = forward_const(data.images, 0, net, cfg)
+    accuracy = (trace.logits.argmax(axis=1) == data.labels).mean()
     assert accuracy == 1.0
 
 
 def test_train_task_same_seed_same_weights():
-    images, labels = _toy_task(np.random.default_rng(20))
+    data = _toy_task(np.random.default_rng(20))
     results = []
     for _ in range(2):
         net = new_network(6, 5, 2, np.random.default_rng(7))
         register_head(net, np.random.default_rng(8))
-        train_task(net, images, labels, 0, LIFConfig(timesteps=4),
+        train_task(net, data, 0, LIFConfig(timesteps=4),
                    TrainParams(epochs=3, batch_size=8),
                    np.random.default_rng(9))
         results.append((net.w1.copy(), net.heads[0].w2.copy()))
@@ -255,13 +257,13 @@ def test_train_task_same_seed_same_weights():
 
 
 def test_training_one_task_freezes_other_heads():
-    images, labels = _toy_task(np.random.default_rng(21))
+    data = _toy_task(np.random.default_rng(21))
     net = new_network(6, 5, 2, np.random.default_rng(4))
     register_head(net, np.random.default_rng(5))
     register_head(net, np.random.default_rng(6))
     other_w2 = net.heads[0].w2.copy()
     other_b2 = net.heads[0].b2.copy()
-    train_task(net, images, labels, 1, LIFConfig(timesteps=4),
+    train_task(net, data, 1, LIFConfig(timesteps=4),
                TrainParams(epochs=2, batch_size=8), np.random.default_rng(0))
     assert np.array_equal(net.heads[0].w2, other_w2)
     assert np.array_equal(net.heads[0].b2, other_b2)
@@ -287,9 +289,9 @@ def test_small_full_batch_step_rarely_increases_loss():
 def test_step_hook_sees_every_update():
     rng = np.random.default_rng(22)
     net, cfg = random_tiny_net(rng, hidden=4, dim=6, classes=2)
-    images, labels = _toy_task(rng, n=20)
+    data = _toy_task(rng, n=20)
     calls = []
-    train_task(net, images, labels, 0, cfg,
+    train_task(net, data, 0, cfg,
                TrainParams(epochs=2, batch_size=8),
                np.random.default_rng(0),
                step_hook=lambda g, d: calls.append(d["w1"].shape))
