@@ -9,7 +9,6 @@ how long and how strongly an image drives the network is set by its
 ``LIFConfig``.
 """
 
-import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -26,6 +25,8 @@ MNIST_FILES = {
 }
 
 SPLIT_PAIRS = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))
+
+PIXEL_MAX = 255  # the uint8 pixel value that reads as 1.0
 
 
 class DataError(Exception):
@@ -56,19 +57,16 @@ class ClassesAbsentError(DataError, ValueError):
 class Dataset:
     """Flat uint8 pixels with integer class labels.
 
-    ``max_value`` is the pixel value that means 1.0: 255 for IDX files,
-    1 for binary images.  Samples are stored at one byte per pixel and
-    scaled only when read, by ``rows``.
+    Samples are stored at one byte per pixel and scaled to [0, 1] only
+    when read, by ``rows``.
     """
 
     pixels: np.ndarray  # (N, D) uint8
     labels: np.ndarray  # (N,) int64
-    max_value: int
 
     def __post_init__(self):
         self.pixels = np.asarray(self.pixels)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.max_value = operator.index(self.max_value)
         if self.pixels.dtype != np.uint8:
             raise ValueError(f"pixels must be uint8, got {self.pixels.dtype}")
         if self.pixels.ndim != 2:
@@ -76,15 +74,6 @@ class Dataset:
         if len(self.pixels) != len(self.labels):
             raise ValueError(
                 f"{len(self.pixels)} images but {len(self.labels)} labels"
-            )
-        if not 1 <= self.max_value <= 255:
-            raise ValueError(
-                f"max_value must be in 1..255, got {self.max_value}")
-        if (self.max_value < 255 and self.pixels.size
-                and self.pixels.max() > self.max_value):
-            raise ValueError(
-                f"pixel value {self.pixels.max()} above max_value "
-                f"{self.max_value}"
             )
 
     def __len__(self):
@@ -96,10 +85,9 @@ class Dataset:
 
     def rows(self, index):
         """The samples at ``index`` (a slice or index array) as float64 in
-        [0, 1]: pixel / max_value, the divide skipped when it is 1."""
+        [0, 1]: pixel / PIXEL_MAX."""
         x = self.pixels[index].astype(np.float64)
-        if self.max_value != 1:
-            x /= self.max_value
+        x /= PIXEL_MAX
         return x
 
     @property
@@ -114,8 +102,7 @@ class Dataset:
             raise ValueError(f"cannot take {count} samples")
         if count is None or count >= len(self):
             return self
-        return Dataset(self.pixels[:count], self.labels[:count],
-                       self.max_value)
+        return Dataset(self.pixels[:count], self.labels[:count])
 
 
 def _read_exact(f, nbytes, path, what):
@@ -155,7 +142,7 @@ def _read_idx_labels(path):
 def load_idx(images_path, labels_path):
     """Read one IDX image/label file pair into a Dataset.
 
-    Pixels stay uint8, row-major, with max_value 255.  Raises
+    Pixels stay uint8, row-major.  Raises
     IdxMagicError, IdxTruncatedError or IdxCountMismatchError as
     appropriate; missing files raise MissingDataError.
     """
@@ -169,7 +156,7 @@ def load_idx(images_path, labels_path):
             f"{images_path} holds {len(images)} images but "
             f"{labels_path} holds {len(labels)} labels"
         )
-    return Dataset(images, labels, 255)
+    return Dataset(images, labels)
 
 
 def write_idx_images(path, images):
@@ -257,6 +244,9 @@ def build_split(train, test, pairs=SPLIT_PAIRS, train_cap=None,
     flat = [c for pair in pairs for c in pair]
     if len(set(flat)) != len(flat):
         raise ValueError(f"class pairs overlap: {pairs}")
+    for cap in (train_cap, test_cap):
+        if cap is not None and cap < 0:
+            raise ValueError(f"cannot take {cap} samples")
     for split, source in (("train", train), ("test", test)):
         present = set(np.unique(source.labels))
         unknown = [c for c in flat if c not in present]
@@ -269,12 +259,12 @@ def build_split(train, test, pairs=SPLIT_PAIRS, train_cap=None,
         class_map = {orig: new for new, orig in enumerate(pair)}
         splits = []
         for source, cap in ((train, train_cap), (test, test_cap)):
-            mask = np.isin(source.labels, pair)
-            labels = source.labels[mask]
-            remapped = np.array([class_map[c] for c in labels.tolist()],
-                                dtype=np.int64)
-            splits.append(Dataset(source.pixels[mask], remapped,
-                                  source.max_value).take(cap))
+            # gather only the kept rows, so no split holds a larger base
+            keep = np.flatnonzero(np.isin(source.labels, pair))[:cap]
+            remapped = np.array(
+                [class_map[c] for c in source.labels[keep].tolist()],
+                dtype=np.int64)
+            splits.append(Dataset(source.pixels[keep], remapped))
         tasks.append(Task(
             task_id=k, name=f"{name}-{pair[0]}v{pair[1]}",
             train=splits[0], test=splits[1], class_map=class_map,
@@ -303,10 +293,8 @@ def build_permuted(train, test, num_tasks=5, seed=0, train_cap=None,
     for k, perm in enumerate(perms):
         tasks.append(Task(
             task_id=k, name=f"{name}-{k}",
-            train=Dataset(base_train.pixels[:, perm], base_train.labels,
-                          base_train.max_value),
-            test=Dataset(base_test.pixels[:, perm], base_test.labels,
-                         base_test.max_value),
+            train=Dataset(base_train.pixels[:, perm], base_train.labels),
+            test=Dataset(base_test.pixels[:, perm], base_test.labels),
             class_map={c: c for c in range(classes)},
         ))
     return TaskSequence(tasks=tasks, classes_per_task=classes, name=name)
@@ -318,7 +306,7 @@ def build_synthetic(num_tasks=2, classes=2, train_per_class=200,
     """Noisy-prototype tasks: per task and class, one fixed random binary
     prototype; samples flip each pixel independently with probability
     ``noise``.  Linearly separable at low noise, fully seeded.  Pixels
-    are 0/1 with max_value 1.
+    are 0 or PIXEL_MAX.
     """
     if num_tasks < 1 or classes < 2:
         raise ValueError("need >= 1 task and >= 2 classes")
@@ -334,10 +322,11 @@ def build_synthetic(num_tasks=2, classes=2, train_per_class=200,
             labels = np.empty(classes * per_class, dtype=np.int64)
             for c in range(classes):
                 flips = rng.random((per_class, dim)) < noise
-                pixels[c * per_class:(c + 1) * per_class] = protos[c] ^ flips
+                pixels[c * per_class:(c + 1) * per_class] = (
+                    (protos[c] ^ flips) * PIXEL_MAX)
                 labels[c * per_class:(c + 1) * per_class] = c
             order = rng.permutation(len(pixels))
-            splits.append(Dataset(pixels[order], labels[order], 1))
+            splits.append(Dataset(pixels[order], labels[order]))
         tasks.append(Task(
             task_id=k, name=f"{name}-{k}", train=splits[0], test=splits[1],
             class_map={c: c for c in range(classes)},

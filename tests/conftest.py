@@ -50,11 +50,11 @@ def record_from_raster(raster):
 
 
 def random_dataset(rng, n, dim, labels=None):
-    """``n`` random uint8 samples of ``dim`` pixels at max_value 255;
-    labels default to all zeros."""
+    """``n`` random uint8 samples of ``dim`` pixels; labels default to all
+    zeros."""
     pixels = rng.integers(0, 256, size=(n, dim), dtype=np.uint8)
     labels = np.zeros(n, dtype=np.int64) if labels is None else labels
-    return Dataset(pixels, labels, 255)
+    return Dataset(pixels, labels)
 
 
 def random_tiny_net(rng, hidden=None, dim=None, classes=None, timesteps=None):

@@ -242,8 +242,7 @@ def test_c8_baseline_plumbing():
                             dim=12, seed=5)
     train = tasks[0].train
     doubled = Dataset(np.concatenate([train.pixels, train.pixels]),
-                      np.concatenate([train.labels, train.labels]),
-                      train.max_value)
+                      np.concatenate([train.labels, train.labels]))
     enet = new_network(12, 8, 2, np.random.default_rng(6))
     register_head(enet, np.random.default_rng(7))
     once = ewc_importance(enet, train, 0, cfg)

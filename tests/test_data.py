@@ -25,6 +25,7 @@ from spikecl.data import (
     write_idx_images,
     write_idx_labels,
     MNIST_FILES,
+    PIXEL_MAX,
     SPLIT_PAIRS,
 )
 from spikecl.importance import collect_spike_record, ewc_importance
@@ -45,7 +46,7 @@ def test_idx_round_trip_is_exact(tmp_path):
     images = rng.integers(0, 256, size=(5, 4, 3)).astype(np.uint8)
     labels = rng.integers(0, 10, size=5).astype(np.uint8)
     ds = load_idx(*_write_pair(tmp_path, images, labels))
-    assert ds.pixels.dtype == np.uint8 and ds.max_value == 255
+    assert ds.pixels.dtype == np.uint8
     np.testing.assert_array_equal(ds.pixels, images.reshape(5, 12))
     np.testing.assert_array_equal(ds.images * 255.0,
                                   images.reshape(5, 12).astype(np.float64))
@@ -142,16 +143,11 @@ def test_load_idx_dir_rejects_train_test_pixel_mismatch(tmp_path):
 
 def test_dataset_validation_and_take():
     with pytest.raises(ValueError, match="3 images but 2 labels"):
-        Dataset(np.zeros((3, 2), dtype=np.uint8), np.zeros(2), 255)
+        Dataset(np.zeros((3, 2), dtype=np.uint8), np.zeros(2))
     with pytest.raises(ValueError, match="uint8"):
-        Dataset(np.zeros((3, 2)), np.zeros(3), 255)
-    with pytest.raises(ValueError, match="above max_value"):
-        Dataset(np.full((3, 2), 2, dtype=np.uint8), np.zeros(3), 1)
-    for bad in (0, 256):
-        with pytest.raises(ValueError, match="max_value"):
-            Dataset(np.zeros((3, 2), dtype=np.uint8), np.zeros(3), bad)
+        Dataset(np.zeros((3, 2)), np.zeros(3))
     ds = Dataset(np.arange(8, dtype=np.uint8).reshape(4, 2),
-                 np.arange(4, dtype=np.int64), 255)
+                 np.arange(4, dtype=np.int64))
     assert len(ds.take(None)) == 4
     assert len(ds.take(10)) == 4
     assert len(ds.take(0)) == 0
@@ -191,6 +187,12 @@ def test_build_split_caps_and_bad_pairs():
     test = _fake_digits(seed=55)
     capped = build_split(train, test, train_cap=3, test_cap=2)
     assert all(len(t.train) == 3 and len(t.test) == 2 for t in capped)
+    for task in capped:   # a capped split keeps no larger array alive
+        for split in (task.train, task.test):
+            base = split.pixels.base
+            assert base is None or base.nbytes <= split.pixels.nbytes
+    with pytest.raises(ValueError, match="cannot take -1"):
+        build_split(train, test, train_cap=-1)
     with pytest.raises(ValueError, match="overlap"):
         build_split(train, test, pairs=((0, 1), (1, 2)))
     with pytest.raises(ValueError, match="absent"):
@@ -238,7 +240,7 @@ def test_build_synthetic_prototypes_and_noise():
 
 def test_task_sequence_rejects_out_of_range_labels():
     ds = Dataset(np.zeros((2, 3), dtype=np.uint8),
-                 np.array([0, 2], dtype=np.int64), 1)
+                 np.array([0, 2], dtype=np.int64))
     task_list = build_synthetic(num_tasks=1, train_per_class=2,
                                 test_per_class=1, dim=3).tasks
     task_list[0].train = ds
@@ -273,7 +275,7 @@ def test_synthetic_rows_match_the_float_oracle(noise):
         seq = build_synthetic(**kwargs)
         for task, pair in zip(seq, oracle_build_synthetic(**kwargs)):
             for split, (floats, labels) in zip((task.train, task.test), pair):
-                assert split.max_value == 1
+                assert set(np.unique(split.pixels)) <= {0, PIXEL_MAX}
                 _assert_rows_match(split, floats, rng)
                 assert np.array_equal(split.labels, labels)
 
@@ -308,7 +310,7 @@ def test_idx_split_and_permuted_rows_match_the_float_oracle(tmp_path):
 
 def test_every_pixel_value_scales_like_the_float_oracle():
     pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)
-    ds = Dataset(pixels, np.zeros(16), 255)
+    ds = Dataset(pixels, np.zeros(16))
     _assert_rows_match(ds, oracle_load_idx(pixels), np.random.default_rng(63))
     ds.images[:] = 0.0   # a fresh copy: the pixels stay
     assert np.array_equal(ds.pixels, pixels)
@@ -319,7 +321,7 @@ def _permuted_pixel_tasks():
     labels = np.arange(120) % 3
     protos = rng.integers(0, 256, size=(3, 16), dtype=np.uint8)
     noise = rng.integers(0, 40, size=(120, 16), dtype=np.uint8)
-    train = Dataset(protos[labels] // 2 + noise, labels, 255)
+    train = Dataset(protos[labels] // 2 + noise, labels)
     return build_permuted(train, train.take(60), num_tasks=2, seed=1)
 
 

@@ -314,7 +314,7 @@ def test_collect_strong_neuron_spikes_every_step():
     net.w1[:] = 2.0
     net.b1[:] = 0.0
     register_head(net, np.random.default_rng(1))
-    ones = Dataset(np.ones((3, 1), dtype=np.uint8), np.zeros(3), 1)
+    ones = Dataset(np.full((3, 1), 255, dtype=np.uint8), np.zeros(3))
     record = collect_spike_record(net, ones, LIFConfig(timesteps=4))
     # 3 samples, each spiking at t = 0..3: three intervals of 1 apiece
     assert record.spike_counts.tolist() == [12]
@@ -327,7 +327,7 @@ def test_collect_identical_samples_identical_rows():
     rng = np.random.default_rng(35)
     net, cfg = random_tiny_net(rng, hidden=4, dim=5)
     pixels = rng.integers(0, 256, size=(1, 5), dtype=np.uint8)
-    x = Dataset(np.repeat(pixels, 6, axis=0), np.zeros(6), 255)
+    x = Dataset(np.repeat(pixels, 6, axis=0), np.zeros(6))
     one = _counters(collect_spike_record(net, x.take(1), cfg))
     six = _counters(collect_spike_record(net, x, cfg))
     assert np.array_equal(six, 6 * one)
@@ -398,7 +398,7 @@ def test_ewc_invariant_under_sample_duplication():
     net, cfg = random_tiny_net(rng, hidden=3, dim=4, classes=2)
     x = random_dataset(rng, 6, 4, rng.integers(0, 2, size=6))
     doubled = Dataset(np.concatenate([x.pixels, x.pixels]),
-                      np.concatenate([x.labels, x.labels]), 255)
+                      np.concatenate([x.labels, x.labels]))
     once = ewc_importance(net, x, 0, cfg)
     twice = ewc_importance(net, doubled, 0, cfg)
     np.testing.assert_allclose(once.omega, twice.omega, rtol=1e-12, atol=1e-14)

@@ -201,7 +201,7 @@ def _toy_task(rng, n=20, dim=6):
     protos = np.array([np.zeros(dim), np.ones(dim)], dtype=np.uint8)
     labels = rng.integers(0, 2, size=n)
     noise = rng.integers(0, 26, size=(n, dim), dtype=np.uint8)
-    return Dataset(protos[labels] * np.uint8(229) + noise, labels, 255)
+    return Dataset(protos[labels] * np.uint8(229) + noise, labels)
 
 
 def test_train_task_epochs_zero_is_a_noop():
