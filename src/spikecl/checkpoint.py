@@ -19,6 +19,7 @@ Arrays appear in a fixed order: "w1", "b1", then "head<k>.w2",
 for other languages to parse without this module.
 """
 
+import math
 import os
 import struct
 
@@ -64,7 +65,7 @@ class _Reader:
         self.path = path
 
     def take(self, n):
-        if self.pos + n > len(self.buf):
+        if n < 0 or self.pos + n > len(self.buf):
             raise CheckpointError(f"{self.path}: truncated checkpoint")
         out = self.buf[self.pos:self.pos + n]
         self.pos += n
@@ -95,7 +96,7 @@ def load_checkpoint(path):
                 f"{path}: array name {raw_name!r} is not ASCII") from None
         (ndim,) = reader.unpack("<B")
         dims = reader.unpack("<" + "I" * ndim)
-        size = int(np.prod(dims, dtype=np.int64)) if ndim else 1
+        size = math.prod(dims)
         data = np.frombuffer(reader.take(size * 8), dtype="<f8")
         arrays[name] = data.reshape(dims).astype(np.float64)
         order.append(name)

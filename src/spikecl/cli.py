@@ -258,13 +258,13 @@ def _result_json(result, seconds):
             {
                 "task_id": log.task_id,
                 "trunk_drift": log.trunk_drift,
-                "accuracies": [float(a) for a in log.accuracies],
+                "accuracies": row[:log.task_id + 1].tolist(),
                 "epochs": [
                     {"loss": e.loss, "accuracy": e.accuracy}
                     for e in log.epochs
                 ],
             }
-            for log in result.logs
+            for log, row in zip(result.logs, result.matrix.values)
         ],
     }
 

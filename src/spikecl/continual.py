@@ -1,8 +1,8 @@
 """Sequential-task orchestration and the anchored trunk penalty.
 
-One anchor is kept: the trunk snapshot after the most recently finished
-task, with per-neuron protection strengths Ω maintained as the
-elementwise max over every past task's importance vector.  Heads are
+One anchor is kept: the trunk snapshot taken as the current task starts,
+with per-neuron protection strengths Ω maintained as the elementwise
+max over every past task's importance vector.  Heads are
 never penalized.  The result matrix R[l][k] (accuracy on task k after
 finishing task l) feeds the summary metrics.
 """
@@ -53,32 +53,34 @@ class Anchor:
     lam: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         hidden = self.w1.shape[0]
         if self.b1.shape != (hidden,) or self.omega.shape != (hidden,):
             raise ValueError("anchor shapes disagree on hidden size")
+        if not np.all((0 <= self.omega) & (self.omega < math.inf)):
+            raise ValueError("omega must be finite and >= 0")
 
-    def penalty(self, net):
-        """Quadratic pull toward the anchor, weighted per neuron.
+    def pull(self, net):
+        """(penalty, dW1, db1): the anchored penalty on ``net``'s trunk and
+        its gradient, from one displacement w - w*.  Heads are exempt.  The
+        two halves stay methods so perfbench times each as a layer."""
+        dw1 = net.w1 - self.w1
+        db1 = net.b1 - self.b1
+        return (self.penalty(dw1, db1), *self.gradient(dw1, db1))
 
-        (lambda/2) * sum_i omega_i * (|W1[i] - W1*[i]|^2 + (b1[i] - b1*[i])^2);
-        heads are exempt by construction.
-        """
-        sq = net.w1 - self.w1
-        sq *= sq
-        db = net.b1 - self.b1
-        per_neuron = sq.sum(axis=1) + db * db
+    def penalty(self, dw1, db1):
+        """(lambda/2) * sum_i omega_i * (|dw1[i]|^2 + db1[i]^2) at the trunk
+        displacement (dw1, db1) = (W1 - W1*, b1 - b1*)."""
+        per_neuron = (dw1 * dw1).sum(axis=1) + db1 * db1
         return 0.5 * self.lam * float(self.omega @ per_neuron)
 
-    def gradient(self, net):
-        """d(penalty)/d(trunk): lambda * omega_i * (w - w*) per row. Heads
-        get nothing, so only (dW1, db1) is returned."""
+    def gradient(self, dw1, db1):
+        """d(penalty)/d(trunk) = lambda * omega_i * (w - w*) per row, as
+        (dW1, db1); scales ``dw1`` in place."""
         scale = self.lam * self.omega
-        dw1 = net.w1 - self.w1
         dw1 *= scale[:, np.newaxis]
-        db1 = scale * (net.b1 - self.b1)
-        return dw1, db1
+        return dw1, scale * db1
 
 
 class ResultMatrix:
@@ -198,7 +200,6 @@ def evaluate(net, data, task_id, lif_cfg, batch_size=512):
 class TaskLog:
     task_id: int
     epochs: list
-    accuracies: list            # on tasks 0..task_id, in order
     trunk_drift: float = None   # |W1 - W1*|_F vs the pre-task snapshot
 
 
@@ -251,11 +252,14 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
                  importance_samples=1024, on_task_complete=None):
     """Train the task sequence under one method; returns a SequenceResult.
 
-    Per task: register a fresh head, train on CE plus the anchored
-    penalty (no penalty on the first task, or ever for method "none"),
-    evaluate every task seen so far, estimate importance on this task's
-    train data, then move the anchor to the current trunk with Ω the
-    elementwise max over all tasks so far.
+    Per task: register a fresh head and snapshot the trunk once, train
+    on CE plus the anchored penalty, evaluate every task seen so far,
+    then estimate importance on this task's train data and fold it into
+    Ω, the elementwise max over all tasks so far.  The anchor is the
+    trunk as the task starts, i.e. as the previous task left it, with
+    that Ω; there is none on the first task, or ever for method "none".
+    The same snapshot is SI's displacement base and the reference of
+    ``TaskLog.trunk_drift``.
 
     Seeding is positional so every method sees identical initial weights
     and batch order: trunk init uses (seed, 0), head k (seed, 1, k),
@@ -281,36 +285,30 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
     matrix = ResultMatrix(k_total)
     logs = []
     importances = []
-    anchor = None
     omega_max = None
-    prev_trunk = None
 
     for k, task in enumerate(tasks):
         register_head(net, np.random.default_rng(np.random.SeedSequence([seed, 1, k])))
-        si_acc = SIAccumulator.start(net) if method == "si" else None
+        start = net.copy_trunk()
+        anchor = (None if omega_max is None
+                  else Anchor(*start, omega=omega_max, lam=lam))
+        si_acc = SIAccumulator.start(start) if method == "si" else None
         hook = None
         if si_acc is not None:
             hook = lambda grads, deltas: si_accumulate(si_acc, grads, deltas)
-        reg = anchor if method != "none" else None
         try:
             epochs = train_task(
                 net, task.train, k, lif_cfg, train_params,
                 rng=np.random.default_rng(np.random.SeedSequence([seed, 2, k])),
-                reg=reg, step_hook=hook,
+                reg=anchor, step_hook=hook,
             )
         except Exception as exc:
             raise RunAbortedError(k, logs, matrix) from exc
 
-        drift = None
-        if prev_trunk is not None:
-            drift = float(np.linalg.norm(net.w1 - prev_trunk[0]))
-        accuracies = []
+        drift = None if k == 0 else float(np.linalg.norm(net.w1 - start[0]))
         for j in range(k + 1):
-            acc = evaluate(net, tasks[j].test, j, lif_cfg)
-            matrix.set(k, j, acc)
-            accuracies.append(acc)
-        logs.append(TaskLog(task_id=k, epochs=epochs, accuracies=accuracies,
-                            trunk_drift=drift))
+            matrix.set(k, j, evaluate(net, tasks[j].test, j, lif_cfg))
+        logs.append(TaskLog(task_id=k, epochs=epochs, trunk_drift=drift))
 
         if method != "none":
             vec = _task_importance(
@@ -318,14 +316,9 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
             )
             importances.append(vec)
             omega_max = (
-                vec.omega.copy() if omega_max is None
+                vec.omega if omega_max is None
                 else np.maximum(omega_max, vec.omega)
             )
-            anchor = Anchor(
-                w1=net.w1.copy(), b1=net.b1.copy(),
-                omega=omega_max.copy(), lam=lam,
-            )
-        prev_trunk = net.copy_trunk()
         if on_task_complete is not None:
             on_task_complete(k, net)
 

@@ -43,8 +43,8 @@ class ImportanceVector:
         self.omega = np.asarray(self.omega, dtype=np.float64)
         if self.omega.ndim != 1:
             raise ValueError("omega must be one value per neuron")
-        if not np.all(np.isfinite(self.omega)):
-            raise ValueError("omega contains non-finite values")
+        if not np.all((0.0 <= self.omega) & (self.omega <= 1.0)):
+            raise ValueError("omega entries must lie in [0, 1]")
 
     def to_json_dict(self):
         return {
@@ -247,8 +247,8 @@ class SIAccumulator:
 
     omega_* accumulate -grad * applied-delta per optimizer step; the
     start snapshot anchors the squared-displacement denominator, which
-    ``si_importance`` damps by the module constant XI.  ``start(net)``
-    snapshots the trunk and zeroes the credit.
+    ``si_importance`` damps by the module constant XI.  ``start((w1,
+    b1))`` zeroes the credit and holds the trunk snapshot it is given.
     """
 
     w1_start: np.ndarray
@@ -257,10 +257,10 @@ class SIAccumulator:
     omega_b1: np.ndarray
 
     @classmethod
-    def start(cls, net):
-        return cls(w1_start=net.w1.copy(), b1_start=net.b1.copy(),
-                   omega_w1=np.zeros_like(net.w1),
-                   omega_b1=np.zeros_like(net.b1))
+    def start(cls, trunk):
+        w1, b1 = trunk
+        return cls(w1_start=w1, b1_start=b1, omega_w1=np.zeros_like(w1),
+                   omega_b1=np.zeros_like(b1))
 
 
 def si_accumulate(acc, grads, deltas):

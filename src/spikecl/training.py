@@ -190,8 +190,8 @@ def train_task(net, data, task_id, lif_cfg, params, rng, reg=None,
 
     Each shuffled batch is read as floats with ``data.rows`` and drives
     the trunk as a constant current, scaled as ``forward_const`` does.
-    ``reg``, when given, must expose ``penalty(net)`` and ``gradient(net)``
-    and is added to the trunk loss and gradients.  ``step_hook(grads,
+    ``reg``, when given, must expose ``pull(net) -> (penalty, dW1, db1)``,
+    which is added to the loss and the trunk gradients.  ``step_hook(grads,
     deltas)`` fires after every optimizer step with the total-loss
     gradients and the applied trunk deltas.  Returns one EpochLog per
     epoch (loss includes the penalty; accuracy is measured on the
@@ -215,8 +215,8 @@ def train_task(net, data, task_id, lif_cfg, params, rng, reg=None,
             loss, grads = backward(trace, yb, net, task_id)
             del trace  # free its potentials before the next forward pass
             if reg is not None:
-                loss += reg.penalty(net)
-                pw1, pb1 = reg.gradient(net)
+                penalty, pw1, pb1 = reg.pull(net)
+                loss += penalty
                 grads.w1 += pw1
                 grads.b1 += pb1
             deltas = adam_step(net, grads, opt)

@@ -1,11 +1,13 @@
 """Shared test fixtures and helpers."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from spikecl import kernels
+from spikecl.checkpoint import MAGIC
 from spikecl.data import MNIST_FILES, Dataset, load_idx_dir
 from spikecl.importance import SpikeRecord
 from spikecl.network import LIFConfig, NetworkState, Head
@@ -74,3 +76,10 @@ def random_tiny_net(rng, hidden=None, dim=None, classes=None, timesteps=None):
     )
     cfg = LIFConfig(tau=2.0, theta=1.0, timesteps=timesteps)
     return net, cfg
+
+
+def oversized_checkpoint_header():
+    """A checkpoint header whose one array, "w1", claims four dims of
+    2^32 - 1: a size that wraps negative in int64."""
+    return (MAGIC + struct.pack("<II", 3, 1) + struct.pack("<H", 2) + b"w1"
+            + struct.pack("<B", 4) + struct.pack("<4I", *[2 ** 32 - 1] * 4))

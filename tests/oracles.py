@@ -8,7 +8,8 @@ The former training step (float64 spikes, the surrogate recomputed
 inside the reverse loop, Adam as one pass per parameter) is kept here as
 the bit-for-bit reference for the engine's, and so is the former float64
 data path (images scaled once at load, stored as float64) for the uint8
-Datasets.  Shared by the unit tests and the acceptance suite.
+Datasets, and the former anchored penalty and gradient (each forming
+w - w* itself) for ``Anchor.pull``.  Shared by the unit tests and the acceptance suite.
 """
 
 import math
@@ -324,6 +325,30 @@ def oracle_adam_step(net, grads, opt):
     head.w2 += opt.update(f"head{grads.task_id}.w2", grads.w2)
     head.b2 += opt.update(f"head{grads.task_id}.b2", grads.b2)
     return {"w1": dw1, "b1": db1}
+
+
+def oracle_anchor_penalty(anchor, net):
+    """Former ``Anchor.penalty``: quadratic pull toward the anchor, weighted
+    per neuron.
+
+    (lambda/2) * sum_i omega_i * (|W1[i] - W1*[i]|^2 + (b1[i] - b1*[i])^2);
+    heads are exempt by construction.
+    """
+    sq = net.w1 - anchor.w1
+    sq *= sq
+    db = net.b1 - anchor.b1
+    per_neuron = sq.sum(axis=1) + db * db
+    return 0.5 * anchor.lam * float(anchor.omega @ per_neuron)
+
+
+def oracle_anchor_gradient(anchor, net):
+    """Former ``Anchor.gradient``: d(penalty)/d(trunk), lambda * omega_i *
+    (w - w*) per row.  Heads get nothing, so only (dW1, db1) is returned."""
+    scale = anchor.lam * anchor.omega
+    dw1 = net.w1 - anchor.w1
+    dw1 *= scale[:, np.newaxis]
+    db1 = scale * (net.b1 - anchor.b1)
+    return dw1, db1
 
 
 def oracle_load_idx(pixels):

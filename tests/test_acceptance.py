@@ -222,7 +222,7 @@ def test_c8_baseline_plumbing():
     rng = np.random.default_rng(1004)
     net = new_network(2, 1, 2, rng)
     register_head(net, rng)
-    acc = SIAccumulator.start(net)
+    acc = SIAccumulator.start(net.copy_trunk())
 
     def step(g, d):
         grads = GradientSet(

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import oversized_checkpoint_header
 from spikecl.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from spikecl.network import Head, NetworkState, new_network, register_head
 
@@ -87,6 +88,13 @@ def test_missing_and_corrupt_files(tmp_path):
 
     path.write_bytes(blob + b"\x00")
     with pytest.raises(CheckpointError, match="trailing"):
+        load_checkpoint(path)
+
+
+def test_oversized_dims_are_a_checkpoint_error(tmp_path):
+    path = tmp_path / "net.ckpt"
+    path.write_bytes(oversized_checkpoint_header() + b"\x00" * 64)
+    with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
 
 

@@ -10,6 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import oversized_checkpoint_header
 from spikecl.checkpoint import MAGIC as CHECKPOINT_MAGIC
 from spikecl import cli
 from spikecl.checkpoint import load_checkpoint, save_checkpoint
@@ -208,6 +209,13 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_bytes(b"garbage")
     assert main(["importance-dump", "--checkpoint", str(bad),
                  *_flags(tmp_path / "res")]) == 3
+
+    # 3: array dims whose product overflows int64
+    bad.write_bytes(oversized_checkpoint_header())
+    capsys.readouterr()
+    assert main(["importance-dump", "--checkpoint", str(bad),
+                 *_flags(tmp_path / "res")]) == 3
+    assert "truncated" in capsys.readouterr().err
 
     # 3: a head that does not fit the trunk (12 hidden neurons)
     net = new_network(24, 12, 2, np.random.default_rng(0))

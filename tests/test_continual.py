@@ -5,6 +5,8 @@ import pickle
 import numpy as np
 import pytest
 
+from conftest import random_dataset
+from oracles import oracle_anchor_gradient, oracle_anchor_penalty
 from spikecl import continual
 from spikecl.continual import (
     Anchor,
@@ -15,8 +17,8 @@ from spikecl.continual import (
     run_sequence,
 )
 from spikecl.data import Task, TaskSequence, build_synthetic
-from spikecl.network import LIFConfig, new_network, register_head
-from spikecl.training import TrainParams
+from spikecl.network import LIFConfig, NetworkState, new_network, register_head
+from spikecl.training import TrainParams, train_task
 
 
 def _net_and_anchor(rng, hidden=4, dim=3, lam=1.0, omega=None):
@@ -29,11 +31,11 @@ def _net_and_anchor(rng, hidden=4, dim=3, lam=1.0, omega=None):
 def test_penalty_zero_at_anchor_and_for_zero_lambda():
     rng = np.random.default_rng(40)
     net, anchor = _net_and_anchor(rng)
-    assert anchor.penalty(net) == 0.0
+    assert anchor.pull(net)[0] == 0.0
     net.w1 += 1.0
-    assert anchor.penalty(net) > 0.0
+    assert anchor.pull(net)[0] > 0.0
     anchor.lam = 0.0
-    assert anchor.penalty(net) == 0.0
+    assert anchor.pull(net)[0] == 0.0
 
 
 def test_penalty_worked_example():
@@ -43,8 +45,8 @@ def test_penalty_worked_example():
                     omega=np.ones(1), lam=2.0)
     net.w1 += 0.1
     net.b1 += 0.2
-    assert anchor.penalty(net) == pytest.approx(0.05, rel=1e-12)
-    dw1, db1 = anchor.gradient(net)
+    assert anchor.pull(net)[0] == pytest.approx(0.05, rel=1e-12)
+    _, dw1, db1 = anchor.pull(net)
     assert dw1[0, 0] == pytest.approx(0.2, rel=1e-12)
     assert db1[0] == pytest.approx(0.4, rel=1e-12)
 
@@ -55,15 +57,16 @@ def test_penalty_non_negative_and_heads_ignored():
         net, anchor = _net_and_anchor(rng, omega=rng.random(4))
         net.w1 += rng.normal(scale=0.5, size=net.w1.shape)
         net.b1 += rng.normal(scale=0.5, size=net.b1.shape)
-        assert anchor.penalty(net) >= 0.0
+        assert anchor.pull(net)[0] >= 0.0
     register_head(net, rng)
-    before = anchor.penalty(net)
+    before = anchor.pull(net)[0]
     net.heads[0].w2 += 100.0   # heads must not enter the penalty
-    assert anchor.penalty(net) == before
+    assert anchor.pull(net)[0] == before
 
 
 def penalty_fd_discrepancy(n_cases, seed, step=1e-4, tol=1e-6):
-    """Max normalized gap between Anchor.gradient and central differences."""
+    """Max normalized gap between the gradient ``Anchor.pull`` returns and
+    central differences of its penalty."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_cases):
@@ -75,16 +78,16 @@ def penalty_fd_discrepancy(n_cases, seed, step=1e-4, tol=1e-6):
         )
         net.w1 += rng.normal(scale=0.3, size=net.w1.shape)
         net.b1 += rng.normal(scale=0.3, size=net.b1.shape)
-        dw1, db1 = anchor.gradient(net)
+        _, dw1, db1 = anchor.pull(net)
         for arr, grad in ((net.w1, dw1), (net.b1, db1)):
             it = np.nditer(arr, flags=["multi_index"])
             for _value in it:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + step
-                hi = anchor.penalty(net)
+                hi = anchor.pull(net)[0]
                 arr[idx] = orig - step
-                lo = anchor.penalty(net)
+                lo = anchor.pull(net)[0]
                 arr[idx] = orig
                 fd = (hi - lo) / (2 * step)
                 gap = abs(grad[idx] - fd) / (tol + tol * abs(fd))
@@ -102,6 +105,85 @@ def test_anchor_validates_shapes_and_lambda():
         Anchor(w1=net.w1, b1=net.b1, omega=np.ones(3), lam=1.0)
     with pytest.raises(ValueError):
         Anchor(w1=net.w1, b1=net.b1, omega=np.ones(4), lam=-1.0)
+    for lam, omega in ((np.nan, [1.0] * 4), (np.inf, [1.0] * 4),
+                       (1.0, [np.nan, 1, 1, 1]), (1.0, [np.inf, 1, 1, 1]),
+                       (1.0, [0.5, 1, 1, -1e-3])):
+        with pytest.raises(ValueError):
+            Anchor(w1=net.w1, b1=net.b1, omega=np.array(omega), lam=lam)
+
+
+def _displaced(rng, hidden, dim, lam, omega):
+    """A net and an anchor one random displacement apart."""
+    net, anchor = _net_and_anchor(rng, hidden=hidden, dim=dim, lam=lam,
+                                  omega=omega)
+    net.w1 += rng.normal(scale=0.3, size=net.w1.shape)
+    net.b1 += rng.normal(scale=0.3, size=net.b1.shape)
+    return net, anchor
+
+
+def test_pull_matches_the_former_penalty_and_gradient():
+    rng = np.random.default_rng(44)
+    for case in range(20):
+        hidden = int(rng.integers(1, 40))
+        dim = int(rng.integers(1, 60))
+        lam = 0.0 if case % 5 == 0 else float(rng.uniform(0.01, 1e3))
+        omega = rng.random(hidden)
+        omega[rng.random(hidden) < 0.3] = 0.0
+        net, anchor = _displaced(rng, hidden, dim, lam, omega)
+        w1, b1 = net.copy_trunk()
+        penalty, dw1, db1 = anchor.pull(net)
+        assert penalty == oracle_anchor_penalty(anchor, net)
+        want_w1, want_b1 = oracle_anchor_gradient(anchor, net)
+        assert dw1.tobytes() == want_w1.tobytes()
+        assert db1.tobytes() == want_b1.tobytes()
+        # pull reads the trunk and the anchor, it writes neither
+        assert net.w1.tobytes() == w1.tobytes()
+        assert net.b1.tobytes() == b1.tobytes()
+        assert dw1 is not anchor.w1 and dw1 is not net.w1
+
+
+class _OracleAnchor:
+    """A ``train_task`` regularizer built from the former penalty and
+    gradient."""
+
+    def __init__(self, anchor):
+        self.anchor = anchor
+
+    def pull(self, net):
+        return (oracle_anchor_penalty(self.anchor, net),
+                *oracle_anchor_gradient(self.anchor, net))
+
+
+def test_train_task_with_pull_matches_the_oracle_regularizer():
+    rng = np.random.default_rng(45)
+    dim, hidden = 6, 5
+    data = random_dataset(rng, 40, dim, np.arange(40) % 2)
+    net, anchor = _displaced(rng, hidden, dim, 50.0, rng.random(hidden))
+    register_head(net, rng)
+    nets = [NetworkState(w1=net.w1.copy(), b1=net.b1.copy(),
+                         classes_per_task=2, heads=[]) for _ in range(2)]
+    for copy in nets:
+        register_head(copy, np.random.default_rng(46))
+    logs = [
+        train_task(copy, data, 0, TOY_LIF,
+                   TrainParams(epochs=3, batch_size=16),
+                   np.random.default_rng(47), reg=reg)
+        for copy, reg in zip(nets, (anchor, _OracleAnchor(anchor)))
+    ]
+    got, want = nets
+    for a, b in ((got.w1, want.w1), (got.b1, want.b1),
+                 (got.heads[0].w2, want.heads[0].w2),
+                 (got.heads[0].b2, want.heads[0].b2)):
+        assert a.tobytes() == b.tobytes()
+    assert logs[0] == logs[1]
+    # the anchor did pull: its penalty is part of every epoch's loss
+    free = NetworkState(w1=net.w1.copy(), b1=net.b1.copy(),
+                        classes_per_task=2, heads=[])
+    register_head(free, np.random.default_rng(46))
+    plain = train_task(free, data, 0, TOY_LIF,
+                       TrainParams(epochs=3, batch_size=16),
+                       np.random.default_rng(47))
+    assert plain[0].loss < logs[0][0].loss
 
 
 def test_resolve_lambda_defaults():
@@ -331,3 +413,57 @@ def test_aborted_error_survives_pickling():
                               err.partial_matrix.values, equal_nan=True)
     assert len(back.partial_logs) == 0
     assert len(pickle.loads(pickle.dumps(info.value)).partial_logs) == 1
+
+
+@pytest.mark.parametrize("method", ["none", "isi-cv", "ewc", "si"])
+def test_each_task_is_anchored_to_the_trunk_the_last_one_left(
+        method, monkeypatch):
+    # one snapshot per task: the anchor task k trains against, SI's
+    # displacement base and the drift reference are all the trunk that
+    # on_task_complete(k - 1) saw
+    tasks = _toy_sequence(num_tasks=3, seed=13)
+    regs, si_starts, finished, copies = [], {}, [], []
+    real_train, real_si = continual.train_task, continual.si_importance
+    real_copy = NetworkState.copy_trunk
+
+    def recording_train(net, data, task_id, *args, reg=None, **kwargs):
+        regs.append(None if reg is None else
+                    (reg, reg.w1.copy(), reg.b1.copy(), reg.omega.copy(),
+                     reg.lam))
+        return real_train(net, data, task_id, *args, reg=reg, **kwargs)
+
+    def recording_si(acc, net, task_id=None):
+        si_starts[task_id] = acc.w1_start
+        return real_si(acc, net, task_id=task_id)
+
+    def counting_copy(net):
+        copies.append(1)
+        return real_copy(net)
+
+    monkeypatch.setattr(continual, "train_task", recording_train)
+    monkeypatch.setattr(continual, "si_importance", recording_si)
+    monkeypatch.setattr(NetworkState, "copy_trunk", counting_copy)
+    res = run_sequence(
+        tasks, method, lam=5.0, seed=3, hidden_size=8, lif_cfg=TOY_LIF,
+        train_params=FAST,
+        on_task_complete=lambda k, net: finished.append(
+            (net.w1.copy(), net.b1.copy())),
+    )
+    assert len(copies) == len(tasks)
+    assert regs[0] is None
+    assert res.logs[0].trunk_drift is None
+    for k in range(1, len(tasks)):
+        w1_prev, b1_prev = finished[k - 1]
+        assert res.logs[k].trunk_drift == float(
+            np.linalg.norm(finished[k][0] - w1_prev))
+        if method == "none":
+            assert regs[k] is None
+            continue
+        reg, w1, b1, omega, lam = regs[k]
+        assert w1.tobytes() == w1_prev.tobytes()
+        assert b1.tobytes() == b1_prev.tobytes()
+        want = np.max([v.omega for v in res.importances[:k]], axis=0)
+        assert omega.tobytes() == want.tobytes()
+        assert lam == 5.0
+        if method == "si":
+            assert si_starts[k] is reg.w1

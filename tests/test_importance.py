@@ -3,7 +3,6 @@
 import dataclasses
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -283,6 +282,14 @@ def test_importance_vector_validation():
         ImportanceVector(np.array([[0.1]]), method="isi-cv")
     with pytest.raises(ValueError):
         ImportanceVector(np.array([np.nan]), method="isi-cv")
+    ImportanceVector(np.array([0.0, 1.0]), method="isi-cv")   # both ends
+    for omega in ([5.0, -1.0], [0.5, 1.0000000000000002], [-0.0, -1e-300]):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ImportanceVector(np.array(omega), method="ewc")
+    # what a resumed run reads back must hold what an estimator writes
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ImportanceVector.from_json_dict(
+            {"method": "ewc", "task_id": 0, "omega": {"0": 7.5}})
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +456,16 @@ def _si_grads(w1_val):
 
 def _zero_acc(hidden, dim):
     """An accumulator started on an all-zero (hidden, dim) trunk."""
-    return SIAccumulator.start(
-        SimpleNamespace(w1=np.zeros((hidden, dim)), b1=np.zeros(hidden)))
+    return SIAccumulator.start((np.zeros((hidden, dim)), np.zeros(hidden)))
+
+
+def test_si_start_holds_the_snapshot_it_is_given():
+    # one trunk snapshot per task serves the anchor, SI and the drift
+    trunk = (np.ones((2, 3)), np.zeros(2))
+    acc = SIAccumulator.start(trunk)
+    assert acc.w1_start is trunk[0] and acc.b1_start is trunk[1]
+    assert np.array_equal(acc.omega_w1, np.zeros((2, 3)))
+    assert np.array_equal(acc.omega_b1, np.zeros(2))
 
 
 def test_si_two_step_worked_example():
@@ -507,7 +522,7 @@ def test_si_untouched_parameters_score_zero_and_negatives_clip():
     net = new_network(1, 2, 2, np.random.default_rng(0))
     net.w1 = np.array([[0.0], [0.2]])
     net.b1 = np.zeros(2)
-    acc = SIAccumulator.start(net)
+    acc = SIAccumulator.start(net.copy_trunk())
     acc.w1_start = np.array([[0.0], [0.0]])
     acc.omega_w1 = np.array([[-3.0], [0.8]])   # negative must clip to 0
     vec = si_importance(acc, net)
