@@ -181,9 +181,19 @@ def compute_metrics(matrix):
     )
 
 
-def evaluate(net, data, task_id, lif_cfg, batch_size=512):
+def evaluate(net, data, task_id, lif_cfg, batch_size=128):
     """Top-1 accuracy on the Dataset ``data`` with the task's own head,
-    reading one batch of float rows at a time."""
+    reading one batch of float rows at a time.
+
+    The default batch is the one both importance passes read, so no
+    phase holds a larger (T, N, H) membrane.  It is not smaller because
+    a row's trunk current can round differently with the number of rows
+    in its matmul: at shapes where 128- and 512-row batches give the
+    same bytes, 16-row blocks change last bits, and one bit at the
+    threshold flips a spike.
+    """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     n = len(data)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")

@@ -27,6 +27,9 @@ MNIST_FILES = {
 SPLIT_PAIRS = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))
 
 PIXEL_MAX = 255  # the uint8 pixel value that reads as 1.0
+# rows of noise ``build_synthetic`` draws at once: a (128, dim) float64
+# block, the size of one training batch, whatever the split size
+DRAW_ROWS = 128
 
 
 class DataError(Exception):
@@ -307,6 +310,12 @@ def build_synthetic(num_tasks=2, classes=2, train_per_class=200,
     prototype; samples flip each pixel independently with probability
     ``noise``.  Linearly separable at low noise, fully seeded.  Pixels
     are 0 or PIXEL_MAX.
+
+    The flips are drawn DRAW_ROWS rows at a time and written straight
+    into the uint8 pixels, so no (samples, dim) float block is held.
+    ``Generator.random`` fills its output in draw order, so the chunked
+    draws are the same doubles as one draw per class and the bytes do
+    not depend on the chunk size.
     """
     if num_tasks < 1 or classes < 2:
         raise ValueError("need >= 1 task and >= 2 classes")
@@ -321,10 +330,14 @@ def build_synthetic(num_tasks=2, classes=2, train_per_class=200,
             pixels = np.empty((classes * per_class, dim), dtype=np.uint8)
             labels = np.empty(classes * per_class, dtype=np.int64)
             for c in range(classes):
-                flips = rng.random((per_class, dim)) < noise
-                pixels[c * per_class:(c + 1) * per_class] = (
-                    (protos[c] ^ flips) * PIXEL_MAX)
-                labels[c * per_class:(c + 1) * per_class] = c
+                base = c * per_class
+                for lo in range(0, per_class, DRAW_ROWS):
+                    rows = pixels[base + lo:base + min(lo + DRAW_ROWS,
+                                                       per_class)]
+                    flips = rng.random(rows.shape) < noise
+                    np.bitwise_xor(protos[c], flips, out=rows)
+                    rows *= PIXEL_MAX
+                labels[base:base + per_class] = c
             order = rng.permutation(len(pixels))
             splits.append(Dataset(pixels[order], labels[order]))
         tasks.append(Task(

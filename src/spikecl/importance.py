@@ -179,6 +179,8 @@ def collect_spike_record(net, data, lif_cfg, max_samples=1024, task_id=None,
     """
     if max_samples < 1:
         raise ValueError(f"max_samples must be >= 1, got {max_samples}")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     n = min(max_samples, len(data))
     if n == 0:
         raise ValueError("need at least one sample to record spikes")
@@ -214,6 +216,8 @@ def ewc_importance(net, data, task_id, lif_cfg, max_samples=1024,
     """
     if max_samples < 1:
         raise ValueError(f"max_samples must be >= 1, got {max_samples}")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     n = min(max_samples, len(data))
     if n == 0:
         raise ValueError("need at least one sample to estimate Fisher")

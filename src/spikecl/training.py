@@ -210,18 +210,23 @@ def train_task(net, data, task_id, lif_cfg, params, rng, reg=None,
         correct = 0
         for lo in range(0, n, params.batch_size):
             idx = order[lo:lo + params.batch_size]
-            xb, yb = data.rows(idx), data.labels[idx]
-            logits, trace = forward_const(xb, task_id, net, lif_cfg)
+            yb = data.labels[idx]
+            # the float rows are bound only as the trace's inputs
+            logits, trace = forward_const(data.rows(idx), task_id, net,
+                                          lif_cfg)
             loss, grads = backward(trace, yb, net, task_id)
-            del trace  # free its potentials before the next forward pass
+            del trace  # free its potentials and inputs before the update
             if reg is not None:
                 penalty, pw1, pb1 = reg.pull(net)
                 loss += penalty
                 grads.w1 += pw1
                 grads.b1 += pb1
+                del pw1
             deltas = adam_step(net, grads, opt)
             if step_hook is not None:
                 step_hook(grads, deltas)
+            # no (H, D) array of this step lives into the next backward
+            del grads, deltas
             loss_sum += loss * len(idx)
             correct += int((logits.argmax(axis=1) == yb).sum())
         logs.append(EpochLog(loss=loss_sum / n, accuracy=correct / n))

@@ -137,6 +137,53 @@ def test_no_batch_trace_outlives_its_batch(module, run, monkeypatch):
     assert len(traces) == 3
 
 
+def test_no_step_array_outlives_its_step(monkeypatch):
+    # peak_rss_mb: the step's gradients, applied deltas and the anchor's
+    # (H, D) pull are dead before the next forward pass, and the batch's
+    # float rows before the optimizer step
+    step_refs, batch_refs = [], []
+
+    def assert_dead(refs, what):
+        assert all(ref() is None for ref in refs), \
+            f"an earlier step's {what} is still alive"
+
+    real_forward = training.forward_const
+
+    def forward(x, *args):
+        assert_dead(step_refs, "gradient, delta or anchor pull")
+        batch_refs.append(weakref.ref(x))
+        return real_forward(x, *args)
+
+    real_adam = training.adam_step
+
+    def adam(*args):
+        assert_dead(batch_refs, "float rows")
+        return real_adam(*args)
+
+    real_pull = continual.Anchor.pull
+
+    def pull(self, net):
+        penalty, dw1, db1 = real_pull(self, net)
+        step_refs.append(weakref.ref(dw1))
+        return penalty, dw1, db1
+
+    def hook(grads, deltas):
+        step_refs.extend(weakref.ref(a) for a in (
+            grads, grads.w1, deltas["w1"], deltas["w1"].base))
+
+    monkeypatch.setattr(training, "forward_const", forward)
+    monkeypatch.setattr(training, "adam_step", adam)
+    monkeypatch.setattr(continual.Anchor, "pull", pull)
+    net = _tiny_net()
+    anchor = continual.Anchor(*net.copy_trunk(), omega=np.full(4, 0.5),
+                              lam=1.0)
+    train_task(net, random_dataset(np.random.default_rng(2), 10, 3,
+                                   np.arange(10) % 2),
+               0, LIFConfig(timesteps=3), TrainParams(epochs=2, batch_size=4),
+               np.random.default_rng(0), reg=anchor, step_hook=hook)
+    assert len(batch_refs) == 6 and len(step_refs) == 6 * 5
+
+
 # sizes that keep each workload's real call sites and checks but run in
 # well under a second; every other attribute is the benchmark's own
 REDUCED = {

@@ -186,6 +186,22 @@ def test_train_task_with_pull_matches_the_oracle_regularizer():
     assert plain[0].loss < logs[0][0].loss
 
 
+@pytest.mark.parametrize("dim, hidden", [(784, 128), (64, 64)])
+def test_evaluate_reads_the_same_at_128_and_512_rows(dim, hidden):
+    # the default batch fell from 512 to 128 rows; 700 samples leave a
+    # ragged last batch at both (60 and 188 rows)
+    rng = np.random.default_rng(dim)
+    data = random_dataset(rng, 700, dim, rng.integers(0, 2, size=700))
+    net = new_network(dim, hidden, 2, np.random.default_rng(1))
+    register_head(net, np.random.default_rng(2))
+    cfg = LIFConfig()
+    accuracies = [continual.evaluate(net, data, 0, cfg, batch_size=b)
+                  for b in (128, 512)]
+    assert 0.0 < accuracies[0] < 1.0
+    assert accuracies[0] == accuracies[1]
+    assert continual.evaluate(net, data, 0, cfg) == accuracies[0]
+
+
 def test_resolve_lambda_defaults():
     assert resolve_lambda("none") == 0.0
     assert resolve_lambda("isi-cv") == 500.0
