@@ -1,5 +1,6 @@
 """IDX parsing and task-sequence construction."""
 
+import itertools
 import struct
 import tracemalloc
 
@@ -253,20 +254,26 @@ def test_task_sequence_rejects_out_of_range_labels():
 # uint8 storage against the former float64 data path
 # ---------------------------------------------------------------------------
 
+def _traced_peak(run):
+    """``run()``'s result and the traced bytes it allocated at its peak."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_build_synthetic_holds_one_draw_chunk_beyond_its_pixels():
     # peak_rss_mb: the flips are drawn DRAW_ROWS rows at a time, so past
     # the returned datasets the build holds only one split before its
     # shuffle and one chunk of draws, not a (per_class, dim) float block
     dim, per_class = 256, 2000
     assert per_class > 10 * DRAW_ROWS
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        seq = build_synthetic(num_tasks=1, train_per_class=per_class,
-                              test_per_class=10, dim=dim, noise=0.3, seed=5)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    seq, peak = _traced_peak(lambda: build_synthetic(
+        num_tasks=1, train_per_class=per_class, test_per_class=10, dim=dim,
+        noise=0.3, seed=5))
     kept = [split.pixels.nbytes + split.labels.nbytes
             for split in (seq[0].train, seq[0].test)]
     chunk = DRAW_ROWS * dim * (8 + 1)   # float64 draws and their bool mask
@@ -287,15 +294,14 @@ def _assert_rows_match(split, floats, rng):
     assert _same_bytes(split.rows(slice(3, 11)), floats[3:11])
 
 
-@pytest.mark.parametrize("per_class", [(30, 10), (300, 130)])
 @pytest.mark.parametrize("noise", [0.0, 0.05, 0.3])
-def test_synthetic_rows_match_the_float_oracle(noise, per_class):
-    # (300, 130): classes span several DRAW_ROWS chunks, the last ragged
+def test_synthetic_rows_match_the_float_oracle(noise):
     rng = np.random.default_rng(61)
-    for seed in range(4):
-        kwargs = dict(num_tasks=2, train_per_class=per_class[0],
-                      test_per_class=per_class[1], dim=20, noise=noise,
-                      seed=seed)
+    # (300, 130): classes span several DRAW_ROWS chunks, the last ragged
+    for seed, (train_n, test_n) in itertools.product(
+            range(4), [(30, 10), (300, 130)]):
+        kwargs = dict(num_tasks=2, train_per_class=train_n,
+                      test_per_class=test_n, dim=20, noise=noise, seed=seed)
         seq = build_synthetic(**kwargs)
         for task, pair in zip(seq, oracle_build_synthetic(**kwargs)):
             for split, (floats, labels) in zip((task.train, task.test), pair):
@@ -402,13 +408,7 @@ def test_consumers_never_hold_the_float_form(consumer):
     net = new_network(256, 8, 2, np.random.default_rng(1))
     register_head(net, np.random.default_rng(2))
     cfg = LIFConfig(timesteps=3)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        consumer(net, data, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(lambda: consumer(net, data, cfg))
     assert peak < float_bytes / 4
 
 
@@ -430,16 +430,6 @@ def test_consumers_reject_a_batch_size_below_one(consumer, batch_size):
         consumer(net, data, LIFConfig(timesteps=3), batch_size)
 
 
-def _traced_peak(run):
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        run()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_evaluate_peaks_no_higher_than_the_spike_record_pass():
     # peak_rss_mb: evaluation reads batches no larger than the importance
     # passes, so it never holds a larger (T, N, H) membrane than they do
@@ -448,6 +438,6 @@ def test_evaluate_peaks_no_higher_than_the_spike_record_pass():
     net = new_network(64, 128, 2, np.random.default_rng(1))
     register_head(net, np.random.default_rng(2))
     cfg = LIFConfig(timesteps=10)
-    evaluated = _traced_peak(lambda: evaluate(net, data, 0, cfg))
-    recorded = _traced_peak(lambda: collect_spike_record(net, data, cfg))
+    _, evaluated = _traced_peak(lambda: evaluate(net, data, 0, cfg))
+    _, recorded = _traced_peak(lambda: collect_spike_record(net, data, cfg))
     assert evaluated <= recorded + 2 ** 14
