@@ -88,7 +88,8 @@ class Dataset:
 
     def rows(self, index):
         """The samples at ``index`` (a slice or index array) as float64 in
-        [0, 1]: pixel / PIXEL_MAX."""
+        [0, 1]: pixel / PIXEL_MAX.  The array is a fresh copy the caller
+        owns; ``ewc_importance`` squares its rows in place."""
         x = self.pixels[index].astype(np.float64)
         x /= PIXEL_MAX
         return x
@@ -251,8 +252,8 @@ def build_split(train, test, pairs=SPLIT_PAIRS, train_cap=None,
         if cap is not None and cap < 0:
             raise ValueError(f"cannot take {cap} samples")
     for split, source in (("train", train), ("test", test)):
-        present = set(np.unique(source.labels))
-        unknown = [c for c in flat if c not in present]
+        # not np.unique: it imports numpy.ma on first use
+        unknown = [c for c in flat if not (source.labels == c).any()]
         if unknown:
             raise ClassesAbsentError(
                 f"classes absent from the {split} split: {unknown}")

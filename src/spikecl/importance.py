@@ -12,6 +12,7 @@ entries live in [0, 1]:
   during training, reduced the same way.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +122,24 @@ def isi_stats(record):
                     isi_counts=record.isi_counts, mean=mean, std=std, cv=cv)
 
 
+def _clip_cutoff(raw):
+    """``np.percentile(raw, CLIP_PERCENTILE)``, bit for bit.
+
+    The same linear rule: at v = (n - 1) * q / 100, interpolate between
+    the order statistics at floor(v) and the next one, from whichever of
+    the two is nearer.  np.percentile itself imports numpy.ma on first
+    use, through np.unique.
+    """
+    n = raw.size
+    v = (n - 1) * (CLIP_PERCENTILE / 100)
+    i = math.floor(v)
+    g = v - i
+    j = min(i + 1, n - 1)
+    a, b = np.partition(raw, (i, j))[[i, j]]
+    step = b - a
+    return float(b - step * (1 - g) if g >= 0.5 else a + step * g)
+
+
 def _isi_cv_scores(record):
     """Interval statistics, raw 1 / (CV + eps) scores, Ω and clip cutoff.
 
@@ -129,7 +148,7 @@ def _isi_cv_scores(record):
     """
     stats = isi_stats(record)
     raw = 1.0 / (stats.cv + EPSILON)
-    cutoff = float(np.percentile(raw, CLIP_PERCENTILE))
+    cutoff = _clip_cutoff(raw)
     omega = np.minimum(raw, cutoff) / (cutoff + EPSILON)
     return stats, raw, omega, cutoff
 
@@ -227,15 +246,16 @@ def ewc_importance(net, data, task_id, lif_cfg, max_samples=1024,
     fisher_b1 = np.zeros_like(net.b1)
     for lo in range(0, n, batch_size):
         batch = slice(lo, min(lo + batch_size, n))
-        xb, yb = data.rows(batch), data.labels[batch]
-        _, trace = forward_const(xb, task_id, net, lif_cfg)
+        _, trace = forward_const(data.rows(batch), task_id, net, lif_cfg)
         # per-sample gradients: no 1/N on delta
-        delta = _logit_delta(log_softmax(trace.logits), yb)
-        dcur = _current_grad(trace, delta, head)
+        delta = _logit_delta(log_softmax(trace.logits), data.labels[batch])
+        dcur = _current_grad(trace, delta, head)  # frees the potentials
         sq = dcur * dcur
-        fisher_w1 += sq.T @ (trace.inputs * trace.inputs)
+        x2 = trace.inputs  # this batch's own rows, squared in place
+        x2 *= x2
+        fisher_w1 += sq.T @ x2
         fisher_b1 += sq.sum(axis=0)
-        del trace  # free its potentials before the next forward pass
+        del trace, x2  # free the rows before the next forward pass
     fisher_w1 /= n
     fisher_b1 /= n
 

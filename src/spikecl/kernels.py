@@ -54,10 +54,15 @@ def lif_backward_sum(u, gsbar, beta, theta, alpha):
     feeds -theta times the next step's membrane gradient.  The threshold
     is differentiated with the ATan pseudo-derivative, evaluated for all
     timesteps in one pass before the reverse loop.
+
+    The pseudo-derivative is written over ``u`` itself, so the membrane
+    is consumed: a step holds one (N, T, H) float block, not two.  Pass
+    a copy to keep the potentials.
     """
     n_samples, timesteps, hidden = u.shape
-    # g = alpha / (2 * (1 + (c * (u - theta))^2)), in u's memory layout
-    g = u - theta
+    # g = alpha / (2 * (1 + (c * (u - theta))^2)), in u's buffer
+    g = u
+    g -= theta
     g *= 0.5 * np.pi * alpha
     np.multiply(g, g, out=g)
     g += 1.0

@@ -96,8 +96,16 @@ def _uniform_init(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _check_sizes(input_size, hidden_size):
+    for name, size in (("input_size", input_size),
+                       ("hidden_size", hidden_size)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
+
+
 def new_network(input_size, hidden_size, classes_per_task, rng):
     """Create a trunk with no heads; weights uniform in +-1/sqrt(fan_in)."""
+    _check_sizes(input_size, hidden_size)
     w1 = _uniform_init(rng, (hidden_size, input_size), input_size)
     b1 = _uniform_init(rng, (hidden_size,), input_size)
     return NetworkState(w1=w1, b1=b1, classes_per_task=classes_per_task)
@@ -105,6 +113,7 @@ def new_network(input_size, hidden_size, classes_per_task, rng):
 
 def register_head(net, rng):
     """Append a freshly initialized head; returns its task id."""
+    _check_sizes(net.input_size, net.hidden_size)
     h = net.hidden_size
     head = Head(
         w2=_uniform_init(rng, (net.classes_per_task, h), h),
@@ -123,6 +132,10 @@ class ForwardTrace:
     (N, H) hold the drive (the input times the gain) and trunk current,
     the same at every timestep.  ``u`` (float64) and ``s`` (bool) are
     the kernel's (N, T, H) views of time-major storage.
+
+    A backward pass consumes the trace: ``u`` and ``s`` are set to None
+    and the surrogate derivative is written over the membrane, which is
+    freed before the weight gradients are formed.
     """
 
     inputs: np.ndarray
@@ -136,7 +149,7 @@ class ForwardTrace:
 
     @property
     def batch_size(self):
-        return self.u.shape[0]
+        return self.logits.shape[0]
 
 
 def forward_const(x, task_id, net, cfg):

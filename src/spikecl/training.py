@@ -21,15 +21,33 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
-@dataclass
-class GradientSet:
-    """Gradients for the trunk and the single active head."""
+def _views(flat, params):
+    """Consecutive views of ``flat`` shaped like each array of ``params``."""
+    views = []
+    lo = 0
+    for p in params:
+        views.append(flat[lo:lo + p.size].reshape(p.shape))
+        lo += p.size
+    return views
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    task_id: int
+
+class GradientSet:
+    """Gradients for the trunk and the single active head, as one flat
+    vector.
+
+    ``flat`` holds dW1, db1, dW2 and db2 back to back; ``w1``, ``b1``,
+    ``w2`` and ``b2`` are views of it shaped like ``net``'s parameters
+    for head ``task_id``.  ``backward`` writes the views, the anchor's
+    pull adds into them, and ``adam_step`` steps ``flat`` itself.  The
+    vector starts uninitialized.
+    """
+
+    def __init__(self, net, task_id):
+        head = net.head(task_id)
+        params = (net.w1, net.b1, head.w2, head.b2)
+        self.flat = np.empty(sum(p.size for p in params))
+        self.w1, self.b1, self.w2, self.b2 = _views(self.flat, params)
+        self.task_id = task_id
 
 
 def log_softmax(logits):
@@ -49,11 +67,14 @@ def _current_grad(trace, delta, head):
     """dL/d(trunk current) (N, H), given dL/d(logits) ``delta``.
 
     The current is constant over time, so this is the sum over t of
-    dL/du[t].
+    dL/du[t].  Consumes the trace: the surrogate derivative overwrites
+    its membrane, and its membrane and spikes are gone on return.
     """
     gsbar = np.ascontiguousarray(delta @ head.w2)  # (N, H) = dL/d(sbar)
+    u = trace.u
+    trace.u = trace.s = None
     return kernels.lif_backward_sum(
-        trace.u, gsbar, trace.cfg.beta, trace.cfg.theta, ALPHA
+        u, gsbar, trace.cfg.beta, trace.cfg.theta, ALPHA
     )
 
 
@@ -62,13 +83,17 @@ def backward(trace, targets, net, task_id):
 
     Returns (mean cross-entropy loss, GradientSet).  The trace must come
     from a forward pass on the same weights; shapes are checked, values
-    cannot be.
+    cannot be.  The trace is consumed: its membrane and spikes are freed
+    before the one flat gradient vector is allocated, so no (N, T, H)
+    block is alive while the trunk gradient is formed.
     """
     if trace.task_id != task_id:
         raise ValueError(
             f"trace was recorded for task {trace.task_id}, not {task_id}"
         )
     head = net.head(task_id)
+    if trace.u is None:
+        raise ValueError("trace was consumed by an earlier backward pass")
     if trace.u.shape[2] != net.hidden_size or head.w2.shape[1] != net.hidden_size:
         raise ValueError("trace does not match network shapes")
 
@@ -86,14 +111,13 @@ def backward(trace, targets, net, task_id):
     delta = _logit_delta(logp, targets)
     delta /= n
 
-    dw2 = delta.T @ trace.sbar
-    db2 = delta.sum(axis=0)
-
     dcur = _current_grad(trace, delta, head)
-    dw1 = dcur.T @ trace.inputs
-    db1 = dcur.sum(axis=0)
-
-    return loss, GradientSet(w1=dw1, b1=db1, w2=dw2, b2=db2, task_id=task_id)
+    grads = GradientSet(net, task_id)
+    np.matmul(delta.T, trace.sbar, out=grads.w2)
+    delta.sum(axis=0, out=grads.b2)
+    np.matmul(dcur.T, trace.inputs, out=grads.w1)
+    dcur.sum(axis=0, out=grads.b1)
+    return loss, grads
 
 
 @dataclass
@@ -139,26 +163,19 @@ class OptimizerState:
 def adam_step(net, grads, opt):
     """Apply one Adam update in place; returns the applied trunk deltas.
 
-    The trunk and the active head are updated as one flat vector.  The
-    returned dict maps "w1"/"b1" to the actual parameter changes (views
-    of that step's delta), which path-integral importance accumulation
-    needs verbatim.
+    The trunk and the active head are updated as one flat vector, the
+    GradientSet's own.  The returned dict maps "w1"/"b1" to the actual
+    parameter changes (views of that step's delta), which path-integral
+    importance accumulation needs verbatim.
     """
-    flat = np.concatenate(
-        [g.ravel() for g in (grads.w1, grads.b1, grads.w2, grads.b2)])
-    if not np.isfinite(flat).all():
+    if not np.isfinite(grads.flat).all():
         raise DivergenceError("non-finite gradient passed to the optimizer")
     head = net.head(grads.task_id)
     params = (net.w1, net.b1, head.w2, head.b2)
 
-    delta = opt.update(flat)
-    deltas = []
-    lo = 0
-    for p in params:
-        d = delta[lo:lo + p.size].reshape(p.shape)
+    deltas = _views(opt.update(grads.flat), params)
+    for p, d in zip(params, deltas):
         p += d
-        deltas.append(d)
-        lo += p.size
     return {"w1": deltas[0], "b1": deltas[1]}
 
 
@@ -215,7 +232,7 @@ def train_task(net, data, task_id, lif_cfg, params, rng, reg=None,
             logits, trace = forward_const(data.rows(idx), task_id, net,
                                           lif_cfg)
             loss, grads = backward(trace, yb, net, task_id)
-            del trace  # free its potentials and inputs before the update
+            del trace  # backward freed its potentials; free its inputs
             if reg is not None:
                 penalty, pw1, pb1 = reg.pull(net)
                 loss += penalty

@@ -2,6 +2,7 @@
 
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from spikecl.checkpoint import MAGIC
 from spikecl.data import MNIST_FILES, Dataset, load_idx_dir
 from spikecl.importance import SpikeRecord
 from spikecl.network import LIFConfig, NetworkState, Head
+from spikecl.training import GradientSet
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -76,6 +78,24 @@ def random_tiny_net(rng, hidden=None, dim=None, classes=None, timesteps=None):
     )
     cfg = LIFConfig(tau=2.0, theta=1.0, timesteps=timesteps)
     return net, cfg
+
+
+def filled_grads(net, fill=0.0, task_id=0):
+    """A GradientSet for ``net``'s head ``task_id``, every entry ``fill``."""
+    grads = GradientSet(net, task_id)
+    grads.flat[:] = fill
+    return grads
+
+
+def traced_peak(run):
+    """``run()``'s result and the traced bytes it allocated at its peak."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def oversized_checkpoint_header():

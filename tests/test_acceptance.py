@@ -13,7 +13,12 @@ import pytest
 from test_continual import penalty_fd_discrepancy
 from test_training import gradient_oracle_discrepancy
 
-from conftest import random_tiny_net, record_from_raster, requires_mnist
+from conftest import (
+    filled_grads,
+    random_tiny_net,
+    record_from_raster,
+    requires_mnist,
+)
 from oracles import oracle_isi_importance, replay_membrane
 from spikecl.continual import ResultMatrix, compute_metrics, run_sequence
 from spikecl.data import Dataset, build_split, build_synthetic, build_permuted
@@ -29,7 +34,7 @@ from spikecl.network import (
     new_network,
     register_head,
 )
-from spikecl.training import GradientSet, TrainParams
+from spikecl.training import TrainParams
 
 
 def _verdict(name, ok, detail=""):
@@ -225,11 +230,8 @@ def test_c8_baseline_plumbing():
     acc = SIAccumulator.start(net.copy_trunk())
 
     def step(g, d):
-        grads = GradientSet(
-            w1=np.full_like(net.w1, g), b1=np.zeros_like(net.b1),
-            w2=np.zeros_like(net.heads[0].w2),
-            b2=np.zeros_like(net.heads[0].b2), task_id=0,
-        )
+        grads = filled_grads(net)
+        grads.w1[:] = g
         si_accumulate(acc, grads, {"w1": np.full_like(net.w1, d),
                                    "b1": np.zeros_like(net.b1)})
 

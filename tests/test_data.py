@@ -2,12 +2,11 @@
 
 import itertools
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_dataset
+from conftest import random_dataset, traced_peak
 from oracles import oracle_build_synthetic, oracle_load_idx
 from spikecl.continual import evaluate, run_sequence
 from spikecl.data import (
@@ -254,24 +253,13 @@ def test_task_sequence_rejects_out_of_range_labels():
 # uint8 storage against the former float64 data path
 # ---------------------------------------------------------------------------
 
-def _traced_peak(run):
-    """``run()``'s result and the traced bytes it allocated at its peak."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        result = run()
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_build_synthetic_holds_one_draw_chunk_beyond_its_pixels():
     # peak_rss_mb: the flips are drawn DRAW_ROWS rows at a time, so past
     # the returned datasets the build holds only one split before its
     # shuffle and one chunk of draws, not a (per_class, dim) float block
     dim, per_class = 256, 2000
     assert per_class > 10 * DRAW_ROWS
-    seq, peak = _traced_peak(lambda: build_synthetic(
+    seq, peak = traced_peak(lambda: build_synthetic(
         num_tasks=1, train_per_class=per_class, test_per_class=10, dim=dim,
         noise=0.3, seed=5))
     kept = [split.pixels.nbytes + split.labels.nbytes
@@ -408,7 +396,7 @@ def test_consumers_never_hold_the_float_form(consumer):
     net = new_network(256, 8, 2, np.random.default_rng(1))
     register_head(net, np.random.default_rng(2))
     cfg = LIFConfig(timesteps=3)
-    _, peak = _traced_peak(lambda: consumer(net, data, cfg))
+    _, peak = traced_peak(lambda: consumer(net, data, cfg))
     assert peak < float_bytes / 4
 
 
@@ -438,6 +426,6 @@ def test_evaluate_peaks_no_higher_than_the_spike_record_pass():
     net = new_network(64, 128, 2, np.random.default_rng(1))
     register_head(net, np.random.default_rng(2))
     cfg = LIFConfig(timesteps=10)
-    _, evaluated = _traced_peak(lambda: evaluate(net, data, 0, cfg))
-    _, recorded = _traced_peak(lambda: collect_spike_record(net, data, cfg))
+    _, evaluated = traced_peak(lambda: evaluate(net, data, 0, cfg))
+    _, recorded = traced_peak(lambda: collect_spike_record(net, data, cfg))
     assert evaluated <= recorded + 2 ** 14

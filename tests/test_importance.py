@@ -2,25 +2,37 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import random_dataset, random_tiny_net, record_from_raster
+from conftest import (
+    filled_grads,
+    random_dataset,
+    random_tiny_net,
+    record_from_raster,
+)
 from oracles import (
     oracle_isi_importance,
     oracle_isi_raster_stats,
     oracle_loss_and_grads,
 )
+import spikecl
 from spikecl import kernels
 from spikecl.data import Dataset
 from spikecl.importance import (
+    CLIP_PERCENTILE,
     ImportanceVector,
     SIAccumulator,
     SpikeRecord,
     collect_spike_record,
     ewc_importance,
+    _clip_cutoff,
     importance_report,
     isi_cv_importance,
     isi_stats,
@@ -28,7 +40,6 @@ from spikecl.importance import (
     si_importance,
 )
 from spikecl.network import LIFConfig, new_network, register_head
-from spikecl.training import GradientSet
 
 EPS = 1e-3
 
@@ -255,6 +266,67 @@ def test_report_matches_importance_bit_exactly():
         assert report["neurons"][str(i)]["omega"] == vec.omega[i]
 
 
+def test_clip_cutoff_is_np_percentile_bit_for_bit():
+    rng = np.random.default_rng(35)
+    lo, hi = 1.0 / (2.0 + EPS), 1.0 / EPS  # the silent and the regular raw
+    for n in range(1, 301):
+        for raw in (rng.uniform(lo, hi, size=n),
+                    rng.choice([lo, 1.0, 3.5, hi], size=n),   # ties
+                    np.full(n, rng.uniform(lo, hi))):       # all equal
+            before = raw.tobytes()
+            got = _clip_cutoff(raw)
+            assert type(got) is float
+            assert got == float(np.percentile(raw, CLIP_PERCENTILE))
+            assert raw.tobytes() == before
+
+
+def test_report_clip_cutoff_is_np_percentile_of_the_raw_scores():
+    rng = np.random.default_rng(36)
+    for _ in range(30):
+        hidden = int(rng.integers(1, 40))
+        raster = rng.random((4, 12, hidden)) < rng.uniform(0.05, 0.6)
+        report = importance_report(record_from_raster(raster))
+        raw = np.array([report["neurons"][str(i)]["raw"]
+                        for i in range(hidden)])
+        assert report["clip_cutoff"] == float(
+            np.percentile(raw, CLIP_PERCENTILE))
+
+
+def test_isi_cv_path_never_imports_numpy_ma():
+    # peak_rss_mb: np.percentile and np.unique import numpy.ma on first
+    # use, 2 MB of RSS; a fresh interpreter shows whether any step does
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from spikecl.continual import run_sequence
+        from spikecl.data import Dataset, build_split
+        from spikecl.importance import collect_spike_record, importance_report
+        from spikecl.network import LIFConfig
+        from spikecl.training import TrainParams
+
+        rng = np.random.default_rng(0)
+
+        def digits(n):
+            return Dataset(rng.integers(0, 256, size=(n, 8), dtype=np.uint8),
+                           np.arange(n) % 4)
+
+        tasks = build_split(digits(40), digits(20), pairs=((0, 1), (2, 3)))
+        cfg = LIFConfig(timesteps=4)
+        nets = []
+        run_sequence(tasks, "isi-cv", hidden_size=6, lif_cfg=cfg,
+                     train_params=TrainParams(epochs=1, batch_size=8),
+                     on_task_complete=lambda k, net: nets.append(net))
+        importance_report(collect_spike_record(nets[-1], tasks[1].train, cfg))
+        print("numpy.ma" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spikecl.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.split() == ["False"]
+
+
 def test_importance_vector_json_round_trip():
     vec = ImportanceVector(np.array([0.25, 1.0, 0.0]), method="isi-cv",
                            task_id=2)
@@ -447,11 +519,14 @@ def test_ewc_rejects_empty_subset():
 # SI
 # ---------------------------------------------------------------------------
 
-def _si_grads(w1_val):
-    return GradientSet(
-        w1=np.array([[w1_val]]), b1=np.zeros(1),
-        w2=np.zeros((2, 1)), b2=np.zeros(2), task_id=0,
-    )
+def _si_grads(w1_val, hidden=1, dim=1):
+    """Gradients of a (hidden, dim) trunk with two classes: every dW1
+    entry ``w1_val``, the rest zero."""
+    net = new_network(dim, hidden, 2, np.random.default_rng(0))
+    register_head(net, np.random.default_rng(1))
+    grads = filled_grads(net)
+    grads.w1[:] = w1_val
+    return grads
 
 
 def _zero_acc(hidden, dim):
@@ -479,10 +554,8 @@ def test_si_two_step_worked_example():
 
 def test_si_zero_gradient_step_changes_nothing():
     acc = _zero_acc(2, 2)
-    si_accumulate(acc, GradientSet(
-        w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros((2, 2)),
-        b2=np.zeros(2), task_id=0,
-    ), {"w1": np.full((2, 2), -0.3), "b1": np.zeros(2)})
+    si_accumulate(acc, _si_grads(0.0, hidden=2, dim=2),
+                  {"w1": np.full((2, 2), -0.3), "b1": np.zeros(2)})
     assert np.array_equal(acc.omega_w1, np.zeros((2, 2)))
 
 

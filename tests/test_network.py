@@ -5,8 +5,11 @@ import pytest
 
 from conftest import random_tiny_net
 from oracles import replay_membrane
+from spikecl.continual import run_sequence
+from spikecl.data import build_synthetic
 from spikecl.network import (
     LIFConfig,
+    NetworkState,
     UnknownTaskError,
     forward_const,
     new_network,
@@ -177,6 +180,27 @@ def test_membrane_bounded_under_bounded_input():
     _, trace = forward_const(x, 0, net, big)
     m = np.abs(trace.currents).max()
     assert np.abs(trace.u).max() <= (m + big.theta) * big.tau + 1e-12
+
+
+@pytest.mark.parametrize("input_size, hidden_size", [(4, 0), (4, -1),
+                                                     (0, 3), (-2, 3)])
+def test_sizes_below_one_are_rejected(input_size, hidden_size):
+    # hidden 0 once failed late, in register_head, with an OverflowError
+    # after a divide-by-zero warning; -1 with numpy's "negative dimensions"
+    bad = input_size if input_size < 1 else hidden_size
+    with pytest.raises(ValueError, match=f"must be >= 1, got {bad}$"):
+        new_network(input_size, hidden_size, 2, np.random.default_rng(0))
+    net = NetworkState(w1=np.zeros((max(hidden_size, 0), max(input_size, 0))),
+                       b1=np.zeros(max(hidden_size, 0)), classes_per_task=2)
+    with pytest.raises(ValueError, match="must be >= 1, got 0$"):
+        register_head(net, np.random.default_rng(0))
+
+
+def test_run_sequence_rejects_an_empty_hidden_layer():
+    tasks = build_synthetic(num_tasks=2, train_per_class=4, test_per_class=2,
+                            dim=6, seed=0)
+    with pytest.raises(ValueError, match="hidden_size must be >= 1, got 0"):
+        run_sequence(tasks, "isi-cv", hidden_size=0)
 
 
 def test_seeded_init_is_reproducible():

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_tiny_net
+from conftest import (
+    filled_grads,
+    random_dataset,
+    random_tiny_net,
+    traced_peak,
+)
 from oracles import _softmax, _surrogate, oracle_loss_and_grads
+from spikecl.continual import Anchor
 from spikecl.data import Dataset
 from spikecl.network import (
     DivergenceError,
@@ -16,6 +22,7 @@ from spikecl.network import (
 )
 from spikecl.training import (
     ALPHA,
+    GradientSet,
     OptimizerState,
     TrainParams,
     adam_step,
@@ -127,15 +134,52 @@ def test_backward_rejects_mismatched_task_and_targets():
         backward(trace, [0, 5], net, 0)  # label out of range
 
 
-def _grad_like(net, fill):
-    from spikecl.training import GradientSet
-    return GradientSet(
-        w1=np.full_like(net.w1, fill),
-        b1=np.full_like(net.b1, fill),
-        w2=np.full_like(net.heads[0].w2, fill),
-        b2=np.full_like(net.heads[0].b2, fill),
-        task_id=0,
-    )
+def test_backward_consumes_the_trace():
+    rng = np.random.default_rng(17)
+    net, cfg = random_tiny_net(rng, classes=2)
+    _, trace = forward_const(rng.random((3, net.input_size)), 0, net, cfg)
+    backward(trace, [0, 1, 1], net, 0)
+    assert trace.u is None and trace.s is None
+    assert trace.batch_size == 3
+    with pytest.raises(ValueError, match="consumed"):
+        backward(trace, [0, 1, 1], net, 0)
+
+
+def test_backward_fills_one_flat_gradient():
+    rng = np.random.default_rng(18)
+    net, cfg = random_tiny_net(rng, hidden=3, dim=4, classes=2)
+    _, trace = forward_const(rng.random((5, 4)), 0, net, cfg)
+    _, grads = backward(trace, rng.integers(0, 2, size=5), net, 0)
+    parts = (grads.w1, grads.b1, grads.w2, grads.b2)
+    params = (net.w1, net.b1, net.heads[0].w2, net.heads[0].b2)
+    assert grads.flat.shape == (sum(p.size for p in params),)
+    for part, param in zip(parts, params):
+        assert part.shape == param.shape and part.base is grads.flat
+    assert grads.flat.tobytes() == b"".join(p.tobytes() for p in parts)
+
+
+def test_anchored_step_holds_one_membrane_block_and_one_gradient():
+    # peak_rss_mb: the surrogate is written over the membrane, which is
+    # freed before dW1 is formed, and Adam steps the gradient's own flat
+    # vector; two steps, so the second runs with Adam's moments allocated
+    n, dim, hidden, timesteps = 128, 784, 128, 10
+    data = random_dataset(np.random.default_rng(19), 2 * n, dim,
+                          np.arange(2 * n) % 2)
+    net = new_network(dim, hidden, 2, np.random.default_rng(1))
+    register_head(net, np.random.default_rng(2))
+    anchor = Anchor(*net.copy_trunk(), omega=np.full(hidden, 0.5), lam=1.0)
+    flat = GradientSet(net, 0).flat.nbytes
+    _, peak = traced_peak(lambda: train_task(
+        net, data, 0, LIFConfig(timesteps=timesteps),
+        TrainParams(epochs=1, batch_size=n), np.random.default_rng(3),
+        reg=anchor))
+    moments = 2 * flat
+    membrane = n * timesteps * hidden * 8
+    rows = n * dim * 8
+    # the spikes, plus (N, H) float64 blocks: the current, the spike
+    # means and the backward kernel's scratch
+    slack = membrane // 8 + 8 * n * hidden * 8
+    assert peak - moments <= membrane + rows + flat + slack
 
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
@@ -143,7 +187,7 @@ def test_adam_zero_gradient_leaves_parameters_unchanged():
     net, _ = random_tiny_net(rng)
     before = (net.w1.copy(), net.b1.copy())
     opt = OptimizerState()
-    adam_step(net, _grad_like(net, 0.0), opt)
+    adam_step(net, filled_grads(net, 0.0), opt)
     assert np.array_equal(net.w1, before[0])
     assert np.array_equal(net.b1, before[1])
     assert opt.t == 1  # the step count advanced
@@ -153,7 +197,7 @@ def test_adam_first_step_magnitude_is_lr_times_sign():
     rng = np.random.default_rng(13)
     net, _ = random_tiny_net(rng)
     opt = OptimizerState(lr=1e-3)
-    grads = _grad_like(net, 0.0)
+    grads = filled_grads(net, 0.0)
     grads.w1[:] = 3.7   # bias correction cancels on the first step
     grads.b1[:] = -0.2
     adam_before = net.w1.copy()
@@ -167,7 +211,7 @@ def test_adam_equal_gradients_get_equal_updates():
     rng = np.random.default_rng(14)
     net, _ = random_tiny_net(rng, hidden=3, dim=2)
     opt = OptimizerState()
-    grads = _grad_like(net, 0.42)
+    grads = filled_grads(net, 0.42)
     before = net.w1.copy()
     adam_step(net, grads, opt)
     deltas = net.w1 - before
@@ -178,7 +222,7 @@ def test_adam_returns_the_applied_trunk_deltas():
     rng = np.random.default_rng(15)
     net, _ = random_tiny_net(rng)
     opt = OptimizerState()
-    grads = _grad_like(net, 0.0)
+    grads = filled_grads(net, 0.0)
     grads.w1[:] = rng.normal(size=grads.w1.shape)
     grads.b1[:] = rng.normal(size=grads.b1.shape)
     w1_before, b1_before = net.w1.copy(), net.b1.copy()
@@ -190,7 +234,7 @@ def test_adam_returns_the_applied_trunk_deltas():
 def test_adam_rejects_non_finite_gradients():
     rng = np.random.default_rng(16)
     net, _ = random_tiny_net(rng)
-    grads = _grad_like(net, 0.0)
+    grads = filled_grads(net, 0.0)
     grads.w1[0, 0] = np.nan
     with pytest.raises(DivergenceError):
         adam_step(net, grads, OptimizerState())
