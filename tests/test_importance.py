@@ -278,6 +278,11 @@ def test_clip_cutoff_is_np_percentile_bit_for_bit():
             assert type(got) is float
             assert got == float(np.percentile(raw, CLIP_PERCENTILE))
             assert raw.tobytes() == before
+    # n = 11 puts v at 9.5: numpy interpolates from the upper neighbour
+    # there, and for these two the lower one would round differently
+    raw = np.array([lo] * 9 + [3.236881729283453, 815.9455813308667])
+    assert _clip_cutoff(raw) == float(np.percentile(raw, CLIP_PERCENTILE))
+    assert _clip_cutoff(raw) != raw[9] + (raw[10] - raw[9]) * 0.5
 
 
 def test_report_clip_cutoff_is_np_percentile_of_the_raw_scores():

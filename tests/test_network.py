@@ -190,9 +190,12 @@ def test_sizes_below_one_are_rejected(input_size, hidden_size):
     bad = input_size if input_size < 1 else hidden_size
     with pytest.raises(ValueError, match=f"must be >= 1, got {bad}$"):
         new_network(input_size, hidden_size, 2, np.random.default_rng(0))
-    net = NetworkState(w1=np.zeros((max(hidden_size, 0), max(input_size, 0))),
-                       b1=np.zeros(max(hidden_size, 0)), classes_per_task=2)
-    with pytest.raises(ValueError, match="must be >= 1, got 0$"):
+
+
+def test_register_head_rejects_an_empty_trunk():
+    net = NetworkState(w1=np.zeros((0, 4)), b1=np.zeros(0),
+                       classes_per_task=2)
+    with pytest.raises(ValueError, match="hidden_size must be >= 1, got 0"):
         register_head(net, np.random.default_rng(0))
 
 

@@ -231,6 +231,20 @@ def test_adam_returns_the_applied_trunk_deltas():
     np.testing.assert_array_equal(net.b1, b1_before + deltas["b1"])
 
 
+def test_adam_steps_the_gradient_vector_itself(monkeypatch):
+    # peak_rss_mb: no concatenated copy of the gradient per step
+    rng = np.random.default_rng(20)
+    net, _ = random_tiny_net(rng)
+    stepped = []
+    real_update = OptimizerState.update
+    monkeypatch.setattr(OptimizerState, "update",
+                        lambda self, grad: stepped.append(grad)
+                        or real_update(self, grad))
+    grads = filled_grads(net, 0.5)
+    adam_step(net, grads, OptimizerState())
+    assert len(stepped) == 1 and stepped[0] is grads.flat
+
+
 def test_adam_rejects_non_finite_gradients():
     rng = np.random.default_rng(16)
     net, _ = random_tiny_net(rng)
