@@ -97,7 +97,6 @@ def build_tasks(cfg, seed, base=None):
     # data directory decides which dataset is being split
     return build_split(
         train, test, train_cap=cfg.train_cap, test_cap=cfg.test_cap,
-        name=cfg.benchmark,
     )
 
 
@@ -387,7 +386,7 @@ def cmd_importance_dump(cfg, checkpoint_path, task_id=None, seed=None, out=None)
     record = collect_spike_record(
         net, tasks[task_id].train,
         LIFConfig(timesteps=cfg.timesteps, gain=cfg.gain),
-        max_samples=cfg.importance_samples, task_id=task_id,
+        max_samples=cfg.importance_samples,
     )
     report = importance_report(record, task_id=task_id)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -181,25 +181,14 @@ def compute_metrics(matrix):
     )
 
 
-def evaluate(net, data, task_id, lif_cfg, batch_size=128):
+def evaluate(net, data, task_id, lif_cfg):
     """Top-1 accuracy on the Dataset ``data`` with the task's own head,
-    reading one batch of float rows at a time.
-
-    The default batch is the one both importance passes read, so no
-    phase holds a larger (T, N, H) membrane.  It is not smaller because
-    a row's trunk current can round differently with the number of rows
-    in its matmul: at shapes where 128- and 512-row batches give the
-    same bytes, 16-row blocks change last bits, and one bit at the
-    threshold flips a spike.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    reading one ``Dataset.batches`` block of float rows at a time."""
     n = len(data)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     correct = 0
-    for lo in range(0, n, batch_size):
-        batch = slice(lo, lo + batch_size)
+    for batch in data.batches():
         # [0]: a name bound to the trace keeps it alive into the next batch
         logits = forward_const(data.rows(batch), task_id, net, lif_cfg)[0]
         correct += int((logits.argmax(axis=1) == data.labels[batch]).sum())
@@ -243,10 +232,7 @@ class RunAbortedError(RuntimeError):
 
 def _task_importance(method, net, task, task_id, lif_cfg, max_samples, si_acc):
     if method == "isi-cv":
-        record = collect_spike_record(
-            net, task.train, lif_cfg, max_samples=max_samples,
-            task_id=task_id,
-        )
+        record = collect_spike_record(net, task.train, lif_cfg, max_samples)
         return isi_cv_importance(record, task_id=task_id)
     if method == "ewc":
         return ewc_importance(

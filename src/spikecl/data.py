@@ -27,9 +27,14 @@ MNIST_FILES = {
 SPLIT_PAIRS = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))
 
 PIXEL_MAX = 255  # the uint8 pixel value that reads as 1.0
-# rows of noise ``build_synthetic`` draws at once: a (128, dim) float64
-# block, the size of one training batch, whatever the split size
-DRAW_ROWS = 128
+# rows every pass outside training reads at once (evaluation, both
+# importance passes) and rows of noise ``build_synthetic`` draws at once,
+# so no phase holds a larger (N, T, H) membrane or float block.  Not
+# smaller: a row's trunk current can round differently with the number
+# of rows in its matmul; at shapes where 128- and 512-row batches give
+# the same bytes, 16-row blocks change last bits, and one bit at the
+# threshold flips a spike.
+BATCH_ROWS = 128
 
 
 class DataError(Exception):
@@ -100,6 +105,16 @@ class Dataset:
         for inspection; training and evaluation read ``rows`` per batch."""
         return self.rows(slice(None))
 
+    def batches(self, count=None):
+        """Slices over the first ``count`` samples (all of them when count
+        is None), BATCH_ROWS at a time and in order."""
+        n = len(self) if count is None else min(count, len(self))
+        rows = BATCH_ROWS
+        if rows < 1:
+            raise ValueError(f"BATCH_ROWS must be >= 1, got {rows}")
+        for lo in range(0, n, rows):
+            yield slice(lo, min(lo + rows, n))
+
     def take(self, count):
         """First ``count`` samples (all of them when count is None)."""
         if count is not None and count < 0:
@@ -110,12 +125,14 @@ class Dataset:
 
 
 def _read_exact(f, nbytes, path, what):
-    buf = f.read(nbytes)
-    if len(buf) != nbytes:
+    """Read ``nbytes``, checking first that the file holds them, so a
+    header that declares more is reported before that much is allocated."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if nbytes > left:
         raise IdxTruncatedError(
-            f"{path}: expected {nbytes} bytes of {what}, got {len(buf)}"
+            f"{path}: expected {nbytes} bytes of {what}, got {left}"
         )
-    return buf
+    return f.read(nbytes)
 
 
 def _read_idx_images(path):
@@ -196,6 +213,12 @@ def load_idx_dir(data_dir):
             + " (see scripts/fetch_mnist.py)"
         )
     train, test = load_idx(*paths["train"]), load_idx(*paths["test"])
+    for split, ds in (("train", train), ("test", test)):
+        if len(ds) == 0 or ds.dim == 0:
+            raise DataError(
+                f"{data_dir}: the {split} split holds {len(ds)} images of "
+                f"{ds.dim} pixels"
+            )
     if train.dim != test.dim:
         raise DataError(
             f"{data_dir}: train images have {train.dim} pixels but test "
@@ -206,25 +229,21 @@ def load_idx_dir(data_dir):
 
 @dataclass
 class Task:
-    task_id: int
-    name: str
     train: Dataset
     test: Dataset
-    class_map: dict  # original label -> {0..C-1}
 
 
 @dataclass
 class TaskSequence:
     tasks: list
     classes_per_task: int
-    name: str = "sequence"
 
     def __post_init__(self):
-        for task in self.tasks:
+        for k, task in enumerate(self.tasks):
             for split in (task.train, task.test):
                 if len(split) and split.labels.max() >= self.classes_per_task:
                     raise ValueError(
-                        f"task {task.task_id} has labels outside "
+                        f"task {k} has labels outside "
                         f"0..{self.classes_per_task - 1}"
                     )
 
@@ -242,43 +261,34 @@ class TaskSequence:
         return self.tasks[0].train.dim
 
 
-def build_split(train, test, pairs=SPLIT_PAIRS, train_cap=None,
-                test_cap=None, name="split"):
-    """Disjoint 2-class tasks; labels remapped to {0, 1} per pair."""
-    flat = [c for pair in pairs for c in pair]
-    if len(set(flat)) != len(flat):
-        raise ValueError(f"class pairs overlap: {pairs}")
+def build_split(train, test, train_cap=None, test_cap=None):
+    """Disjoint 2-class tasks over SPLIT_PAIRS; labels remapped to {0, 1}
+    per pair."""
     for cap in (train_cap, test_cap):
         if cap is not None and cap < 0:
             raise ValueError(f"cannot take {cap} samples")
     for split, source in (("train", train), ("test", test)):
         # not np.unique: it imports numpy.ma on first use
-        unknown = [c for c in flat if not (source.labels == c).any()]
+        unknown = [c for pair in SPLIT_PAIRS for c in pair
+                   if not (source.labels == c).any()]
         if unknown:
             raise ClassesAbsentError(
                 f"classes absent from the {split} split: {unknown}")
 
     tasks = []
-    for k, pair in enumerate(pairs):
-        class_map = {orig: new for new, orig in enumerate(pair)}
+    for pair in SPLIT_PAIRS:
         splits = []
         for source, cap in ((train, train_cap), (test, test_cap)):
             # gather only the kept rows, so no split holds a larger base
             keep = np.flatnonzero(np.isin(source.labels, pair))[:cap]
-            remapped = np.array(
-                [class_map[c] for c in source.labels[keep].tolist()],
-                dtype=np.int64)
+            remapped = (source.labels[keep] == pair[1]).astype(np.int64)
             splits.append(Dataset(source.pixels[keep], remapped))
-        tasks.append(Task(
-            task_id=k, name=f"{name}-{pair[0]}v{pair[1]}",
-            train=splits[0], test=splits[1], class_map=class_map,
-        ))
-    return TaskSequence(tasks=tasks, classes_per_task=len(pairs[0]),
-                        name=name)
+        tasks.append(Task(*splits))
+    return TaskSequence(tasks=tasks, classes_per_task=2)
 
 
 def build_permuted(train, test, num_tasks=5, seed=0, train_cap=None,
-                   test_cap=None, name="permuted"):
+                   test_cap=None):
     """One fixed random pixel permutation per task, all classes kept."""
     if num_tasks < 1:
         raise ValueError("need at least one task")
@@ -293,26 +303,22 @@ def build_permuted(train, test, num_tasks=5, seed=0, train_cap=None,
     classes = int(max(train.labels.max(), test.labels.max())) + 1
     base_train = train.take(train_cap)
     base_test = test.take(test_cap)
-    tasks = []
-    for k, perm in enumerate(perms):
-        tasks.append(Task(
-            task_id=k, name=f"{name}-{k}",
-            train=Dataset(base_train.pixels[:, perm], base_train.labels),
-            test=Dataset(base_test.pixels[:, perm], base_test.labels),
-            class_map={c: c for c in range(classes)},
-        ))
-    return TaskSequence(tasks=tasks, classes_per_task=classes, name=name)
+    tasks = [
+        Task(Dataset(base_train.pixels[:, perm], base_train.labels),
+             Dataset(base_test.pixels[:, perm], base_test.labels))
+        for perm in perms
+    ]
+    return TaskSequence(tasks=tasks, classes_per_task=classes)
 
 
 def build_synthetic(num_tasks=2, classes=2, train_per_class=200,
-                    test_per_class=50, dim=64, noise=0.05, seed=0,
-                    name="synthetic"):
+                    test_per_class=50, dim=64, noise=0.05, seed=0):
     """Noisy-prototype tasks: per task and class, one fixed random binary
     prototype; samples flip each pixel independently with probability
     ``noise``.  Linearly separable at low noise, fully seeded.  Pixels
     are 0 or PIXEL_MAX.
 
-    The flips are drawn DRAW_ROWS rows at a time and written straight
+    The flips are drawn BATCH_ROWS rows at a time and written straight
     into the uint8 pixels, so no (samples, dim) float block is held.
     ``Generator.random`` fills its output in draw order, so the chunked
     draws are the same doubles as one draw per class and the bytes do
@@ -324,7 +330,7 @@ def build_synthetic(num_tasks=2, classes=2, train_per_class=200,
         raise ValueError("noise is a probability")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
     tasks = []
-    for k in range(num_tasks):
+    for _ in range(num_tasks):
         protos = rng.integers(0, 2, size=(classes, dim)).astype(np.uint8)
         splits = []
         for per_class in (train_per_class, test_per_class):
@@ -332,8 +338,8 @@ def build_synthetic(num_tasks=2, classes=2, train_per_class=200,
             labels = np.empty(classes * per_class, dtype=np.int64)
             for c in range(classes):
                 base = c * per_class
-                for lo in range(0, per_class, DRAW_ROWS):
-                    rows = pixels[base + lo:base + min(lo + DRAW_ROWS,
+                for lo in range(0, per_class, BATCH_ROWS):
+                    rows = pixels[base + lo:base + min(lo + BATCH_ROWS,
                                                        per_class)]
                     flips = rng.random(rows.shape) < noise
                     np.bitwise_xor(protos[c], flips, out=rows)
@@ -341,8 +347,5 @@ def build_synthetic(num_tasks=2, classes=2, train_per_class=200,
                 labels[base:base + per_class] = c
             order = rng.permutation(len(pixels))
             splits.append(Dataset(pixels[order], labels[order]))
-        tasks.append(Task(
-            task_id=k, name=f"{name}-{k}", train=splits[0], test=splits[1],
-            class_map={c: c for c in range(classes)},
-        ))
-    return TaskSequence(tasks=tasks, classes_per_task=classes, name=name)
+        tasks.append(Task(*splits))
+    return TaskSequence(tasks=tasks, classes_per_task=classes)

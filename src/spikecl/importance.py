@@ -189,27 +189,21 @@ def importance_report(record, task_id=None):
     }
 
 
-def collect_spike_record(net, data, lif_cfg, max_samples=1024, task_id=None,
-                         batch_size=128):
+def collect_spike_record(net, data, lif_cfg, max_samples=1024):
     """Count hidden spikes and intervals over (at most) the first
-    max_samples samples of the Dataset ``data``, reading one batch of
-    float rows at a time.  ``task_id`` defaults to the newest head; the
-    head only shapes the discarded logits.
+    max_samples samples of the Dataset ``data``, reading one
+    ``Dataset.batches`` block of float rows at a time.
     """
     if max_samples < 1:
         raise ValueError(f"max_samples must be >= 1, got {max_samples}")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     n = min(max_samples, len(data))
     if n == 0:
         raise ValueError("need at least one sample to record spikes")
-    if task_id is None:
-        task_id = net.num_heads - 1
     totals = np.zeros((4, net.hidden_size), dtype=np.int64)
-    for lo in range(0, n, batch_size):
-        xb = data.rows(slice(lo, min(lo + batch_size, n)))
-        # keep only the spikes: the trace's potentials are freed at once
-        spikes = forward_const(xb, task_id, net, lif_cfg)[1].s
+    for batch in data.batches(n):
+        # head 0: the head only shapes the logits, which are discarded;
+        # keep only the spikes, so the trace's potentials are freed at once
+        spikes = forward_const(data.rows(batch), 0, net, lif_cfg)[1].s
         totals += kernels.isi_raster_stats(spikes)
     return SpikeRecord(n, *totals)
 
@@ -221,8 +215,7 @@ def _max_normalize(per_neuron):
     return per_neuron / top
 
 
-def ewc_importance(net, data, task_id, lif_cfg, max_samples=1024,
-                   batch_size=128):
+def ewc_importance(net, data, task_id, lif_cfg, max_samples=1024):
     """Diagonal Fisher of the trunk over (at most) the first max_samples
     samples of the Dataset ``data``, reduced to per-neuron scores.
 
@@ -231,12 +224,11 @@ def ewc_importance(net, data, task_id, lif_cfg, max_samples=1024,
     gradient factorizes as (sum_t du) outer x, so its square is
     (sum_t du)^2 outer x^2 and one batched backward kernel call covers
     every sample.  Per neuron: row sum over inputs plus the bias term,
-    then max-normalized.  Rows are read one batch at a time.
+    then max-normalized.  Rows are read one ``Dataset.batches`` block at
+    a time.
     """
     if max_samples < 1:
         raise ValueError(f"max_samples must be >= 1, got {max_samples}")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     n = min(max_samples, len(data))
     if n == 0:
         raise ValueError("need at least one sample to estimate Fisher")
@@ -244,8 +236,7 @@ def ewc_importance(net, data, task_id, lif_cfg, max_samples=1024,
 
     fisher_w1 = np.zeros_like(net.w1)
     fisher_b1 = np.zeros_like(net.b1)
-    for lo in range(0, n, batch_size):
-        batch = slice(lo, min(lo + batch_size, n))
+    for batch in data.batches(n):
         _, trace = forward_const(data.rows(batch), task_id, net, lif_cfg)
         # per-sample gradients: no 1/N on delta
         delta = _logit_delta(log_softmax(trace.logits), data.labels[batch])

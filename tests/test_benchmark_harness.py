@@ -15,6 +15,7 @@ import pytest
 
 from conftest import random_dataset
 from spikecl import cli, continual, importance, kernels, training
+from spikecl import data as data_module
 from spikecl.importance import collect_spike_record, isi_cv_importance
 from spikecl.network import (
     LIFConfig,
@@ -97,9 +98,10 @@ def test_isi_importance_calls_the_kernel_through_its_module(monkeypatch):
         return kernel(spikes)
 
     monkeypatch.setattr(kernels, "isi_raster_stats", counting)
-    data = random_dataset(np.random.default_rng(2), 20, 3)
-    record = collect_spike_record(_tiny_net(), data, LIFConfig(timesteps=5),
-                                  batch_size=8)
+    monkeypatch.setattr(data_module, "BATCH_ROWS", 8)
+    record = collect_spike_record(
+        _tiny_net(), random_dataset(np.random.default_rng(2), 20, 3),
+        LIFConfig(timesteps=5))
     isi_cv_importance(record)
     bool_ = np.dtype(bool)
     assert calls == [(bool_, (8, 5, 4)), (bool_, (8, 5, 4)),
@@ -107,15 +109,14 @@ def test_isi_importance_calls_the_kernel_through_its_module(monkeypatch):
 
 
 @pytest.mark.parametrize("module, run", [
-    (continual, lambda net, x, cfg: continual.evaluate(
-        net, x, 0, cfg, batch_size=4)),
+    (continual, lambda net, x, cfg: continual.evaluate(net, x, 0, cfg)),
     (importance, lambda net, x, cfg: importance.collect_spike_record(
-        net, x, cfg, batch_size=4)),
+        net, x, cfg)),
     (training, lambda net, x, cfg: training.train_task(
         net, x, 0, cfg, TrainParams(epochs=1, batch_size=4),
         np.random.default_rng(0))),
     (importance, lambda net, x, cfg: importance.ewc_importance(
-        net, x, 0, cfg, batch_size=4)),
+        net, x, 0, cfg)),
 ], ids=["evaluate", "collect_spike_record", "train_task", "ewc_importance"])
 def test_no_batch_trace_outlives_its_batch(module, run, monkeypatch):
     # peak_rss_mb: a name still bound to the previous batch's trace keeps
@@ -131,6 +132,7 @@ def test_no_batch_trace_outlives_its_batch(module, run, monkeypatch):
         return result
 
     monkeypatch.setattr(module, "forward_const", watching)
+    monkeypatch.setattr(data_module, "BATCH_ROWS", 4)
     run(_tiny_net(),
         random_dataset(np.random.default_rng(2), 10, 3, np.arange(10) % 2),
         LIFConfig(timesteps=3))

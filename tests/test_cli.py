@@ -204,6 +204,30 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3
     assert "missing IDX files" in capsys.readouterr().err
 
+    # 3: IDX headers that declare more than the file holds (once a
+    # MemoryError and an OverflowError), a split of no images and images
+    # of no pixels (once numpy errors deep in the permuted builder)
+    for k, (benchmark, images, message) in enumerate((
+            ("split-mnist", (2 ** 32 - 1, 28, 28), "bytes of pixels"),
+            ("split-mnist", (1, 2 ** 32 - 1, 2 ** 32 - 1), "bytes of pixels"),
+            ("permuted-mnist", np.zeros((0, 4, 4)), "0 images"),
+            ("permuted-mnist", np.zeros((30, 0, 0)), "0 pixels"))):
+        data_dir = tmp_path / f"idx{k}"
+        if isinstance(images, tuple):
+            _write_digits(data_dir, np.arange(30) % 10, np.arange(30) % 10)
+            (data_dir / MNIST_FILES["train"][0]).write_bytes(
+                struct.pack(">IIII", 0x803, *images) + bytes(16))
+        else:
+            data_dir.mkdir()
+            for images_name, labels_name in MNIST_FILES.values():
+                write_idx_images(data_dir / images_name, images)
+                write_idx_labels(data_dir / labels_name,
+                                 np.arange(len(images)) % 10)
+        assert main(["run", "--benchmark", benchmark,
+                     "--data-dir", str(data_dir),
+                     "--out-dir", str(tmp_path / "res")]) == 3, benchmark
+        assert message in capsys.readouterr().err
+
     # 3: unreadable checkpoint
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"garbage")

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_dataset
 from oracles import oracle_anchor_gradient, oracle_anchor_penalty
 from spikecl import continual
+from spikecl import data as data_module
 from spikecl.continual import (
     Anchor,
     ResultMatrix,
@@ -187,7 +188,8 @@ def test_train_task_with_pull_matches_the_oracle_regularizer():
 
 
 @pytest.mark.parametrize("dim, hidden", [(784, 128), (64, 64)])
-def test_evaluate_reads_the_same_at_128_and_512_rows(dim, hidden):
+def test_evaluate_reads_the_same_at_128_and_512_rows(dim, hidden,
+                                                     monkeypatch):
     # the default batch fell from 512 to 128 rows; 700 samples leave a
     # ragged last batch at both (60 and 188 rows)
     rng = np.random.default_rng(dim)
@@ -195,11 +197,14 @@ def test_evaluate_reads_the_same_at_128_and_512_rows(dim, hidden):
     net = new_network(dim, hidden, 2, np.random.default_rng(1))
     register_head(net, np.random.default_rng(2))
     cfg = LIFConfig()
-    accuracies = [continual.evaluate(net, data, 0, cfg, batch_size=b)
-                  for b in (128, 512)]
+    default = continual.evaluate(net, data, 0, cfg)
+    accuracies = []
+    for rows in (128, 512):
+        monkeypatch.setattr(data_module, "BATCH_ROWS", rows)
+        accuracies.append(continual.evaluate(net, data, 0, cfg))
     assert 0.0 < accuracies[0] < 1.0
     assert accuracies[0] == accuracies[1]
-    assert continual.evaluate(net, data, 0, cfg) == accuracies[0]
+    assert default == accuracies[0]
 
 
 def test_resolve_lambda_defaults():
@@ -327,8 +332,7 @@ def test_run_sequence_rejects_non_positive_importance_samples(monkeypatch):
 
 def test_identical_tasks_show_no_forgetting_without_regularization():
     tasks = _toy_sequence()
-    dup = Task(task_id=1, name="dup", train=tasks[0].train,
-               test=tasks[0].test, class_map=tasks[0].class_map)
+    dup = Task(train=tasks[0].train, test=tasks[0].test)
     seq = TaskSequence(tasks=[tasks[0], dup], classes_per_task=2)
     res = run_sequence(seq, "none", seed=0, hidden_size=16, lif_cfg=TOY_LIF,
                        train_params=FAST)

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_dataset, traced_peak
 from oracles import oracle_build_synthetic, oracle_load_idx
+from spikecl import data as data_module
 from spikecl.continual import evaluate, run_sequence
 from spikecl.data import (
     DataError,
@@ -24,7 +25,7 @@ from spikecl.data import (
     load_idx_dir,
     write_idx_images,
     write_idx_labels,
-    DRAW_ROWS,
+    BATCH_ROWS,
     MNIST_FILES,
     PIXEL_MAX,
     SPLIT_PAIRS,
@@ -94,6 +95,28 @@ def test_truncated_files_are_reported(tmp_path):
         load_idx(ip, lp)
 
 
+@pytest.mark.parametrize("header", [
+    (2 ** 32 - 1, 28, 28),             # ~3.4 TB of pixels
+    (1, 2 ** 32 - 1, 2 ** 32 - 1),     # a pixel count past int64
+], ids=["count", "dims"])
+def test_image_header_larger_than_the_file_is_truncated(tmp_path, header):
+    # the declared payload is checked against the file before it is read
+    ip, lp = _write_pair(tmp_path, np.zeros((3, 2, 2), dtype=np.uint8),
+                         np.zeros(3, dtype=np.uint8))
+    ip.write_bytes(struct.pack(">IIII", 0x803, *header) + bytes(12))
+    with pytest.raises(IdxTruncatedError, match="got 12"):
+        load_idx(ip, lp)
+
+
+def test_label_header_larger_than_the_file_is_truncated(tmp_path):
+    ip, lp = _write_pair(tmp_path, np.zeros((3, 2, 2), dtype=np.uint8),
+                         np.zeros(3, dtype=np.uint8))
+    lp.write_bytes(struct.pack(">II", 0x801, 2 ** 32 - 1) + bytes(3))
+    with pytest.raises(IdxTruncatedError,
+                       match=f"expected {2 ** 32 - 1} bytes of labels, got 3"):
+        load_idx(ip, lp)
+
+
 def test_count_mismatch_is_reported(tmp_path):
     ip, lp = _write_pair(tmp_path, np.zeros((3, 2, 2), dtype=np.uint8),
                          np.zeros(2, dtype=np.uint8))
@@ -142,6 +165,56 @@ def test_load_idx_dir_rejects_train_test_pixel_mismatch(tmp_path):
         load_idx_dir(tmp_path)
 
 
+@pytest.mark.parametrize("split", ["train", "test"])
+@pytest.mark.parametrize("shape, message", [
+    ((0, 3, 3), "0 images of 9 pixels"),
+    ((5, 0, 0), "5 images of 0 pixels"),
+], ids=["no-images", "no-pixels"])
+def test_load_idx_dir_rejects_an_empty_split(tmp_path, split, shape,
+                                             message):
+    rng = np.random.default_rng(53)
+    for name, (iname, lname) in MNIST_FILES.items():
+        n, rows, cols = shape if name == split else (5, 3, 3)
+        write_idx_images(tmp_path / iname, rng.integers(
+            0, 256, size=(n, rows, cols)).astype(np.uint8))
+        write_idx_labels(tmp_path / lname, np.arange(n) % 10)
+    with pytest.raises(DataError, match=f"the {split} split holds {message}"):
+        load_idx_dir(tmp_path)
+
+
+def _batch_rows(ds, count=None):
+    """The sample indices each ``Dataset.batches`` slice covers."""
+    return [list(range(len(ds)))[batch] for batch in ds.batches(count)]
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7, 128, 200])
+@pytest.mark.parametrize("count", [1, 127, 128, 129, 300, 1000, None])
+def test_batches_cover_the_first_count_samples_once_in_order(
+        rows, count, monkeypatch):
+    # every pass outside training reads its samples through this one
+    # generator; a loop over the whole set once summed more samples than
+    # the Fisher estimate divided by
+    if rows is not None:
+        monkeypatch.setattr(data_module, "BATCH_ROWS", rows)
+    rows = BATCH_ROWS if rows is None else rows
+    ds = Dataset(np.zeros((300, 1), dtype=np.uint8), np.zeros(300))
+    blocks = _batch_rows(ds, count)
+    want = 300 if count is None else min(count, 300)
+    assert [i for block in blocks for i in block] == list(range(want))
+    assert all(0 < len(block) <= rows for block in blocks)
+    assert all(len(block) == rows for block in blocks[:-1])
+    assert len(blocks) == -(-want // rows)
+
+
+def test_batches_read_the_row_constant_at_call_time(monkeypatch):
+    ds = Dataset(np.zeros((10, 1), dtype=np.uint8), np.zeros(10))
+    assert _batch_rows(ds) == [list(range(10))]
+    monkeypatch.setattr(data_module, "BATCH_ROWS", 4)
+    assert _batch_rows(ds) == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+    assert _batch_rows(ds, 5) == [[0, 1, 2, 3], [4]]
+    assert _batch_rows(ds, 0) == []
+
+
 def test_dataset_validation_and_take():
     with pytest.raises(ValueError, match="3 images but 2 labels"):
         Dataset(np.zeros((3, 2), dtype=np.uint8), np.zeros(2))
@@ -175,8 +248,14 @@ def test_build_split_partitions_and_remaps():
     seq = build_split(train, test)
     assert len(seq) == 5
     assert seq.classes_per_task == 2
-    for k, task in enumerate(seq):
-        assert task.class_map == {2 * k: 0, 2 * k + 1: 1}
+    for (first, second), task in zip(SPLIT_PAIRS, seq):
+        for split, source in ((task.train, train), (task.test, test)):
+            keep = np.isin(source.labels, (first, second))
+            assert np.array_equal(split.pixels, source.pixels[keep])
+            assert split.labels.dtype == np.int64
+            assert np.array_equal(split.labels,
+                                  np.where(source.labels[keep] == second,
+                                           1, 0))
         assert sorted(np.unique(task.train.labels)) == [0, 1]
         assert len(task.train) == 8 and len(task.test) == 4
     total = sum(len(t.train) for t in seq)
@@ -194,10 +273,12 @@ def test_build_split_caps_and_bad_pairs():
             assert base is None or base.nbytes <= split.pixels.nbytes
     with pytest.raises(ValueError, match="cannot take -1"):
         build_split(train, test, train_cap=-1)
-    with pytest.raises(ValueError, match="overlap"):
-        build_split(train, test, pairs=((0, 1), (1, 2)))
-    with pytest.raises(ValueError, match="absent"):
-        build_split(train, test, pairs=((0, 11),))
+    no_nines = Dataset(train.pixels[train.labels != 9],
+                       train.labels[train.labels != 9])
+    with pytest.raises(ValueError, match=r"absent from the train split: \[9\]"):
+        build_split(no_nines, test)
+    with pytest.raises(ValueError, match=r"absent from the test split: \[9\]"):
+        build_split(train, no_nines)
 
 
 def test_build_permuted_draws_distinct_bijections():
@@ -254,17 +335,17 @@ def test_task_sequence_rejects_out_of_range_labels():
 # ---------------------------------------------------------------------------
 
 def test_build_synthetic_holds_one_draw_chunk_beyond_its_pixels():
-    # peak_rss_mb: the flips are drawn DRAW_ROWS rows at a time, so past
+    # peak_rss_mb: the flips are drawn BATCH_ROWS rows at a time, so past
     # the returned datasets the build holds only one split before its
     # shuffle and one chunk of draws, not a (per_class, dim) float block
     dim, per_class = 256, 2000
-    assert per_class > 10 * DRAW_ROWS
+    assert per_class > 10 * BATCH_ROWS
     seq, peak = traced_peak(lambda: build_synthetic(
         num_tasks=1, train_per_class=per_class, test_per_class=10, dim=dim,
         noise=0.3, seed=5))
     kept = [split.pixels.nbytes + split.labels.nbytes
             for split in (seq[0].train, seq[0].test)]
-    chunk = DRAW_ROWS * dim * (8 + 1)   # float64 draws and their bool mask
+    chunk = BATCH_ROWS * dim * (8 + 1)   # float64 draws and their bool mask
     assert peak - sum(kept) <= max(kept) + chunk + 2 ** 14
 
 
@@ -285,7 +366,7 @@ def _assert_rows_match(split, floats, rng):
 @pytest.mark.parametrize("noise", [0.0, 0.05, 0.3])
 def test_synthetic_rows_match_the_float_oracle(noise):
     rng = np.random.default_rng(61)
-    # (300, 130): classes span several DRAW_ROWS chunks, the last ragged
+    # (300, 130): classes span several BATCH_ROWS chunks, the last ragged
     for seed, (train_n, test_n) in itertools.product(
             range(4), [(30, 10), (300, 130)]):
         kwargs = dict(num_tasks=2, train_per_class=train_n,
@@ -402,21 +483,21 @@ def test_consumers_never_hold_the_float_form(consumer):
 
 
 @pytest.mark.parametrize("consumer", [
-    lambda net, data, cfg, b: evaluate(net, data, 0, cfg, batch_size=b),
-    lambda net, data, cfg, b: collect_spike_record(net, data, cfg,
-                                                   batch_size=b),
-    lambda net, data, cfg, b: ewc_importance(net, data, 0, cfg,
-                                             batch_size=b),
+    lambda net, data, cfg: evaluate(net, data, 0, cfg),
+    lambda net, data, cfg: collect_spike_record(net, data, cfg),
+    lambda net, data, cfg: ewc_importance(net, data, 0, cfg),
 ], ids=["evaluate", "collect_spike_record", "ewc_importance"])
 @pytest.mark.parametrize("batch_size", [0, -1])
-def test_consumers_reject_a_batch_size_below_one(consumer, batch_size):
+def test_consumers_reject_a_batch_size_below_one(consumer, batch_size,
+                                                 monkeypatch):
     # a negative step once read no rows at all: accuracy 0, all-zero
-    # counters, an all-zero Fisher
+    # counters, an all-zero Fisher; every consumer reads Dataset.batches
     net = new_network(4, 3, 2, np.random.default_rng(1))
     register_head(net, np.random.default_rng(2))
     data = random_dataset(np.random.default_rng(3), 10, 4, np.arange(10) % 2)
-    with pytest.raises(ValueError, match="batch_size must be >= 1"):
-        consumer(net, data, LIFConfig(timesteps=3), batch_size)
+    monkeypatch.setattr(data_module, "BATCH_ROWS", batch_size)
+    with pytest.raises(ValueError, match="BATCH_ROWS must be >= 1"):
+        consumer(net, data, LIFConfig(timesteps=3))
 
 
 def test_evaluate_peaks_no_higher_than_the_spike_record_pass():

@@ -23,6 +23,7 @@ from oracles import (
     oracle_loss_and_grads,
 )
 import spikecl
+from spikecl import data as data_module
 from spikecl import kernels
 from spikecl.data import Dataset
 from spikecl.importance import (
@@ -313,9 +314,9 @@ def test_isi_cv_path_never_imports_numpy_ma():
 
         def digits(n):
             return Dataset(rng.integers(0, 256, size=(n, 8), dtype=np.uint8),
-                           np.arange(n) % 4)
+                           np.arange(n) % 10)
 
-        tasks = build_split(digits(40), digits(20), pairs=((0, 1), (2, 3)))
+        tasks = build_split(digits(40), digits(20))
         cfg = LIFConfig(timesteps=4)
         nets = []
         run_sequence(tasks, "isi-cv", hidden_size=6, lif_cfg=cfg,
@@ -432,13 +433,31 @@ def test_collect_caps_at_max_samples_and_rejects_empty():
             collect_spike_record(net, x, cfg, max_samples=bad)
 
 
-def test_collect_counters_do_not_depend_on_the_batch_size():
+def test_collect_counters_ignore_the_heads():
+    # ISI-CV reads the trunk's spike counters only; the head a pass runs
+    # through shapes nothing but the discarded logits
+    rng = np.random.default_rng(48)
+    net, cfg = random_tiny_net(rng, hidden=6, dim=5, timesteps=9)
+    x = random_dataset(rng, 150, 5)
+    before = _counters(collect_spike_record(net, x, cfg))
+    assert before[1].sum() > 0
+    for seed in (3, 4):
+        register_head(net, np.random.default_rng(seed))
+    assert net.num_heads == 3
+    assert not np.array_equal(net.heads[1].w2, net.heads[2].w2)
+    assert np.array_equal(_counters(collect_spike_record(net, x, cfg)),
+                          before)
+
+
+def test_collect_counters_do_not_depend_on_the_batch_size(monkeypatch):
     rng = np.random.default_rng(47)
     net, cfg = random_tiny_net(rng, hidden=6, dim=5, timesteps=9)
     cfg = dataclasses.replace(cfg, gain=2.0)
     x = random_dataset(rng, 300, 5)
-    records = [collect_spike_record(net, x, cfg, max_samples=300,
-                                    batch_size=b) for b in (1, 7, 128)]
+    records = []
+    for rows in (1, 7, 128):
+        monkeypatch.setattr(data_module, "BATCH_ROWS", rows)
+        records.append(collect_spike_record(net, x, cfg, max_samples=300))
     assert records[0].isi_counts.sum() > 0
     for record in records[1:]:
         assert record.sample_count == 300
@@ -488,13 +507,14 @@ def test_ewc_invariant_under_sample_duplication():
     np.testing.assert_allclose(once.omega, twice.omega, rtol=1e-12, atol=1e-14)
 
 
-def test_ewc_max_samples_uses_only_the_first_samples():
+def test_ewc_max_samples_uses_only_the_first_samples(monkeypatch):
     rng = np.random.default_rng(40)
     net, cfg = random_tiny_net(rng, hidden=4, dim=5, classes=3, timesteps=5)
     cfg = dataclasses.replace(cfg, gain=3.0)
     x = random_dataset(rng, 20, 5, rng.integers(0, 3, size=20))
-    capped = ewc_importance(net, x, 0, cfg, max_samples=10, batch_size=8)
-    sliced = ewc_importance(net, x.take(10), 0, cfg, batch_size=8)
+    monkeypatch.setattr(data_module, "BATCH_ROWS", 8)
+    capped = ewc_importance(net, x, 0, cfg, max_samples=10)
+    sliced = ewc_importance(net, x.take(10), 0, cfg)
     assert np.array_equal(capped.omega, sliced.omega)
 
 
