@@ -206,7 +206,7 @@ def test_exit_codes(tmp_path, capsys):
 
     # 3: IDX headers that declare more than the file holds (once a
     # MemoryError and an OverflowError), a split of no images and images
-    # of no pixels (once numpy errors deep in the permuted builder)
+    # of no pixels (once numpy errors deep in build_permuted)
     for k, (benchmark, images, message) in enumerate((
             ("split-mnist", (2 ** 32 - 1, 28, 28), "bytes of pixels"),
             ("split-mnist", (1, 2 ** 32 - 1, 2 ** 32 - 1), "bytes of pixels"),
