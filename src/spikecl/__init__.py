@@ -28,14 +28,12 @@ from .data import (
 )
 from .importance import (
     ImportanceVector,
-    ISIStats,
     SIAccumulator,
     SpikeRecord,
     collect_spike_record,
     ewc_importance,
     importance_report,
     isi_cv_importance,
-    isi_stats,
     si_accumulate,
     si_importance,
 )

@@ -98,6 +98,10 @@ def load_checkpoint(path):
         dims = reader.unpack("<" + "I" * ndim)
         size = math.prod(dims)
         data = np.frombuffer(reader.take(size * 8), dtype="<f8")
+        # a zero dim makes the payload empty whatever the other dims say
+        if math.prod(d for d in dims if d) * 8 >= 2 ** 63:
+            raise CheckpointError(
+                f"{path}: array {name!r} dims {dims} do not fit int64")
         arrays[name] = data.reshape(dims).astype(np.float64)
         order.append(name)
     if reader.pos != len(reader.buf):

@@ -109,7 +109,6 @@ def _run_one_seed(cfg, seed, base, on_task_complete=None):
         train_params=TrainParams(
             epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr
         ),
-        importance_samples=cfg.importance_samples,
         on_task_complete=on_task_complete,
     )
 
@@ -386,7 +385,6 @@ def cmd_importance_dump(cfg, checkpoint_path, task_id=None, seed=None, out=None)
     record = collect_spike_record(
         net, tasks[task_id].train,
         LIFConfig(timesteps=cfg.timesteps, gain=cfg.gain),
-        max_samples=cfg.importance_samples,
     )
     report = importance_report(record, task_id=task_id)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -44,7 +44,6 @@ class ExperimentConfig:
     num_tasks: int = 5           # permuted-mnist and synthetic only
     data_dir: str = "data"
     out_dir: str = "results"
-    importance_samples: int = 1024
     gain: float = 1.0
     synthetic_dim: int = 64
     synthetic_noise: float = 0.05
@@ -72,8 +71,7 @@ class ExperimentConfig:
             raise ConfigError(f"seeds repeat: {self.seeds}")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
-        for name in ("hidden_size", "epochs", "batch_size",
-                     "importance_samples", "synthetic_dim",
+        for name in ("hidden_size", "epochs", "batch_size", "synthetic_dim",
                      "synthetic_train", "synthetic_test"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -158,8 +156,12 @@ def load_config(path=None, overrides=None, env=None):
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"no such config file: {path}")
-        with open(path, encoding="utf-8") as f:
-            raw = parse_config_text(f.read(), source=path)
+        try:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}")
+        raw = parse_config_text(text, source=path)
         for key, text in raw.items():
             try:
                 values[key] = _parse_value(FIELDS[key], text)

@@ -230,22 +230,19 @@ class RunAbortedError(RuntimeError):
                 (self.task_id, self.partial_logs, self.partial_matrix))
 
 
-def _task_importance(method, net, task, task_id, lif_cfg, max_samples, si_acc):
+def _task_importance(method, net, task, task_id, lif_cfg, si_acc):
     if method == "isi-cv":
-        record = collect_spike_record(net, task.train, lif_cfg, max_samples)
+        record = collect_spike_record(net, task.train, lif_cfg)
         return isi_cv_importance(record, task_id=task_id)
     if method == "ewc":
-        return ewc_importance(
-            net, task.train, task_id, lif_cfg, max_samples=max_samples,
-        )
+        return ewc_importance(net, task.train, task_id, lif_cfg)
     if method == "si":
         return si_importance(si_acc, net, task_id=task_id)
     raise ValueError(f"no importance estimator for method {method!r}")
 
 
 def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
-                 lif_cfg=None, train_params=None,
-                 importance_samples=1024, on_task_complete=None):
+                 lif_cfg=None, train_params=None, on_task_complete=None):
     """Train the task sequence under one method; returns a SequenceResult.
 
     Per task: register a fresh head and snapshot the trunk once, train
@@ -268,9 +265,6 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
     if k_total < 2:
         raise ValueError("a continual sequence needs at least 2 tasks")
     lam = resolve_lambda(method, lam)
-    if importance_samples < 1:
-        raise ValueError(
-            f"importance_samples must be >= 1, got {importance_samples}")
     lif_cfg = lif_cfg or LIFConfig()
     train_params = train_params or TrainParams()
 
@@ -307,9 +301,7 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
         logs.append(TaskLog(task_id=k, epochs=epochs, trunk_drift=drift))
 
         if method != "none":
-            vec = _task_importance(
-                method, net, task, k, lif_cfg, importance_samples, si_acc,
-            )
+            vec = _task_importance(method, net, task, k, lif_cfg, si_acc)
             importances.append(vec)
             omega_max = (
                 vec.omega if omega_max is None

@@ -145,6 +145,10 @@ def _read_idx_images(path):
                 f"{path}: bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}"
             )
         raw = _read_exact(f, count * rows * cols, path, "pixels")
+    # with 0 images the payload check passes whatever the dims say
+    if rows * cols >= 2 ** 63:
+        raise DataError(f"{path}: {rows} x {cols} pixels per image "
+                        f"do not fit int64")
     pixels = np.frombuffer(raw, dtype=np.uint8)
     return pixels.reshape(count, rows * cols)
 

@@ -30,6 +30,9 @@ SILENT_CV = 2.0
 CLIP_PERCENTILE = 95.0
 # SI damping added to the squared displacement.
 XI = 0.1
+# Each importance pass (spike counters, Fisher) reads at most the first
+# SAMPLES samples of a task's training data.
+SAMPLES = 1024
 
 
 @dataclass
@@ -96,32 +99,6 @@ class SpikeRecord:
         return (n * self.isi_sq_sums - self.isi_sums ** 2) / np.maximum(n, 1)
 
 
-@dataclass
-class ISIStats:
-    """Pooled inter-spike-interval statistics, one row per neuron.
-
-    Intervals are consecutive spike-time differences within a sample,
-    pooled across samples; statistics are over that pooled population
-    (std is the population standard deviation).  Neurons contributing no
-    intervals get mean = std = 0 and cv = SILENT_CV.
-    """
-
-    spike_counts: np.ndarray  # (H,) total spikes over all samples
-    isi_counts: np.ndarray    # (H,) pooled interval count
-    mean: np.ndarray          # (H,)
-    std: np.ndarray           # (H,)
-    cv: np.ndarray            # (H,)
-
-
-def isi_stats(record):
-    n = np.maximum(record.isi_counts, 1)
-    mean = record.isi_sums / n
-    std = np.sqrt(record.isi_m2 / n)
-    cv = np.where(record.isi_counts > 0, std / (mean + EPSILON), SILENT_CV)
-    return ISIStats(spike_counts=record.spike_counts,
-                    isi_counts=record.isi_counts, mean=mean, std=std, cv=cv)
-
-
 def _clip_cutoff(raw):
     """``np.percentile(raw, CLIP_PERCENTILE)``, bit for bit.
 
@@ -141,21 +118,29 @@ def _clip_cutoff(raw):
 
 
 def _isi_cv_scores(record):
-    """Interval statistics, raw 1 / (CV + eps) scores, Ω and clip cutoff.
+    """Pooled interval statistics, raw 1 / (CV + eps) scores, Ω and clip
+    cutoff, straight from the record's counters.
 
-    Ω clips the raw scores at their CLIP_PERCENTILE and rescales them into
-    [0, 1].
+    Intervals are consecutive spike-time differences within a sample,
+    pooled across samples; mean and std (the population standard
+    deviation) are over that pooled population.  Neurons contributing no
+    intervals get mean = std = 0 and cv = SILENT_CV.  Ω clips the raw
+    scores at their CLIP_PERCENTILE and rescales them into [0, 1].
+    Returns (mean, std, cv, raw, omega, cutoff), (H,) arrays and a float.
     """
-    stats = isi_stats(record)
-    raw = 1.0 / (stats.cv + EPSILON)
+    n = np.maximum(record.isi_counts, 1)
+    mean = record.isi_sums / n
+    std = np.sqrt(record.isi_m2 / n)
+    cv = np.where(record.isi_counts > 0, std / (mean + EPSILON), SILENT_CV)
+    raw = 1.0 / (cv + EPSILON)
     cutoff = _clip_cutoff(raw)
     omega = np.minimum(raw, cutoff) / (cutoff + EPSILON)
-    return stats, raw, omega, cutoff
+    return mean, std, cv, raw, omega, cutoff
 
 
 def isi_cv_importance(record, task_id=None):
     """Regularity importance: 1 / (CV + eps), percentile-clipped."""
-    _, _, omega, _ = _isi_cv_scores(record)
+    omega = _isi_cv_scores(record)[4]
     return ImportanceVector(omega=omega, method="isi-cv", task_id=task_id)
 
 
@@ -166,15 +151,15 @@ def importance_report(record, task_id=None):
     be inspected or serialized: spike/interval counts, mean, std, CV,
     the unclipped score and the final Ω for every neuron.
     """
-    stats, raw, omega, cutoff = _isi_cv_scores(record)
+    mean, std, cv, raw, omega, cutoff = _isi_cv_scores(record)
     neurons = {}
     for i in range(record.hidden_size):
         neurons[str(i)] = {
-            "spikes": int(stats.spike_counts[i]),
-            "intervals": int(stats.isi_counts[i]),
-            "isi_mean": float(stats.mean[i]),
-            "isi_std": float(stats.std[i]),
-            "cv": float(stats.cv[i]),
+            "spikes": int(record.spike_counts[i]),
+            "intervals": int(record.isi_counts[i]),
+            "isi_mean": float(mean[i]),
+            "isi_std": float(std[i]),
+            "cv": float(cv[i]),
             "raw": float(raw[i]),
             "omega": float(omega[i]),
         }
@@ -189,15 +174,13 @@ def importance_report(record, task_id=None):
     }
 
 
-def collect_spike_record(net, data, lif_cfg, max_samples=1024):
-    """Count hidden spikes and intervals over (at most) the first
-    max_samples samples of the Dataset ``data``, reading one
-    ``Dataset.batches`` block of float rows at a time.
+def collect_spike_record(net, data, lif_cfg):
+    """Count hidden spikes and intervals over (at most) the first SAMPLES
+    samples of the Dataset ``data``, reading one ``Dataset.batches``
+    block of float rows at a time.
     """
-    if max_samples < 1:
-        raise ValueError(f"max_samples must be >= 1, got {max_samples}")
-    n = min(max_samples, len(data))
-    if n == 0:
+    n = min(SAMPLES, len(data))
+    if n < 1:
         raise ValueError("need at least one sample to record spikes")
     totals = np.zeros((4, net.hidden_size), dtype=np.int64)
     for batch in data.batches(n):
@@ -215,8 +198,8 @@ def _max_normalize(per_neuron):
     return per_neuron / top
 
 
-def ewc_importance(net, data, task_id, lif_cfg, max_samples=1024):
-    """Diagonal Fisher of the trunk over (at most) the first max_samples
+def ewc_importance(net, data, task_id, lif_cfg):
+    """Diagonal Fisher of the trunk over (at most) the first SAMPLES
     samples of the Dataset ``data``, reduced to per-neuron scores.
 
     Fisher is the mean over samples of the squared per-sample loss
@@ -227,10 +210,8 @@ def ewc_importance(net, data, task_id, lif_cfg, max_samples=1024):
     then max-normalized.  Rows are read one ``Dataset.batches`` block at
     a time.
     """
-    if max_samples < 1:
-        raise ValueError(f"max_samples must be >= 1, got {max_samples}")
-    n = min(max_samples, len(data))
-    if n == 0:
+    n = min(SAMPLES, len(data))
+    if n < 1:
         raise ValueError("need at least one sample to estimate Fisher")
     head = net.head(task_id)
 

@@ -98,8 +98,10 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
-def oversized_checkpoint_header():
-    """A checkpoint header whose one array, "w1", claims four dims of
-    2^32 - 1: a size that wraps negative in int64."""
+def oversized_checkpoint_header(dims=(2 ** 32 - 1,) * 4):
+    """A checkpoint header whose one array, "w1", claims ``dims``; the
+    default four dims of 2^32 - 1 are a size that wraps negative in
+    int64."""
     return (MAGIC + struct.pack("<II", 3, 1) + struct.pack("<H", 2) + b"w1"
-            + struct.pack("<B", 4) + struct.pack("<4I", *[2 ** 32 - 1] * 4))
+            + struct.pack("<B", len(dims))
+            + struct.pack(f"<{len(dims)}I", *dims))

@@ -20,11 +20,13 @@ from conftest import (
     requires_mnist,
 )
 from oracles import oracle_isi_importance, replay_membrane
+from spikecl import importance
 from spikecl.continual import ResultMatrix, compute_metrics, run_sequence
 from spikecl.data import Dataset, build_split, build_synthetic, build_permuted
 from spikecl.importance import (
     SIAccumulator,
     ewc_importance,
+    importance_report,
     isi_cv_importance,
     si_accumulate,
 )
@@ -140,10 +142,9 @@ def test_c5_isi_cv_oracle():
     def one(times, timesteps):
         raster = np.zeros((1, timesteps, 1), dtype=np.uint8)
         raster[0, list(times), 0] = 1
-        stats_rec = record_from_raster(raster)
-        from spikecl.importance import isi_stats
-        st = isi_stats(stats_rec)
-        return st.cv[0], 1.0 / (st.cv[0] + 1e-3)
+        report = importance_report(record_from_raster(raster))
+        cv = report["neurons"]["0"]["cv"]
+        return cv, 1.0 / (cv + 1e-3)
 
     cv_a, raw_a = one([1, 3, 5, 7], 8)
     cv_b, raw_b = one([], 4)
@@ -223,7 +224,7 @@ def test_c7_metrics_identities():
              f"transfer AF={urep.af}")
 
 
-def test_c8_baseline_plumbing():
+def test_c8_baseline_plumbing(monkeypatch):
     rng = np.random.default_rng(1004)
     net = new_network(2, 1, 2, rng)
     register_head(net, rng)
@@ -248,8 +249,8 @@ def test_c8_baseline_plumbing():
     enet = new_network(12, 8, 2, np.random.default_rng(6))
     register_head(enet, np.random.default_rng(7))
     once = ewc_importance(enet, train, 0, cfg)
-    twice = ewc_importance(enet, doubled, 0, cfg,
-                           max_samples=len(doubled))
+    monkeypatch.setattr(importance, "SAMPLES", len(doubled))
+    twice = ewc_importance(enet, doubled, 0, cfg)
     ewc_ok = np.allclose(once.omega, twice.omega, rtol=1e-12)
 
     seq = build_synthetic(num_tasks=2, train_per_class=40, test_per_class=20,

@@ -98,6 +98,20 @@ def test_oversized_dims_are_a_checkpoint_error(tmp_path):
         load_checkpoint(path)
 
 
+def test_empty_array_with_oversized_dims_is_a_checkpoint_error(tmp_path):
+    # a zero dim makes the payload empty, so only the other dims can be
+    # wrong: their product of 8-byte items must fit int64
+    path = tmp_path / "net.ckpt"
+    for dims in ((0, 2 ** 32 - 1, 2 ** 32 - 1), (0, 2 ** 31, 2 ** 29)):
+        path.write_bytes(oversized_checkpoint_header(dims))
+        with pytest.raises(CheckpointError, match="do not fit int64"):
+            load_checkpoint(path)
+    # one item less is a valid empty array; the file then lacks b1
+    path.write_bytes(oversized_checkpoint_header((0, 2 ** 31, 2 ** 29 - 1)))
+    with pytest.raises(CheckpointError, match="missing array 'b1'"):
+        load_checkpoint(path)
+
+
 def test_incomplete_head_is_rejected(tmp_path):
     net = _net(heads=1)
     path = tmp_path / "net.ckpt"

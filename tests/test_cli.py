@@ -12,13 +12,20 @@ import pytest
 
 from conftest import oversized_checkpoint_header
 from spikecl.checkpoint import MAGIC as CHECKPOINT_MAGIC
-from spikecl import cli
+from spikecl import cli, importance
 from spikecl.checkpoint import load_checkpoint, save_checkpoint
 from spikecl.cli import METRICS_HEADER, SWEEP_HEADER, main
 from spikecl.config import ExperimentConfig
 from spikecl.continual import ResultMatrix, RunAbortedError
 from spikecl.data import MNIST_FILES, write_idx_images, write_idx_labels
 from spikecl.network import new_network, register_head
+
+
+@pytest.fixture(autouse=True)
+def _importance_budget(monkeypatch):
+    # every importance pass here reads at most 64 samples; forked lanes
+    # inherit the patched constant
+    monkeypatch.setattr(importance, "SAMPLES", 64)
 
 
 def _flags(out_dir, **extra):
@@ -32,7 +39,6 @@ def _flags(out_dir, **extra):
         "timesteps": "5",
         "epochs": "2",
         "batch-size": "16",
-        "importance-samples": "64",
         "out-dir": str(out_dir),
     }
     base.update(extra)
@@ -205,11 +211,13 @@ def test_exit_codes(tmp_path, capsys):
     assert "missing IDX files" in capsys.readouterr().err
 
     # 3: IDX headers that declare more than the file holds (once a
-    # MemoryError and an OverflowError), a split of no images and images
-    # of no pixels (once numpy errors deep in build_permuted)
+    # MemoryError and an OverflowError), 0 images of more pixels than
+    # int64 counts (once a ValueError in reshape), a split of no images
+    # and images of no pixels (once numpy errors deep in build_permuted)
     for k, (benchmark, images, message) in enumerate((
             ("split-mnist", (2 ** 32 - 1, 28, 28), "bytes of pixels"),
             ("split-mnist", (1, 2 ** 32 - 1, 2 ** 32 - 1), "bytes of pixels"),
+            ("split-mnist", (0, 2 ** 32 - 1, 2 ** 32 - 1), "fit int64"),
             ("permuted-mnist", np.zeros((0, 4, 4)), "0 images"),
             ("permuted-mnist", np.zeros((30, 0, 0)), "0 pixels"))):
         data_dir = tmp_path / f"idx{k}"
@@ -240,6 +248,12 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["importance-dump", "--checkpoint", str(bad),
                  *_flags(tmp_path / "res")]) == 3
     assert "truncated" in capsys.readouterr().err
+
+    # 3: an empty array whose dims' product overflows int64
+    bad.write_bytes(oversized_checkpoint_header((0, 2 ** 32 - 1, 2 ** 32 - 1)))
+    assert main(["importance-dump", "--checkpoint", str(bad),
+                 *_flags(tmp_path / "res")]) == 3
+    assert "do not fit int64" in capsys.readouterr().err
 
     # 3: a head that does not fit the trunk (12 hidden neurons)
     net = new_network(24, 12, 2, np.random.default_rng(0))
@@ -280,6 +294,13 @@ def test_exit_codes(tmp_path, capsys):
         assert message in captured.err
         assert captured.out == ""
         assert not res.exists()
+
+    # 2: a config path that is a directory, or a file that is not UTF-8
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("out_dir = r\xe9sultats\n".encode("latin-1"))
+    for path in (tmp_path, latin1):
+        assert main(["run", "-c", str(path), *_flags(tmp_path / "res")]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
 
     # 2: a one-task sequence is a config error, caught before any output
     res = tmp_path / "onetask"

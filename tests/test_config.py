@@ -1,7 +1,10 @@
 """Config defaults, file parsing, and override precedence."""
 
+from pathlib import Path
+
 import pytest
 
+from spikecl import importance
 from spikecl.config import (
     ConfigError,
     DATA_DIR_ENV,
@@ -9,6 +12,8 @@ from spikecl.config import (
     load_config,
     parse_config_text,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_defaults():
@@ -23,7 +28,9 @@ def test_defaults():
     assert cfg.batch_size == 128
     assert cfg.lr == pytest.approx(1e-3)
     assert cfg.num_tasks == 5
-    assert cfg.importance_samples == 1024
+    # the importance passes' sample budget is a constant, not a field
+    assert importance.SAMPLES == 1024
+    assert not hasattr(cfg, "importance_samples")
 
 
 @pytest.mark.parametrize("bad", [
@@ -124,6 +131,25 @@ def test_load_config_bad_value_and_missing_file(tmp_path):
         load_config(path, env={})
     with pytest.raises(ConfigError, match="no such config"):
         load_config(tmp_path / "absent.cfg", env={})
+
+
+def test_load_config_unreadable_file_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config(tmp_path, env={})   # a directory
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("out_dir = r\xe9sultats\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config(path, env={})
+
+
+def test_every_shipped_config_loads():
+    # a removed or renamed field must not silently break a shipped profile
+    paths = sorted(CONFIG_DIR.glob("*.cfg"))
+    assert paths, f"no configs under {CONFIG_DIR}"
+    for path in paths:
+        cfg = load_config(path, env={})
+        assert isinstance(cfg, ExperimentConfig), path.name
+        assert cfg.out_dir == f"results/{path.stem}", path.name
 
 
 def test_precedence_flag_over_env_over_file(tmp_path):

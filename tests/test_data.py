@@ -9,6 +9,7 @@ import pytest
 from conftest import random_dataset, traced_peak
 from oracles import oracle_build_synthetic, oracle_load_idx
 from spikecl import data as data_module
+from spikecl import importance
 from spikecl.continual import evaluate, run_sequence
 from spikecl.data import (
     DataError,
@@ -106,6 +107,20 @@ def test_image_header_larger_than_the_file_is_truncated(tmp_path, header):
     ip.write_bytes(struct.pack(">IIII", 0x803, *header) + bytes(12))
     with pytest.raises(IdxTruncatedError, match="got 12"):
         load_idx(ip, lp)
+
+
+def test_image_dims_past_int64_are_a_data_error(tmp_path):
+    # 0 images declare no payload, so only the dims can be wrong
+    ip, lp = _write_pair(tmp_path, np.zeros((0, 2, 2), dtype=np.uint8),
+                         np.zeros(0, dtype=np.uint8))
+    for rows, cols in ((2 ** 32 - 1, 2 ** 32 - 1), (2 ** 32 - 1, 2 ** 31 + 1)):
+        ip.write_bytes(struct.pack(">IIII", 0x803, 0, rows, cols))
+        with pytest.raises(DataError, match="do not fit int64"):
+            load_idx(ip, lp)
+    # 2^63 - 2^31 pixels per image still fit
+    ip.write_bytes(struct.pack(">IIII", 0x803, 0, 2 ** 32 - 1, 2 ** 31))
+    ds = load_idx(ip, lp)
+    assert len(ds) == 0 and ds.dim == 2 ** 63 - 2 ** 31
 
 
 def test_label_header_larger_than_the_file_is_truncated(tmp_path):
@@ -434,13 +449,14 @@ def test_run_sequence_matches_the_float_oracle_rows(method, source,
     def run():
         result = run_sequence(
             tasks, method, seed=0, hidden_size=12,
-            lif_cfg=LIFConfig(timesteps=6), importance_samples=50,
+            lif_cfg=LIFConfig(timesteps=6),
             train_params=TrainParams(epochs=2, batch_size=16),
         )
         return (result.matrix.to_csv(),
                 [vec.omega.tobytes() for vec in result.importances],
                 [log.epochs for log in result.logs])
 
+    monkeypatch.setattr(importance, "SAMPLES", 50)
     expected = run()
     # a copy, as Dataset.rows returns: ewc_importance squares its rows
     monkeypatch.setattr(Dataset, "rows",

@@ -24,7 +24,7 @@ from oracles import (
 )
 import spikecl
 from spikecl import data as data_module
-from spikecl import kernels
+from spikecl import importance, kernels
 from spikecl.data import Dataset
 from spikecl.importance import (
     CLIP_PERCENTILE,
@@ -36,7 +36,6 @@ from spikecl.importance import (
     _clip_cutoff,
     importance_report,
     isi_cv_importance,
-    isi_stats,
     si_accumulate,
     si_importance,
 )
@@ -55,46 +54,50 @@ def _record_from_times(times_per_neuron, timesteps):
     return record_from_raster(raster)
 
 
+def _neuron0(record):
+    """The report's statistics of neuron 0."""
+    return importance_report(record)["neurons"]["0"]
+
+
 def test_regular_train_reaches_maximal_raw_importance():
     record = _record_from_times([[1, 3, 5, 7]], timesteps=8)
-    stats = isi_stats(record)
-    assert stats.isi_counts[0] == 3
-    assert stats.mean[0] == 2.0
-    assert stats.std[0] == 0.0
-    assert stats.cv[0] == 0.0
-    report = importance_report(record)
-    assert report["neurons"]["0"]["raw"] == 1.0 / EPS  # = 1000
+    stats = _neuron0(record)
+    assert stats["intervals"] == 3
+    assert stats["isi_mean"] == 2.0
+    assert stats["isi_std"] == 0.0
+    assert stats["cv"] == 0.0
+    assert stats["raw"] == 1.0 / EPS  # = 1000
 
 
 def test_silent_neuron_gets_the_sentinel():
     record = _record_from_times([[]], timesteps=8)
-    stats = isi_stats(record)
-    assert stats.cv[0] == 2.0
-    raw = importance_report(record)["neurons"]["0"]["raw"]
+    stats = _neuron0(record)
+    assert stats["cv"] == 2.0
+    raw = stats["raw"]
     assert raw == pytest.approx(1.0 / (2.0 + EPS), abs=1e-15)  # ~0.49975
 
 
 def test_single_spike_everywhere_is_still_silent_for_intervals():
     record = _record_from_times([[4]], timesteps=8)
-    stats = isi_stats(record)
-    assert stats.spike_counts[0] == 1
-    assert stats.isi_counts[0] == 0
-    assert stats.cv[0] == 2.0
+    stats = _neuron0(record)
+    assert stats["spikes"] == 1
+    assert stats["intervals"] == 0
+    assert stats["cv"] == 2.0
 
 
 def test_irregular_train_worked_example():
     # spikes {0,1,9,10}: intervals {1,8,1}, mean 10/3, population sigma
     # sqrt(98/9), CV ~ 0.9897, raw ~ 1.0094
     record = _record_from_times([[0, 1, 9, 10]], timesteps=11)
-    stats = isi_stats(record)
+    stats = _neuron0(record)
     mu = 10.0 / 3.0
     sigma = math.sqrt(98.0 / 9.0)
-    assert stats.mean[0] == pytest.approx(mu, rel=1e-15)
-    assert stats.std[0] == pytest.approx(sigma, rel=1e-12)
+    assert stats["isi_mean"] == pytest.approx(mu, rel=1e-15)
+    assert stats["isi_std"] == pytest.approx(sigma, rel=1e-12)
     expected_cv = sigma / (mu + EPS)
-    assert stats.cv[0] == pytest.approx(expected_cv, rel=1e-12)
+    assert stats["cv"] == pytest.approx(expected_cv, rel=1e-12)
     assert expected_cv == pytest.approx(0.9897, abs=5e-5)
-    raw = importance_report(record)["neurons"]["0"]["raw"]
+    raw = stats["raw"]
     assert raw == pytest.approx(1.0 / (expected_cv + EPS), rel=1e-12)
     assert raw == pytest.approx(1.0094, abs=5e-5)
 
@@ -105,10 +108,10 @@ def test_pooling_is_within_sample_only():
     raster = np.zeros((2, 6, 1), dtype=np.uint8)
     raster[0, 5, 0] = 1
     raster[1, 0, 0] = 1
-    stats = isi_stats(record_from_raster(raster))
-    assert stats.spike_counts[0] == 2
-    assert stats.isi_counts[0] == 0
-    assert stats.cv[0] == 2.0
+    stats = _neuron0(record_from_raster(raster))
+    assert stats["spikes"] == 2
+    assert stats["intervals"] == 0
+    assert stats["cv"] == 2.0
 
 
 def test_inserting_silent_sample_changes_nothing():
@@ -233,7 +236,7 @@ def test_any_interval_forces_a_near_one_maximum():
     for _ in range(50):
         raster = (rng.random((3, 10, 6)) < 0.3).astype(np.uint8)
         record = record_from_raster(raster)
-        if isi_stats(record).isi_counts.max() == 0:
+        if record.isi_counts.max() == 0:
             continue
         assert isi_cv_importance(record).omega.max() >= 0.99
 
@@ -418,19 +421,24 @@ def test_collect_identical_samples_identical_rows():
     assert np.array_equal(six, 6 * one)
 
 
-def test_collect_caps_at_max_samples_and_rejects_empty():
+def test_collect_caps_at_max_samples_and_rejects_empty(monkeypatch):
     rng = np.random.default_rng(36)
     net, cfg = random_tiny_net(rng, hidden=3, dim=4)
     x = random_dataset(rng, 50, 4)
-    record = collect_spike_record(net, x, cfg, max_samples=8)
+    whole = collect_spike_record(net, x, cfg)
+    assert whole.sample_count == 50
+    monkeypatch.setattr(importance, "SAMPLES", 8)
+    record = collect_spike_record(net, x, cfg)
     assert record.sample_count == 8
     assert np.array_equal(_counters(record),
                           _counters(collect_spike_record(net, x.take(8), cfg)))
     with pytest.raises(ValueError):
         collect_spike_record(net, x.take(0), cfg)
+    # a non-positive budget fails loudly rather than reading nothing
     for bad in (0, -5):
-        with pytest.raises(ValueError, match="max_samples"):
-            collect_spike_record(net, x, cfg, max_samples=bad)
+        monkeypatch.setattr(importance, "SAMPLES", bad)
+        with pytest.raises(ValueError, match="at least one sample"):
+            collect_spike_record(net, x, cfg)
 
 
 def test_collect_counters_ignore_the_heads():
@@ -457,7 +465,7 @@ def test_collect_counters_do_not_depend_on_the_batch_size(monkeypatch):
     records = []
     for rows in (1, 7, 128):
         monkeypatch.setattr(data_module, "BATCH_ROWS", rows)
-        records.append(collect_spike_record(net, x, cfg, max_samples=300))
+        records.append(collect_spike_record(net, x, cfg))
     assert records[0].isi_counts.sum() > 0
     for record in records[1:]:
         assert record.sample_count == 300
@@ -513,8 +521,9 @@ def test_ewc_max_samples_uses_only_the_first_samples(monkeypatch):
     cfg = dataclasses.replace(cfg, gain=3.0)
     x = random_dataset(rng, 20, 5, rng.integers(0, 3, size=20))
     monkeypatch.setattr(data_module, "BATCH_ROWS", 8)
-    capped = ewc_importance(net, x, 0, cfg, max_samples=10)
     sliced = ewc_importance(net, x.take(10), 0, cfg)
+    monkeypatch.setattr(importance, "SAMPLES", 10)
+    capped = ewc_importance(net, x, 0, cfg)
     assert np.array_equal(capped.omega, sliced.omega)
 
 
@@ -529,15 +538,17 @@ def test_ewc_silent_trunk_gives_zero_importance():
     assert np.array_equal(vec.omega, np.zeros(5))
 
 
-def test_ewc_rejects_empty_subset():
+def test_ewc_rejects_empty_subset(monkeypatch):
     rng = np.random.default_rng(39)
     net, cfg = random_tiny_net(rng)
     x = random_dataset(rng, 4, net.input_size)
     with pytest.raises(ValueError):
         ewc_importance(net, x.take(0), 0, cfg)
+    # a non-positive budget fails loudly rather than reading nothing
     for bad in (0, -3):
-        with pytest.raises(ValueError, match="max_samples"):
-            ewc_importance(net, x, 0, cfg, max_samples=bad)
+        monkeypatch.setattr(importance, "SAMPLES", bad)
+        with pytest.raises(ValueError, match="at least one sample"):
+            ewc_importance(net, x, 0, cfg)
 
 
 # ---------------------------------------------------------------------------

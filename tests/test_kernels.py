@@ -163,7 +163,6 @@ def _run_bytes(method):
         tasks, method, lam=1.0, seed=3, hidden_size=12,
         lif_cfg=LIFConfig(timesteps=6),
         train_params=TrainParams(epochs=2, batch_size=16),
-        importance_samples=48,
         on_task_complete=lambda k, net: trunks.append(
             net.w1.tobytes() + net.b1.tobytes()),
     )
@@ -173,6 +172,7 @@ def _run_bytes(method):
 
 @pytest.mark.parametrize("method", ["isi-cv", "ewc", "si"])
 def test_run_sequence_matches_the_former_training_step(method, monkeypatch):
+    monkeypatch.setattr(importance, "SAMPLES", 48)
     engine = _run_bytes(method)
 
     def unreachable(*args, **kwargs):
