@@ -158,10 +158,9 @@ def load_config(path=None, overrides=None, env=None):
             raise ConfigError(f"no such config file: {path}")
         try:
             with open(path, encoding="utf-8") as f:
-                text = f.read()
+                raw = parse_config_text(f.read(), source=path)
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}")
-        raw = parse_config_text(text, source=path)
         for key, text in raw.items():
             try:
                 values[key] = _parse_value(FIELDS[key], text)
