@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import FIELDS, ConfigError, load_config, text_parser
-from .continual import run_sequence
+from .continual import METHODS, run_sequence
 from .data import DataError, build_permuted, build_split, build_synthetic, load_idx_dir
 from .importance import collect_spike_record, importance_report
 from .network import LIFConfig
@@ -73,12 +73,13 @@ def _load_base(cfg):
     return load_idx_dir(cfg.data_dir)
 
 
-def build_tasks(cfg, seed, base=None):
+def build_tasks(cfg, seed, base):
     """Materialize the configured benchmark for one seed.
 
     Split benchmarks are seed-independent (fixed class pairs); permuted
     and synthetic derive their permutations/prototypes from the run seed
-    so different seeds are fully independent repetitions.
+    so different seeds are fully independent repetitions.  ``base`` is
+    ``_load_base(cfg)``.
     """
     if cfg.benchmark == "synthetic":
         return build_synthetic(
@@ -87,7 +88,7 @@ def build_tasks(cfg, seed, base=None):
             test_per_class=cfg.synthetic_test,
             dim=cfg.synthetic_dim, noise=cfg.synthetic_noise, seed=seed,
         )
-    train, test = base if base is not None else load_idx_dir(cfg.data_dir)
+    train, test = base
     if cfg.benchmark == "permuted-mnist":
         return build_permuted(
             train, test, num_tasks=cfg.num_tasks, seed=seed,
@@ -254,15 +255,15 @@ def _result_json(result, seconds):
         ],
         "tasks": [
             {
-                "task_id": log.task_id,
+                "task_id": k,
                 "trunk_drift": log.trunk_drift,
-                "accuracies": row[:log.task_id + 1].tolist(),
+                "accuracies": row[:k + 1].tolist(),
                 "epochs": [
                     {"loss": e.loss, "accuracy": e.accuracy}
                     for e in log.epochs
                 ],
             }
-            for log, row in zip(result.logs, result.matrix.values)
+            for k, (log, row) in enumerate(zip(result.logs, result.matrix.values))
         ],
     }
 
@@ -333,6 +334,10 @@ def cmd_sweep(cfg, lambdas):
         raise ConfigError(f"lambdas repeat: {lambdas}")
     # building every config first rejects a bad lambda before any training
     configs = [replace(cfg, lam=lam) for lam in lambdas]
+    if METHODS[cfg.method][1] is None:
+        raise ConfigError(
+            f"method {cfg.method!r} never reads lambda; sweep a method "
+            f"that anchors")
     base = _load_base(cfg)
     _ensure_dir(cfg.out_dir)
     pairs = [(lam_cfg, seed) for lam_cfg in configs for seed in cfg.seeds]

@@ -10,7 +10,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
-from .continual import METHODS
+from .continual import METHODS, resolve_lambda
 
 BENCHMARKS = ("split-mnist", "permuted-mnist", "split-fashionmnist", "synthetic")
 
@@ -29,7 +29,7 @@ class ExperimentConfig:
 
     benchmark: str = field(default="synthetic",
                            metadata={"choices": BENCHMARKS})
-    method: str = field(default="none", metadata={"choices": METHODS})
+    method: str = field(default="none", metadata={"choices": tuple(METHODS)})
     lam: float = field(default=None, metadata={   # None = method default
         "help": "penalty strength (default: per-method)"})
     seeds: tuple = field(default=(0,), metadata={"metavar": "S0,S1,..."})
@@ -55,16 +55,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown benchmark {self.benchmark!r}, expected one of {BENCHMARKS}"
             )
-        if self.method not in METHODS:
-            raise ConfigError(
-                f"unknown method {self.method!r}, expected one of {METHODS}"
-            )
-        for name, value in (("lambda", self.lam), ("lr", self.lr),
-                            ("gain", self.gain)):
-            if value is not None and not math.isfinite(value):
+        try:
+            resolve_lambda(self.method, self.lam)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        for name in ("lr", "gain"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if self.lam is not None and self.lam < 0:
-            raise ConfigError("lambda must be >= 0")
+            if not value > 0:
+                raise ConfigError(f"{name} must be > 0")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
@@ -81,9 +81,6 @@ class ExperimentConfig:
                 "least 2 tasks)")
         if self.timesteps < 2:
             raise ConfigError("timesteps must be >= 2")
-        for name in ("lr", "gain"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0")
         for name in ("train_cap", "test_cap"):
             value = getattr(self, name)
             if value is not None and value < 1:

@@ -24,17 +24,40 @@ from .importance import (
 from .network import LIFConfig, forward_const, new_network, register_head
 from .training import TrainParams, train_task
 
-METHODS = ("none", "isi-cv", "ewc", "si")
 
-DEFAULT_LAMBDA = {"none": 0.0, "isi-cv": 500.0, "ewc": 1000.0, "si": 1000.0}
+def _isi_cv(net, task, task_id, lif_cfg, acc):
+    record = collect_spike_record(net, task.train, lif_cfg)
+    return isi_cv_importance(record, task_id=task_id)
+
+
+def _ewc(net, task, task_id, lif_cfg, acc):
+    return ewc_importance(net, task.train, task_id, lif_cfg)
+
+
+def _si(net, task, task_id, lif_cfg, acc):
+    return si_importance(acc, net, task_id=task_id)
+
+
+# method -> (default lambda, estimator).  An estimator maps (net, task,
+# task_id, lif_cfg, SI accumulator) to the finished task's
+# ImportanceVector; None means the method never anchors, so never reads
+# lambda.  Estimators look the importance functions up by module name at
+# each call, so a patch on this module sees every call.
+METHODS = {
+    "none": (0.0, None),
+    "isi-cv": (500.0, _isi_cv),
+    "ewc": (1000.0, _ewc),
+    "si": (1000.0, _si),
+}
 
 
 def resolve_lambda(method, lam=None):
     """Method-specific default strength when ``lam`` is None."""
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+        raise ValueError(
+            f"unknown method {method!r}, expected one of {tuple(METHODS)}")
     if lam is None:
-        return DEFAULT_LAMBDA[method]
+        return METHODS[method][0]
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
@@ -101,12 +124,6 @@ class ResultMatrix:
         if not 0.0 <= accuracy <= 1.0:
             raise ValueError(f"accuracy {accuracy} outside [0, 1]")
         self.values[after_task, on_task] = accuracy
-
-    def get(self, after_task, on_task):
-        v = self.values[after_task, on_task]
-        if np.isnan(v):
-            raise ValueError(f"R[{after_task}][{on_task}] was never filled")
-        return float(v)
 
     def is_complete(self):
         lower = np.tril_indices(self.num_tasks)
@@ -197,7 +214,8 @@ def evaluate(net, data, task_id, lif_cfg):
 
 @dataclass
 class TaskLog:
-    task_id: int
+    """One finished task; its index in ``SequenceResult.logs`` is its id."""
+
     epochs: list
     trunk_drift: float = None   # |W1 - W1*|_F vs the pre-task snapshot
 
@@ -216,43 +234,33 @@ class SequenceResult:
 
 
 class RunAbortedError(RuntimeError):
-    """Training failed partway through a sequence; carries partial logs."""
+    """Training failed partway through a sequence.  ``partial`` is its
+    SequenceResult as the last finished task left it; the failed task's
+    index is ``len(partial.logs)``."""
 
-    def __init__(self, task_id, logs, matrix):
-        super().__init__(f"sequence aborted while training task {task_id}")
-        self.task_id = task_id
-        self.partial_logs = logs
-        self.partial_matrix = matrix
+    def __init__(self, partial):
+        super().__init__(
+            f"sequence aborted while training task {len(partial.logs)}")
+        self.partial = partial
 
     def __reduce__(self):
-        # exceptions pickle as cls(*self.args), which lacks logs and matrix
-        return (type(self),
-                (self.task_id, self.partial_logs, self.partial_matrix))
-
-
-def _task_importance(method, net, task, task_id, lif_cfg, si_acc):
-    if method == "isi-cv":
-        record = collect_spike_record(net, task.train, lif_cfg)
-        return isi_cv_importance(record, task_id=task_id)
-    if method == "ewc":
-        return ewc_importance(net, task.train, task_id, lif_cfg)
-    if method == "si":
-        return si_importance(si_acc, net, task_id=task_id)
-    raise ValueError(f"no importance estimator for method {method!r}")
+        # exceptions pickle as cls(*self.args), which lacks the result
+        return (type(self), (self.partial,))
 
 
 def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
                  lif_cfg=None, train_params=None, on_task_complete=None):
     """Train the task sequence under one method; returns a SequenceResult.
 
-    Per task: register a fresh head and snapshot the trunk once, train
-    on CE plus the anchored penalty, evaluate every task seen so far,
-    then estimate importance on this task's train data and fold it into
-    Ω, the elementwise max over all tasks so far.  The anchor is the
-    trunk as the task starts, i.e. as the previous task left it, with
-    that Ω; there is none on the first task, or ever for method "none".
-    The same snapshot is SI's displacement base and the reference of
-    ``TaskLog.trunk_drift``.
+    One SequenceResult is built before the first task and filled in
+    place.  Per task: register a fresh head and snapshot the trunk once,
+    train on CE plus the anchored penalty, evaluate every task seen so
+    far, then append the method's estimate (``METHODS``) of this task's
+    importance.  The anchor is the trunk as the task starts, i.e. as the
+    previous task left it, with Ω the elementwise max over the
+    importances so far; there is none on the first task, or ever for a
+    method without an estimator.  The same snapshot is SI's displacement
+    base and the reference of ``TaskLog.trunk_drift``.
 
     Seeding is positional so every method sees identical initial weights
     and batch order: trunk init uses (seed, 0), head k (seed, 1, k),
@@ -265,6 +273,7 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
     if k_total < 2:
         raise ValueError("a continual sequence needs at least 2 tasks")
     lam = resolve_lambda(method, lam)
+    estimate = METHODS[method][1]
     lif_cfg = lif_cfg or LIFConfig()
     train_params = train_params or TrainParams()
 
@@ -272,20 +281,19 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
         tasks.input_dim, hidden_size, tasks.classes_per_task,
         np.random.default_rng(np.random.SeedSequence([seed, 0])),
     )
-    matrix = ResultMatrix(k_total)
-    logs = []
-    importances = []
-    omega_max = None
+    result = SequenceResult(matrix=ResultMatrix(k_total), logs=[],
+                            importances=[], method=method, lam=lam, seed=seed)
 
     for k, task in enumerate(tasks):
         register_head(net, np.random.default_rng(np.random.SeedSequence([seed, 1, k])))
         start = net.copy_trunk()
-        anchor = (None if omega_max is None
-                  else Anchor(*start, omega=omega_max, lam=lam))
+        anchor = None
+        if result.importances:
+            omega = np.max([vec.omega for vec in result.importances], axis=0)
+            anchor = Anchor(*start, omega=omega, lam=lam)
         si_acc = SIAccumulator.start(start) if method == "si" else None
-        hook = None
-        if si_acc is not None:
-            hook = lambda grads, deltas: si_accumulate(si_acc, grads, deltas)
+        hook = None if si_acc is None else (
+            lambda grads, deltas: si_accumulate(si_acc, grads, deltas))
         try:
             epochs = train_task(
                 net, task.train, k, lif_cfg, train_params,
@@ -293,24 +301,14 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
                 reg=anchor, step_hook=hook,
             )
         except Exception as exc:
-            raise RunAbortedError(k, logs, matrix) from exc
+            raise RunAbortedError(result) from exc
 
         drift = None if k == 0 else float(np.linalg.norm(net.w1 - start[0]))
         for j in range(k + 1):
-            matrix.set(k, j, evaluate(net, tasks[j].test, j, lif_cfg))
-        logs.append(TaskLog(task_id=k, epochs=epochs, trunk_drift=drift))
-
-        if method != "none":
-            vec = _task_importance(method, net, task, k, lif_cfg, si_acc)
-            importances.append(vec)
-            omega_max = (
-                vec.omega if omega_max is None
-                else np.maximum(omega_max, vec.omega)
-            )
+            result.matrix.set(k, j, evaluate(net, tasks[j].test, j, lif_cfg))
+        result.logs.append(TaskLog(epochs=epochs, trunk_drift=drift))
+        if estimate is not None:
+            result.importances.append(estimate(net, task, k, lif_cfg, si_acc))
         if on_task_complete is not None:
             on_task_complete(k, net)
-
-    return SequenceResult(
-        matrix=matrix, logs=logs, importances=importances,
-        method=method, lam=lam, seed=seed,
-    )
+    return result

@@ -128,10 +128,10 @@ class ForwardTrace:
     """Everything the backward pass, the replay check and the interval
     counters need, for one batch.
 
-    Arrays are indexed batch-major.  ``inputs`` (N, D) and ``currents``
-    (N, H) hold the drive (the input times the gain) and trunk current,
-    the same at every timestep.  ``u`` (float64) and ``s`` (bool) are
-    the kernel's (N, T, H) views of time-major storage.
+    Arrays are indexed batch-major.  ``inputs`` (N, D) holds the drive
+    (the input times the gain), the same at every timestep.  ``u``
+    (float64) and ``s`` (bool) are the kernel's (N, T, H) views of
+    time-major storage.
 
     A backward pass consumes the trace: ``u`` and ``s`` are set to None
     and the surrogate derivative is written over the membrane, which is
@@ -139,7 +139,6 @@ class ForwardTrace:
     """
 
     inputs: np.ndarray
-    currents: np.ndarray
     u: np.ndarray       # (N, T, H) float64
     s: np.ndarray       # (N, T, H) bool
     sbar: np.ndarray    # (N, H) mean spike count over time
@@ -170,7 +169,6 @@ def forward_const(x, task_id, net, cfg):
     logits = sbar @ head.w2.T + head.b2
     trace = ForwardTrace(
         inputs=x,
-        currents=cur,
         u=u,
         s=s,
         sbar=sbar,

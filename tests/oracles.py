@@ -277,7 +277,6 @@ def oracle_forward_const(x, task_id, net, cfg):
     logits = sbar @ head.w2.T + head.b2
     trace = ForwardTrace(
         inputs=x,
-        currents=cur,
         u=u,
         s=s,
         sbar=sbar,

@@ -169,10 +169,11 @@ def test_c6_membrane_replay():
         net, cfg = random_tiny_net(rng)
         x = rng.normal(size=(int(rng.integers(1, 4)), net.input_size))
         _, trace = forward_const(x, 0, net, cfg)
+        currents = trace.inputs @ net.w1.T + net.b1
         match = True
         for n in range(x.shape[0]):
             for h in range(net.hidden_size):
-                cur = float(trace.currents[n, h])
+                cur = float(currents[n, h])
                 u, s = replay_membrane([cur] * cfg.timesteps,
                                        cfg.tau, cfg.theta)
                 match &= trace.u[n, :, h].tolist() == u
@@ -185,8 +186,8 @@ def test_c6_membrane_replay():
     register_head(net, np.random.default_rng(0))
     _, trace = forward_const(np.array([[0.6]]), 0, net,
                              LIFConfig(timesteps=4))
-    u_hand, s_hand = replay_membrane(trace.currents[0, 0] * np.ones(4),
-                                     2.0, 1.0)
+    # the trunk current is 1.0 * 0.6 + 0.0 = 0.6 exactly
+    u_hand, s_hand = replay_membrane(np.full(4, 0.6), 2.0, 1.0)
     hand = (np.allclose(trace.u[0, :, 0], [0.6, 0.9, 1.05, 0.125],
                         rtol=1e-12, atol=0)
             and trace.s[0, :, 0].tolist() == [0.0, 0.0, 1.0, 0.0]

@@ -9,6 +9,7 @@ import contextlib
 import io
 import os
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -78,6 +79,40 @@ def test_training_step_calls_what_the_tracer_patches(monkeypatch):
                TrainParams(epochs=1, batch_size=4), np.random.default_rng(3))
     # two steps, each one forward pass and one optimizer update
     assert calls == ["lif_forward_const", "adam_step"] * 2
+
+
+# the importance functions each method's estimator calls once per task
+ESTIMATOR_CALLS = {
+    "none": (),
+    "isi-cv": ("collect_spike_record", "isi_cv_importance"),
+    "ewc": ("ewc_importance",),
+    "si": ("si_importance",),
+}
+
+
+@pytest.mark.parametrize("method", list(continual.METHODS))
+def test_run_sequence_calls_what_the_tracer_patches(method, monkeypatch):
+    # the tracer replaces the importance functions on the continual
+    # module; a method table holding functions bound at import time would
+    # escape it and read zero calls in those per-layer rows
+    calls = []
+    for attr in ("collect_spike_record", "isi_cv_importance",
+                 "ewc_importance", "si_importance", "si_accumulate"):
+        _counting(monkeypatch, continual, attr, calls)
+    _counting(monkeypatch, training, "adam_step", calls)
+    monkeypatch.setattr(importance, "SAMPLES", 16)
+    tasks = data_module.build_synthetic(num_tasks=3, train_per_class=10,
+                                        test_per_class=5, dim=8)
+    continual.run_sequence(tasks, method, hidden_size=4,
+                           lif_cfg=LIFConfig(timesteps=3),
+                           train_params=TrainParams(epochs=1, batch_size=8))
+    counts = Counter(calls)
+    steps = counts.pop("adam_step")
+    assert steps == 3 * 3   # per task, 20 samples in batches of 8
+    want = Counter({attr: len(tasks) for attr in ESTIMATOR_CALLS[method]})
+    if method == "si":
+        want["si_accumulate"] = steps
+    assert counts == want
 
 
 def _tiny_net():

@@ -16,7 +16,12 @@ from spikecl import cli, importance
 from spikecl.checkpoint import load_checkpoint, save_checkpoint
 from spikecl.cli import METRICS_HEADER, SWEEP_HEADER, main
 from spikecl.config import ExperimentConfig
-from spikecl.continual import ResultMatrix, RunAbortedError
+from spikecl.continual import (
+    ResultMatrix,
+    RunAbortedError,
+    SequenceResult,
+    TaskLog,
+)
 from spikecl.data import MNIST_FILES, write_idx_images, write_idx_labels
 from spikecl.network import new_network, register_head
 
@@ -285,6 +290,8 @@ def test_exit_codes(tmp_path, capsys):
         (["run", "--gain", "inf"], "gain must be finite"),
         (["sweep", "--lambdas", "1,nan"], "lambda must be finite"),
         (["sweep", "--lambdas", "10,10.0"], "lambdas repeat"),
+        (["sweep", "--method", "none", "--lambdas", "1,2"],
+         "method 'none' never reads lambda"),
         (["run", "--seeds", "0,0"], "seeds repeat"),
         (["run", "--seeds", "-1"], "seeds must be >= 0"),
     ):
@@ -461,12 +468,15 @@ def _abort(lam, seed):
     # in the second lane for 2 CPUs: seed 1 of (0, 1, 2), or
     # (lambda 500, seed 1) of the pairs (10, 0), (10, 1), (500, 0), (500, 1)
     if seed == 1 and lam in (None, 500.0):
-        raise RunAbortedError(1, [], ResultMatrix(2))
+        # task 0 finished, so the run aborted while training task 1
+        raise RunAbortedError(SequenceResult(
+            matrix=ResultMatrix(2), logs=[TaskLog(epochs=[])],
+            importances=[], method="isi-cv", lam=500.0, seed=seed))
 
 
 @pytest.mark.parametrize("argv", [
     ["run", "--seeds", "0,1,2"],
-    ["sweep", "--lambdas", "10,500", "--seeds", "0,1"],
+    ["sweep", "--method", "isi-cv", "--lambdas", "10,500", "--seeds", "0,1"],
 ])
 def test_a_failure_in_a_child_lane_reads_as_one_lane(tmp_path, monkeypatch,
                                                       capsys, argv):

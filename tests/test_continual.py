@@ -326,7 +326,7 @@ def test_identical_tasks_show_no_forgetting_without_regularization():
     seq = TaskSequence(tasks=[tasks[0], dup], classes_per_task=2)
     res = run_sequence(seq, "none", seed=0, hidden_size=16, lif_cfg=TOY_LIF,
                        train_params=FAST)
-    assert abs(res.matrix.get(1, 0) - res.matrix.get(0, 0)) <= 0.05
+    assert abs(res.matrix.values[1, 0] - res.matrix.values[0, 0]) <= 0.05
 
 
 def test_huge_lambda_freezes_the_trunk():
@@ -363,16 +363,16 @@ def test_trunk_drift_is_monotone_in_lambda():
 def test_first_task_results_are_method_independent():
     tasks = _toy_sequence(seed=5)
     r11 = set()
-    for method in ("none", "isi-cv", "ewc", "si"):
+    for method, (_, estimator) in continual.METHODS.items():
         res = run_sequence(tasks, method, seed=2, hidden_size=16,
                            lif_cfg=TOY_LIF, train_params=FAST)
-        r11.add(res.matrix.get(0, 0))
-        if method != "none":
-            assert len(res.importances) == len(tasks)
-            for vec in res.importances:
-                assert vec.method == method
-                assert vec.omega.min() >= 0.0
-                assert vec.omega.max() <= 1.0
+        r11.add(res.matrix.values[0, 0])
+        assert len(res.importances) == (0 if estimator is None
+                                         else len(tasks))
+        for vec in res.importances:
+            assert vec.method == method
+            assert vec.omega.min() >= 0.0
+            assert vec.omega.max() <= 1.0
     assert len(r11) == 1
 
 
@@ -394,38 +394,48 @@ def test_callback_fires_once_per_task():
     assert seen == [0, 1, 2]
 
 
-def test_training_failure_aborts_with_partial_results():
-    tasks = _toy_sequence()
+def _aborted_at_task_1(method):
+    """The RunAbortedError of a 3-task ``method`` run whose task 1
+    cannot train."""
+    tasks = _toy_sequence(num_tasks=3)
     tasks[1].train.labels[:] = 7   # outside the head's class range
     with pytest.raises(RunAbortedError) as info:
-        run_sequence(tasks, "none", seed=0, hidden_size=12,
+        run_sequence(tasks, method, seed=0, hidden_size=12,
                      lif_cfg=TOY_LIF, train_params=FAST)
-    err = info.value
-    assert err.task_id == 1
-    assert len(err.partial_logs) == 1
-    assert err.partial_matrix.get(0, 0) >= 0.0
+    return info.value
+
+
+def test_training_failure_aborts_with_partial_results():
+    for method, (_, estimator) in continual.METHODS.items():
+        err = _aborted_at_task_1(method)
+        partial = err.partial
+        assert str(err) == "sequence aborted while training task 1"
+        assert len(partial.logs) == 1
+        assert partial.logs[0].trunk_drift is None
+        # row 0 is filled, the rows of the failed and later tasks are not
+        assert 0.0 <= partial.matrix.values[0, 0] <= 1.0
+        assert np.all(np.isnan(partial.matrix.values[1:]))
+        assert len(partial.importances) == (0 if estimator is None else 1)
+        assert (partial.method, partial.seed) == (method, 0)
 
 
 def test_aborted_error_survives_pickling():
     # a seed that aborts in a forked CLI lane reaches the parent pickled
-    tasks = _toy_sequence()
-    tasks[1].train.labels[:] = 7
-    with pytest.raises(RunAbortedError) as info:
-        run_sequence(tasks, "none", seed=0, hidden_size=12,
-                     lif_cfg=TOY_LIF, train_params=FAST)
-    for err in (info.value, RunAbortedError(1, [], ResultMatrix(2))):
-        back = pickle.loads(pickle.dumps(err))
-        assert type(back) is RunAbortedError
-        assert str(back) == str(err)
-        assert back.task_id == err.task_id
-        assert back.partial_logs == err.partial_logs
-        assert np.array_equal(back.partial_matrix.values,
-                              err.partial_matrix.values, equal_nan=True)
-    assert len(back.partial_logs) == 0
-    assert len(pickle.loads(pickle.dumps(info.value)).partial_logs) == 1
+    err = _aborted_at_task_1("isi-cv")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is RunAbortedError
+    assert str(back) == str(err)
+    assert np.array_equal(back.partial.matrix.values,
+                          err.partial.matrix.values, equal_nan=True)
+    assert back.partial.logs == err.partial.logs
+    assert len(back.partial.importances) == 1
+    vec, want = back.partial.importances[0], err.partial.importances[0]
+    assert (vec.method, vec.task_id) == (want.method, want.task_id) == \
+        ("isi-cv", 0)
+    assert vec.omega.tobytes() == want.omega.tobytes()
 
 
-@pytest.mark.parametrize("method", ["none", "isi-cv", "ewc", "si"])
+@pytest.mark.parametrize("method", list(continual.METHODS))
 def test_each_task_is_anchored_to_the_trunk_the_last_one_left(
         method, monkeypatch):
     # one snapshot per task: the anchor task k trains against, SI's

@@ -154,16 +154,18 @@ def test_identical_samples_identical_traces():
 
 
 def test_replay_recorded_membrane_bit_exact():
-    # re-running the recursion over the recorded currents must reproduce
-    # the trace exactly, bit for bit
+    # re-running the recursion over the trunk currents of the recorded
+    # drive (forward_const's own expression) must reproduce the trace
+    # exactly, bit for bit
     rng = np.random.default_rng(7)
     for _ in range(30):
         net, cfg = random_tiny_net(rng)
         x = rng.random((2, net.input_size))
         _, trace = forward_const(x, 0, net, cfg)
+        currents = trace.inputs @ net.w1.T + net.b1
         for n in range(2):
             for i in range(net.hidden_size):
-                cur = trace.currents[n, i]
+                cur = currents[n, i]
                 u_ref, s_ref = replay_membrane(
                     [cur] * cfg.timesteps, cfg.tau, cfg.theta
                 )
@@ -178,7 +180,7 @@ def test_membrane_bounded_under_bounded_input():
     big = LIFConfig(tau=cfg.tau, theta=cfg.theta, timesteps=200)
     x = rng.uniform(-1, 1, size=(4, 3))
     _, trace = forward_const(x, 0, net, big)
-    m = np.abs(trace.currents).max()
+    m = np.abs(trace.inputs @ net.w1.T + net.b1).max()
     assert np.abs(trace.u).max() <= (m + big.theta) * big.tau + 1e-12
 
 
