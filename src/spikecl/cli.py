@@ -47,8 +47,6 @@ from .config import FIELDS, ConfigError, load_config, text_parser
 from .continual import METHODS, run_sequence
 from .data import DataError, build_permuted, build_split, build_synthetic, load_idx_dir
 from .importance import collect_spike_record, importance_report
-from .network import LIFConfig
-from .training import TrainParams
 
 
 def _fmt(v):
@@ -102,15 +100,10 @@ def build_tasks(cfg, seed, base):
 
 
 def _run_one_seed(cfg, seed, base, on_task_complete=None):
-    tasks = build_tasks(cfg, seed, base)
     return run_sequence(
-        tasks, cfg.method, lam=cfg.lam, seed=seed,
-        hidden_size=cfg.hidden_size,
-        lif_cfg=LIFConfig(timesteps=cfg.timesteps, gain=cfg.gain),
-        train_params=TrainParams(
-            epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr
-        ),
-        on_task_complete=on_task_complete,
+        build_tasks(cfg, seed, base), cfg.method, lam=cfg.lam, seed=seed,
+        hidden_size=cfg.hidden_size, lif_cfg=cfg.lif_cfg,
+        train_params=cfg.train_params, on_task_complete=on_task_complete,
     )
 
 
@@ -387,10 +380,7 @@ def cmd_importance_dump(cfg, checkpoint_path, task_id=None, seed=None, out=None)
             f"checkpoint expects {net.input_size} inputs, benchmark "
             f"provides {tasks.input_dim}"
         )
-    record = collect_spike_record(
-        net, tasks[task_id].train,
-        LIFConfig(timesteps=cfg.timesteps, gain=cfg.gain),
-    )
+    record = collect_spike_record(net, tasks[task_id].train, cfg.lif_cfg)
     report = importance_report(record, task_id=task_id)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out is None:

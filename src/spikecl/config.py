@@ -6,11 +6,12 @@ flag.  Config files are plain text, one ``key = value`` per line with
 ``#`` comments.
 """
 
-import math
 import os
 from dataclasses import dataclass, field, fields
 
 from .continual import METHODS, resolve_lambda
+from .network import LIFConfig
+from .training import TrainParams
 
 BENCHMARKS = ("split-mnist", "permuted-mnist", "split-fashionmnist", "synthetic")
 
@@ -25,7 +26,9 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Every run setting, declared once: config-file keys and command-line
     flags are both derived from these fields.  A field's ``metadata``
-    holds extra argparse settings for its flag."""
+    holds extra argparse settings for its flag.  ``lif_cfg`` and
+    ``train_params`` are the LIFConfig and TrainParams built from five
+    fields; those classes hold the five defaults and valid ranges."""
 
     benchmark: str = field(default="synthetic",
                            metadata={"choices": BENCHMARKS})
@@ -34,17 +37,17 @@ class ExperimentConfig:
         "help": "penalty strength (default: per-method)"})
     seeds: tuple = field(default=(0,), metadata={"metavar": "S0,S1,..."})
     hidden_size: int = 128
-    timesteps: int = 10
-    epochs: int = 5
-    batch_size: int = 128
-    lr: float = 1e-3
+    timesteps: int = LIFConfig.timesteps
+    epochs: int = TrainParams.epochs
+    batch_size: int = TrainParams.batch_size
+    lr: float = TrainParams.lr
     train_cap: int = field(default=None, metadata={   # None = full data
         "help": "per-task training samples (default: all)"})
     test_cap: int = None
     num_tasks: int = 5           # permuted-mnist and synthetic only
     data_dir: str = "data"
     out_dir: str = "results"
-    gain: float = 1.0
+    gain: float = LIFConfig.gain
     synthetic_dim: int = 64
     synthetic_noise: float = 0.05
     synthetic_train: int = 200   # per class
@@ -55,32 +58,28 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown benchmark {self.benchmark!r}, expected one of {BENCHMARKS}"
             )
+        # a run trains at least one epoch; TrainParams allows 0
+        for name in ("hidden_size", "epochs", "synthetic_dim",
+                     "synthetic_train", "synthetic_test"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         try:
             resolve_lambda(self.method, self.lam)
+            self.lif_cfg = LIFConfig(timesteps=self.timesteps, gain=self.gain)
+            self.train_params = TrainParams(
+                epochs=self.epochs, batch_size=self.batch_size, lr=self.lr)
         except ValueError as exc:
             raise ConfigError(str(exc))
-        for name in ("lr", "gain"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-            if not value > 0:
-                raise ConfigError(f"{name} must be > 0")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds repeat: {self.seeds}")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
-        for name in ("hidden_size", "epochs", "batch_size", "synthetic_dim",
-                     "synthetic_train", "synthetic_test"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
         if self.num_tasks < 2:
             raise ConfigError(
                 "num_tasks must be >= 2 (a continual sequence needs at "
                 "least 2 tasks)")
-        if self.timesteps < 2:
-            raise ConfigError("timesteps must be >= 2")
         for name in ("train_cap", "test_cap"):
             value = getattr(self, name)
             if value is not None and value < 1:

@@ -149,7 +149,7 @@ class ResultMatrix:
                 raise ValueError("result matrix CSV is not square")
             for k, cell in enumerate(row):
                 if cell:
-                    matrix.values[l, k] = float(cell)
+                    matrix.set(l, k, float(cell))
         return matrix
 
 
@@ -234,18 +234,20 @@ class SequenceResult:
 
 
 class RunAbortedError(RuntimeError):
-    """Training failed partway through a sequence.  ``partial`` is its
-    SequenceResult as the last finished task left it; the failed task's
-    index is ``len(partial.logs)``."""
+    """A step of a task failed partway through a sequence.  ``partial`` is
+    its SequenceResult as the last finished task left it; the failed
+    task's index is ``len(partial.logs)``.  ``cause`` ("OSError: disk
+    full") ends the message, since a pickle drops ``__cause__``."""
 
-    def __init__(self, partial):
-        super().__init__(
-            f"sequence aborted while training task {len(partial.logs)}")
+    def __init__(self, partial, cause):
+        super().__init__(f"sequence aborted while training task "
+                         f"{len(partial.logs)}: {cause}")
         self.partial = partial
+        self.cause = cause
 
     def __reduce__(self):
         # exceptions pickle as cls(*self.args), which lacks the result
-        return (type(self), (self.partial,))
+        return (type(self), (self.partial, self.cause))
 
 
 def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
@@ -266,8 +268,9 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
     and batch order: trunk init uses (seed, 0), head k (seed, 1, k),
     shuffling for task k (seed, 2, k).
 
-    ``on_task_complete(task_id, net)`` runs after each task's bookkeeping,
-    e.g. to write checkpoints.
+    ``on_task_complete(task_id, net)`` runs after each task's estimate,
+    e.g. to write checkpoints.  A failure in any of a task's steps raises
+    RunAbortedError; a task joins the result once all have succeeded.
     """
     k_total = len(tasks)
     if k_total < 2:
@@ -300,15 +303,20 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
                 rng=np.random.default_rng(np.random.SeedSequence([seed, 2, k])),
                 reg=anchor, step_hook=hook,
             )
+            drift = None if k == 0 else float(np.linalg.norm(net.w1 - start[0]))
+            row = [evaluate(net, tasks[j].test, j, lif_cfg)
+                   for j in range(k + 1)]
+            vec = (None if estimate is None
+                   else estimate(net, task, k, lif_cfg, si_acc))
+            if on_task_complete is not None:
+                on_task_complete(k, net)
         except Exception as exc:
-            raise RunAbortedError(result) from exc
+            cause = f"{type(exc).__name__}: {exc}"
+            raise RunAbortedError(result, cause) from exc
 
-        drift = None if k == 0 else float(np.linalg.norm(net.w1 - start[0]))
-        for j in range(k + 1):
-            result.matrix.set(k, j, evaluate(net, tasks[j].test, j, lif_cfg))
+        for j, accuracy in enumerate(row):
+            result.matrix.set(k, j, accuracy)
         result.logs.append(TaskLog(epochs=epochs, trunk_drift=drift))
-        if estimate is not None:
-            result.importances.append(estimate(net, task, k, lif_cfg, si_acc))
-        if on_task_complete is not None:
-            on_task_complete(k, net)
+        if vec is not None:
+            result.importances.append(vec)
     return result

@@ -6,6 +6,7 @@ path (factor 1 - 1/tau) and the delayed reset path (-theta * s[t-1]).
 Only the active task's head receives gradients.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,7 +132,7 @@ class OptimizerState:
     builds one per task.
     """
 
-    lr: float = 1e-3
+    lr: float
     m: np.ndarray = field(default=None, init=False)
     v: np.ndarray = field(default=None, init=False)
     t: int = field(default=0, init=False)
@@ -190,8 +191,8 @@ class TrainParams:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not self.lr > 0:
-            raise ValueError("lr must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
 @dataclass

@@ -282,12 +282,19 @@ def test_exit_codes(tmp_path, capsys):
     assert "lambda 10" not in captured.out
     assert not (tmp_path / "sweep" / "sweep.csv").exists()
 
-    # 2: non-finite numbers, repeated seeds and repeated lambdas are
-    # rejected before training
+    # 2: out-of-range or non-finite numbers, repeated seeds and repeated
+    # lambdas are rejected before training, the engine's settings with
+    # LIFConfig's and TrainParams' own messages
     for argv, message in (
         (["run", "--lambda", "nan"], "lambda must be finite"),
-        (["run", "--lr", "inf"], "lr must be finite"),
-        (["run", "--gain", "inf"], "gain must be finite"),
+        (["run", "--lr", "inf"], "lr must be finite and > 0, got inf"),
+        (["run", "--lr", "nan"], "lr must be finite and > 0, got nan"),
+        (["run", "--lr", "0"], "lr must be finite and > 0, got 0.0"),
+        (["run", "--gain", "inf"], "gain must be finite and > 0, got inf"),
+        (["run", "--gain", "-1"], "gain must be finite and > 0, got -1.0"),
+        (["run", "--timesteps", "1"], "timesteps must be >= 2, got 1"),
+        (["run", "--batch-size", "0"], "batch_size must be >= 1"),
+        (["run", "--epochs", "0"], "epochs must be >= 1"),
         (["sweep", "--lambdas", "1,nan"], "lambda must be finite"),
         (["sweep", "--lambdas", "10,10.0"], "lambdas repeat"),
         (["sweep", "--method", "none", "--lambdas", "1,2"],
@@ -296,7 +303,8 @@ def test_exit_codes(tmp_path, capsys):
         (["run", "--seeds", "-1"], "seeds must be >= 0"),
     ):
         res = tmp_path / "nonfinite"
-        assert main([*argv, *_flags(res)]) == 2, argv
+        # after _flags, so that a flag it also sets takes this value
+        assert main([argv[0], *_flags(res), *argv[1:]]) == 2, argv
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
@@ -471,7 +479,8 @@ def _abort(lam, seed):
         # task 0 finished, so the run aborted while training task 1
         raise RunAbortedError(SequenceResult(
             matrix=ResultMatrix(2), logs=[TaskLog(epochs=[])],
-            importances=[], method="isi-cv", lam=500.0, seed=seed))
+            importances=[], method="isi-cv", lam=500.0, seed=seed),
+            "OSError: disk full")
 
 
 @pytest.mark.parametrize("argv", [
@@ -497,7 +506,7 @@ def test_a_failure_in_a_child_lane_reads_as_one_lane(tmp_path, monkeypatch,
             assert not (out / "sweep.csv").exists()
     assert seen[0] == seen[1]
     assert seen[0][1] == ("spikecl: RunAbortedError: sequence aborted "
-                          "while training task 1\n")
+                          "while training task 1: OSError: disk full\n")
     if argv[0] == "sweep":
         assert seen[0][0].startswith("lambda 10: ")
 
@@ -519,6 +528,25 @@ def test_a_child_lane_that_dies_is_named(tmp_path, monkeypatch, capsys):
     )
     _no_children_left()
     assert (out / "rmatrix_seed0.csv").exists()
+
+
+def test_a_failed_checkpoint_write_names_its_cause(tmp_path, monkeypatch,
+                                                   capsys):
+    real = cli.save_checkpoint
+
+    def save_checkpoint(path, net):
+        if path.endswith("task1.ckpt"):
+            raise OSError("disk full")
+        real(path, net)
+
+    monkeypatch.setattr(cli, "save_checkpoint", save_checkpoint)
+    out = tmp_path / "res"
+    assert main(["run", *_flags(out)]) == 4
+    assert capsys.readouterr().err == (
+        "spikecl: RunAbortedError: sequence aborted while training task 1: "
+        "OSError: disk full\n"
+    )
+    assert os.listdir(out / "checkpoints") == ["seed0_task0.ckpt"]
 
 
 def test_a_failed_first_run_stops_the_other_lanes(tmp_path, monkeypatch,

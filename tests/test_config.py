@@ -1,5 +1,6 @@
 """Config defaults, file parsing, and override precedence."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from spikecl.config import (
     load_config,
     parse_config_text,
 )
+from spikecl.network import LIFConfig
+from spikecl.training import TrainParams
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -31,6 +34,19 @@ def test_defaults():
     # the importance passes' sample budget is a constant, not a field
     assert importance.SAMPLES == 1024
     assert not hasattr(cfg, "importance_samples")
+
+
+def test_config_builds_the_engine_settings_it_describes():
+    cfg = ExperimentConfig()
+    assert cfg.lif_cfg == LIFConfig()
+    assert cfg.train_params == TrainParams()
+    # not fields: run.json's config and the flags are unchanged
+    assert "lif_cfg" not in cfg.to_dict()
+    assert "train_params" not in cfg.to_dict()
+    changed = replace(cfg, timesteps=3, lr=5e-3)
+    assert changed.lif_cfg == LIFConfig(timesteps=3)
+    assert changed.train_params == TrainParams(lr=5e-3)
+    assert cfg.lif_cfg == LIFConfig()
 
 
 @pytest.mark.parametrize("bad", [

@@ -293,6 +293,10 @@ def test_result_matrix_validation_and_csv_round_trip():
     np.testing.assert_allclose(back.values[lower], m.values[lower],
                                rtol=1e-9, atol=0)
     assert np.all(np.isnan(back.values[np.triu_indices(3, 1)]))
+    # a read CSV holds accuracies of trained tasks only
+    for bad in ("0.5,0.5\n0.5,0.5\n", "1.5,\n0.5,0.5\n", "nan,\n0.5,0.5\n"):
+        with pytest.raises(ValueError):
+            ResultMatrix.from_csv(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -394,29 +398,72 @@ def test_callback_fires_once_per_task():
     assert seen == [0, 1, 2]
 
 
-def _aborted_at_task_1(method):
+def _aborted_at_task_1(method, untrainable=True, on_task_complete=None):
     """The RunAbortedError of a 3-task ``method`` run whose task 1
-    cannot train."""
+    fails, in training when ``untrainable``."""
     tasks = _toy_sequence(num_tasks=3)
-    tasks[1].train.labels[:] = 7   # outside the head's class range
+    if untrainable:
+        tasks[1].train.labels[:] = 7   # outside the head's class range
     with pytest.raises(RunAbortedError) as info:
         run_sequence(tasks, method, seed=0, hidden_size=12,
-                     lif_cfg=TOY_LIF, train_params=FAST)
+                     lif_cfg=TOY_LIF, train_params=FAST,
+                     on_task_complete=on_task_complete)
     return info.value
 
 
+def _holds_task_0_only(err, method):
+    """``err`` names task 1 and holds the record task 0 left."""
+    partial = err.partial
+    assert str(err).startswith("sequence aborted while training task 1: ")
+    assert len(partial.logs) == 1
+    assert partial.logs[0].trunk_drift is None
+    # row 0 is filled, the rows of the failed and later tasks are not
+    assert 0.0 <= partial.matrix.values[0, 0] <= 1.0
+    assert np.all(np.isnan(partial.matrix.values[1:]))
+    estimator = continual.METHODS[method][1]
+    assert len(partial.importances) == (0 if estimator is None else 1)
+    assert (partial.method, partial.seed) == (method, 0)
+
+
 def test_training_failure_aborts_with_partial_results():
-    for method, (_, estimator) in continual.METHODS.items():
+    for method in continual.METHODS:
         err = _aborted_at_task_1(method)
-        partial = err.partial
-        assert str(err) == "sequence aborted while training task 1"
-        assert len(partial.logs) == 1
-        assert partial.logs[0].trunk_drift is None
-        # row 0 is filled, the rows of the failed and later tasks are not
-        assert 0.0 <= partial.matrix.values[0, 0] <= 1.0
-        assert np.all(np.isnan(partial.matrix.values[1:]))
-        assert len(partial.importances) == (0 if estimator is None else 1)
-        assert (partial.method, partial.seed) == (method, 0)
+        _holds_task_0_only(err, method)
+        assert str(err) == ("sequence aborted while training task 1: "
+                            "ValueError: target label outside the head's "
+                            "class range")
+        assert isinstance(err.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("method", list(continual.METHODS))
+def test_a_failing_callback_aborts_with_the_finished_tasks(method):
+    def checkpoint(task_id, net):
+        if task_id == 1:
+            raise OSError("disk full")
+
+    err = _aborted_at_task_1(method, untrainable=False,
+                             on_task_complete=checkpoint)
+    _holds_task_0_only(err, method)
+    assert str(err).endswith(": OSError: disk full")
+    assert isinstance(err.__cause__, OSError)
+
+
+@pytest.mark.parametrize("method", [
+    m for m, (_, estimator) in continual.METHODS.items()
+    if estimator is not None])
+def test_a_failing_estimator_aborts_with_the_finished_tasks(method,
+                                                            monkeypatch):
+    lam, estimator = continual.METHODS[method]
+
+    def estimate(net, task, task_id, lif_cfg, acc):
+        if task_id == 1:
+            raise RuntimeError("estimator failed")
+        return estimator(net, task, task_id, lif_cfg, acc)
+
+    monkeypatch.setitem(continual.METHODS, method, (lam, estimate))
+    err = _aborted_at_task_1(method, untrainable=False)
+    _holds_task_0_only(err, method)
+    assert str(err).endswith(": RuntimeError: estimator failed")
 
 
 def test_aborted_error_survives_pickling():

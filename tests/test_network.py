@@ -15,6 +15,7 @@ from spikecl.network import (
     new_network,
     register_head,
 )
+from spikecl.training import TrainParams
 
 
 def test_config_defaults_give_half_decay():
@@ -33,6 +34,15 @@ def test_config_defaults_give_half_decay():
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         LIFConfig(**bad)
+
+
+@pytest.mark.parametrize("bad", [
+    {"epochs": -1}, {"batch_size": 0},
+    {"lr": 0.0}, {"lr": -1.0}, {"lr": float("inf")}, {"lr": float("nan")},
+])
+def test_train_params_reject_bad_values(bad):
+    with pytest.raises(ValueError):
+        TrainParams(**bad)
 
 
 def _one_neuron(weight, bias=0.0):

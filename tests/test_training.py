@@ -186,7 +186,7 @@ def test_adam_zero_gradient_leaves_parameters_unchanged():
     rng = np.random.default_rng(12)
     net, _ = random_tiny_net(rng)
     before = (net.w1.copy(), net.b1.copy())
-    opt = OptimizerState()
+    opt = OptimizerState(lr=1e-3)
     adam_step(net, filled_grads(net, 0.0), opt)
     assert np.array_equal(net.w1, before[0])
     assert np.array_equal(net.b1, before[1])
@@ -210,7 +210,7 @@ def test_adam_first_step_magnitude_is_lr_times_sign():
 def test_adam_equal_gradients_get_equal_updates():
     rng = np.random.default_rng(14)
     net, _ = random_tiny_net(rng, hidden=3, dim=2)
-    opt = OptimizerState()
+    opt = OptimizerState(lr=1e-3)
     grads = filled_grads(net, 0.42)
     before = net.w1.copy()
     adam_step(net, grads, opt)
@@ -221,7 +221,7 @@ def test_adam_equal_gradients_get_equal_updates():
 def test_adam_returns_the_applied_trunk_deltas():
     rng = np.random.default_rng(15)
     net, _ = random_tiny_net(rng)
-    opt = OptimizerState()
+    opt = OptimizerState(lr=1e-3)
     grads = filled_grads(net, 0.0)
     grads.w1[:] = rng.normal(size=grads.w1.shape)
     grads.b1[:] = rng.normal(size=grads.b1.shape)
@@ -241,7 +241,7 @@ def test_adam_steps_the_gradient_vector_itself(monkeypatch):
                         lambda self, grad: stepped.append(grad)
                         or real_update(self, grad))
     grads = filled_grads(net, 0.5)
-    adam_step(net, grads, OptimizerState())
+    adam_step(net, grads, OptimizerState(lr=1e-3))
     assert len(stepped) == 1 and stepped[0] is grads.flat
 
 
@@ -251,7 +251,7 @@ def test_adam_rejects_non_finite_gradients():
     grads = filled_grads(net, 0.0)
     grads.w1[0, 0] = np.nan
     with pytest.raises(DivergenceError):
-        adam_step(net, grads, OptimizerState())
+        adam_step(net, grads, OptimizerState(lr=1e-3))
 
 
 def _toy_task(rng, n=20, dim=6):
