@@ -44,18 +44,29 @@ def _pack_array(name, arr):
     return b"".join(parts)
 
 
+def write_atomic(path, blob):
+    """Write the bytes ``blob`` to ``path`` through a temp file and a
+    rename; a failed write or rename removes the temp file."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    f = open(tmp, "wb")  # if this fails, there is no temp file
+    try:
+        with f:
+            f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, net):
-    """Write the full network atomically (tmp file + rename)."""
+    """Write the network's weights (not its neuron model) atomically."""
     arrays = [("w1", net.w1), ("b1", net.b1)]
     for k, head in enumerate(net.heads):
         arrays.append((f"head{k}.w2", head.w2))
         arrays.append((f"head{k}.b2", head.b2))
     blob = [MAGIC, struct.pack("<II", net.classes_per_task, len(arrays))]
     blob.extend(_pack_array(name, arr) for name, arr in arrays)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as f:
-        f.write(b"".join(blob))
-    os.replace(tmp, path)
+    write_atomic(path, b"".join(blob))
 
 
 class _Reader:
@@ -75,8 +86,8 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def load_checkpoint(path):
-    """Read a checkpoint back into a NetworkState."""
+def load_checkpoint(path, lif):
+    """Read a checkpoint back into a NetworkState running the model ``lif``."""
     if not os.path.exists(path):
         raise CheckpointError(f"no such checkpoint: {path}")
     with open(path, "rb") as f:
@@ -135,4 +146,4 @@ def load_checkpoint(path):
             raise CheckpointError(
                 f"{path}: {name} has shape {arr.shape}, expected {want}"
             )
-    return NetworkState(w1=w1, b1=b1, classes_per_task=classes, heads=heads)
+    return NetworkState(w1, b1, classes, lif, heads)

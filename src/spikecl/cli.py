@@ -42,7 +42,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import (CheckpointError, load_checkpoint, save_checkpoint,
+                         write_atomic)
 from .config import FIELDS, ConfigError, load_config, text_parser
 from .continual import METHODS, run_sequence
 from .data import DataError, build_permuted, build_split, build_synthetic, load_idx_dir
@@ -58,10 +59,7 @@ def _ensure_dir(path):
 
 
 def _write_text(path, text):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(text)
-    os.replace(tmp, path)
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _load_base(cfg):
@@ -362,7 +360,7 @@ def cmd_sweep(cfg, lambdas):
 def cmd_importance_dump(cfg, checkpoint_path, task_id=None, seed=None, out=None):
     if seed is not None and seed < 0:
         raise ConfigError(f"run seed must be >= 0, got {seed}")
-    net = load_checkpoint(checkpoint_path)
+    net = load_checkpoint(checkpoint_path, cfg.lif_cfg)
     if net.num_heads == 0:
         raise CheckpointError(f"{checkpoint_path}: checkpoint has no heads")
     if task_id is None:
@@ -380,7 +378,7 @@ def cmd_importance_dump(cfg, checkpoint_path, task_id=None, seed=None, out=None)
             f"checkpoint expects {net.input_size} inputs, benchmark "
             f"provides {tasks.input_dim}"
         )
-    record = collect_spike_record(net, tasks[task_id].train, cfg.lif_cfg)
+    record = collect_spike_record(net, tasks[task_id].train)
     report = importance_report(record, task_id=task_id)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out is None:

@@ -25,24 +25,24 @@ from .network import LIFConfig, forward_const, new_network, register_head
 from .training import TrainParams, train_task
 
 
-def _isi_cv(net, task, task_id, lif_cfg, acc):
-    record = collect_spike_record(net, task.train, lif_cfg)
+def _isi_cv(net, task, task_id, acc):
+    record = collect_spike_record(net, task.train)
     return isi_cv_importance(record, task_id=task_id)
 
 
-def _ewc(net, task, task_id, lif_cfg, acc):
-    return ewc_importance(net, task.train, task_id, lif_cfg)
+def _ewc(net, task, task_id, acc):
+    return ewc_importance(net, task.train, task_id)
 
 
-def _si(net, task, task_id, lif_cfg, acc):
+def _si(net, task, task_id, acc):
     return si_importance(acc, net, task_id=task_id)
 
 
 # method -> (default lambda, estimator).  An estimator maps (net, task,
-# task_id, lif_cfg, SI accumulator) to the finished task's
-# ImportanceVector; None means the method never anchors, so never reads
-# lambda.  Estimators look the importance functions up by module name at
-# each call, so a patch on this module sees every call.
+# task_id, SI accumulator) to the finished task's ImportanceVector; None
+# means the method never anchors, so never reads lambda.  Estimators look
+# the importance functions up by module name at each call, so a patch on
+# this module sees every call.
 METHODS = {
     "none": (0.0, None),
     "isi-cv": (500.0, _isi_cv),
@@ -198,7 +198,7 @@ def compute_metrics(matrix):
     )
 
 
-def evaluate(net, data, task_id, lif_cfg):
+def evaluate(net, data, task_id):
     """Top-1 accuracy on the Dataset ``data`` with the task's own head,
     reading one ``Dataset.batches`` block of float rows at a time."""
     n = len(data)
@@ -207,7 +207,7 @@ def evaluate(net, data, task_id, lif_cfg):
     correct = 0
     for batch in data.batches():
         # [0]: a name bound to the trace keeps it alive into the next batch
-        logits = forward_const(data.rows(batch), task_id, net, lif_cfg)[0]
+        logits = forward_const(data.rows(batch), task_id, net)[0]
         correct += int((logits.argmax(axis=1) == data.labels[batch]).sum())
     return correct / n
 
@@ -240,8 +240,8 @@ class RunAbortedError(RuntimeError):
     full") ends the message, since a pickle drops ``__cause__``."""
 
     def __init__(self, partial, cause):
-        super().__init__(f"sequence aborted while training task "
-                         f"{len(partial.logs)}: {cause}")
+        super().__init__(
+            f"sequence aborted at task {len(partial.logs)}: {cause}")
         self.partial = partial
         self.cause = cause
 
@@ -277,11 +277,11 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
         raise ValueError("a continual sequence needs at least 2 tasks")
     lam = resolve_lambda(method, lam)
     estimate = METHODS[method][1]
-    lif_cfg = lif_cfg or LIFConfig()
     train_params = train_params or TrainParams()
 
     net = new_network(
         tasks.input_dim, hidden_size, tasks.classes_per_task,
+        lif_cfg or LIFConfig(),
         np.random.default_rng(np.random.SeedSequence([seed, 0])),
     )
     result = SequenceResult(matrix=ResultMatrix(k_total), logs=[],
@@ -299,15 +299,13 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
             lambda grads, deltas: si_accumulate(si_acc, grads, deltas))
         try:
             epochs = train_task(
-                net, task.train, k, lif_cfg, train_params,
+                net, task.train, k, train_params,
                 rng=np.random.default_rng(np.random.SeedSequence([seed, 2, k])),
                 reg=anchor, step_hook=hook,
             )
             drift = None if k == 0 else float(np.linalg.norm(net.w1 - start[0]))
-            row = [evaluate(net, tasks[j].test, j, lif_cfg)
-                   for j in range(k + 1)]
-            vec = (None if estimate is None
-                   else estimate(net, task, k, lif_cfg, si_acc))
+            row = [evaluate(net, tasks[j].test, j) for j in range(k + 1)]
+            vec = None if estimate is None else estimate(net, task, k, si_acc)
             if on_task_complete is not None:
                 on_task_complete(k, net)
         except Exception as exc:

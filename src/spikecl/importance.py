@@ -174,7 +174,7 @@ def importance_report(record, task_id=None):
     }
 
 
-def collect_spike_record(net, data, lif_cfg):
+def collect_spike_record(net, data):
     """Count hidden spikes and intervals over (at most) the first SAMPLES
     samples of the Dataset ``data``, reading one ``Dataset.batches``
     block of float rows at a time.
@@ -186,7 +186,7 @@ def collect_spike_record(net, data, lif_cfg):
     for batch in data.batches(n):
         # head 0: the head only shapes the logits, which are discarded;
         # keep only the spikes, so the trace's potentials are freed at once
-        spikes = forward_const(data.rows(batch), 0, net, lif_cfg)[1].s
+        spikes = forward_const(data.rows(batch), 0, net)[1].s
         totals += kernels.isi_raster_stats(spikes)
     return SpikeRecord(n, *totals)
 
@@ -198,7 +198,7 @@ def _max_normalize(per_neuron):
     return per_neuron / top
 
 
-def ewc_importance(net, data, task_id, lif_cfg):
+def ewc_importance(net, data, task_id):
     """Diagonal Fisher of the trunk over (at most) the first SAMPLES
     samples of the Dataset ``data``, reduced to per-neuron scores.
 
@@ -213,15 +213,14 @@ def ewc_importance(net, data, task_id, lif_cfg):
     n = min(SAMPLES, len(data))
     if n < 1:
         raise ValueError("need at least one sample to estimate Fisher")
-    head = net.head(task_id)
 
     fisher_w1 = np.zeros_like(net.w1)
     fisher_b1 = np.zeros_like(net.b1)
     for batch in data.batches(n):
-        _, trace = forward_const(data.rows(batch), task_id, net, lif_cfg)
+        _, trace = forward_const(data.rows(batch), task_id, net)
         # per-sample gradients: no 1/N on delta
         delta = _logit_delta(log_softmax(trace.logits), data.labels[batch])
-        dcur = _current_grad(trace, delta, head)  # frees the potentials
+        dcur = _current_grad(trace, delta)  # frees the potentials
         sq = dcur * dcur
         x2 = trace.inputs  # this batch's own rows, squared in place
         x2 *= x2

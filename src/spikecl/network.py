@@ -60,11 +60,12 @@ class Head:
 
 @dataclass
 class NetworkState:
-    """Trunk weights plus one output head per registered task."""
+    """Trunk weights, one output head per task, and the neuron model."""
 
     w1: np.ndarray  # (H, D)
     b1: np.ndarray  # (H,)
     classes_per_task: int
+    lif: LIFConfig
     heads: list = field(default_factory=list)
 
     @property
@@ -103,12 +104,12 @@ def _check_sizes(input_size, hidden_size):
             raise ValueError(f"{name} must be >= 1, got {size}")
 
 
-def new_network(input_size, hidden_size, classes_per_task, rng):
+def new_network(input_size, hidden_size, classes_per_task, lif, rng):
     """Create a trunk with no heads; weights uniform in +-1/sqrt(fan_in)."""
     _check_sizes(input_size, hidden_size)
     w1 = _uniform_init(rng, (hidden_size, input_size), input_size)
     b1 = _uniform_init(rng, (hidden_size,), input_size)
-    return NetworkState(w1=w1, b1=b1, classes_per_task=classes_per_task)
+    return NetworkState(w1, b1, classes_per_task, lif)
 
 
 def register_head(net, rng):
@@ -126,7 +127,8 @@ def register_head(net, rng):
 @dataclass
 class ForwardTrace:
     """Everything the backward pass, the replay check and the interval
-    counters need, for one batch.
+    counters need, for one batch.  ``net`` is the network that recorded
+    it, not a copy: the backward pass reads its weights and neuron model.
 
     Arrays are indexed batch-major.  ``inputs`` (N, D) holds the drive
     (the input times the gain), the same at every timestep.  ``u``
@@ -144,27 +146,28 @@ class ForwardTrace:
     sbar: np.ndarray    # (N, H) mean spike count over time
     logits: np.ndarray  # (N, C)
     task_id: int
-    cfg: LIFConfig
+    net: NetworkState
 
     @property
     def batch_size(self):
         return self.logits.shape[0]
 
 
-def forward_const(x, task_id, net, cfg):
+def forward_const(x, task_id, net):
     """Forward pass for constant-over-time input currents.
 
-    ``x`` is (N, D); ``cfg.gain * x`` drives every timestep, so the trunk
-    projection is computed once.  Returns (logits, trace).
+    ``x`` is (N, D); ``net.lif.gain * x`` drives every timestep, so the
+    trunk projection is computed once.  Returns (logits, trace).
     """
     head = net.head(task_id)
+    lif = net.lif
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected (N, D) input, got {x.shape}")
-    if cfg.gain != 1.0:
-        x = x * cfg.gain
+    if lif.gain != 1.0:
+        x = x * lif.gain
     cur = np.ascontiguousarray(x @ net.w1.T + net.b1)
-    u, s = kernels.lif_forward_const(cur, cfg.timesteps, cfg.beta, cfg.theta)
+    u, s = kernels.lif_forward_const(cur, lif.timesteps, lif.beta, lif.theta)
     sbar = s.mean(axis=1)
     logits = sbar @ head.w2.T + head.b2
     trace = ForwardTrace(
@@ -174,6 +177,6 @@ def forward_const(x, task_id, net, cfg):
         sbar=sbar,
         logits=logits,
         task_id=task_id,
-        cfg=cfg,
+        net=net,
     )
     return logits, trace

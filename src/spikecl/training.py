@@ -64,45 +64,38 @@ def _logit_delta(logp, targets):
     return delta
 
 
-def _current_grad(trace, delta, head):
+def _current_grad(trace, delta):
     """dL/d(trunk current) (N, H), given dL/d(logits) ``delta``.
 
     The current is constant over time, so this is the sum over t of
     dL/du[t].  Consumes the trace: the surrogate derivative overwrites
     its membrane, and its membrane and spikes are gone on return.
     """
+    head = trace.net.head(trace.task_id)
     gsbar = np.ascontiguousarray(delta @ head.w2)  # (N, H) = dL/d(sbar)
     u = trace.u
     trace.u = trace.s = None
-    return kernels.lif_backward_sum(
-        u, gsbar, trace.cfg.beta, trace.cfg.theta, ALPHA
-    )
+    lif = trace.net.lif
+    return kernels.lif_backward_sum(u, gsbar, lif.beta, lif.theta, ALPHA)
 
 
-def backward(trace, targets, net, task_id):
-    """Reverse-mode pass over a recorded forward trace.
+def backward(trace, targets):
+    """Reverse-mode pass over a recorded forward trace, for the head and
+    the weights of the network that recorded it.
 
-    Returns (mean cross-entropy loss, GradientSet).  The trace must come
-    from a forward pass on the same weights; shapes are checked, values
-    cannot be.  The trace is consumed: its membrane and spikes are freed
-    before the one flat gradient vector is allocated, so no (N, T, H)
-    block is alive while the trunk gradient is formed.
+    Returns (mean cross-entropy loss, GradientSet).  The weights must not
+    have changed since the forward pass; that cannot be checked.  The
+    trace is consumed: its membrane and spikes are freed before the one
+    flat gradient vector is allocated, so no (N, T, H) block is alive
+    while the trunk gradient is formed.
     """
-    if trace.task_id != task_id:
-        raise ValueError(
-            f"trace was recorded for task {trace.task_id}, not {task_id}"
-        )
-    head = net.head(task_id)
     if trace.u is None:
         raise ValueError("trace was consumed by an earlier backward pass")
-    if trace.u.shape[2] != net.hidden_size or head.w2.shape[1] != net.hidden_size:
-        raise ValueError("trace does not match network shapes")
-
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
     n = trace.batch_size
     if targets.shape != (n,):
         raise ValueError(f"expected {n} targets, got shape {targets.shape}")
-    if targets.min() < 0 or targets.max() >= head.w2.shape[0]:
+    if targets.min() < 0 or targets.max() >= trace.logits.shape[1]:
         raise ValueError("target label outside the head's class range")
 
     logp = log_softmax(trace.logits)
@@ -112,8 +105,8 @@ def backward(trace, targets, net, task_id):
     delta = _logit_delta(logp, targets)
     delta /= n
 
-    dcur = _current_grad(trace, delta, head)
-    grads = GradientSet(net, task_id)
+    dcur = _current_grad(trace, delta)
+    grads = GradientSet(trace.net, trace.task_id)
     np.matmul(delta.T, trace.sbar, out=grads.w2)
     delta.sum(axis=0, out=grads.b2)
     np.matmul(dcur.T, trace.inputs, out=grads.w1)
@@ -201,8 +194,7 @@ class EpochLog:
     accuracy: float
 
 
-def train_task(net, data, task_id, lif_cfg, params, rng, reg=None,
-               step_hook=None):
+def train_task(net, data, task_id, params, rng, reg=None, step_hook=None):
     """Train one task head plus the shared trunk on the Dataset ``data``;
     mutates ``net``.
 
@@ -230,9 +222,8 @@ def train_task(net, data, task_id, lif_cfg, params, rng, reg=None,
             idx = order[lo:lo + params.batch_size]
             yb = data.labels[idx]
             # the float rows are bound only as the trace's inputs
-            logits, trace = forward_const(data.rows(idx), task_id, net,
-                                          lif_cfg)
-            loss, grads = backward(trace, yb, net, task_id)
+            logits, trace = forward_const(data.rows(idx), task_id, net)
+            loss, grads = backward(trace, yb)
             del trace  # backward freed its potentials; free its inputs
             if reg is not None:
                 penalty, pw1, pb1 = reg.pull(net)

@@ -62,7 +62,7 @@ def random_dataset(rng, n, dim, labels=None):
 
 
 def random_tiny_net(rng, hidden=None, dim=None, classes=None, timesteps=None):
-    """A small random network plus matching config, for oracle checks."""
+    """A small random one-head network, for oracle checks."""
     hidden = hidden or int(rng.integers(1, 4))
     dim = dim or int(rng.integers(1, 5))
     classes = classes or int(rng.integers(2, 4))
@@ -71,13 +71,13 @@ def random_tiny_net(rng, hidden=None, dim=None, classes=None, timesteps=None):
         w1=rng.normal(0, 0.8, size=(hidden, dim)),
         b1=rng.normal(0, 0.5, size=hidden),
         classes_per_task=classes,
+        lif=LIFConfig(tau=2.0, theta=1.0, timesteps=timesteps),
         heads=[Head(
             w2=rng.normal(0, 0.8, size=(classes, hidden)),
             b2=rng.normal(0, 0.5, size=classes),
         )],
     )
-    cfg = LIFConfig(tau=2.0, theta=1.0, timesteps=timesteps)
-    return net, cfg
+    return net
 
 
 def filled_grads(net, fill=0.0, task_id=0):

@@ -263,9 +263,10 @@ def oracle_lif_backward_sum(u, gsbar, beta, theta, alpha):
     return total
 
 
-def oracle_forward_const(x, task_id, net, cfg):
+def oracle_forward_const(x, task_id, net):
     """Former ``network.forward_const``, on ``oracle_lif_forward_const``."""
     head = net.head(task_id)
+    cfg = net.lif
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected (N, D) input, got {x.shape}")
@@ -282,7 +283,7 @@ def oracle_forward_const(x, task_id, net, cfg):
         sbar=sbar,
         logits=logits,
         task_id=task_id,
-        cfg=cfg,
+        net=net,
     )
     return logits, trace
 

@@ -166,9 +166,10 @@ def test_c6_membrane_replay():
     rng = np.random.default_rng(1003)
     exact = 0
     for _ in range(100):
-        net, cfg = random_tiny_net(rng)
+        net = random_tiny_net(rng)
+        cfg = net.lif
         x = rng.normal(size=(int(rng.integers(1, 4)), net.input_size))
-        _, trace = forward_const(x, 0, net, cfg)
+        _, trace = forward_const(x, 0, net)
         currents = trace.inputs @ net.w1.T + net.b1
         match = True
         for n in range(x.shape[0]):
@@ -180,12 +181,12 @@ def test_c6_membrane_replay():
                 match &= trace.s[n, :, h].tolist() == [float(v) for v in s]
         exact += match
 
-    net = new_network(1, 1, 2, np.random.default_rng(0))
+    net = new_network(1, 1, 2, LIFConfig(timesteps=4),
+                      np.random.default_rng(0))
     net.w1[:] = 1.0
     net.b1[:] = 0.0
     register_head(net, np.random.default_rng(0))
-    _, trace = forward_const(np.array([[0.6]]), 0, net,
-                             LIFConfig(timesteps=4))
+    _, trace = forward_const(np.array([[0.6]]), 0, net)
     # the trunk current is 1.0 * 0.6 + 0.0 = 0.6 exactly
     u_hand, s_hand = replay_membrane(np.full(4, 0.6), 2.0, 1.0)
     hand = (np.allclose(trace.u[0, :, 0], [0.6, 0.9, 1.05, 0.125],
@@ -227,7 +228,7 @@ def test_c7_metrics_identities():
 
 def test_c8_baseline_plumbing(monkeypatch):
     rng = np.random.default_rng(1004)
-    net = new_network(2, 1, 2, rng)
+    net = new_network(2, 1, 2, LIFConfig(), rng)
     register_head(net, rng)
     acc = SIAccumulator.start(net.copy_trunk())
 
@@ -247,11 +248,11 @@ def test_c8_baseline_plumbing(monkeypatch):
     train = tasks[0].train
     doubled = Dataset(np.concatenate([train.pixels, train.pixels]),
                       np.concatenate([train.labels, train.labels]))
-    enet = new_network(12, 8, 2, np.random.default_rng(6))
+    enet = new_network(12, 8, 2, cfg, np.random.default_rng(6))
     register_head(enet, np.random.default_rng(7))
-    once = ewc_importance(enet, train, 0, cfg)
+    once = ewc_importance(enet, train, 0)
     monkeypatch.setattr(importance, "SAMPLES", len(doubled))
-    twice = ewc_importance(enet, doubled, 0, cfg)
+    twice = ewc_importance(enet, doubled, 0)
     ewc_ok = np.allclose(once.omega, twice.omega, rtol=1e-12)
 
     seq = build_synthetic(num_tasks=2, train_per_class=40, test_per_class=20,

@@ -44,10 +44,15 @@ def test_every_traced_call_site_resolves(tracing):
             assert callable(vars(owner).get(attr)), f"{name}: {owner}.{attr}"
 
 
-def test_forward_const_returns_what_the_tracer_measures():
-    net = new_network(3, 4, 2, np.random.default_rng(0))
+def _tiny_net(timesteps):
+    net = new_network(3, 4, 2, LIFConfig(timesteps=timesteps),
+                      np.random.default_rng(0))
     register_head(net, np.random.default_rng(1))
-    result = forward_const(np.ones((2, 3)), 0, net, LIFConfig(timesteps=5))
+    return net
+
+
+def test_forward_const_returns_what_the_tracer_measures():
+    result = forward_const(np.ones((2, 3)), 0, _tiny_net(timesteps=5))
     assert len(result) == 2
     trace = result[1]
     assert trace.u.shape == trace.s.shape == (2, 5, 4)
@@ -72,10 +77,8 @@ def test_training_step_calls_what_the_tracer_patches(monkeypatch):
     calls = []
     _counting(monkeypatch, training, "adam_step", calls)
     _counting(monkeypatch, kernels, "lif_forward_const", calls)
-    net = new_network(3, 4, 2, np.random.default_rng(0))
-    register_head(net, np.random.default_rng(1))
     data = random_dataset(np.random.default_rng(2), 6, 3, np.arange(6) % 2)
-    train_task(net, data, 0, LIFConfig(timesteps=3),
+    train_task(_tiny_net(timesteps=3), data, 0,
                TrainParams(epochs=1, batch_size=4), np.random.default_rng(3))
     # two steps, each one forward pass and one optimizer update
     assert calls == ["lif_forward_const", "adam_step"] * 2
@@ -115,10 +118,6 @@ def test_run_sequence_calls_what_the_tracer_patches(method, monkeypatch):
     assert counts == want
 
 
-def _tiny_net():
-    net = new_network(3, 4, 2, np.random.default_rng(0))
-    register_head(net, np.random.default_rng(1))
-    return net
 
 
 def test_isi_importance_calls_the_kernel_through_its_module(monkeypatch):
@@ -135,8 +134,8 @@ def test_isi_importance_calls_the_kernel_through_its_module(monkeypatch):
     monkeypatch.setattr(kernels, "isi_raster_stats", counting)
     monkeypatch.setattr(data_module, "BATCH_ROWS", 8)
     record = collect_spike_record(
-        _tiny_net(), random_dataset(np.random.default_rng(2), 20, 3),
-        LIFConfig(timesteps=5))
+        _tiny_net(timesteps=5),
+        random_dataset(np.random.default_rng(2), 20, 3))
     isi_cv_importance(record)
     bool_ = np.dtype(bool)
     assert calls == [(bool_, (8, 5, 4)), (bool_, (8, 5, 4)),
@@ -144,14 +143,12 @@ def test_isi_importance_calls_the_kernel_through_its_module(monkeypatch):
 
 
 @pytest.mark.parametrize("module, run", [
-    (continual, lambda net, x, cfg: continual.evaluate(net, x, 0, cfg)),
-    (importance, lambda net, x, cfg: importance.collect_spike_record(
-        net, x, cfg)),
-    (training, lambda net, x, cfg: training.train_task(
-        net, x, 0, cfg, TrainParams(epochs=1, batch_size=4),
+    (continual, lambda net, x: continual.evaluate(net, x, 0)),
+    (importance, lambda net, x: importance.collect_spike_record(net, x)),
+    (training, lambda net, x: training.train_task(
+        net, x, 0, TrainParams(epochs=1, batch_size=4),
         np.random.default_rng(0))),
-    (importance, lambda net, x, cfg: importance.ewc_importance(
-        net, x, 0, cfg)),
+    (importance, lambda net, x: importance.ewc_importance(net, x, 0)),
 ], ids=["evaluate", "collect_spike_record", "train_task", "ewc_importance"])
 def test_no_batch_trace_outlives_its_batch(module, run, monkeypatch):
     # peak_rss_mb: a name still bound to the previous batch's trace keeps
@@ -168,9 +165,8 @@ def test_no_batch_trace_outlives_its_batch(module, run, monkeypatch):
 
     monkeypatch.setattr(module, "forward_const", watching)
     monkeypatch.setattr(data_module, "BATCH_ROWS", 4)
-    run(_tiny_net(),
-        random_dataset(np.random.default_rng(2), 10, 3, np.arange(10) % 2),
-        LIFConfig(timesteps=3))
+    run(_tiny_net(timesteps=3),
+        random_dataset(np.random.default_rng(2), 10, 3, np.arange(10) % 2))
     assert len(traces) == 3
 
 
@@ -211,12 +207,12 @@ def test_no_step_array_outlives_its_step(monkeypatch):
     monkeypatch.setattr(training, "forward_const", forward)
     monkeypatch.setattr(training, "adam_step", adam)
     monkeypatch.setattr(continual.Anchor, "pull", pull)
-    net = _tiny_net()
+    net = _tiny_net(timesteps=3)
     anchor = continual.Anchor(*net.copy_trunk(), omega=np.full(4, 0.5),
                               lam=1.0)
     train_task(net, random_dataset(np.random.default_rng(2), 10, 3,
                                    np.arange(10) % 2),
-               0, LIFConfig(timesteps=3), TrainParams(epochs=2, batch_size=4),
+               0, TrainParams(epochs=2, batch_size=4),
                np.random.default_rng(0), reg=anchor, step_hook=hook)
     assert len(batch_refs) == 6 and len(step_refs) == 6 * 5
 

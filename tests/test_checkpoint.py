@@ -7,12 +7,15 @@ import pytest
 
 from conftest import oversized_checkpoint_header
 from spikecl.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
-from spikecl.network import Head, NetworkState, new_network, register_head
+from spikecl.network import (Head, LIFConfig, NetworkState, new_network,
+                             register_head)
+
+LIF = LIFConfig()
 
 
 def _net(heads=2, seed=60):
     rng = np.random.default_rng(seed)
-    net = new_network(5, 4, 3, rng)
+    net = new_network(5, 4, 3, LIF, rng)
     register_head(net, rng)
     for _ in range(heads - 1):
         register_head(net, rng)
@@ -23,7 +26,10 @@ def test_round_trip_is_bit_exact(tmp_path):
     net = _net(heads=3)
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, net)
-    back = load_checkpoint(path)
+    # the file holds weights only; the caller supplies the neuron model
+    lif = LIFConfig(timesteps=3, gain=2.0)
+    back = load_checkpoint(path, lif)
+    assert back.lif is lif
     assert back.classes_per_task == 3
     assert len(back.heads) == 3
     np.testing.assert_array_equal(back.w1, net.w1)
@@ -67,35 +73,43 @@ def test_save_is_atomic(tmp_path):
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, net)
     save_checkpoint(path, net)    # overwrite in place
-    assert load_checkpoint(path).classes_per_task == 3
+    assert load_checkpoint(path, LIF).classes_per_task == 3
     assert list(tmp_path.iterdir()) == [path]   # no tmp litter
+    # a failed save leaves none either: the rename onto a directory fails
+    # after the temp file is written
+    blocked = tmp_path / "blocked.ckpt"
+    blocked.mkdir()
+    with pytest.raises(OSError):
+        save_checkpoint(blocked, net)
+    assert sorted(tmp_path.iterdir()) == [blocked, path]
+    assert list(blocked.iterdir()) == []
 
 
 def test_missing_and_corrupt_files(tmp_path):
     with pytest.raises(CheckpointError, match="no such"):
-        load_checkpoint(tmp_path / "absent.ckpt")
+        load_checkpoint(tmp_path / "absent.ckpt", LIF)
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, _net())
     blob = path.read_bytes()
 
     path.write_bytes(b"NOTACKPT" + blob[8:])
     with pytest.raises(CheckpointError, match="magic"):
-        load_checkpoint(path)
+        load_checkpoint(path, LIF)
 
     path.write_bytes(blob[:-7])
     with pytest.raises(CheckpointError, match="truncated"):
-        load_checkpoint(path)
+        load_checkpoint(path, LIF)
 
     path.write_bytes(blob + b"\x00")
     with pytest.raises(CheckpointError, match="trailing"):
-        load_checkpoint(path)
+        load_checkpoint(path, LIF)
 
 
 def test_oversized_dims_are_a_checkpoint_error(tmp_path):
     path = tmp_path / "net.ckpt"
     path.write_bytes(oversized_checkpoint_header() + b"\x00" * 64)
     with pytest.raises(CheckpointError, match="truncated"):
-        load_checkpoint(path)
+        load_checkpoint(path, LIF)
 
 
 def test_empty_array_with_oversized_dims_is_a_checkpoint_error(tmp_path):
@@ -105,11 +119,11 @@ def test_empty_array_with_oversized_dims_is_a_checkpoint_error(tmp_path):
     for dims in ((0, 2 ** 32 - 1, 2 ** 32 - 1), (0, 2 ** 31, 2 ** 29)):
         path.write_bytes(oversized_checkpoint_header(dims))
         with pytest.raises(CheckpointError, match="do not fit int64"):
-            load_checkpoint(path)
+            load_checkpoint(path, LIF)
     # one item less is a valid empty array; the file then lacks b1
     path.write_bytes(oversized_checkpoint_header((0, 2 ** 31, 2 ** 29 - 1)))
     with pytest.raises(CheckpointError, match="missing array 'b1'"):
-        load_checkpoint(path)
+        load_checkpoint(path, LIF)
 
 
 def test_incomplete_head_is_rejected(tmp_path):
@@ -122,7 +136,7 @@ def test_incomplete_head_is_rejected(tmp_path):
     blob[at:at + 8] = b"head0.zz"
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="lacks its bias"):
-        load_checkpoint(path)
+        load_checkpoint(path, LIF)
 
 
 @pytest.mark.parametrize("field, bad_shape", [
@@ -138,10 +152,10 @@ def test_array_shapes_must_agree(tmp_path, field, bad_shape):
     shapes = {"b1": (4,), "w2": (3, 4), "b2": (3,), field: bad_shape}
     net = NetworkState(
         w1=rng.random((4, 5)), b1=rng.random(shapes["b1"]),
-        classes_per_task=3,
+        classes_per_task=3, lif=LIF,
         heads=[Head(w2=rng.random(shapes["w2"]), b2=rng.random(shapes["b2"]))],
     )
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, net)
     with pytest.raises(CheckpointError, match="shape"):
-        load_checkpoint(path)
+        load_checkpoint(path, LIF)

@@ -23,7 +23,7 @@ from spikecl.continual import (
     TaskLog,
 )
 from spikecl.data import MNIST_FILES, write_idx_images, write_idx_labels
-from spikecl.network import new_network, register_head
+from spikecl.network import LIFConfig, new_network, register_head
 
 
 @pytest.fixture(autouse=True)
@@ -79,7 +79,8 @@ def test_run_writes_the_full_artifact_set(tmp_path):
     assert run["tasks"][1]["trunk_drift"] > 0
 
     for task in (0, 1):
-        net = load_checkpoint(out / "checkpoints" / f"seed0_task{task}.ckpt")
+        net = load_checkpoint(out / "checkpoints" / f"seed0_task{task}.ckpt",
+                              LIFConfig(timesteps=5))
         assert net.num_heads == task + 1
         report = json.loads(
             (out / "importance" / f"seed0_task{task}.json").read_text()
@@ -152,21 +153,30 @@ def test_sweep_requires_two_lambdas(tmp_path, capsys):
 
 
 def test_importance_dump_matches_the_run_artifact(tmp_path, capsys):
-    out = tmp_path / "res"
-    main(["run", "--method", "isi-cv", *_flags(out)])
-    saved = json.loads((out / "importance" / "seed0_task1.json").read_text())
-    capsys.readouterr()             # drop the run command's progress lines
-    code = main([
-        "importance-dump",
-        "--checkpoint", str(out / "checkpoints" / "seed0_task1.ckpt"),
-        *_flags(out),
-    ])
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["task_id"] == 1     # defaults to the newest head
-    assert report["samples"] == 60
-    dumped = [report["neurons"][str(i)]["omega"] for i in range(12)]
-    assert dumped == [saved["omega"][str(i)] for i in range(12)]
+    # a checkpoint holds weights only: the dump runs them under the neuron
+    # model its own flags build, so at --gain 1.5 it must match the run
+    # only if that model reaches the loaded network
+    omegas = []
+    for gain in ("1", "1.5"):
+        out = tmp_path / f"gain{gain}"
+        flags = _flags(out, gain=gain)
+        main(["run", "--method", "isi-cv", *flags])
+        saved = json.loads(
+            (out / "importance" / "seed0_task1.json").read_text())
+        capsys.readouterr()         # drop the run command's progress lines
+        code = main([
+            "importance-dump",
+            "--checkpoint", str(out / "checkpoints" / "seed0_task1.ckpt"),
+            *flags,
+        ])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["task_id"] == 1     # defaults to the newest head
+        assert report["samples"] == 60
+        dumped = [report["neurons"][str(i)]["omega"] for i in range(12)]
+        assert dumped == [saved["omega"][str(i)] for i in range(12)]
+        omegas.append(dumped)
+    assert omegas[0] != omegas[1]
 
     dest = tmp_path / "report.json"
     code = main([
@@ -179,10 +189,7 @@ def test_importance_dump_matches_the_run_artifact(tmp_path, capsys):
 
 
 def test_importance_dump_silent_trunk_reports_sentinel_cv(tmp_path, capsys):
-    from spikecl.checkpoint import save_checkpoint
-    from spikecl.network import new_network, register_head
-
-    net = new_network(24, 12, 2, np.random.default_rng(0))
+    net = new_network(24, 12, 2, LIFConfig(), np.random.default_rng(0))
     net.w1[:] = 0.0
     net.b1[:] = 0.0
     register_head(net, np.random.default_rng(1))
@@ -261,7 +268,7 @@ def test_exit_codes(tmp_path, capsys):
     assert "do not fit int64" in capsys.readouterr().err
 
     # 3: a head that does not fit the trunk (12 hidden neurons)
-    net = new_network(24, 12, 2, np.random.default_rng(0))
+    net = new_network(24, 12, 2, LIFConfig(), np.random.default_rng(0))
     register_head(net, np.random.default_rng(1))
     net.heads[0].w2 = net.heads[0].w2[:, :11]
     save_checkpoint(bad, net)
@@ -476,7 +483,7 @@ def _abort(lam, seed):
     # in the second lane for 2 CPUs: seed 1 of (0, 1, 2), or
     # (lambda 500, seed 1) of the pairs (10, 0), (10, 1), (500, 0), (500, 1)
     if seed == 1 and lam in (None, 500.0):
-        # task 0 finished, so the run aborted while training task 1
+        # task 0 finished, so the run aborted at task 1
         raise RunAbortedError(SequenceResult(
             matrix=ResultMatrix(2), logs=[TaskLog(epochs=[])],
             importances=[], method="isi-cv", lam=500.0, seed=seed),
@@ -506,7 +513,7 @@ def test_a_failure_in_a_child_lane_reads_as_one_lane(tmp_path, monkeypatch,
             assert not (out / "sweep.csv").exists()
     assert seen[0] == seen[1]
     assert seen[0][1] == ("spikecl: RunAbortedError: sequence aborted "
-                          "while training task 1: OSError: disk full\n")
+                          "at task 1: OSError: disk full\n")
     if argv[0] == "sweep":
         assert seen[0][0].startswith("lambda 10: ")
 
@@ -543,10 +550,20 @@ def test_a_failed_checkpoint_write_names_its_cause(tmp_path, monkeypatch,
     out = tmp_path / "res"
     assert main(["run", *_flags(out)]) == 4
     assert capsys.readouterr().err == (
-        "spikecl: RunAbortedError: sequence aborted while training task 1: "
+        "spikecl: RunAbortedError: sequence aborted at task 1: "
         "OSError: disk full\n"
     )
     assert os.listdir(out / "checkpoints") == ["seed0_task0.ckpt"]
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path):
+    # the rename onto a directory fails after the temp file is written
+    path = tmp_path / "metrics.csv"
+    path.mkdir()
+    with pytest.raises(OSError):
+        cli._write_text(str(path), "method\n")
+    assert os.listdir(tmp_path) == ["metrics.csv"]
+    assert os.listdir(path) == []
 
 
 def test_a_failed_first_run_stops_the_other_lanes(tmp_path, monkeypatch,

@@ -23,7 +23,7 @@ from spikecl.training import TrainParams, train_task
 
 
 def _net_and_anchor(rng, hidden=4, dim=3, lam=1.0, omega=None):
-    net = new_network(dim, hidden, 2, rng)
+    net = new_network(dim, hidden, 2, LIFConfig(), rng)
     omega = np.full(hidden, 0.5) if omega is None else omega
     anchor = Anchor(w1=net.w1.copy(), b1=net.b1.copy(), omega=omega, lam=lam)
     return net, anchor
@@ -41,7 +41,7 @@ def test_penalty_zero_at_anchor_and_for_zero_lambda():
 
 def test_penalty_worked_example():
     # H=1: omega 1, lambda 2, dW 0.1, db 0.2 -> (2/2)(0.01+0.04) = 0.05
-    net = new_network(1, 1, 2, np.random.default_rng(0))
+    net = new_network(1, 1, 2, LIFConfig(), np.random.default_rng(0))
     anchor = Anchor(w1=net.w1.copy(), b1=net.b1.copy(),
                     omega=np.ones(1), lam=2.0)
     net.w1 += 0.1
@@ -101,7 +101,7 @@ def test_penalty_gradient_matches_finite_differences():
 
 
 def test_anchor_validates_shapes_and_lambda():
-    net = new_network(3, 4, 2, np.random.default_rng(0))
+    net = new_network(3, 4, 2, LIFConfig(), np.random.default_rng(0))
     with pytest.raises(ValueError):
         Anchor(w1=net.w1, b1=net.b1, omega=np.ones(3), lam=1.0)
     with pytest.raises(ValueError):
@@ -162,12 +162,12 @@ def test_train_task_with_pull_matches_the_oracle_regularizer():
     net, anchor = _displaced(rng, hidden, dim, 50.0, rng.random(hidden))
     register_head(net, rng)
     nets = [NetworkState(w1=net.w1.copy(), b1=net.b1.copy(),
-                         classes_per_task=2, heads=[]) for _ in range(2)]
+                         classes_per_task=2, lif=TOY_LIF, heads=[])
+            for _ in range(2)]
     for copy in nets:
         register_head(copy, np.random.default_rng(46))
     logs = [
-        train_task(copy, data, 0, TOY_LIF,
-                   TrainParams(epochs=3, batch_size=16),
+        train_task(copy, data, 0, TrainParams(epochs=3, batch_size=16),
                    np.random.default_rng(47), reg=reg)
         for copy, reg in zip(nets, (anchor, _OracleAnchor(anchor)))
     ]
@@ -179,10 +179,9 @@ def test_train_task_with_pull_matches_the_oracle_regularizer():
     assert logs[0] == logs[1]
     # the anchor did pull: its penalty is part of every epoch's loss
     free = NetworkState(w1=net.w1.copy(), b1=net.b1.copy(),
-                        classes_per_task=2, heads=[])
+                        classes_per_task=2, lif=TOY_LIF, heads=[])
     register_head(free, np.random.default_rng(46))
-    plain = train_task(free, data, 0, TOY_LIF,
-                       TrainParams(epochs=3, batch_size=16),
+    plain = train_task(free, data, 0, TrainParams(epochs=3, batch_size=16),
                        np.random.default_rng(47))
     assert plain[0].loss < logs[0][0].loss
 
@@ -194,14 +193,13 @@ def test_evaluate_reads_the_same_at_128_and_512_rows(dim, hidden,
     # ragged last batch at both (60 and 188 rows)
     rng = np.random.default_rng(dim)
     data = random_dataset(rng, 700, dim, rng.integers(0, 2, size=700))
-    net = new_network(dim, hidden, 2, np.random.default_rng(1))
+    net = new_network(dim, hidden, 2, LIFConfig(), np.random.default_rng(1))
     register_head(net, np.random.default_rng(2))
-    cfg = LIFConfig()
-    default = continual.evaluate(net, data, 0, cfg)
+    default = continual.evaluate(net, data, 0)
     accuracies = []
     for rows in (128, 512):
         monkeypatch.setattr(data_module, "BATCH_ROWS", rows)
-        accuracies.append(continual.evaluate(net, data, 0, cfg))
+        accuracies.append(continual.evaluate(net, data, 0))
     assert 0.0 < accuracies[0] < 1.0
     assert accuracies[0] == accuracies[1]
     assert default == accuracies[0]
@@ -414,7 +412,7 @@ def _aborted_at_task_1(method, untrainable=True, on_task_complete=None):
 def _holds_task_0_only(err, method):
     """``err`` names task 1 and holds the record task 0 left."""
     partial = err.partial
-    assert str(err).startswith("sequence aborted while training task 1: ")
+    assert str(err).startswith("sequence aborted at task 1: ")
     assert len(partial.logs) == 1
     assert partial.logs[0].trunk_drift is None
     # row 0 is filled, the rows of the failed and later tasks are not
@@ -429,7 +427,7 @@ def test_training_failure_aborts_with_partial_results():
     for method in continual.METHODS:
         err = _aborted_at_task_1(method)
         _holds_task_0_only(err, method)
-        assert str(err) == ("sequence aborted while training task 1: "
+        assert str(err) == ("sequence aborted at task 1: "
                             "ValueError: target label outside the head's "
                             "class range")
         assert isinstance(err.__cause__, ValueError)
@@ -455,10 +453,10 @@ def test_a_failing_estimator_aborts_with_the_finished_tasks(method,
                                                             monkeypatch):
     lam, estimator = continual.METHODS[method]
 
-    def estimate(net, task, task_id, lif_cfg, acc):
+    def estimate(net, task, task_id, acc):
         if task_id == 1:
             raise RuntimeError("estimator failed")
-        return estimator(net, task, task_id, lif_cfg, acc)
+        return estimator(net, task, task_id, acc)
 
     monkeypatch.setitem(continual.METHODS, method, (lam, estimate))
     err = _aborted_at_task_1(method, untrainable=False)

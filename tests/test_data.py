@@ -465,11 +465,11 @@ def test_run_sequence_matches_the_float_oracle_rows(method, source,
 
 
 @pytest.mark.parametrize("consumer", [
-    lambda net, data, cfg: train_task(
-        net, data, 0, cfg, TrainParams(epochs=1), np.random.default_rng(2)),
-    lambda net, data, cfg: evaluate(net, data, 0, cfg),
-    lambda net, data, cfg: collect_spike_record(net, data, cfg),
-    lambda net, data, cfg: ewc_importance(net, data, 0, cfg),
+    lambda net, data: train_task(
+        net, data, 0, TrainParams(epochs=1), np.random.default_rng(2)),
+    lambda net, data: evaluate(net, data, 0),
+    lambda net, data: collect_spike_record(net, data),
+    lambda net, data: ewc_importance(net, data, 0),
 ], ids=["train_task", "evaluate", "collect_spike_record", "ewc_importance"])
 def test_consumers_never_hold_the_float_form(consumer):
     # peak_rss_mb: each consumer reads float rows one batch at a time, so
@@ -478,29 +478,30 @@ def test_consumers_never_hold_the_float_form(consumer):
     data = random_dataset(rng, 4096, 256, np.arange(4096) % 2)
     float_bytes = data.pixels.nbytes * 8
     assert float_bytes >= 8 * 2 ** 20
-    net = new_network(256, 8, 2, np.random.default_rng(1))
+    net = new_network(256, 8, 2, LIFConfig(timesteps=3),
+                      np.random.default_rng(1))
     register_head(net, np.random.default_rng(2))
-    cfg = LIFConfig(timesteps=3)
-    _, peak = traced_peak(lambda: consumer(net, data, cfg))
+    _, peak = traced_peak(lambda: consumer(net, data))
     assert peak < float_bytes / 4
 
 
 @pytest.mark.parametrize("consumer", [
-    lambda net, data, cfg: evaluate(net, data, 0, cfg),
-    lambda net, data, cfg: collect_spike_record(net, data, cfg),
-    lambda net, data, cfg: ewc_importance(net, data, 0, cfg),
+    lambda net, data: evaluate(net, data, 0),
+    lambda net, data: collect_spike_record(net, data),
+    lambda net, data: ewc_importance(net, data, 0),
 ], ids=["evaluate", "collect_spike_record", "ewc_importance"])
 @pytest.mark.parametrize("batch_size", [0, -1])
 def test_consumers_reject_a_batch_size_below_one(consumer, batch_size,
                                                  monkeypatch):
     # a negative step once read no rows at all: accuracy 0, all-zero
     # counters, an all-zero Fisher; every consumer reads Dataset.batches
-    net = new_network(4, 3, 2, np.random.default_rng(1))
+    net = new_network(4, 3, 2, LIFConfig(timesteps=3),
+                      np.random.default_rng(1))
     register_head(net, np.random.default_rng(2))
     data = random_dataset(np.random.default_rng(3), 10, 4, np.arange(10) % 2)
     monkeypatch.setattr(data_module, "BATCH_ROWS", batch_size)
     with pytest.raises(ValueError, match="BATCH_ROWS must be >= 1"):
-        consumer(net, data, LIFConfig(timesteps=3))
+        consumer(net, data)
 
 
 def test_evaluate_peaks_no_higher_than_the_spike_record_pass():
@@ -508,9 +509,9 @@ def test_evaluate_peaks_no_higher_than_the_spike_record_pass():
     # passes, so it never holds a larger (T, N, H) membrane than they do
     rng = np.random.default_rng(66)
     data = random_dataset(rng, 640, 64, np.arange(640) % 2)
-    net = new_network(64, 128, 2, np.random.default_rng(1))
+    net = new_network(64, 128, 2, LIFConfig(timesteps=10),
+                      np.random.default_rng(1))
     register_head(net, np.random.default_rng(2))
-    cfg = LIFConfig(timesteps=10)
-    _, evaluated = traced_peak(lambda: evaluate(net, data, 0, cfg))
-    _, recorded = traced_peak(lambda: collect_spike_record(net, data, cfg))
+    _, evaluated = traced_peak(lambda: evaluate(net, data, 0))
+    _, recorded = traced_peak(lambda: collect_spike_record(net, data))
     assert evaluated <= recorded + 2 ** 14

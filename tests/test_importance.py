@@ -325,7 +325,7 @@ def test_isi_cv_path_never_imports_numpy_ma():
         run_sequence(tasks, "isi-cv", hidden_size=6, lif_cfg=cfg,
                      train_params=TrainParams(epochs=1, batch_size=8),
                      on_task_complete=lambda k, net: nets.append(net))
-        importance_report(collect_spike_record(nets[-1], tasks[1].train, cfg))
+        importance_report(collect_spike_record(nets[-1], tasks[1].train))
         print("numpy.ma" in sys.modules)
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(spikecl.__file__)))
@@ -386,24 +386,25 @@ def _counters(record):
 
 
 def test_collect_all_zero_weights_is_silent():
-    net = new_network(4, 6, 2, np.random.default_rng(0))
+    net = new_network(4, 6, 2, LIFConfig(), np.random.default_rng(0))
     net.w1[:] = 0.0
     net.b1[:] = 0.0
     register_head(net, np.random.default_rng(1))
     record = collect_spike_record(
-        net, random_dataset(np.random.default_rng(2), 10, 4), LIFConfig()
+        net, random_dataset(np.random.default_rng(2), 10, 4)
     )
     assert record.sample_count == 10
     assert np.array_equal(_counters(record), np.zeros((4, 6)))
 
 
 def test_collect_strong_neuron_spikes_every_step():
-    net = new_network(1, 1, 2, np.random.default_rng(0))
+    net = new_network(1, 1, 2, LIFConfig(timesteps=4),
+                      np.random.default_rng(0))
     net.w1[:] = 2.0
     net.b1[:] = 0.0
     register_head(net, np.random.default_rng(1))
     ones = Dataset(np.full((3, 1), 255, dtype=np.uint8), np.zeros(3))
-    record = collect_spike_record(net, ones, LIFConfig(timesteps=4))
+    record = collect_spike_record(net, ones)
     # 3 samples, each spiking at t = 0..3: three intervals of 1 apiece
     assert record.spike_counts.tolist() == [12]
     assert record.isi_counts.tolist() == [9]
@@ -413,59 +414,59 @@ def test_collect_strong_neuron_spikes_every_step():
 
 def test_collect_identical_samples_identical_rows():
     rng = np.random.default_rng(35)
-    net, cfg = random_tiny_net(rng, hidden=4, dim=5)
+    net = random_tiny_net(rng, hidden=4, dim=5)
     pixels = rng.integers(0, 256, size=(1, 5), dtype=np.uint8)
     x = Dataset(np.repeat(pixels, 6, axis=0), np.zeros(6))
-    one = _counters(collect_spike_record(net, x.take(1), cfg))
-    six = _counters(collect_spike_record(net, x, cfg))
+    one = _counters(collect_spike_record(net, x.take(1)))
+    six = _counters(collect_spike_record(net, x))
     assert np.array_equal(six, 6 * one)
 
 
 def test_collect_caps_at_max_samples_and_rejects_empty(monkeypatch):
     rng = np.random.default_rng(36)
-    net, cfg = random_tiny_net(rng, hidden=3, dim=4)
+    net = random_tiny_net(rng, hidden=3, dim=4)
     x = random_dataset(rng, 50, 4)
-    whole = collect_spike_record(net, x, cfg)
+    whole = collect_spike_record(net, x)
     assert whole.sample_count == 50
     monkeypatch.setattr(importance, "SAMPLES", 8)
-    record = collect_spike_record(net, x, cfg)
+    record = collect_spike_record(net, x)
     assert record.sample_count == 8
     assert np.array_equal(_counters(record),
-                          _counters(collect_spike_record(net, x.take(8), cfg)))
+                          _counters(collect_spike_record(net, x.take(8))))
     with pytest.raises(ValueError):
-        collect_spike_record(net, x.take(0), cfg)
+        collect_spike_record(net, x.take(0))
     # a non-positive budget fails loudly rather than reading nothing
     for bad in (0, -5):
         monkeypatch.setattr(importance, "SAMPLES", bad)
         with pytest.raises(ValueError, match="at least one sample"):
-            collect_spike_record(net, x, cfg)
+            collect_spike_record(net, x)
 
 
 def test_collect_counters_ignore_the_heads():
     # ISI-CV reads the trunk's spike counters only; the head a pass runs
     # through shapes nothing but the discarded logits
     rng = np.random.default_rng(48)
-    net, cfg = random_tiny_net(rng, hidden=6, dim=5, timesteps=9)
+    net = random_tiny_net(rng, hidden=6, dim=5, timesteps=9)
     x = random_dataset(rng, 150, 5)
-    before = _counters(collect_spike_record(net, x, cfg))
+    before = _counters(collect_spike_record(net, x))
     assert before[1].sum() > 0
     for seed in (3, 4):
         register_head(net, np.random.default_rng(seed))
     assert net.num_heads == 3
     assert not np.array_equal(net.heads[1].w2, net.heads[2].w2)
-    assert np.array_equal(_counters(collect_spike_record(net, x, cfg)),
+    assert np.array_equal(_counters(collect_spike_record(net, x)),
                           before)
 
 
 def test_collect_counters_do_not_depend_on_the_batch_size(monkeypatch):
     rng = np.random.default_rng(47)
-    net, cfg = random_tiny_net(rng, hidden=6, dim=5, timesteps=9)
-    cfg = dataclasses.replace(cfg, gain=2.0)
+    net = random_tiny_net(rng, hidden=6, dim=5, timesteps=9)
+    net.lif = dataclasses.replace(net.lif, gain=2.0)
     x = random_dataset(rng, 300, 5)
     records = []
     for rows in (1, 7, 128):
         monkeypatch.setattr(data_module, "BATCH_ROWS", rows)
-        records.append(collect_spike_record(net, x, cfg))
+        records.append(collect_spike_record(net, x))
     assert records[0].isi_counts.sum() > 0
     for record in records[1:]:
         assert record.sample_count == 300
@@ -479,11 +480,12 @@ def test_collect_counters_do_not_depend_on_the_batch_size(monkeypatch):
 def test_ewc_matches_scalar_oracle_fisher():
     rng = np.random.default_rng(37)
     for _ in range(10):
-        net, cfg = random_tiny_net(rng)
+        net = random_tiny_net(rng)
+        cfg = net.lif
         n = int(rng.integers(2, 5))
         data = random_dataset(rng, n, net.input_size,
                               rng.integers(0, net.classes_per_task, size=n))
-        vec = ewc_importance(net, data, 0, cfg)
+        vec = ewc_importance(net, data, 0)
         x, y = data.images, data.labels
 
         fisher_w1 = np.zeros_like(net.w1)
@@ -506,49 +508,49 @@ def test_ewc_matches_scalar_oracle_fisher():
 
 def test_ewc_invariant_under_sample_duplication():
     rng = np.random.default_rng(38)
-    net, cfg = random_tiny_net(rng, hidden=3, dim=4, classes=2)
+    net = random_tiny_net(rng, hidden=3, dim=4, classes=2)
     x = random_dataset(rng, 6, 4, rng.integers(0, 2, size=6))
     doubled = Dataset(np.concatenate([x.pixels, x.pixels]),
                       np.concatenate([x.labels, x.labels]))
-    once = ewc_importance(net, x, 0, cfg)
-    twice = ewc_importance(net, doubled, 0, cfg)
+    once = ewc_importance(net, x, 0)
+    twice = ewc_importance(net, doubled, 0)
     np.testing.assert_allclose(once.omega, twice.omega, rtol=1e-12, atol=1e-14)
 
 
 def test_ewc_max_samples_uses_only_the_first_samples(monkeypatch):
     rng = np.random.default_rng(40)
-    net, cfg = random_tiny_net(rng, hidden=4, dim=5, classes=3, timesteps=5)
-    cfg = dataclasses.replace(cfg, gain=3.0)
+    net = random_tiny_net(rng, hidden=4, dim=5, classes=3, timesteps=5)
+    net.lif = dataclasses.replace(net.lif, gain=3.0)
     x = random_dataset(rng, 20, 5, rng.integers(0, 3, size=20))
     monkeypatch.setattr(data_module, "BATCH_ROWS", 8)
-    sliced = ewc_importance(net, x.take(10), 0, cfg)
+    sliced = ewc_importance(net, x.take(10), 0)
     monkeypatch.setattr(importance, "SAMPLES", 10)
-    capped = ewc_importance(net, x, 0, cfg)
+    capped = ewc_importance(net, x, 0)
     assert np.array_equal(capped.omega, sliced.omega)
 
 
 def test_ewc_silent_trunk_gives_zero_importance():
-    net = new_network(4, 5, 2, np.random.default_rng(0))
+    net = new_network(4, 5, 2, LIFConfig(), np.random.default_rng(0))
     net.w1[:] = 0.0
     net.b1[:] = -5.0   # far below threshold, surrogate ~ 0 but not exactly;
     register_head(net, np.random.default_rng(1))
     net.heads[0].w2[:] = 0.0   # cut the loss path entirely instead
     x = random_dataset(np.random.default_rng(2), 8, 4)
-    vec = ewc_importance(net, x, 0, LIFConfig())
+    vec = ewc_importance(net, x, 0)
     assert np.array_equal(vec.omega, np.zeros(5))
 
 
 def test_ewc_rejects_empty_subset(monkeypatch):
     rng = np.random.default_rng(39)
-    net, cfg = random_tiny_net(rng)
+    net = random_tiny_net(rng)
     x = random_dataset(rng, 4, net.input_size)
     with pytest.raises(ValueError):
-        ewc_importance(net, x.take(0), 0, cfg)
+        ewc_importance(net, x.take(0), 0)
     # a non-positive budget fails loudly rather than reading nothing
     for bad in (0, -3):
         monkeypatch.setattr(importance, "SAMPLES", bad)
         with pytest.raises(ValueError, match="at least one sample"):
-            ewc_importance(net, x, 0, cfg)
+            ewc_importance(net, x, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +560,7 @@ def test_ewc_rejects_empty_subset(monkeypatch):
 def _si_grads(w1_val, hidden=1, dim=1):
     """Gradients of a (hidden, dim) trunk with two classes: every dW1
     entry ``w1_val``, the rest zero."""
-    net = new_network(dim, hidden, 2, np.random.default_rng(0))
+    net = new_network(dim, hidden, 2, LIFConfig(), np.random.default_rng(0))
     register_head(net, np.random.default_rng(1))
     grads = filled_grads(net)
     grads.w1[:] = w1_val
@@ -615,7 +617,7 @@ def test_si_shape_mismatch_rejected():
 def test_si_importance_pre_normalization_value():
     # neuron 0: omega 0.5, drift 0.3 -> 0.5/(0.09+0.1) ~ 2.632
     # neuron 1: omega 1.0, no drift  -> 1.0/0.1 = 10 (the max)
-    net = new_network(1, 2, 2, np.random.default_rng(0))
+    net = new_network(1, 2, 2, LIFConfig(), np.random.default_rng(0))
     net.w1 = np.array([[0.3], [0.0]])
     net.b1 = np.zeros(2)
     acc = _zero_acc(2, 1)
@@ -628,7 +630,7 @@ def test_si_importance_pre_normalization_value():
 
 
 def test_si_untouched_parameters_score_zero_and_negatives_clip():
-    net = new_network(1, 2, 2, np.random.default_rng(0))
+    net = new_network(1, 2, 2, LIFConfig(), np.random.default_rng(0))
     net.w1 = np.array([[0.0], [0.2]])
     net.b1 = np.zeros(2)
     acc = SIAccumulator.start(net.copy_trunk())

@@ -105,12 +105,11 @@ def test_lif_kernels_match_oracle_at_workload_shapes(shape):
 
 def test_forward_const_matches_former_forward_pass():
     rng = np.random.default_rng(4)
-    net = new_network(20, 24, 3, rng)
+    net = new_network(20, 24, 3, LIFConfig(timesteps=7, gain=1.3), rng)
     register_head(net, rng)
-    cfg = LIFConfig(timesteps=7, gain=1.3)
     x = rng.random((50, 20))
-    logits, trace = forward_const(x, 0, net, cfg)
-    logits_ref, ref = oracle_forward_const(x, 0, net, cfg)
+    logits, trace = forward_const(x, 0, net)
+    logits_ref, ref = oracle_forward_const(x, 0, net)
     assert trace.s.dtype == np.bool_ and ref.s.dtype == np.float64
     assert np.array_equal(trace.s, ref.s != 0.0)
     assert trace.sbar.tobytes() == ref.sbar.tobytes()
@@ -132,7 +131,7 @@ def _random_grads(rng, net, task_id):
 def test_adam_matches_per_parameter_oracle_bit_for_bit(shape):
     hidden, dim, classes = shape
     rng = np.random.default_rng(5)
-    net = new_network(dim, hidden, classes, rng)
+    net = new_network(dim, hidden, classes, LIFConfig(), rng)
     register_head(net, rng)
     register_head(net, rng)
     ref = copy.deepcopy(net)

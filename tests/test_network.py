@@ -1,5 +1,7 @@
 """Membrane recursion and forward pass."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,9 +47,10 @@ def test_train_params_reject_bad_values(bad):
         TrainParams(**bad)
 
 
-def _one_neuron(weight, bias=0.0):
-    """A 1-input, 1-neuron net with fixed trunk weight and bias."""
-    net = new_network(1, 1, 2, np.random.default_rng(0))
+def _one_neuron(weight, lif, bias=0.0):
+    """A 1-input, 1-neuron net running ``lif``, with fixed trunk weight
+    and bias."""
+    net = new_network(1, 1, 2, lif, np.random.default_rng(0))
     net.w1[:] = weight
     net.b1[:] = bias
     register_head(net, np.random.default_rng(1))
@@ -56,7 +59,7 @@ def _one_neuron(weight, bias=0.0):
 
 def test_single_step_from_rest():
     _, trace = forward_const(
-        np.array([[0.6]]), 0, _one_neuron(1.0), LIFConfig(timesteps=2)
+        np.array([[0.6]]), 0, _one_neuron(1.0, LIFConfig(timesteps=2))
     )
     assert trace.u[0, 0, 0] == 0.6
     assert trace.s[0, 0, 0] == 0.0
@@ -66,7 +69,7 @@ def test_constant_drive_hand_sequence():
     # u_t = 0.5 u_{t-1} + 0.6 - s_{t-1}: crosses threshold on step 3,
     # resets by subtraction on step 4
     _, trace = forward_const(
-        np.array([[0.6]]), 0, _one_neuron(1.0), LIFConfig(timesteps=4)
+        np.array([[0.6]]), 0, _one_neuron(1.0, LIFConfig(timesteps=4))
     )
     np.testing.assert_allclose(
         trace.u[0, :, 0], [0.6, 0.9, 1.05, 0.125], rtol=0, atol=1e-15
@@ -75,11 +78,11 @@ def test_constant_drive_hand_sequence():
 
 
 def test_zero_input_stays_silent():
-    net = new_network(3, 3, 2, np.random.default_rng(0))
+    net = new_network(3, 3, 2, LIFConfig(timesteps=10),
+                      np.random.default_rng(0))
     net.b1[:] = 0.0
     register_head(net, np.random.default_rng(1))
-    _, trace = forward_const(np.zeros((2, 3)), 0, net,
-                                LIFConfig(timesteps=10))
+    _, trace = forward_const(np.zeros((2, 3)), 0, net)
     assert np.all(trace.u == 0.0)
     assert np.all(trace.s == 0.0)
 
@@ -87,7 +90,7 @@ def test_zero_input_stays_silent():
 def test_strong_constant_drive_spikes_every_step():
     # current 2.0: u = 2.0 at every step after the reset subtraction
     _, trace = forward_const(
-        np.ones((1, 1)), 0, _one_neuron(2.0), LIFConfig(timesteps=4),
+        np.ones((1, 1)), 0, _one_neuron(2.0, LIFConfig(timesteps=4)),
     )
     np.testing.assert_array_equal(trace.u[0, :, 0], [2.0, 2.0, 2.0, 2.0])
     np.testing.assert_array_equal(trace.s[0, :, 0], [1.0, 1.0, 1.0, 1.0])
@@ -96,15 +99,14 @@ def test_strong_constant_drive_spikes_every_step():
 
 
 def test_zero_weights_zero_logits_zero_spikes():
-    net = new_network(5, 4, 3, np.random.default_rng(0))
+    net = new_network(5, 4, 3, LIFConfig(), np.random.default_rng(0))
     net.w1[:] = 0.0
     net.b1[:] = 0.0
     register_head(net, np.random.default_rng(1))
     net.heads[0].w2[:] = 0.0
     net.heads[0].b2[:] = 0.0
-    cfg = LIFConfig()
     logits, trace = forward_const(
-        np.random.default_rng(2).random((3, 5)), 0, net, cfg,
+        np.random.default_rng(2).random((3, 5)), 0, net,
     )
     assert np.all(logits == 0.0)
     assert np.all(trace.s == 0.0)
@@ -114,13 +116,13 @@ def test_gain_scales_the_drive_exactly():
     # forward_const with gain g is forward_const on g * x at gain 1, bit
     # for bit, and the trace records the scaled drive that backward uses
     rng = np.random.default_rng(8)
-    net, cfg = random_tiny_net(rng, hidden=5, dim=4, classes=3, timesteps=6)
+    net = random_tiny_net(rng, hidden=5, dim=4, classes=3, timesteps=6)
     x = rng.random((7, 4))
     for g in (0.3, 1.5, 7.0):
-        gained = LIFConfig(tau=cfg.tau, theta=cfg.theta,
-                           timesteps=cfg.timesteps, gain=g)
-        logits, trace = forward_const(x, 0, net, gained)
-        ref_logits, ref = forward_const(g * x, 0, net, cfg)
+        # the same weights, shared, under a second neuron model
+        gained = replace(net, lif=replace(net.lif, gain=g))
+        logits, trace = forward_const(x, 0, gained)
+        ref_logits, ref = forward_const(g * x, 0, net)
         np.testing.assert_array_equal(logits, ref_logits)
         np.testing.assert_array_equal(trace.inputs, g * x)
         np.testing.assert_array_equal(trace.u, ref.u)
@@ -128,12 +130,12 @@ def test_gain_scales_the_drive_exactly():
 
 
 def test_unknown_task_raises():
-    net = new_network(3, 2, 2, np.random.default_rng(0))
+    net = new_network(3, 2, 2, LIFConfig(), np.random.default_rng(0))
     with pytest.raises(UnknownTaskError):
-        forward_const(np.zeros((1, 3)), 0, net, LIFConfig())
+        forward_const(np.zeros((1, 3)), 0, net)
     register_head(net, np.random.default_rng(1))
     with pytest.raises(UnknownTaskError):
-        forward_const(np.zeros((1, 3)), 1, net, LIFConfig())
+        forward_const(np.zeros((1, 3)), 1, net)
 
 
 def test_batch_equals_concatenated_singles():
@@ -143,22 +145,22 @@ def test_batch_equals_concatenated_singles():
     # and sum is exact, so a mismatch can only mean samples leak into
     # each other.
     rng = np.random.default_rng(5)
-    net, cfg = random_tiny_net(rng, hidden=3, dim=4, classes=3, timesteps=4)
+    net = random_tiny_net(rng, hidden=3, dim=4, classes=3, timesteps=4)
     for param in (net.w1, net.b1, net.heads[0].w2, net.heads[0].b2):
         param[:] = np.round(param * 8.0) / 8.0
     batch = rng.integers(0, 9, size=(6, 4)) / 8.0
-    logits_b, trace_b = forward_const(batch, 0, net, cfg)
+    logits_b, trace_b = forward_const(batch, 0, net)
     for n in range(6):
-        logits_1, trace_1 = forward_const(batch[n:n + 1], 0, net, cfg)
+        logits_1, trace_1 = forward_const(batch[n:n + 1], 0, net)
         assert np.array_equal(logits_b[n], logits_1[0])
         assert np.array_equal(trace_b.u[n], trace_1.u[0])
 
 
 def test_identical_samples_identical_traces():
     rng = np.random.default_rng(6)
-    net, cfg = random_tiny_net(rng)
+    net = random_tiny_net(rng)
     x = np.repeat(rng.random((1, net.input_size)), 4, axis=0)
-    _, trace = forward_const(x, 0, net, cfg)
+    _, trace = forward_const(x, 0, net)
     for n in range(1, 4):
         assert np.array_equal(trace.u[0], trace.u[n])
 
@@ -169,9 +171,10 @@ def test_replay_recorded_membrane_bit_exact():
     # exactly, bit for bit
     rng = np.random.default_rng(7)
     for _ in range(30):
-        net, cfg = random_tiny_net(rng)
+        net = random_tiny_net(rng)
+        cfg = net.lif
         x = rng.random((2, net.input_size))
-        _, trace = forward_const(x, 0, net, cfg)
+        _, trace = forward_const(x, 0, net)
         currents = trace.inputs @ net.w1.T + net.b1
         for n in range(2):
             for i in range(net.hidden_size):
@@ -186,12 +189,12 @@ def test_replay_recorded_membrane_bit_exact():
 def test_membrane_bounded_under_bounded_input():
     # |u| <= (M + theta) * tau for input currents bounded by M
     rng = np.random.default_rng(8)
-    net, cfg = random_tiny_net(rng, hidden=4, dim=3, timesteps=5)
-    big = LIFConfig(tau=cfg.tau, theta=cfg.theta, timesteps=200)
+    net = random_tiny_net(rng, hidden=4, dim=3, timesteps=5)
+    net.lif = replace(net.lif, timesteps=200)
     x = rng.uniform(-1, 1, size=(4, 3))
-    _, trace = forward_const(x, 0, net, big)
+    _, trace = forward_const(x, 0, net)
     m = np.abs(trace.inputs @ net.w1.T + net.b1).max()
-    assert np.abs(trace.u).max() <= (m + big.theta) * big.tau + 1e-12
+    assert np.abs(trace.u).max() <= (m + net.lif.theta) * net.lif.tau + 1e-12
 
 
 @pytest.mark.parametrize("input_size, hidden_size", [(4, 0), (4, -1),
@@ -201,12 +204,13 @@ def test_sizes_below_one_are_rejected(input_size, hidden_size):
     # after a divide-by-zero warning; -1 with numpy's "negative dimensions"
     bad = input_size if input_size < 1 else hidden_size
     with pytest.raises(ValueError, match=f"must be >= 1, got {bad}$"):
-        new_network(input_size, hidden_size, 2, np.random.default_rng(0))
+        new_network(input_size, hidden_size, 2, LIFConfig(),
+                    np.random.default_rng(0))
 
 
 def test_register_head_rejects_an_empty_trunk():
     net = NetworkState(w1=np.zeros((0, 4)), b1=np.zeros(0),
-                       classes_per_task=2)
+                       classes_per_task=2, lif=LIFConfig())
     with pytest.raises(ValueError, match="hidden_size must be >= 1, got 0"):
         register_head(net, np.random.default_rng(0))
 
@@ -219,8 +223,8 @@ def test_run_sequence_rejects_an_empty_hidden_layer():
 
 
 def test_seeded_init_is_reproducible():
-    a = new_network(6, 4, 2, np.random.default_rng(42))
-    b = new_network(6, 4, 2, np.random.default_rng(42))
+    a = new_network(6, 4, 2, LIFConfig(), np.random.default_rng(42))
+    b = new_network(6, 4, 2, LIFConfig(), np.random.default_rng(42))
     assert np.array_equal(a.w1, b.w1)
     assert np.array_equal(a.b1, b.b1)
     bound = 1.0 / np.sqrt(6)

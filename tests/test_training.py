@@ -51,26 +51,30 @@ def test_cross_entropy_uniform_logits():
         assert -np.log(_softmax([0.0] * 4)[target]) == pytest.approx(np.log(4))
 
 
-def gradient_oracle_discrepancy(n_cases, seed, tol=1e-10):
+def gradient_oracle_discrepancy(n_cases, seed, tol=1e-10, task_id=0):
     """Max normalized gap between reverse-mode and the forward-mode oracle.
 
     Normalization is |a - b| / (tol + tol * |b|); values <= 1 mean every
     parameter gradient agrees within the tolerance.  The engine sees each
-    constant input once; the oracle gets it tiled over timesteps.
+    constant input once; the oracle gets it tiled over timesteps.  The
+    pass runs head ``task_id``, registering heads up to it.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_cases):
-        net, cfg = random_tiny_net(rng)
+        net = random_tiny_net(rng)
+        for _ in range(task_id):
+            register_head(net, rng)
+        head, cfg = net.heads[task_id], net.lif
         n = int(rng.integers(1, 4))
         targets = rng.integers(0, net.classes_per_task, size=n)
         flat = rng.uniform(-1.0, 1.5, size=(n, net.input_size))
         x = np.repeat(flat[:, np.newaxis, :], cfg.timesteps, axis=1)
-        _, trace = forward_const(flat, 0, net, cfg)
-        loss, grads = backward(trace, targets, net, 0)
+        _, trace = forward_const(flat, task_id, net)
+        loss, grads = backward(trace, targets)
         oracle_loss, oracle = oracle_loss_and_grads(
             x.tolist(), targets.tolist(), net.w1.tolist(), net.b1.tolist(),
-            net.heads[0].w2.tolist(), net.heads[0].b2.tolist(),
+            head.w2.tolist(), head.b2.tolist(),
             cfg.tau, cfg.theta, ALPHA,
         )
         pairs = [
@@ -87,17 +91,20 @@ def gradient_oracle_discrepancy(n_cases, seed, tol=1e-10):
 
 
 def test_backward_matches_forward_mode_oracle():
-    assert gradient_oracle_discrepancy(60, seed=100) <= 1.0
+    # a later head too: the trace alone names the head backward reads
+    for task_id in (0, 1):
+        assert gradient_oracle_discrepancy(60, seed=100,
+                                           task_id=task_id) <= 1.0
 
 
 def test_head_bias_gradient_closed_form_when_head_is_zero():
     rng = np.random.default_rng(9)
-    net, cfg = random_tiny_net(rng, hidden=3, dim=4, classes=3)
+    net = random_tiny_net(rng, hidden=3, dim=4, classes=3)
     net.heads[0].w2[:] = 0.0
     net.heads[0].b2[:] = 0.0
     x = rng.random((1, 4))
-    _, trace = forward_const(x, 0, net, cfg)
-    _, grads = backward(trace, [1], net, 0)
+    _, trace = forward_const(x, 0, net)
+    _, grads = backward(trace, [1])
     expected = np.full(3, 1.0 / 3.0)
     expected[1] -= 1.0
     np.testing.assert_allclose(grads.b2, expected, rtol=0, atol=1e-15)
@@ -107,49 +114,46 @@ def test_head_bias_gradient_closed_form_when_head_is_zero():
 
 def test_batch_gradient_is_mean_of_per_sample_gradients():
     rng = np.random.default_rng(10)
-    net, cfg = random_tiny_net(rng, hidden=2, dim=3, classes=2, timesteps=4)
+    net = random_tiny_net(rng, hidden=2, dim=3, classes=2, timesteps=4)
     x = rng.random((5, 3))
     y = rng.integers(0, 2, size=5)
-    _, trace = forward_const(x, 0, net, cfg)
-    _, batch_grads = backward(trace, y, net, 0)
+    _, trace = forward_const(x, 0, net)
+    _, batch_grads = backward(trace, y)
     acc = np.zeros_like(net.w1)
     for n in range(5):
-        _, t1 = forward_const(x[n:n + 1], 0, net, cfg)
-        _, g1 = backward(t1, y[n:n + 1], net, 0)
+        _, t1 = forward_const(x[n:n + 1], 0, net)
+        _, g1 = backward(t1, y[n:n + 1])
         acc += g1.w1
     np.testing.assert_allclose(batch_grads.w1, acc / 5, rtol=1e-12, atol=1e-15)
 
 
-def test_backward_rejects_mismatched_task_and_targets():
+def test_backward_rejects_mismatched_targets():
     rng = np.random.default_rng(11)
-    net, cfg = random_tiny_net(rng, classes=2)
-    register_head(net, rng)
+    net = random_tiny_net(rng, classes=2)
     x = rng.random((2, net.input_size))
-    _, trace = forward_const(x, 0, net, cfg)
+    _, trace = forward_const(x, 0, net)
     with pytest.raises(ValueError):
-        backward(trace, [0, 1], net, 1)  # trace is for task 0
+        backward(trace, [0])  # wrong target count
     with pytest.raises(ValueError):
-        backward(trace, [0], net, 0)  # wrong target count
-    with pytest.raises(ValueError):
-        backward(trace, [0, 5], net, 0)  # label out of range
+        backward(trace, [0, 5])  # label out of range
 
 
 def test_backward_consumes_the_trace():
     rng = np.random.default_rng(17)
-    net, cfg = random_tiny_net(rng, classes=2)
-    _, trace = forward_const(rng.random((3, net.input_size)), 0, net, cfg)
-    backward(trace, [0, 1, 1], net, 0)
+    net = random_tiny_net(rng, classes=2)
+    _, trace = forward_const(rng.random((3, net.input_size)), 0, net)
+    backward(trace, [0, 1, 1])
     assert trace.u is None and trace.s is None
     assert trace.batch_size == 3
     with pytest.raises(ValueError, match="consumed"):
-        backward(trace, [0, 1, 1], net, 0)
+        backward(trace, [0, 1, 1])
 
 
 def test_backward_fills_one_flat_gradient():
     rng = np.random.default_rng(18)
-    net, cfg = random_tiny_net(rng, hidden=3, dim=4, classes=2)
-    _, trace = forward_const(rng.random((5, 4)), 0, net, cfg)
-    _, grads = backward(trace, rng.integers(0, 2, size=5), net, 0)
+    net = random_tiny_net(rng, hidden=3, dim=4, classes=2)
+    _, trace = forward_const(rng.random((5, 4)), 0, net)
+    _, grads = backward(trace, rng.integers(0, 2, size=5))
     parts = (grads.w1, grads.b1, grads.w2, grads.b2)
     params = (net.w1, net.b1, net.heads[0].w2, net.heads[0].b2)
     assert grads.flat.shape == (sum(p.size for p in params),)
@@ -165,14 +169,14 @@ def test_anchored_step_holds_one_membrane_block_and_one_gradient():
     n, dim, hidden, timesteps = 128, 784, 128, 10
     data = random_dataset(np.random.default_rng(19), 2 * n, dim,
                           np.arange(2 * n) % 2)
-    net = new_network(dim, hidden, 2, np.random.default_rng(1))
+    net = new_network(dim, hidden, 2, LIFConfig(timesteps=timesteps),
+                      np.random.default_rng(1))
     register_head(net, np.random.default_rng(2))
     anchor = Anchor(*net.copy_trunk(), omega=np.full(hidden, 0.5), lam=1.0)
     flat = GradientSet(net, 0).flat.nbytes
     _, peak = traced_peak(lambda: train_task(
-        net, data, 0, LIFConfig(timesteps=timesteps),
-        TrainParams(epochs=1, batch_size=n), np.random.default_rng(3),
-        reg=anchor))
+        net, data, 0, TrainParams(epochs=1, batch_size=n),
+        np.random.default_rng(3), reg=anchor))
     moments = 2 * flat
     membrane = n * timesteps * hidden * 8
     rows = n * dim * 8
@@ -184,7 +188,7 @@ def test_anchored_step_holds_one_membrane_block_and_one_gradient():
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
     rng = np.random.default_rng(12)
-    net, _ = random_tiny_net(rng)
+    net = random_tiny_net(rng)
     before = (net.w1.copy(), net.b1.copy())
     opt = OptimizerState(lr=1e-3)
     adam_step(net, filled_grads(net, 0.0), opt)
@@ -195,7 +199,7 @@ def test_adam_zero_gradient_leaves_parameters_unchanged():
 
 def test_adam_first_step_magnitude_is_lr_times_sign():
     rng = np.random.default_rng(13)
-    net, _ = random_tiny_net(rng)
+    net = random_tiny_net(rng)
     opt = OptimizerState(lr=1e-3)
     grads = filled_grads(net, 0.0)
     grads.w1[:] = 3.7   # bias correction cancels on the first step
@@ -209,7 +213,7 @@ def test_adam_first_step_magnitude_is_lr_times_sign():
 
 def test_adam_equal_gradients_get_equal_updates():
     rng = np.random.default_rng(14)
-    net, _ = random_tiny_net(rng, hidden=3, dim=2)
+    net = random_tiny_net(rng, hidden=3, dim=2)
     opt = OptimizerState(lr=1e-3)
     grads = filled_grads(net, 0.42)
     before = net.w1.copy()
@@ -220,7 +224,7 @@ def test_adam_equal_gradients_get_equal_updates():
 
 def test_adam_returns_the_applied_trunk_deltas():
     rng = np.random.default_rng(15)
-    net, _ = random_tiny_net(rng)
+    net = random_tiny_net(rng)
     opt = OptimizerState(lr=1e-3)
     grads = filled_grads(net, 0.0)
     grads.w1[:] = rng.normal(size=grads.w1.shape)
@@ -234,7 +238,7 @@ def test_adam_returns_the_applied_trunk_deltas():
 def test_adam_steps_the_gradient_vector_itself(monkeypatch):
     # peak_rss_mb: no concatenated copy of the gradient per step
     rng = np.random.default_rng(20)
-    net, _ = random_tiny_net(rng)
+    net = random_tiny_net(rng)
     stepped = []
     real_update = OptimizerState.update
     monkeypatch.setattr(OptimizerState, "update",
@@ -247,7 +251,7 @@ def test_adam_steps_the_gradient_vector_itself(monkeypatch):
 
 def test_adam_rejects_non_finite_gradients():
     rng = np.random.default_rng(16)
-    net, _ = random_tiny_net(rng)
+    net = random_tiny_net(rng)
     grads = filled_grads(net, 0.0)
     grads.w1[0, 0] = np.nan
     with pytest.raises(DivergenceError):
@@ -264,10 +268,10 @@ def _toy_task(rng, n=20, dim=6):
 
 def test_train_task_epochs_zero_is_a_noop():
     rng = np.random.default_rng(17)
-    net, cfg = random_tiny_net(rng, hidden=4, dim=6, classes=2)
+    net = random_tiny_net(rng, hidden=4, dim=6, classes=2)
     data = _toy_task(rng)
     w1 = net.w1.copy()
-    logs = train_task(net, data, 0, cfg,
+    logs = train_task(net, data, 0,
                       TrainParams(epochs=0), np.random.default_rng(0))
     assert logs == []
     assert np.array_equal(net.w1, w1)
@@ -275,27 +279,27 @@ def test_train_task_epochs_zero_is_a_noop():
 
 def test_train_task_validates_inputs():
     rng = np.random.default_rng(18)
-    net, cfg = random_tiny_net(rng, hidden=4, dim=6, classes=2)
+    net = random_tiny_net(rng, hidden=4, dim=6, classes=2)
     data = _toy_task(rng)
     with pytest.raises(ValueError):
-        train_task(net, data.take(0), 0, cfg, TrainParams(),
+        train_task(net, data.take(0), 0, TrainParams(),
                    np.random.default_rng(0))
     with pytest.raises(UnknownTaskError):
-        train_task(net, data, 3, cfg, TrainParams(),
+        train_task(net, data, 3, TrainParams(),
                    np.random.default_rng(0))
 
 
 def test_train_task_learns_separable_toy_data():
     rng = np.random.default_rng(19)
-    net = new_network(6, 8, 2, np.random.default_rng(1))
+    net = new_network(6, 8, 2, LIFConfig(timesteps=6),
+                      np.random.default_rng(1))
     register_head(net, np.random.default_rng(2))
-    cfg = LIFConfig(timesteps=6)
     data = _toy_task(rng)
-    logs = train_task(net, data, 0, cfg,
+    logs = train_task(net, data, 0,
                       TrainParams(epochs=10, batch_size=8, lr=5e-3),
                       np.random.default_rng(3))
     assert len(logs) == 10
-    _, trace = forward_const(data.images, 0, net, cfg)
+    _, trace = forward_const(data.images, 0, net)
     accuracy = (trace.logits.argmax(axis=1) == data.labels).mean()
     assert accuracy == 1.0
 
@@ -304,10 +308,10 @@ def test_train_task_same_seed_same_weights():
     data = _toy_task(np.random.default_rng(20))
     results = []
     for _ in range(2):
-        net = new_network(6, 5, 2, np.random.default_rng(7))
+        net = new_network(6, 5, 2, LIFConfig(timesteps=4),
+                          np.random.default_rng(7))
         register_head(net, np.random.default_rng(8))
-        train_task(net, data, 0, LIFConfig(timesteps=4),
-                   TrainParams(epochs=3, batch_size=8),
+        train_task(net, data, 0, TrainParams(epochs=3, batch_size=8),
                    np.random.default_rng(9))
         results.append((net.w1.copy(), net.heads[0].w2.copy()))
     assert np.array_equal(results[0][0], results[1][0])
@@ -316,13 +320,14 @@ def test_train_task_same_seed_same_weights():
 
 def test_training_one_task_freezes_other_heads():
     data = _toy_task(np.random.default_rng(21))
-    net = new_network(6, 5, 2, np.random.default_rng(4))
+    net = new_network(6, 5, 2, LIFConfig(timesteps=4),
+                      np.random.default_rng(4))
     register_head(net, np.random.default_rng(5))
     register_head(net, np.random.default_rng(6))
     other_w2 = net.heads[0].w2.copy()
     other_b2 = net.heads[0].b2.copy()
-    train_task(net, data, 1, LIFConfig(timesteps=4),
-               TrainParams(epochs=2, batch_size=8), np.random.default_rng(0))
+    train_task(net, data, 1, TrainParams(epochs=2, batch_size=8),
+               np.random.default_rng(0))
     assert np.array_equal(net.heads[0].w2, other_w2)
     assert np.array_equal(net.heads[0].b2, other_b2)
 
@@ -331,26 +336,24 @@ def test_small_full_batch_step_rarely_increases_loss():
     wins = 0
     for trial in range(100):
         rng = np.random.default_rng(1000 + trial)
-        net, cfg = random_tiny_net(rng, hidden=8, dim=6, classes=2,
-                                   timesteps=5)
+        net = random_tiny_net(rng, hidden=8, dim=6, classes=2, timesteps=5)
         x = rng.random((16, 6))
         y = rng.integers(0, 2, size=16)
-        _, trace = forward_const(x, 0, net, cfg)
-        loss0, grads = backward(trace, y, net, 0)
+        _, trace = forward_const(x, 0, net)
+        loss0, grads = backward(trace, y)
         adam_step(net, grads, OptimizerState(lr=1e-4))
-        _, trace1 = forward_const(x, 0, net, cfg)
-        loss1, _ = backward(trace1, y, net, 0)
+        _, trace1 = forward_const(x, 0, net)
+        loss1, _ = backward(trace1, y)
         wins += loss1 <= loss0 + 1e-12
     assert wins >= 95
 
 
 def test_step_hook_sees_every_update():
     rng = np.random.default_rng(22)
-    net, cfg = random_tiny_net(rng, hidden=4, dim=6, classes=2)
+    net = random_tiny_net(rng, hidden=4, dim=6, classes=2)
     data = _toy_task(rng, n=20)
     calls = []
-    train_task(net, data, 0, cfg,
-               TrainParams(epochs=2, batch_size=8),
+    train_task(net, data, 0, TrainParams(epochs=2, batch_size=8),
                np.random.default_rng(0),
                step_hook=lambda g, d: calls.append(d["w1"].shape))
     # 20 samples, batch 8 -> 3 steps per epoch (short final batch kept)
