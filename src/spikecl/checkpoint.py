@@ -14,9 +14,9 @@ little-endian):
                     ndim * u32 dimension sizes
                     prod(dims) * 8 bytes float64 data, C order
 
-Arrays appear in a fixed order: "w1", "b1", then "head<k>.w2",
-"head<k>.b2" for k = 0, 1, ...  The layout is self-describing enough
-for other languages to parse without this module.
+Arrays appear in a fixed order: "w1", "b1", "lif" (the neuron model's
+[tau, theta, timesteps, gain]), then "head<k>.w2", "head<k>.b2" for
+k = 0, 1, ...  Other languages can parse the layout without this module.
 """
 
 import math
@@ -25,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .network import Head, NetworkState
+from .network import Head, LIFConfig, NetworkState
 
 MAGIC = b"SPKCKPT1"
 
@@ -59,8 +59,9 @@ def write_atomic(path, blob):
 
 
 def save_checkpoint(path, net):
-    """Write the network's weights (not its neuron model) atomically."""
-    arrays = [("w1", net.w1), ("b1", net.b1)]
+    """Write the network, its neuron model included, atomically."""
+    arrays = [("w1", net.w1), ("b1", net.b1), ("lif", [
+        net.lif.tau, net.lif.theta, net.lif.timesteps, net.lif.gain])]
     for k, head in enumerate(net.heads):
         arrays.append((f"head{k}.w2", head.w2))
         arrays.append((f"head{k}.b2", head.b2))
@@ -86,8 +87,8 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def load_checkpoint(path, lif):
-    """Read a checkpoint back into a NetworkState running the model ``lif``."""
+def load_checkpoint(path):
+    """Read a checkpoint back into the NetworkState it was saved from."""
     if not os.path.exists(path):
         raise CheckpointError(f"no such checkpoint: {path}")
     with open(path, "rb") as f:
@@ -96,7 +97,6 @@ def load_checkpoint(path, lif):
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     classes, count = reader.unpack("<II")
     arrays = {}
-    order = []
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
         raw_name = reader.take(name_len)
@@ -114,11 +114,10 @@ def load_checkpoint(path, lif):
             raise CheckpointError(
                 f"{path}: array {name!r} dims {dims} do not fit int64")
         arrays[name] = data.reshape(dims).astype(np.float64)
-        order.append(name)
     if reader.pos != len(reader.buf):
         raise CheckpointError(f"{path}: trailing bytes after last array")
 
-    for required in ("w1", "b1"):
+    for required in ("w1", "b1", "lif"):
         if required not in arrays:
             raise CheckpointError(f"{path}: missing array {required!r}")
     heads = []
@@ -128,16 +127,16 @@ def load_checkpoint(path, lif):
             raise CheckpointError(f"{path}: head {k} lacks its bias")
         heads.append(Head(w2=arrays[f"head{k}.w2"], b2=arrays[f"head{k}.b2"]))
         k += 1
-    expected = 2 + 2 * len(heads)
-    if len(order) != expected:
+    expected = 3 + 2 * len(heads)
+    if count != expected:
         raise CheckpointError(
-            f"{path}: {len(order)} arrays present, expected {expected}"
+            f"{path}: {count} arrays present, expected {expected}"
         )
     w1, b1 = arrays["w1"], arrays["b1"]
     if w1.ndim != 2:
         raise CheckpointError(f"{path}: w1 has shape {w1.shape}, not (H, D)")
     hidden = w1.shape[0]
-    shapes = [("b1", b1, (hidden,))]
+    shapes = [("b1", b1, (hidden,)), ("lif", arrays["lif"], (4,))]
     for k, head in enumerate(heads):
         shapes.append((f"head{k}.w2", head.w2, (classes, hidden)))
         shapes.append((f"head{k}.b2", head.b2, (classes,)))
@@ -146,4 +145,9 @@ def load_checkpoint(path, lif):
             raise CheckpointError(
                 f"{path}: {name} has shape {arr.shape}, expected {want}"
             )
+    tau, theta, t, gain = arrays["lif"].tolist()
+    try:  # a whole t becomes an int; LIFConfig rejects any other
+        lif = LIFConfig(tau, theta, int(t) if t.is_integer() else t, gain)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: neuron model: {exc}") from None
     return NetworkState(w1, b1, classes, lif, heads)

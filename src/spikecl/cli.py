@@ -357,10 +357,8 @@ def cmd_sweep(cfg, lambdas):
     return 0
 
 
-def cmd_importance_dump(cfg, checkpoint_path, task_id=None, seed=None, out=None):
-    if seed is not None and seed < 0:
-        raise ConfigError(f"run seed must be >= 0, got {seed}")
-    net = load_checkpoint(checkpoint_path, cfg.lif_cfg)
+def cmd_importance_dump(cfg, checkpoint_path, task_id=None, out=None):
+    net = load_checkpoint(checkpoint_path)
     if net.num_heads == 0:
         raise CheckpointError(f"{checkpoint_path}: checkpoint has no heads")
     if task_id is None:
@@ -369,8 +367,7 @@ def cmd_importance_dump(cfg, checkpoint_path, task_id=None, seed=None, out=None)
         raise ConfigError(
             f"task {task_id} not in checkpoint (heads: {net.num_heads})"
         )
-    seed = cfg.seeds[0] if seed is None else seed
-    tasks = build_tasks(cfg, seed, _load_base(cfg))
+    tasks = build_tasks(cfg, cfg.seeds[0], _load_base(cfg))
     if task_id >= len(tasks):
         raise ConfigError(f"benchmark has only {len(tasks)} tasks")
     if tasks.input_dim != net.input_size:
@@ -440,20 +437,19 @@ def build_parser():
 
     p_dump = sub.add_parser(
         "importance-dump",
-        help="firing-regularity report for a saved checkpoint",
+        help="firing-regularity report for a saved checkpoint, run under "
+             "its own neuron model (--timesteps and --gain are not read)",
     )
     _add_config_flags(p_dump)
     p_dump.add_argument("--checkpoint", required=True)
     p_dump.add_argument("--task", type=int, default=None,
                         help="task index (default: newest head)")
-    p_dump.add_argument("--run-seed", type=int, default=None,
-                        help="seed whose task data to replay (default: first)")
     p_dump.add_argument("--out", default=None,
                         help="output JSON path (default: stdout)")
     p_dump.set_defaults(
         entry=lambda args: cmd_importance_dump(
             _config_from_args(args), args.checkpoint,
-            task_id=args.task, seed=args.run_seed, out=args.out,
+            task_id=args.task, out=args.out,
         )
     )
     return parser

@@ -37,12 +37,14 @@ class LIFConfig:
     gain: float = 1.0
 
     def __post_init__(self):
-        if not self.tau > 1.0:
-            raise ValueError(f"tau must be > 1, got {self.tau}")
-        if not self.theta > 0.0:
-            raise ValueError(f"theta must be > 0, got {self.theta}")
+        if not 1.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be > 1 and finite, got {self.tau}")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError(f"theta must be > 0 and finite, got {self.theta}")
         if not (math.isfinite(self.gain) and self.gain > 0.0):
             raise ValueError(f"gain must be finite and > 0, got {self.gain}")
+        if not isinstance(self.timesteps, (int, np.integer)):
+            raise ValueError(f"timesteps must be an int, got {self.timesteps}")
         if self.timesteps < 2:
             raise ValueError(f"timesteps must be >= 2, got {self.timesteps}")
 

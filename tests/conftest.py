@@ -105,3 +105,32 @@ def oversized_checkpoint_header(dims=(2 ** 32 - 1,) * 4):
     return (MAGIC + struct.pack("<II", 3, 1) + struct.pack("<H", 2) + b"w1"
             + struct.pack("<B", len(dims))
             + struct.pack(f"<{len(dims)}I", *dims))
+
+
+def checkpoint_blob(net, lif_record):
+    """The checkpoint of ``net`` with ``lif_record`` as its "lif" array
+    (None: no "lif" array, as in files written before the record
+    existed), packed by hand from the layout in ``spikecl/checkpoint.py``."""
+    arrays = [("w1", net.w1), ("b1", net.b1)]
+    if lif_record is not None:
+        arrays.append(("lif", lif_record))
+    for k, head in enumerate(net.heads):
+        arrays += [(f"head{k}.w2", head.w2), (f"head{k}.b2", head.b2)]
+    parts = [MAGIC, struct.pack("<II", net.classes_per_task, len(arrays))]
+    for name, arr in arrays:
+        arr = np.asarray(arr, dtype="<f8")
+        parts += [struct.pack("<H", len(name)), name.encode("ascii"),
+                  struct.pack("<B", arr.ndim),
+                  struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
+    return b"".join(parts)
+
+
+# "lif" records a checkpoint reader must refuse, each with the message
+# that names the fault
+BAD_LIF_RECORDS = {
+    "missing": (None, "missing array 'lif'"),
+    "shape3": ([2.0, 1.0, 10.0], "lif has shape (3,), expected (4,)"),
+    "timesteps2.5": ([2.0, 1.0, 2.5, 1.0], "timesteps must be an int, got 2.5"),
+    "tau0.5": ([0.5, 1.0, 10.0, 1.0], "tau must be > 1"),
+    "gain-nan": ([2.0, 1.0, 10.0, float("nan")], "gain must be finite"),
+}

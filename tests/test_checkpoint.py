@@ -1,11 +1,13 @@
 """Binary checkpoint format: round trips and corruption handling."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from conftest import oversized_checkpoint_header
+from conftest import (BAD_LIF_RECORDS, checkpoint_blob,
+                      oversized_checkpoint_header)
 from spikecl.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from spikecl.network import (Head, LIFConfig, NetworkState, new_network,
                              register_head)
@@ -13,9 +15,9 @@ from spikecl.network import (Head, LIFConfig, NetworkState, new_network,
 LIF = LIFConfig()
 
 
-def _net(heads=2, seed=60):
+def _net(heads=2, seed=60, lif=LIF):
     rng = np.random.default_rng(seed)
-    net = new_network(5, 4, 3, LIF, rng)
+    net = new_network(5, 4, 3, lif, rng)
     register_head(net, rng)
     for _ in range(heads - 1):
         register_head(net, rng)
@@ -23,13 +25,14 @@ def _net(heads=2, seed=60):
 
 
 def test_round_trip_is_bit_exact(tmp_path):
-    net = _net(heads=3)
+    # the file holds the neuron model too, none of it the default
+    net = _net(heads=3, lif=LIFConfig(tau=3.5, theta=0.75, timesteps=7,
+                                      gain=1.5))
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, net)
-    # the file holds weights only; the caller supplies the neuron model
-    lif = LIFConfig(timesteps=3, gain=2.0)
-    back = load_checkpoint(path, lif)
-    assert back.lif is lif
+    back = load_checkpoint(path)
+    assert back.lif == net.lif
+    assert type(back.lif.timesteps) is int
     assert back.classes_per_task == 3
     assert len(back.heads) == 3
     np.testing.assert_array_equal(back.w1, net.w1)
@@ -40,14 +43,15 @@ def test_round_trip_is_bit_exact(tmp_path):
 
 
 def test_layout_matches_the_documented_format(tmp_path):
-    net = _net(heads=1)
+    net = _net(heads=1, lif=LIFConfig(tau=3.0, theta=0.5, timesteps=4,
+                                      gain=2.0))
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, net)
     blob = path.read_bytes()
     assert blob[:8] == MAGIC
     classes, count = struct.unpack_from("<II", blob, 8)
     assert classes == 3
-    assert count == 4          # w1, b1, head0.w2, head0.b2
+    assert count == 5          # w1, b1, lif, head0.w2, head0.b2
     pos = 16
     names = []
     for _ in range(count):
@@ -60,12 +64,17 @@ def test_layout_matches_the_documented_format(tmp_path):
         dims = struct.unpack_from("<" + "I" * ndim, blob, pos)
         pos += 4 * ndim
         size = int(np.prod(dims))
+        data = np.frombuffer(blob, dtype="<f8", count=size, offset=pos)
         if names[-1] == "w1":
-            data = np.frombuffer(blob, dtype="<f8", count=size, offset=pos)
             np.testing.assert_array_equal(data.reshape(dims), net.w1)
+        if names[-1] == "lif":
+            assert dims == (4,)
+            assert data.tolist() == [3.0, 0.5, 4.0, 2.0]
         pos += 8 * size
     assert pos == len(blob)
-    assert names == ["w1", "b1", "head0.w2", "head0.b2"]
+    assert names == ["w1", "b1", "lif", "head0.w2", "head0.b2"]
+    # the hand-packed layout of the test helper is the same file
+    assert checkpoint_blob(net, [3.0, 0.5, 4.0, 2.0]) == blob
 
 
 def test_save_is_atomic(tmp_path):
@@ -73,7 +82,7 @@ def test_save_is_atomic(tmp_path):
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, net)
     save_checkpoint(path, net)    # overwrite in place
-    assert load_checkpoint(path, LIF).classes_per_task == 3
+    assert load_checkpoint(path).classes_per_task == 3
     assert list(tmp_path.iterdir()) == [path]   # no tmp litter
     # a failed save leaves none either: the rename onto a directory fails
     # after the temp file is written
@@ -87,29 +96,29 @@ def test_save_is_atomic(tmp_path):
 
 def test_missing_and_corrupt_files(tmp_path):
     with pytest.raises(CheckpointError, match="no such"):
-        load_checkpoint(tmp_path / "absent.ckpt", LIF)
+        load_checkpoint(tmp_path / "absent.ckpt")
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, _net())
     blob = path.read_bytes()
 
     path.write_bytes(b"NOTACKPT" + blob[8:])
     with pytest.raises(CheckpointError, match="magic"):
-        load_checkpoint(path, LIF)
+        load_checkpoint(path)
 
     path.write_bytes(blob[:-7])
     with pytest.raises(CheckpointError, match="truncated"):
-        load_checkpoint(path, LIF)
+        load_checkpoint(path)
 
     path.write_bytes(blob + b"\x00")
     with pytest.raises(CheckpointError, match="trailing"):
-        load_checkpoint(path, LIF)
+        load_checkpoint(path)
 
 
 def test_oversized_dims_are_a_checkpoint_error(tmp_path):
     path = tmp_path / "net.ckpt"
     path.write_bytes(oversized_checkpoint_header() + b"\x00" * 64)
     with pytest.raises(CheckpointError, match="truncated"):
-        load_checkpoint(path, LIF)
+        load_checkpoint(path)
 
 
 def test_empty_array_with_oversized_dims_is_a_checkpoint_error(tmp_path):
@@ -119,11 +128,11 @@ def test_empty_array_with_oversized_dims_is_a_checkpoint_error(tmp_path):
     for dims in ((0, 2 ** 32 - 1, 2 ** 32 - 1), (0, 2 ** 31, 2 ** 29)):
         path.write_bytes(oversized_checkpoint_header(dims))
         with pytest.raises(CheckpointError, match="do not fit int64"):
-            load_checkpoint(path, LIF)
+            load_checkpoint(path)
     # one item less is a valid empty array; the file then lacks b1
     path.write_bytes(oversized_checkpoint_header((0, 2 ** 31, 2 ** 29 - 1)))
     with pytest.raises(CheckpointError, match="missing array 'b1'"):
-        load_checkpoint(path, LIF)
+        load_checkpoint(path)
 
 
 def test_incomplete_head_is_rejected(tmp_path):
@@ -136,7 +145,7 @@ def test_incomplete_head_is_rejected(tmp_path):
     blob[at:at + 8] = b"head0.zz"
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="lacks its bias"):
-        load_checkpoint(path, LIF)
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("field, bad_shape", [
@@ -158,4 +167,27 @@ def test_array_shapes_must_agree(tmp_path, field, bad_shape):
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, net)
     with pytest.raises(CheckpointError, match="shape"):
-        load_checkpoint(path, LIF)
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LIF_RECORDS))
+def test_neuron_model_must_be_valid(tmp_path, case):
+    record, message = BAD_LIF_RECORDS[case]
+    path = tmp_path / "net.ckpt"
+    path.write_bytes(checkpoint_blob(_net(), record))
+    with pytest.raises(CheckpointError, match=re.escape(message)) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+
+def test_an_array_beyond_the_heads_is_rejected(tmp_path):
+    # an extra array after one head's pair: the count names it
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, _net(heads=1))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 12, 6)
+    blob += struct.pack("<H", 2) + b"zz" + struct.pack("<BI", 1, 1) + bytes(8)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="6 arrays present, expected 5"):
+        load_checkpoint(path)

@@ -10,7 +10,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import oversized_checkpoint_header
+from conftest import (BAD_LIF_RECORDS, checkpoint_blob,
+                      oversized_checkpoint_header)
 from spikecl.checkpoint import MAGIC as CHECKPOINT_MAGIC
 from spikecl import cli, importance
 from spikecl.checkpoint import load_checkpoint, save_checkpoint
@@ -79,9 +80,9 @@ def test_run_writes_the_full_artifact_set(tmp_path):
     assert run["tasks"][1]["trunk_drift"] > 0
 
     for task in (0, 1):
-        net = load_checkpoint(out / "checkpoints" / f"seed0_task{task}.ckpt",
-                              LIFConfig(timesteps=5))
+        net = load_checkpoint(out / "checkpoints" / f"seed0_task{task}.ckpt")
         assert net.num_heads == task + 1
+        assert net.lif == LIFConfig(timesteps=5)
         report = json.loads(
             (out / "importance" / f"seed0_task{task}.json").read_text()
         )
@@ -153,21 +154,19 @@ def test_sweep_requires_two_lambdas(tmp_path, capsys):
 
 
 def test_importance_dump_matches_the_run_artifact(tmp_path, capsys):
-    # a checkpoint holds weights only: the dump runs them under the neuron
-    # model its own flags build, so at --gain 1.5 it must match the run
-    # only if that model reaches the loaded network
+    # the dump replays each checkpoint under the neuron model it was
+    # trained with, whatever --gain and --timesteps the dump is given
     omegas = []
     for gain in ("1", "1.5"):
         out = tmp_path / f"gain{gain}"
-        flags = _flags(out, gain=gain)
-        main(["run", "--method", "isi-cv", *flags])
+        main(["run", "--method", "isi-cv", *_flags(out, gain=gain)])
         saved = json.loads(
             (out / "importance" / "seed0_task1.json").read_text())
         capsys.readouterr()         # drop the run command's progress lines
         code = main([
             "importance-dump",
             "--checkpoint", str(out / "checkpoints" / "seed0_task1.ckpt"),
-            *flags,
+            *_flags(out, gain="2", timesteps="7"),
         ])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
@@ -200,6 +199,20 @@ def test_importance_dump_silent_trunk_reports_sentinel_cv(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert all(n["cv"] == 2.0 for n in report["neurons"].values())
+
+
+def test_importance_dump_rejects_a_bad_neuron_model(tmp_path, capsys):
+    net = new_network(24, 12, 2, LIFConfig(), np.random.default_rng(0))
+    register_head(net, np.random.default_rng(1))
+    ckpt = tmp_path / "bad.ckpt"
+    for case, (record, message) in BAD_LIF_RECORDS.items():
+        ckpt.write_bytes(checkpoint_blob(net, record))
+        assert main(["importance-dump", "--checkpoint", str(ckpt),
+                     *_flags(tmp_path / "res")]) == 3, case
+        captured = capsys.readouterr()
+        assert f"data error: {ckpt}: " in captured.err
+        assert message in captured.err
+        assert captured.out == ""
 
 
 def test_importance_dump_validates_task_and_shape(tmp_path, capsys):
@@ -349,11 +362,11 @@ def test_exit_codes(tmp_path, capsys):
     clash.write_text("in the way")
     assert main(["run", *_flags(clash)]) == 4
 
-    # 2: a negative run seed, rejected before the checkpoint is read
+    # 2: a negative seed, rejected before the checkpoint is read
     assert main(["importance-dump", "--checkpoint", str(tmp_path / "none"),
-                 "--run-seed", "-1", *_flags(tmp_path / "res")]) == 2
+                 "--seeds", "-1", *_flags(tmp_path / "res")]) == 2
     captured = capsys.readouterr()
-    assert "run seed must be >= 0" in captured.err
+    assert "seeds must be >= 0" in captured.err
     assert captured.out == ""
 
 

@@ -32,10 +32,18 @@ def test_config_defaults_give_half_decay():
     {"timesteps": 1}, {"timesteps": 0},
     {"gain": 0.0}, {"gain": -1.0}, {"gain": float("inf")},
     {"gain": float("nan")},
+    # a checkpoint file may hold these: an infinite tau makes beta 1, and
+    # a float timesteps fails only in numpy at the first forward pass
+    {"tau": float("inf")}, {"theta": float("inf")},
+    {"timesteps": 2.5}, {"timesteps": 10.0},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         LIFConfig(**bad)
+
+
+def test_config_takes_a_numpy_integer_timesteps():
+    assert LIFConfig(timesteps=np.int64(3)).timesteps == 3
 
 
 @pytest.mark.parametrize("bad", [
