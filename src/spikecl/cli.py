@@ -44,7 +44,8 @@ import numpy as np
 from . import __version__
 from .checkpoint import (CheckpointError, load_checkpoint, save_checkpoint,
                          write_atomic)
-from .config import FIELDS, ConfigError, load_config, text_parser
+from .config import (DATA_FIELDS, FIELDS, ConfigError, load_config,
+                     text_parser)
 from .continual import METHODS, run_sequence
 from .data import DataError, build_permuted, build_split, build_synthetic, load_idx_dir
 from .importance import collect_spike_record, importance_report
@@ -386,22 +387,21 @@ def cmd_importance_dump(cfg, checkpoint_path, task_id=None, out=None):
     return 0
 
 
-def _add_config_flags(parser):
-    """``--config`` plus one flag per ExperimentConfig field."""
+def _add_config_flags(parser, names):
+    """``--config`` plus one flag per named ExperimentConfig field.  A
+    config file may still set every field."""
     parser.add_argument("-c", "--config", metavar="FILE",
                         help="flat key = value config file")
-    for name, f in FIELDS.items():
+    for name in names:
+        f = FIELDS[name]
         flag = "--lambda" if name == "lam" else "--" + name.replace("_", "-")
         parser.add_argument(flag, dest=name, type=text_parser(f),
                             **f.metadata)
 
 
 def _config_from_args(args):
-    overrides = {
-        name: getattr(args, name)
-        for name in FIELDS
-        if getattr(args, name) is not None
-    }
+    """The config from ``--config`` and the flags the parser defined."""
+    overrides = {name: getattr(args, name, None) for name in FIELDS}
     return load_config(path=args.config, overrides=overrides)
 
 
@@ -416,19 +416,24 @@ def _parse_lambdas(text):
 
 
 def build_parser():
+    # no abbreviations: a removed flag must not be read as the prefix of
+    # another (--lambda of --lambdas)
     parser = argparse.ArgumentParser(
         prog="spikecl",
         description="Spiking-network continual-learning experiment runner",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="train one method over all seeds")
-    _add_config_flags(p_run)
+    p_run = sub.add_parser("run", help="train one method over all seeds",
+                           allow_abbrev=False)
+    _add_config_flags(p_run, FIELDS)
     p_run.set_defaults(entry=lambda args: cmd_run(_config_from_args(args)))
 
-    p_sweep = sub.add_parser("sweep", help="repeat a run over lambda values")
-    _add_config_flags(p_sweep)
+    p_sweep = sub.add_parser("sweep", help="repeat a run over lambda values",
+                             allow_abbrev=False)
+    _add_config_flags(p_sweep, [name for name in FIELDS if name != "lam"])
     p_sweep.add_argument("--lambdas", type=_parse_lambdas, required=True,
                          metavar="L0,L1,...")
     p_sweep.set_defaults(
@@ -438,9 +443,10 @@ def build_parser():
     p_dump = sub.add_parser(
         "importance-dump",
         help="firing-regularity report for a saved checkpoint, run under "
-             "its own neuron model (--timesteps and --gain are not read)",
+             "its own neuron model",
+        allow_abbrev=False,
     )
-    _add_config_flags(p_dump)
+    _add_config_flags(p_dump, DATA_FIELDS)
     p_dump.add_argument("--checkpoint", required=True)
     p_dump.add_argument("--task", type=int, default=None,
                         help="task index (default: newest head)")

@@ -97,6 +97,13 @@ class ExperimentConfig:
 
 FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
+# The settings that choose a task sequence: cli._load_base and
+# cli.build_tasks read these fields and no others, so they are the only
+# flags of a command that just replays data (importance-dump).
+DATA_FIELDS = ("benchmark", "seeds", "num_tasks", "train_cap", "test_cap",
+               "data_dir", "synthetic_dim", "synthetic_noise",
+               "synthetic_train", "synthetic_test")
+
 
 def _parse_seeds(s):
     try:

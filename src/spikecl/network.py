@@ -26,6 +26,12 @@ class UnknownTaskError(KeyError):
     """Raised when a task id has no registered head."""
 
 
+# The largest T with importance.SAMPLES**2 * (T - 1)**3 < 2**53: below
+# that bound SpikeRecord.isi_m2 is the exact value rounded once.  The
+# shipped configs run T = 8 to 20.
+MAX_TIMESTEPS = 2048
+
+
 @dataclass
 class LIFConfig:
     """Neuron parameters: time constant, threshold, steps per sample, and
@@ -47,6 +53,9 @@ class LIFConfig:
             raise ValueError(f"timesteps must be an int, got {self.timesteps}")
         if self.timesteps < 2:
             raise ValueError(f"timesteps must be >= 2, got {self.timesteps}")
+        if self.timesteps > MAX_TIMESTEPS:
+            raise ValueError(f"timesteps must be <= {MAX_TIMESTEPS}, "
+                             f"got {self.timesteps}")
 
     @property
     def beta(self):

@@ -131,6 +131,10 @@ BAD_LIF_RECORDS = {
     "missing": (None, "missing array 'lif'"),
     "shape3": ([2.0, 1.0, 10.0], "lif has shape (3,), expected (4,)"),
     "timesteps2.5": ([2.0, 1.0, 2.5, 1.0], "timesteps must be an int, got 2.5"),
+    "timesteps2049": ([2.0, 1.0, 2049.0, 1.0],
+                      "timesteps must be <= 2048, got 2049"),
+    "timesteps2pow52": ([2.0, 1.0, 2.0 ** 52, 1.0],
+                        "timesteps must be <= 2048, got 4503599627370496"),
     "tau0.5": ([0.5, 1.0, 10.0, 1.0], "tau must be > 1"),
     "gain-nan": ([2.0, 1.0, 10.0, float("nan")], "gain must be finite"),
 }

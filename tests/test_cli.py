@@ -3,9 +3,11 @@
 import json
 import os
 import re
+import shlex
 import struct
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from spikecl.checkpoint import MAGIC as CHECKPOINT_MAGIC
 from spikecl import cli, importance
 from spikecl.checkpoint import load_checkpoint, save_checkpoint
 from spikecl.cli import METRICS_HEADER, SWEEP_HEADER, main
-from spikecl.config import ExperimentConfig
+from spikecl.config import DATA_FIELDS, FIELDS, ExperimentConfig, load_config
 from spikecl.continual import (
     ResultMatrix,
     RunAbortedError,
@@ -26,6 +28,9 @@ from spikecl.continual import (
 from spikecl.data import MNIST_FILES, write_idx_images, write_idx_labels
 from spikecl.network import LIFConfig, new_network, register_head
 
+REPO = Path(__file__).resolve().parent.parent
+CONFIG_DIR = REPO / "configs"
+
 
 @pytest.fixture(autouse=True)
 def _importance_budget(monkeypatch):
@@ -34,24 +39,22 @@ def _importance_budget(monkeypatch):
     monkeypatch.setattr(importance, "SAMPLES", 64)
 
 
+def _argv(flags):
+    return [arg for key, value in flags.items() for arg in (f"--{key}", value)]
+
+
+def _data_flags(**extra):
+    """The data settings of every test run: all that importance-dump takes."""
+    return _argv({"benchmark": "synthetic", "num-tasks": "2",
+                  "synthetic-dim": "24", "synthetic-train": "30",
+                  "synthetic-test": "15", **extra})
+
+
 def _flags(out_dir, **extra):
-    base = {
-        "benchmark": "synthetic",
-        "num-tasks": "2",
-        "synthetic-dim": "24",
-        "synthetic-train": "30",
-        "synthetic-test": "15",
-        "hidden-size": "12",
-        "timesteps": "5",
-        "epochs": "2",
-        "batch-size": "16",
-        "out-dir": str(out_dir),
-    }
-    base.update(extra)
-    out = []
-    for key, value in base.items():
-        out.extend([f"--{key}", value])
-    return out
+    """``_data_flags`` plus the settings of a small, quick run."""
+    return _data_flags(**{"hidden-size": "12", "timesteps": "5",
+                          "epochs": "2", "batch-size": "16",
+                          "out-dir": str(out_dir), **extra})
 
 
 def test_run_writes_the_full_artifact_set(tmp_path):
@@ -155,7 +158,7 @@ def test_sweep_requires_two_lambdas(tmp_path, capsys):
 
 def test_importance_dump_matches_the_run_artifact(tmp_path, capsys):
     # the dump replays each checkpoint under the neuron model it was
-    # trained with, whatever --gain and --timesteps the dump is given
+    # trained with
     omegas = []
     for gain in ("1", "1.5"):
         out = tmp_path / f"gain{gain}"
@@ -166,7 +169,7 @@ def test_importance_dump_matches_the_run_artifact(tmp_path, capsys):
         code = main([
             "importance-dump",
             "--checkpoint", str(out / "checkpoints" / "seed0_task1.ckpt"),
-            *_flags(out, gain="2", timesteps="7"),
+            *_data_flags(),
         ])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
@@ -181,7 +184,7 @@ def test_importance_dump_matches_the_run_artifact(tmp_path, capsys):
     code = main([
         "importance-dump",
         "--checkpoint", str(out / "checkpoints" / "seed0_task1.ckpt"),
-        "--task", "0", "--out", str(dest), *_flags(out),
+        "--task", "0", "--out", str(dest), *_data_flags(),
     ])
     assert code == 0
     assert json.loads(dest.read_text())["task_id"] == 0
@@ -195,7 +198,7 @@ def test_importance_dump_silent_trunk_reports_sentinel_cv(tmp_path, capsys):
     ckpt = tmp_path / "silent.ckpt"
     save_checkpoint(ckpt, net)
     code = main(["importance-dump", "--checkpoint", str(ckpt),
-                 *_flags(tmp_path / "res")])
+                 *_data_flags()])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert all(n["cv"] == 2.0 for n in report["neurons"].values())
@@ -208,7 +211,7 @@ def test_importance_dump_rejects_a_bad_neuron_model(tmp_path, capsys):
     for case, (record, message) in BAD_LIF_RECORDS.items():
         ckpt.write_bytes(checkpoint_blob(net, record))
         assert main(["importance-dump", "--checkpoint", str(ckpt),
-                     *_flags(tmp_path / "res")]) == 3, case
+                     *_data_flags()]) == 3, case
         captured = capsys.readouterr()
         assert f"data error: {ckpt}: " in captured.err
         assert message in captured.err
@@ -220,10 +223,10 @@ def test_importance_dump_validates_task_and_shape(tmp_path, capsys):
     main(["run", "--method", "none", *_flags(out)])
     ckpt = str(out / "checkpoints" / "seed0_task0.ckpt")
     assert main(["importance-dump", "--checkpoint", ckpt, "--task", "5",
-                 *_flags(out)]) == 2
+                 *_data_flags()]) == 2
     assert "not in checkpoint" in capsys.readouterr().err
     assert main(["importance-dump", "--checkpoint", ckpt,
-                 *_flags(out, **{"synthetic-dim": "10"})]) == 2
+                 *_data_flags(**{"synthetic-dim": "10"})]) == 2
     assert "expects 24 inputs" in capsys.readouterr().err
 
 
@@ -265,19 +268,19 @@ def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"garbage")
     assert main(["importance-dump", "--checkpoint", str(bad),
-                 *_flags(tmp_path / "res")]) == 3
+                 *_data_flags()]) == 3
 
     # 3: array dims whose product overflows int64
     bad.write_bytes(oversized_checkpoint_header())
     capsys.readouterr()
     assert main(["importance-dump", "--checkpoint", str(bad),
-                 *_flags(tmp_path / "res")]) == 3
+                 *_data_flags()]) == 3
     assert "truncated" in capsys.readouterr().err
 
     # 3: an empty array whose dims' product overflows int64
     bad.write_bytes(oversized_checkpoint_header((0, 2 ** 32 - 1, 2 ** 32 - 1)))
     assert main(["importance-dump", "--checkpoint", str(bad),
-                 *_flags(tmp_path / "res")]) == 3
+                 *_data_flags()]) == 3
     assert "do not fit int64" in capsys.readouterr().err
 
     # 3: a head that does not fit the trunk (12 hidden neurons)
@@ -287,7 +290,7 @@ def test_exit_codes(tmp_path, capsys):
     save_checkpoint(bad, net)
     capsys.readouterr()
     assert main(["importance-dump", "--checkpoint", str(bad),
-                 *_flags(tmp_path / "res")]) == 3
+                 *_data_flags()]) == 3
     assert "shape" in capsys.readouterr().err
 
     # 2: config validation failure
@@ -313,6 +316,12 @@ def test_exit_codes(tmp_path, capsys):
         (["run", "--gain", "inf"], "gain must be finite and > 0, got inf"),
         (["run", "--gain", "-1"], "gain must be finite and > 0, got -1.0"),
         (["run", "--timesteps", "1"], "timesteps must be >= 2, got 1"),
+        (["run", "--timesteps", "2049"], "timesteps must be <= 2048, got 2049"),
+        # a config error, before the missing IDX files are looked for
+        (["run", "--benchmark", "split-mnist",
+          "--data-dir", str(tmp_path / "nodata"),
+          "--timesteps", "4503599627370496"],
+         "timesteps must be <= 2048, got 4503599627370496"),
         (["run", "--batch-size", "0"], "batch_size must be >= 1"),
         (["run", "--epochs", "0"], "epochs must be >= 1"),
         (["sweep", "--lambdas", "1,nan"], "lambda must be finite"),
@@ -349,7 +358,7 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIH", 2, 1, 2)
                     + b"\xff\xfe" + b"\x00" * 16)
     assert main(["importance-dump", "--checkpoint", str(bad),
-                 *_flags(tmp_path / "res")]) == 3
+                 *_data_flags()]) == 3
     assert "not ASCII" in capsys.readouterr().err
 
     # 2: argparse rejects unknown choices itself
@@ -364,7 +373,7 @@ def test_exit_codes(tmp_path, capsys):
 
     # 2: a negative seed, rejected before the checkpoint is read
     assert main(["importance-dump", "--checkpoint", str(tmp_path / "none"),
-                 "--seeds", "-1", *_flags(tmp_path / "res")]) == 2
+                 "--seeds", "-1", *_data_flags()]) == 2
     captured = capsys.readouterr()
     assert "seeds must be >= 0" in captured.err
     assert captured.out == ""
@@ -397,16 +406,104 @@ def test_split_missing_classes_is_a_data_error_before_training(
     assert not list(out.glob("checkpoints/*.ckpt"))
 
 
+def _flag(name):
+    return "--lambda" if name == "lam" else "--" + name.replace("_", "-")
+
+
 def test_run_flags_are_the_config_fields(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["run", "--help"])
-    assert info.value.code == 0
-    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
-    expected = {"--help", "--config"} | {
-        "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
-        for f in fields(ExperimentConfig)
-    }
-    assert flags == expected
+    every = [f.name for f in fields(ExperimentConfig)]
+    for command, names, own in (
+            ("run", every, set()),
+            ("sweep", [n for n in every if n != "lam"], {"--lambdas"}),
+            ("importance-dump", DATA_FIELDS,
+             {"--checkpoint", "--task", "--out"})):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == ({"--help", "--config"} | own
+                         | {_flag(name) for name in names}), command
+
+
+# a valid value, other than the default, of every field that is not a
+# data setting
+_RUN_VALUES = {"method": "ewc", "lam": 3.0, "hidden_size": 7,
+               "timesteps": 3, "epochs": 4, "batch_size": 5, "lr": 0.01,
+               "out_dir": "elsewhere", "gain": 2.0}
+
+
+@pytest.mark.parametrize("name", ["synthetic", "permuted-mnist"])
+def test_build_tasks_reads_only_the_data_fields(tmp_path, name):
+    assert set(_RUN_VALUES) == set(FIELDS) - set(DATA_FIELDS)
+    _write_digits(tmp_path / "idx", np.arange(30) % 10, np.arange(20) % 10)
+    cfg = ExperimentConfig(benchmark=name, num_tasks=3, test_cap=7,
+                           data_dir=str(tmp_path / "idx"), synthetic_dim=9,
+                           synthetic_train=6, synthetic_test=4)
+    other = replace(cfg, **_RUN_VALUES)
+    seqs = [cli.build_tasks(c, 4, cli._load_base(c)) for c in (cfg, other)]
+    assert len(seqs[0]) == len(seqs[1]) == 3
+    for a, b in zip(*seqs):
+        for split in ("train", "test"):
+            for array in ("pixels", "labels"):
+                assert (getattr(getattr(a, split), array).tobytes()
+                        == getattr(getattr(b, split), array).tobytes())
+
+
+def test_a_flag_the_command_does_not_read_is_a_usage_error(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    dump = ["importance-dump", "--checkpoint", "net.ckpt", *_data_flags()]
+    cases = [[*dump, _flag(name), str(value)]
+             for name, value in _RUN_VALUES.items()]
+    cases += [
+        # read as --lambdas if abbreviations were allowed
+        ["sweep", "--method", "ewc", "--lambda", "7", "--lambdas", "1,2"],
+        ["run", "--hid", "0"],   # not --hidden-size
+    ]
+    for argv in cases:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err, argv
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == []
+
+
+def test_every_shipped_config_serves_every_command():
+    # a config file may set keys a command takes no flag for
+    parser = cli.build_parser()
+    paths = sorted(CONFIG_DIR.glob("*.cfg"))
+    assert paths
+    for path in paths:
+        for argv in (["run"], ["sweep", "--lambdas", "1,2"],
+                     ["importance-dump", "--checkpoint", "net.ckpt"]):
+            args = parser.parse_args([*argv, "-c", str(path)])
+            assert (cli._config_from_args(args).to_dict()
+                    == load_config(str(path)).to_dict()), (path, argv)
+
+
+def _readme_command_lines():
+    """Every README code span or fenced line that runs a subcommand with
+    at least one flag."""
+    text = (REPO / "README.md").read_text()
+    spans = re.findall(r"`([^`\n]+)`", text)
+    fenced = [line.strip() for block in re.findall(r"```[^\n]*\n(.*?)```",
+                                                   text, re.S)
+              for line in block.splitlines()]
+    return [line for line in spans + fenced
+            if re.match(r"spikecl [a-z-]+ (.* )?-", line)]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert len(lines) >= 4
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_gain_reaches_the_network(tmp_path):

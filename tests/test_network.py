@@ -9,7 +9,9 @@ from conftest import random_tiny_net
 from oracles import replay_membrane
 from spikecl.continual import run_sequence
 from spikecl.data import build_synthetic
+from spikecl.importance import SAMPLES
 from spikecl.network import (
+    MAX_TIMESTEPS,
     LIFConfig,
     NetworkState,
     UnknownTaskError,
@@ -36,10 +38,20 @@ def test_config_defaults_give_half_decay():
     # a float timesteps fails only in numpy at the first forward pass
     {"tau": float("inf")}, {"theta": float("inf")},
     {"timesteps": 2.5}, {"timesteps": 10.0},
+    {"timesteps": MAX_TIMESTEPS + 1}, {"timesteps": 2 ** 52},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         LIFConfig(**bad)
+
+
+def test_timesteps_bound_keeps_isi_m2_exact():
+    assert LIFConfig(timesteps=MAX_TIMESTEPS).timesteps == 2048
+    with pytest.raises(ValueError, match="timesteps must be <= 2048, got 2049"):
+        LIFConfig(timesteps=2049)
+    # the largest T whose interval m2 numerator stays below 2^53
+    assert SAMPLES ** 2 * (MAX_TIMESTEPS - 1) ** 3 < 2 ** 53
+    assert SAMPLES ** 2 * MAX_TIMESTEPS ** 3 >= 2 ** 53
 
 
 def test_config_takes_a_numpy_integer_timesteps():
