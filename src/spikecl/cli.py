@@ -44,8 +44,8 @@ import numpy as np
 from . import __version__
 from .checkpoint import (CheckpointError, load_checkpoint, save_checkpoint,
                          write_atomic)
-from .config import (DATA_FIELDS, FIELDS, ConfigError, load_config,
-                     text_parser)
+from .config import (DATA_FIELDS, FIELDS, ConfigError, comma_list,
+                     load_config, text_parser)
 from .continual import METHODS, run_sequence
 from .data import DataError, build_permuted, build_split, build_synthetic, load_idx_dir
 from .importance import collect_spike_record, importance_report
@@ -405,16 +405,6 @@ def _config_from_args(args):
     return load_config(path=args.config, overrides=overrides)
 
 
-def _parse_lambdas(text):
-    try:
-        values = tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}"
-        )
-    return values
-
-
 def build_parser():
     # no abbreviations: a removed flag must not be read as the prefix of
     # another (--lambda of --lambdas)
@@ -434,7 +424,7 @@ def build_parser():
     p_sweep = sub.add_parser("sweep", help="repeat a run over lambda values",
                              allow_abbrev=False)
     _add_config_flags(p_sweep, [name for name in FIELDS if name != "lam"])
-    p_sweep.add_argument("--lambdas", type=_parse_lambdas, required=True,
+    p_sweep.add_argument("--lambdas", type=comma_list(float), required=True,
                          metavar="L0,L1,...")
     p_sweep.set_defaults(
         entry=lambda args: cmd_sweep(_config_from_args(args), args.lambdas)

@@ -105,16 +105,20 @@ DATA_FIELDS = ("benchmark", "seeds", "num_tasks", "train_cap", "test_cap",
                "synthetic_train", "synthetic_test")
 
 
-def _parse_seeds(s):
-    try:
-        return tuple(int(part) for part in s.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"seeds must be comma-separated integers, got {s!r}")
+def comma_list(kind):
+    """A parser of comma-separated ``kind`` values into a tuple, blank
+    items skipped.  A bad item raises ValueError, and the parser's
+    ``__name__`` names the type in argparse's "invalid ... value"."""
+    def parse(text):
+        return tuple(kind(part) for part in text.split(",") if part.strip())
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
 def text_parser(f):
-    """How one field's value is read from text: its type, or _parse_seeds."""
-    return _parse_seeds if f.type is tuple else f.type
+    """How one field's value is read from text: its type, or a list of
+    ints for the seeds."""
+    return comma_list(int) if f.type is tuple else f.type
 
 
 def _parse_value(f, text):
@@ -167,8 +171,6 @@ def load_config(path=None, overrides=None, env=None):
         for key, text in raw.items():
             try:
                 values[key] = _parse_value(FIELDS[key], text)
-            except ConfigError:
-                raise
             except ValueError:
                 raise ConfigError(f"{path}: bad value for {key}: {text!r}")
     if DATA_DIR_ENV in env:

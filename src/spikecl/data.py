@@ -9,6 +9,7 @@ how long and how strongly an image drives the network is set by its
 ``LIFConfig``.
 """
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -135,33 +136,27 @@ def _read_exact(f, nbytes, path, what):
     return f.read(nbytes)
 
 
-def _read_idx_images(path):
+def _read_idx(path, magic, kind, what):
+    """The uint8 payload of the IDX file ``path``: (count,) for one dim,
+    (count, product of the rest) for more.  ``magic``'s low byte is the
+    number of dims, each a big-endian u32 after it; ``kind`` names the
+    magic in its error ("image") and ``what`` the payload ("pixels")."""
+    ndim = magic & 0xFF
     with open(path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(
-            ">IIII", _read_exact(f, 16, path, "header")
-        )
-        if magic != IMAGE_MAGIC:
+        found, *dims = struct.unpack(
+            f">{1 + ndim}I", _read_exact(f, 4 + 4 * ndim, path, "header"))
+        if found != magic:
             raise IdxMagicError(
-                f"{path}: bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}"
+                f"{path}: bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}"
             )
-        raw = _read_exact(f, count * rows * cols, path, "pixels")
-    # with 0 images the payload check passes whatever the dims say
-    if rows * cols >= 2 ** 63:
-        raise DataError(f"{path}: {rows} x {cols} pixels per image "
-                        f"do not fit int64")
-    pixels = np.frombuffer(raw, dtype=np.uint8)
-    return pixels.reshape(count, rows * cols)
-
-
-def _read_idx_labels(path):
-    with open(path, "rb") as f:
-        magic, count = struct.unpack(">II", _read_exact(f, 8, path, "header"))
-        if magic != LABEL_MAGIC:
-            raise IdxMagicError(
-                f"{path}: bad label magic 0x{magic:08x}, expected 0x{LABEL_MAGIC:08x}"
-            )
-        raw = _read_exact(f, count, path, "labels")
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+        raw = _read_exact(f, math.prod(dims), path, what)
+    # with 0 items the payload check passes whatever the other dims say
+    per_item = math.prod(dims[1:])
+    if per_item >= 2 ** 63:
+        raise DataError(f"{path}: {' x '.join(map(str, dims[1:]))} pixels "
+                        f"per image do not fit int64")
+    items = np.frombuffer(raw, dtype=np.uint8)
+    return items.reshape(dims[0], per_item) if ndim > 1 else items
 
 
 def load_idx(images_path, labels_path):
@@ -174,8 +169,8 @@ def load_idx(images_path, labels_path):
     for path in (images_path, labels_path):
         if not os.path.exists(path):
             raise MissingDataError(f"no such data file: {path}")
-    images = _read_idx_images(images_path)
-    labels = _read_idx_labels(labels_path)
+    images = _read_idx(images_path, IMAGE_MAGIC, "image", "pixels")
+    labels = _read_idx(labels_path, LABEL_MAGIC, "label", "labels")
     if len(images) != len(labels):
         raise IdxCountMismatchError(
             f"{images_path} holds {len(images)} images but "
@@ -184,24 +179,25 @@ def load_idx(images_path, labels_path):
     return Dataset(images, labels)
 
 
+def _write_idx(path, magic, array):
+    with open(path, "wb") as f:
+        f.write(struct.pack(f">{1 + array.ndim}I", magic, *array.shape))
+        f.write(array.tobytes())
+
+
 def write_idx_images(path, images):
     """Write a uint8 (N, rows, cols) array in IDX image format."""
     images = np.ascontiguousarray(images, dtype=np.uint8)
     if images.ndim != 3:
         raise ValueError("expected (N, rows, cols) uint8 images")
-    n, rows, cols = images.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
-        f.write(images.tobytes())
+    _write_idx(path, IMAGE_MAGIC, images)
 
 
 def write_idx_labels(path, labels):
     labels = np.ascontiguousarray(labels, dtype=np.uint8)
     if labels.ndim != 1:
         raise ValueError("expected (N,) labels")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", LABEL_MAGIC, len(labels)))
-        f.write(labels.tobytes())
+    _write_idx(path, LABEL_MAGIC, labels)
 
 
 def load_idx_dir(data_dir):

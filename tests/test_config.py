@@ -186,7 +186,8 @@ def test_precedence_flag_over_env_over_file(tmp_path):
 def test_seeds_must_be_integers(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("seeds = 0,a,2\n")
-    with pytest.raises(ConfigError, match="seeds must be comma-separated"):
+    with pytest.raises(ConfigError,
+                       match=r"exp\.cfg: bad value for seeds: '0,a,2'"):
         load_config(path, env={})
 
 
