@@ -226,7 +226,7 @@ def _aggregate(results):
     """Mean and population std of each metric across seeds."""
     reports = [r.metrics() for r in results]
     out = {}
-    for name in ("aa", "bwt", "af"):
+    for name in ("aa", "bwt", "af", "la"):
         values = np.array([getattr(rep, name) for rep in reports])
         out[f"{name}_mean"] = float(values.mean())
         out[f"{name}_std"] = float(values.std())

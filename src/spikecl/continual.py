@@ -155,11 +155,13 @@ class ResultMatrix:
 
 @dataclass
 class MetricsReport:
-    """Summary of a completed sequence: higher AA/BWT, lower AF is better."""
+    """Summary of a completed sequence: higher AA/BWT/LA, lower AF is
+    better."""
 
     aa: float
     bwt: float
     af: float
+    la: float
     forgetting: np.ndarray  # per earlier task, clipped at zero
 
     def to_dict(self):
@@ -167,17 +169,20 @@ class MetricsReport:
             "aa": self.aa,
             "bwt": self.bwt,
             "af": self.af,
+            "la": self.la,
             "forgetting": [float(f) for f in self.forgetting],
         }
 
 
 def compute_metrics(matrix):
-    """AA, BWT and AF from a complete result matrix.
+    """AA, BWT, AF and LA from a complete result matrix.
 
     AA averages the final row.  BWT averages final-minus-diagonal over
     earlier tasks (negative = forgetting).  AF averages, per earlier
     task, the drop from the best accuracy ever reached on it to its
-    final accuracy, clipped at zero.
+    final accuracy, clipped at zero.  LA (learning accuracy) averages
+    the diagonal, each task's accuracy just after it was learned, so a
+    low AF reads as retention only beside an LA that shows learning.
     """
     if not matrix.is_complete():
         raise ValueError("result matrix is incomplete")
@@ -185,8 +190,10 @@ def compute_metrics(matrix):
     k_total = matrix.num_tasks
     final = a[k_total - 1]
     aa = float(final.mean())
+    la = float(np.diagonal(a).mean())
     if k_total == 1:
-        return MetricsReport(aa=aa, bwt=0.0, af=0.0, forgetting=np.zeros(0))
+        return MetricsReport(aa=aa, bwt=0.0, af=0.0, la=la,
+                             forgetting=np.zeros(0))
     earlier = np.arange(k_total - 1)
     bwt = float((final[earlier] - a[earlier, earlier]).mean())
     forgetting = np.zeros(k_total - 1)
@@ -194,7 +201,8 @@ def compute_metrics(matrix):
         best = a[k:k_total - 1, k].max()
         forgetting[k] = max(0.0, best - final[k])
     return MetricsReport(
-        aa=aa, bwt=bwt, af=float(forgetting.mean()), forgetting=forgetting
+        aa=aa, bwt=bwt, af=float(forgetting.mean()), la=la,
+        forgetting=forgetting
     )
 
 

@@ -241,7 +241,10 @@ def test_metrics_worked_example():
     assert rep.aa == pytest.approx(0.875, rel=1e-12)
     assert rep.bwt == pytest.approx(-0.1, rel=1e-9)
     assert rep.af == pytest.approx(0.1, rel=1e-9)
+    assert rep.la == pytest.approx(0.925, rel=1e-12)   # (0.9 + 0.95) / 2
     assert rep.forgetting.tolist() == pytest.approx([0.1], rel=1e-9)
+    assert compute_metrics(_matrix([[0.7]])).la == 0.7
+    assert rep.to_dict()["la"] == rep.la
 
 
 def test_metrics_no_forgetting_and_positive_transfer():
