@@ -1,10 +1,14 @@
 """Download the MNIST (or Fashion-MNIST) IDX files into a data directory.
 
-Tries each known mirror in order, decompresses the gzip payloads and
-validates the result by actually parsing it before moving it into
-place, so a half-written or corrupted download never ends up where the
-experiment runner would pick it up.  Needs network access; in an
-offline environment, copy the four files in by hand instead:
+Tries each known mirror in order and decompresses the gzip payloads
+into a temporary directory inside the data directory.  The four files
+are parsed there, as the experiment runner will parse them, and moved
+into place only when all four pass; on any failure the temporary
+directory is removed and the script exits naming the bad file, so a
+half-written or corrupted download never ends up where the runner
+would pick it up.  When all four files are already present, they are
+only checked (``--force`` downloads them again).  Needs network access;
+in an offline environment, copy the four files in by hand instead:
 
     train-images-idx3-ubyte   train-labels-idx1-ubyte
     t10k-images-idx3-ubyte    t10k-labels-idx1-ubyte
@@ -13,14 +17,16 @@ offline environment, copy the four files in by hand instead:
 import argparse
 import gzip
 import os
+import shutil
 import sys
+import tempfile
 import urllib.error
 import urllib.request
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from spikecl.config import DATA_DIR_ENV
-from spikecl.data import MNIST_FILES, load_idx_dir
+from spikecl.data import MNIST_FILES, DataError, load_idx_dir
 
 MIRRORS = {
     "mnist": (
@@ -33,46 +39,69 @@ MIRRORS = {
 }
 
 
-def fetch_one(name, mirrors, dest, force=False):
-    if os.path.exists(dest) and not force:
-        print(f"  {name}: already present")
-        return
+def download(name, mirrors):
+    """The decompressed payload of ``name`` from the first mirror that
+    serves it."""
     last_error = None
     for base in mirrors:
         url = f"{base}{name}.gz"
         try:
             print(f"  {name}: downloading {url}")
             with urllib.request.urlopen(url, timeout=60) as response:
-                payload = gzip.decompress(response.read())
-            tmp = f"{dest}.tmp.{os.getpid()}"
-            with open(tmp, "wb") as f:
-                f.write(payload)
-            os.replace(tmp, dest)
-            return
+                return gzip.decompress(response.read())
         except (urllib.error.URLError, OSError, gzip.BadGzipFile) as exc:
             last_error = exc
             print(f"  {name}: mirror failed ({exc}), trying next")
     raise SystemExit(f"all mirrors failed for {name}: {last_error}")
 
 
-def main():
+def fetch(data_dir, mirrors, force=False):
+    """Download the quartet into ``data_dir`` through a checked temporary
+    directory, or only check it when all four files are present and
+    ``force`` is false; returns the (train, test) pair."""
+    names = [name for pair in MNIST_FILES.values() for name in pair]
+    if not force and all(os.path.exists(os.path.join(data_dir, name))
+                         for name in names):
+        print("  all four files present; checking them")
+        try:
+            return load_idx_dir(data_dir)
+        except DataError as exc:
+            raise SystemExit(f"{exc} (--force downloads the files again)")
+    staging = tempfile.mkdtemp(prefix=".fetch-", dir=data_dir)
+    try:
+        for name in names:
+            payload = download(name, mirrors)
+            try:
+                with open(os.path.join(staging, name), "wb") as f:
+                    f.write(payload)
+            except OSError as exc:
+                raise SystemExit(f"cannot write {name}: {exc}")
+        try:
+            base = load_idx_dir(staging)
+        except DataError as exc:
+            raise SystemExit(f"downloaded files failed their check, none "
+                             f"moved into {data_dir}: {exc}")
+        for name in names:
+            os.replace(os.path.join(staging, name),
+                       os.path.join(data_dir, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return base
+
+
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--data-dir",
                         default=os.environ.get(DATA_DIR_ENV, "data"))
     parser.add_argument("--dataset", choices=sorted(MIRRORS),
                         default="mnist")
     parser.add_argument("--force", action="store_true",
-                        help="re-download files that already exist")
-    args = parser.parse_args()
+                        help="download the files even if all four exist")
+    args = parser.parse_args(argv)
 
     os.makedirs(args.data_dir, exist_ok=True)
     print(f"fetching {args.dataset} into {args.data_dir}/")
-    for names in MNIST_FILES.values():
-        for name in names:
-            fetch_one(name, MIRRORS[args.dataset],
-                      os.path.join(args.data_dir, name), force=args.force)
-
-    train, test = load_idx_dir(args.data_dir)
+    train, test = fetch(args.data_dir, MIRRORS[args.dataset], args.force)
     print(f"ok: {len(train)} training and {len(test)} test samples, "
           f"{train.dim} pixels each")
 

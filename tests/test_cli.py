@@ -229,6 +229,18 @@ def test_importance_dump_validates_task_and_shape(tmp_path, capsys):
                  *_data_flags(**{"synthetic-dim": "10"})]) == 2
     assert "expects 24 inputs" in capsys.readouterr().err
 
+    # a head the benchmark has no task for
+    net = new_network(24, 12, 2, LIFConfig(), np.random.default_rng(0))
+    for k in range(3):
+        register_head(net, np.random.default_rng(1 + k))
+    three = tmp_path / "three.ckpt"
+    save_checkpoint(three, net)
+    assert main(["importance-dump", "--checkpoint", str(three),
+                 "--task", "2", *_data_flags()]) == 2
+    captured = capsys.readouterr()
+    assert "benchmark has only 2 tasks" in captured.err
+    assert captured.out == ""
+
 
 def test_exit_codes(tmp_path, capsys):
     # 3: benchmark wants IDX files that are not there
@@ -283,12 +295,24 @@ def test_exit_codes(tmp_path, capsys):
                  *_data_flags()]) == 3
     assert "do not fit int64" in capsys.readouterr().err
 
-    # 3: a head that does not fit the trunk (12 hidden neurons)
+    # 3: a checkpoint with no heads to report on
     net = new_network(24, 12, 2, LIFConfig(), np.random.default_rng(0))
+    save_checkpoint(bad, net)
+    capsys.readouterr()
+    assert main(["importance-dump", "--checkpoint", str(bad),
+                 *_data_flags()]) == 3
+    assert "checkpoint has no heads" in capsys.readouterr().err
+
+    # 3: a trunk that is not (H, D)
+    save_checkpoint(bad, replace(net, w1=net.w1.ravel()))
+    assert main(["importance-dump", "--checkpoint", str(bad),
+                 *_data_flags()]) == 3
+    assert "w1 has shape (288,)" in capsys.readouterr().err
+
+    # 3: a head that does not fit the trunk (12 hidden neurons)
     register_head(net, np.random.default_rng(1))
     net.heads[0].w2 = net.heads[0].w2[:, :11]
     save_checkpoint(bad, net)
-    capsys.readouterr()
     assert main(["importance-dump", "--checkpoint", str(bad),
                  *_data_flags()]) == 3
     assert "shape" in capsys.readouterr().err
@@ -361,10 +385,23 @@ def test_exit_codes(tmp_path, capsys):
                  *_data_flags()]) == 3
     assert "not ASCII" in capsys.readouterr().err
 
-    # 2: argparse rejects unknown choices itself
-    with pytest.raises(SystemExit) as info:
-        main(["run", "--benchmark", "imagenet"])
-    assert info.value.code == 2
+    # 2: argparse rejects unknown choices and bad lists itself, naming
+    # the flag and the list's type
+    res = tmp_path / "badlist"
+    for argv, message in (
+        (["run", "--benchmark", "imagenet"], "invalid choice: 'imagenet'"),
+        (["run", "--seeds", "0,a"],
+         "argument --seeds: invalid comma-separated int value: '0,a'"),
+        (["sweep", "--method", "ewc", "--lambdas", "1,x"],
+         "argument --lambdas: invalid comma-separated float value: '1,x'"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out-dir", str(res)])
+        assert info.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not res.exists()
 
     # 4: unexpected runtime failure (output dir path is a file)
     clash = tmp_path / "clash"
@@ -504,6 +541,17 @@ def test_readme_command_lines_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def test_readme_python_blocks_run(monkeypatch, tmp_path, capsys):
+    blocks = re.findall(r"```python\n(.*?)```",
+                        (REPO / "README.md").read_text(), re.S)
+    assert len(blocks) >= 2
+    monkeypatch.chdir(tmp_path)
+    for k, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {k}", "exec"), {})
+        assert capsys.readouterr().out, k
+    assert os.listdir(tmp_path) == []
 
 
 def test_gain_reaches_the_network(tmp_path):

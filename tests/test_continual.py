@@ -298,6 +298,8 @@ def test_result_matrix_validation_and_csv_round_trip():
     for bad in ("0.5,0.5\n0.5,0.5\n", "1.5,\n0.5,0.5\n", "nan,\n0.5,0.5\n"):
         with pytest.raises(ValueError):
             ResultMatrix.from_csv(bad)
+    with pytest.raises(ValueError, match="not square"):
+        ResultMatrix.from_csv("0.5\n0.5,0.5,\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,13 @@
 """IDX parsing and task-sequence construction."""
 
+import contextlib
+import gzip
+import importlib.util
+import io
 import itertools
 import struct
+import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +41,8 @@ from spikecl.importance import collect_spike_record, ewc_importance
 from spikecl.network import LIFConfig, new_network, register_head
 from spikecl.training import TrainParams, train_task
 
+REPO = Path(__file__).resolve().parent.parent
+
 
 def _write_pair(tmp_path, images, labels, stem="t"):
     ip = tmp_path / f"{stem}-images-idx3-ubyte"
@@ -65,6 +73,13 @@ def test_idx_byte_layout(tmp_path):
     assert lp.read_bytes() == struct.pack(">II", 0x801, 2) + b"\x01\x00"
     ds = load_idx(ip, lp)
     assert ds.images[1, 3] == pytest.approx(7 / 255.0)
+    # each writer takes only its own rank
+    with pytest.raises(ValueError, match="expected \\(N, rows, cols\\)"):
+        write_idx_images(tmp_path / "flat", images.reshape(2, 4))
+    with pytest.raises(ValueError, match="expected \\(N,\\) labels"):
+        write_idx_labels(tmp_path / "grid", images.reshape(2, 4))
+    assert not (tmp_path / "flat").exists()
+    assert not (tmp_path / "grid").exists()
 
 
 def test_bad_magic_is_reported(tmp_path):
@@ -195,6 +210,58 @@ def test_load_idx_dir_rejects_an_empty_split(tmp_path, split, shape,
         write_idx_labels(tmp_path / lname, np.arange(n) % 10)
     with pytest.raises(DataError, match=f"the {split} split holds {message}"):
         load_idx_dir(tmp_path)
+
+
+def _fetch_mnist():
+    spec = importlib.util.spec_from_file_location(
+        "fetch_mnist", REPO / "scripts" / "fetch_mnist.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _serve(monkeypatch, payloads):
+    """Answer ``urlopen(url)`` with the gzip of ``payloads[file name]``."""
+    def urlopen(url, timeout=None):
+        name = url.rsplit("/", 1)[1].removesuffix(".gz")
+        return contextlib.nullcontext(
+            io.BytesIO(gzip.compress(payloads[name])))
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+
+
+def test_fetch_mnist_checks_the_quartet_before_moving_it(
+        tmp_path, monkeypatch, capsys):
+    fetch_mnist = _fetch_mnist()
+    source = tmp_path / "source"
+    source.mkdir()
+    for split, (iname, lname) in MNIST_FILES.items():
+        n = 6 if split == "train" else 4
+        write_idx_images(source / iname, np.full((n, 3, 3), 7, np.uint8))
+        write_idx_labels(source / lname, np.arange(n) % 10)
+    payloads = {p.name: p.read_bytes() for p in source.iterdir()}
+    _serve(monkeypatch, payloads)
+
+    good = tmp_path / "good"
+    fetch_mnist.main(["--data-dir", str(good)])
+    assert sorted(p.name for p in good.iterdir()) == sorted(payloads)
+    train, test = load_idx_dir(good)
+    assert (len(train), len(test), train.dim) == (6, 4, 9)
+    assert "ok: 6 training and 4 test samples" in capsys.readouterr().out
+    # present files are only checked
+    monkeypatch.setattr(urllib.request, "urlopen", None)
+    fetch_mnist.main(["--data-dir", str(good)])
+    assert "checking them" in capsys.readouterr().out
+
+    # an image header that declares more images than the file holds
+    name = MNIST_FILES["train"][0]
+    payloads[name] = struct.pack(">IIII", 0x803, 7, 3, 3) + bytes(54)
+    _serve(monkeypatch, payloads)
+    bad = tmp_path / "bad"
+    with pytest.raises(SystemExit) as info:
+        fetch_mnist.main(["--data-dir", str(bad)])
+    assert name in str(info.value.code)
+    assert "bytes of pixels" in str(info.value.code)
+    assert list(bad.iterdir()) == []
 
 
 @pytest.mark.parametrize("rows", [None, 1, 7, 128, 200])
