@@ -77,16 +77,16 @@ def fetch(data_dir, mirrors, force=False):
             except OSError as exc:
                 raise SystemExit(f"cannot write {name}: {exc}")
         try:
-            base = load_idx_dir(staging)
+            splits = load_idx_dir(staging)
         except DataError as exc:
             raise SystemExit(f"downloaded files failed their check, none "
                              f"moved into {data_dir}: {exc}")
         for name in names:
             os.replace(os.path.join(staging, name),
                        os.path.join(data_dir, name))
+        return splits
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    return base
 
 
 def main(argv=None):
