@@ -16,7 +16,8 @@ little-endian):
 
 Arrays appear in a fixed order: "w1", "b1", "lif" (the neuron model's
 [tau, theta, timesteps, gain]), then "head<k>.w2", "head<k>.b2" for
-k = 0, 1, ...  Other languages can parse the layout without this module.
+k = 0, 1, ...; the reader rejects any other order.  Other languages can
+parse the layout without this module.
 """
 
 import math
@@ -32,6 +33,13 @@ MAGIC = b"SPKCKPT1"
 
 class CheckpointError(Exception):
     pass
+
+
+def _record_name(i):
+    """The name of the i-th array, in the order documented above."""
+    if i < 3:
+        return ("w1", "b1", "lif")[i]
+    return f"head{(i - 3) // 2}.{('w2', 'b2')[(i - 3) % 2]}"
 
 
 def _pack_array(name, arr):
@@ -60,13 +68,13 @@ def write_atomic(path, blob):
 
 def save_checkpoint(path, net):
     """Write the network, its neuron model included, atomically."""
-    arrays = [("w1", net.w1), ("b1", net.b1), ("lif", [
-        net.lif.tau, net.lif.theta, net.lif.timesteps, net.lif.gain])]
-    for k, head in enumerate(net.heads):
-        arrays.append((f"head{k}.w2", head.w2))
-        arrays.append((f"head{k}.b2", head.b2))
+    arrays = [net.w1, net.b1, [
+        net.lif.tau, net.lif.theta, net.lif.timesteps, net.lif.gain]]
+    for head in net.heads:
+        arrays += [head.w2, head.b2]
     blob = [MAGIC, struct.pack("<II", net.classes_per_task, len(arrays))]
-    blob.extend(_pack_array(name, arr) for name, arr in arrays)
+    blob.extend(_pack_array(_record_name(i), arr)
+                for i, arr in enumerate(arrays))
     write_atomic(path, b"".join(blob))
 
 
@@ -77,7 +85,7 @@ class _Reader:
         self.path = path
 
     def take(self, n):
-        if n < 0 or self.pos + n > len(self.buf):
+        if self.pos + n > len(self.buf):
             raise CheckpointError(f"{self.path}: truncated checkpoint")
         out = self.buf[self.pos:self.pos + n]
         self.pos += n
@@ -89,65 +97,52 @@ class _Reader:
 
 def load_checkpoint(path):
     """Read a checkpoint back into the NetworkState it was saved from."""
-    if not os.path.exists(path):
-        raise CheckpointError(f"no such checkpoint: {path}")
-    with open(path, "rb") as f:
-        reader = _Reader(f.read(), path)
+    try:
+        with open(path, "rb") as f:
+            reader = _Reader(f.read(), path)
+    except FileNotFoundError:
+        raise CheckpointError(f"no such checkpoint: {path}") from None
+    except OSError as exc:
+        raise CheckpointError(f"{path}: unreadable ({exc.strerror})") from None
     if reader.take(len(MAGIC)) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     classes, count = reader.unpack("<II")
-    arrays = {}
-    for _ in range(count):
+    arrays = []
+    for i in range(count):
+        name = _record_name(i)
         (name_len,) = reader.unpack("<H")
         raw_name = reader.take(name_len)
-        try:
-            name = raw_name.decode("ascii")
-        except UnicodeDecodeError:
-            raise CheckpointError(
-                f"{path}: array name {raw_name!r} is not ASCII") from None
+        if raw_name != name.encode("ascii"):
+            raise CheckpointError(f"{path}: missing array {name!r} "
+                                  f"(record {i} is {raw_name!r})")
         (ndim,) = reader.unpack("<B")
         dims = reader.unpack("<" + "I" * ndim)
-        size = math.prod(dims)
-        data = np.frombuffer(reader.take(size * 8), dtype="<f8")
+        data = np.frombuffer(reader.take(math.prod(dims) * 8), dtype="<f8")
         # a zero dim makes the payload empty whatever the other dims say
         if math.prod(d for d in dims if d) * 8 >= 2 ** 63:
             raise CheckpointError(
                 f"{path}: array {name!r} dims {dims} do not fit int64")
-        arrays[name] = data.reshape(dims).astype(np.float64)
+        arr = data.reshape(dims).astype(np.float64)
+        if i == 1:  # b1 is the first array shaped by w1's hidden size
+            if arrays[0].ndim != 2:
+                raise CheckpointError(
+                    f"{path}: w1 has shape {arrays[0].shape}, not (H, D)")
+            hidden = arrays[0].shape[0]
+            shapes = {"b1": (hidden,), "lif": (4,), "w2": (classes, hidden),
+                      "b2": (classes,)}
+        if i and arr.shape != (want := shapes[name.rpartition(".")[2]]):
+            raise CheckpointError(
+                f"{path}: {name} has shape {arr.shape}, expected {want}")
+        arrays.append(arr)
     if reader.pos != len(reader.buf):
         raise CheckpointError(f"{path}: trailing bytes after last array")
-
-    for required in ("w1", "b1", "lif"):
-        if required not in arrays:
-            raise CheckpointError(f"{path}: missing array {required!r}")
-    heads = []
-    k = 0
-    while f"head{k}.w2" in arrays:
-        if f"head{k}.b2" not in arrays:
-            raise CheckpointError(f"{path}: head {k} lacks its bias")
-        heads.append(Head(w2=arrays[f"head{k}.w2"], b2=arrays[f"head{k}.b2"]))
-        k += 1
-    expected = 3 + 2 * len(heads)
-    if count != expected:
-        raise CheckpointError(
-            f"{path}: {count} arrays present, expected {expected}"
-        )
-    w1, b1 = arrays["w1"], arrays["b1"]
-    if w1.ndim != 2:
-        raise CheckpointError(f"{path}: w1 has shape {w1.shape}, not (H, D)")
-    hidden = w1.shape[0]
-    shapes = [("b1", b1, (hidden,)), ("lif", arrays["lif"], (4,))]
-    for k, head in enumerate(heads):
-        shapes.append((f"head{k}.w2", head.w2, (classes, hidden)))
-        shapes.append((f"head{k}.b2", head.b2, (classes,)))
-    for name, arr, want in shapes:
-        if arr.shape != want:
-            raise CheckpointError(
-                f"{path}: {name} has shape {arr.shape}, expected {want}"
-            )
-    tau, theta, t, gain = arrays["lif"].tolist()
+    if count < 3 or count % 2 == 0:  # 3 + 2k records for k heads
+        raise CheckpointError(f"{path}: missing array {_record_name(count)!r}")
+    w1, b1, lif, *rest = arrays
+    tau, theta, t, gain = lif.tolist()
     try:  # a whole t becomes an int; LIFConfig rejects any other
         lif = LIFConfig(tau, theta, int(t) if t.is_integer() else t, gain)
     except ValueError as exc:
         raise CheckpointError(f"{path}: neuron model: {exc}") from None
+    heads = [Head(w2, b2) for w2, b2 in zip(rest[::2], rest[1::2])]
     return NetworkState(w1, b1, classes, lif, heads)

@@ -106,11 +106,11 @@ DATA_FIELDS = ("benchmark", "seeds", "num_tasks", "train_cap", "test_cap",
 
 
 def comma_list(kind):
-    """A parser of comma-separated ``kind`` values into a tuple, blank
-    items skipped.  A bad item raises ValueError, and the parser's
+    """A parser of comma-separated ``kind`` values into a tuple.  A bad
+    item, a blank one included, raises ValueError, and the parser's
     ``__name__`` names the type in argparse's "invalid ... value"."""
     def parse(text):
-        return tuple(kind(part) for part in text.split(",") if part.strip())
+        return tuple(kind(part) for part in text.split(","))
     parse.__name__ = f"comma-separated {kind.__name__}"
     return parse
 

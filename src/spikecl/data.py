@@ -142,14 +142,18 @@ def _read_idx(path, magic, kind, what):
     number of dims, each a big-endian u32 after it; ``kind`` names the
     magic in its error ("image") and ``what`` the payload ("pixels")."""
     ndim = magic & 0xFF
-    with open(path, "rb") as f:
-        found, *dims = struct.unpack(
-            f">{1 + ndim}I", _read_exact(f, 4 + 4 * ndim, path, "header"))
-        if found != magic:
-            raise IdxMagicError(
-                f"{path}: bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}"
-            )
-        raw = _read_exact(f, math.prod(dims), path, what)
+    try:
+        with open(path, "rb") as f:
+            found, *dims = struct.unpack(
+                f">{1 + ndim}I", _read_exact(f, 4 + 4 * ndim, path, "header"))
+            if found != magic:
+                raise IdxMagicError(f"{path}: bad {kind} magic 0x{found:08x}, "
+                                    f"expected 0x{magic:08x}")
+            raw = _read_exact(f, math.prod(dims), path, what)
+    except FileNotFoundError:
+        raise MissingDataError(f"no such data file: {path}") from None
+    except OSError as exc:
+        raise DataError(f"{path}: unreadable ({exc.strerror})") from None
     # with 0 items the payload check passes whatever the other dims say
     per_item = math.prod(dims[1:])
     if per_item >= 2 ** 63:
@@ -164,11 +168,9 @@ def load_idx(images_path, labels_path):
 
     Pixels stay uint8, row-major.  Raises
     IdxMagicError, IdxTruncatedError or IdxCountMismatchError as
-    appropriate; missing files raise MissingDataError.
+    appropriate; a missing file raises MissingDataError, and any other
+    file that cannot be read a DataError.
     """
-    for path in (images_path, labels_path):
-        if not os.path.exists(path):
-            raise MissingDataError(f"no such data file: {path}")
     images = _read_idx(images_path, IMAGE_MAGIC, "image", "pixels")
     labels = _read_idx(labels_path, LABEL_MAGIC, "label", "labels")
     if len(images) != len(labels):

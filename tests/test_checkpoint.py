@@ -97,6 +97,10 @@ def test_save_is_atomic(tmp_path):
 def test_missing_and_corrupt_files(tmp_path):
     with pytest.raises(CheckpointError, match="no such"):
         load_checkpoint(tmp_path / "absent.ckpt")
+    # a path that cannot be read as a file names itself
+    with pytest.raises(CheckpointError, match="unreadable") as info:
+        load_checkpoint(tmp_path)
+    assert str(info.value).startswith(f"{tmp_path}: ")
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, _net())
     blob = path.read_bytes()
@@ -144,8 +148,35 @@ def test_incomplete_head_is_rejected(tmp_path):
     at = blob.find(b"head0.b2")
     blob[at:at + 8] = b"head0.zz"
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="lacks its bias"):
+    with pytest.raises(CheckpointError, match=re.escape(
+            "missing array 'head0.b2' (record 4 is b'head0.zz')")):
         load_checkpoint(path)
+    # a second head's weights with no bias after them: the file ends
+    # where the bias should be
+    save_checkpoint(path, _net(heads=2))
+    blob = bytearray(path.read_bytes())
+    del blob[blob.find(b"head1.b2") - 2:]
+    struct.pack_into("<I", blob, 12, 6)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="missing array 'head1.b2'$"):
+        load_checkpoint(path)
+
+
+def test_records_out_of_order_are_rejected(tmp_path):
+    # w1 and b1 swapped: every record is whole, but the reader expects w1
+    # first
+    net = _net(heads=1)
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, net)
+    blob = path.read_bytes()
+    w1_end = 16 + 2 + len(b"w1") + 1 + 4 * 2 + 8 * net.w1.size
+    b1_end = w1_end + 2 + len(b"b1") + 1 + 4 + 8 * net.b1.size
+    path.write_bytes(blob[:16] + blob[w1_end:b1_end] + blob[16:w1_end]
+                     + blob[b1_end:])
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == (
+        f"{path}: missing array 'w1' (record 0 is b'b1')")
 
 
 @pytest.mark.parametrize("field, bad_shape", [
@@ -182,12 +213,13 @@ def test_neuron_model_must_be_valid(tmp_path, case):
 
 
 def test_an_array_beyond_the_heads_is_rejected(tmp_path):
-    # an extra array after one head's pair: the count names it
+    # an extra array after one head's pair is named by its index
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, _net(heads=1))
     blob = bytearray(path.read_bytes())
     struct.pack_into("<I", blob, 12, 6)
     blob += struct.pack("<H", 2) + b"zz" + struct.pack("<BI", 1, 1) + bytes(8)
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="6 arrays present, expected 5"):
+    with pytest.raises(CheckpointError, match=re.escape(
+            "missing array 'head1.w2' (record 5 is b'zz')")):
         load_checkpoint(path)

@@ -276,11 +276,25 @@ def test_exit_codes(tmp_path, capsys):
                      "--out-dir", str(tmp_path / "res")]) == 3, benchmark
         assert message in capsys.readouterr().err
 
-    # 3: unreadable checkpoint
+    # 3: an IDX path that is a directory, not a file
+    data_dir = tmp_path / "idxdir"
+    _write_digits(data_dir, np.arange(30) % 10, np.arange(30) % 10)
+    images = data_dir / MNIST_FILES["train"][0]
+    images.unlink()
+    images.mkdir()
+    assert main(["run", "--benchmark", "permuted-mnist",
+                 "--data-dir", str(data_dir),
+                 "--out-dir", str(tmp_path / "res")]) == 3
+    assert f"{images}: unreadable" in capsys.readouterr().err
+
+    # 3: unreadable checkpoint, and a checkpoint path that is a directory
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"garbage")
     assert main(["importance-dump", "--checkpoint", str(bad),
                  *_data_flags()]) == 3
+    assert main(["importance-dump", "--checkpoint", str(data_dir),
+                 *_data_flags()]) == 3
+    assert f"{data_dir}: unreadable" in capsys.readouterr().err
 
     # 3: array dims whose product overflows int64
     bad.write_bytes(oversized_checkpoint_header())
@@ -378,12 +392,13 @@ def test_exit_codes(tmp_path, capsys):
     assert captured.out == ""
     assert not res.exists()
 
-    # 3: an array name that is not ASCII
+    # 3: a first record that is not w1, its name not even ASCII
     bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIH", 2, 1, 2)
                     + b"\xff\xfe" + b"\x00" * 16)
     assert main(["importance-dump", "--checkpoint", str(bad),
                  *_data_flags()]) == 3
-    assert "not ASCII" in capsys.readouterr().err
+    assert ("missing array 'w1' (record 0 is b'\\xff\\xfe')"
+            in capsys.readouterr().err)
 
     # 2: argparse rejects unknown choices and bad lists itself, naming
     # the flag and the list's type
@@ -394,6 +409,11 @@ def test_exit_codes(tmp_path, capsys):
          "argument --seeds: invalid comma-separated int value: '0,a'"),
         (["sweep", "--method", "ewc", "--lambdas", "1,x"],
          "argument --lambdas: invalid comma-separated float value: '1,x'"),
+        # a blank item is a bad item, not one to skip
+        (["run", "--seeds", "0,,1"],
+         "argument --seeds: invalid comma-separated int value: '0,,1'"),
+        (["sweep", "--method", "ewc", "--lambdas", "1,,100,"],
+         "argument --lambdas: invalid comma-separated float value: '1,,100,'"),
     ):
         with pytest.raises(SystemExit) as info:
             main([*argv, "--out-dir", str(res)])

@@ -1,5 +1,6 @@
 """Config defaults, file parsing, and override precedence."""
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -185,10 +186,12 @@ def test_precedence_flag_over_env_over_file(tmp_path):
 
 def test_seeds_must_be_integers(tmp_path):
     path = tmp_path / "exp.cfg"
-    path.write_text("seeds = 0,a,2\n")
-    with pytest.raises(ConfigError,
-                       match=r"exp\.cfg: bad value for seeds: '0,a,2'"):
-        load_config(path, env={})
+    # a blank item is a bad item, not one to skip
+    for seeds in ("0,a,2", "0,,2,"):
+        path.write_text(f"seeds = {seeds}\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"exp.cfg: bad value for seeds: '{seeds}'")):
+            load_config(path, env={})
 
 
 def test_unknown_override_is_rejected():

@@ -17,7 +17,7 @@ from spikecl.continual import (
     resolve_lambda,
     run_sequence,
 )
-from spikecl.data import Task, TaskSequence, build_synthetic
+from spikecl.data import Task, TaskSequence, build_permuted, build_synthetic
 from spikecl.network import LIFConfig, NetworkState, new_network, register_head
 from spikecl.training import TrainParams, train_task
 
@@ -346,6 +346,27 @@ def test_huge_lambda_freezes_the_trunk():
     )
     drift = np.abs(snaps[1][0] - snaps[0][0]).max()
     assert drift < 1e-2
+
+
+def test_anchoring_cuts_forgetting_at_a_cost_in_learning_accuracy():
+    # a reduced proxy: 10 noisy binary prototypes on 8x8 pixels under
+    # three pixel permutations; AF must be read beside LA, since a trunk
+    # that stops learning cannot forget
+    base = build_synthetic(num_tasks=1, classes=10, train_per_class=100,
+                           test_per_class=50, dim=64, noise=0.3, seed=0)[0]
+    tasks = build_permuted(base.train, base.test, num_tasks=3, seed=0)
+    metrics = {
+        method: run_sequence(
+            tasks, method, lam=None if method == "none" else 1.0, seed=0,
+            hidden_size=64, lif_cfg=LIFConfig(timesteps=10),
+            train_params=TrainParams(epochs=3, batch_size=16)).metrics()
+        for method in ("none", "isi-cv", "ewc", "si")
+    }
+    none = metrics.pop("none")
+    assert none.af > 0.05
+    for method, anchored in metrics.items():
+        assert anchored.af < none.af, method
+        assert anchored.la < none.la, method
 
 
 def test_method_none_ignores_lambda():
