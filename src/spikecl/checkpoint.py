@@ -18,6 +18,9 @@ Arrays appear in a fixed order: "w1", "b1", "lif" (the neuron model's
 [tau, theta, timesteps, gain]), then "head<k>.w2", "head<k>.b2" for
 k = 0, 1, ...; the reader rejects any other order.  Other languages can
 parse the layout without this module.
+The reader checks each record as it reads it, through ``data.read_exact``,
+and raises ``data.DataError`` for anything wrong, a trunk with a zero dim
+and a neuron model ``LIFConfig`` rejects included.
 """
 
 import math
@@ -26,13 +29,10 @@ import struct
 
 import numpy as np
 
+from .data import DataError, open_input, read_exact
 from .network import Head, LIFConfig, NetworkState
 
 MAGIC = b"SPKCKPT1"
-
-
-class CheckpointError(Exception):
-    pass
 
 
 def _record_name(i):
@@ -78,71 +78,55 @@ def save_checkpoint(path, net):
     write_atomic(path, b"".join(blob))
 
 
-class _Reader:
-    def __init__(self, buf, path):
-        self.buf = buf
-        self.pos = 0
-        self.path = path
-
-    def take(self, n):
-        if self.pos + n > len(self.buf):
-            raise CheckpointError(f"{self.path}: truncated checkpoint")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def load_checkpoint(path):
-    """Read a checkpoint back into the NetworkState it was saved from."""
-    try:
-        with open(path, "rb") as f:
-            reader = _Reader(f.read(), path)
-    except FileNotFoundError:
-        raise CheckpointError(f"no such checkpoint: {path}") from None
-    except OSError as exc:
-        raise CheckpointError(f"{path}: unreadable ({exc.strerror})") from None
-    if reader.take(len(MAGIC)) != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    classes, count = reader.unpack("<II")
-    arrays = []
-    for i in range(count):
-        name = _record_name(i)
-        (name_len,) = reader.unpack("<H")
-        raw_name = reader.take(name_len)
-        if raw_name != name.encode("ascii"):
-            raise CheckpointError(f"{path}: missing array {name!r} "
-                                  f"(record {i} is {raw_name!r})")
-        (ndim,) = reader.unpack("<B")
-        dims = reader.unpack("<" + "I" * ndim)
-        data = np.frombuffer(reader.take(math.prod(dims) * 8), dtype="<f8")
-        # a zero dim makes the payload empty whatever the other dims say
-        if math.prod(d for d in dims if d) * 8 >= 2 ** 63:
-            raise CheckpointError(
-                f"{path}: array {name!r} dims {dims} do not fit int64")
-        arr = data.reshape(dims).astype(np.float64)
-        if i == 1:  # b1 is the first array shaped by w1's hidden size
-            if arrays[0].ndim != 2:
-                raise CheckpointError(
-                    f"{path}: w1 has shape {arrays[0].shape}, not (H, D)")
-            hidden = arrays[0].shape[0]
-            shapes = {"b1": (hidden,), "lif": (4,), "w2": (classes, hidden),
-                      "b2": (classes,)}
-        if i and arr.shape != (want := shapes[name.rpartition(".")[2]]):
-            raise CheckpointError(
-                f"{path}: {name} has shape {arr.shape}, expected {want}")
-        arrays.append(arr)
-    if reader.pos != len(reader.buf):
-        raise CheckpointError(f"{path}: trailing bytes after last array")
+    """Read a checkpoint back into the NetworkState it was saved from.
+    Anything wrong with the file is a DataError naming it."""
+    with open_input(path, "checkpoint") as f:
+        def unpack(fmt, what):
+            return struct.unpack(
+                fmt, read_exact(f, struct.calcsize(fmt), path, what))
+
+        if read_exact(f, len(MAGIC), path, "header") != MAGIC:
+            raise DataError(f"{path}: not a checkpoint file (bad magic)")
+        classes, count = unpack("<II", "header")
+        arrays = []
+        for i in range(count):
+            name = _record_name(i)
+            what = f"array {name!r}"
+            (name_len,) = unpack("<H", what)
+            raw_name = read_exact(f, name_len, path, what)
+            if raw_name != name.encode("ascii"):
+                raise DataError(f"{path}: missing array {name!r} "
+                                f"(record {i} is {raw_name!r})")
+            (ndim,) = unpack("<B", what)
+            dims = unpack("<" + "I" * ndim, what)
+            data = np.frombuffer(
+                read_exact(f, math.prod(dims) * 8, path, what), dtype="<f8")
+            # a zero dim makes the payload empty whatever the other dims say
+            if math.prod(d for d in dims if d) * 8 >= 2 ** 63:
+                raise DataError(
+                    f"{path}: array {name!r} dims {dims} do not fit int64")
+            arr = data.reshape(dims).astype(np.float64)
+            if i == 1:  # b1 is the first array shaped by w1's hidden size
+                if arrays[0].ndim != 2 or 0 in arrays[0].shape:
+                    raise DataError(f"{path}: w1 has shape {arrays[0].shape}"
+                                    f", not (H, D) with H, D >= 1")
+                hidden = arrays[0].shape[0]
+                shapes = {"b1": (hidden,), "lif": (4,),
+                          "w2": (classes, hidden), "b2": (classes,)}
+            if i and arr.shape != (want := shapes[name.rpartition(".")[2]]):
+                raise DataError(
+                    f"{path}: {name} has shape {arr.shape}, expected {want}")
+            arrays.append(arr)
+        if f.read(1):
+            raise DataError(f"{path}: trailing bytes after last array")
     if count < 3 or count % 2 == 0:  # 3 + 2k records for k heads
-        raise CheckpointError(f"{path}: missing array {_record_name(count)!r}")
+        raise DataError(f"{path}: missing array {_record_name(count)!r}")
     w1, b1, lif, *rest = arrays
     tau, theta, t, gain = lif.tolist()
     try:  # a whole t becomes an int; LIFConfig rejects any other
         lif = LIFConfig(tau, theta, int(t) if t.is_integer() else t, gain)
     except ValueError as exc:
-        raise CheckpointError(f"{path}: neuron model: {exc}") from None
+        raise DataError(f"{path}: neuron model: {exc}") from None
     heads = [Head(w2, b2) for w2, b2 in zip(rest[::2], rest[1::2])]
     return NetworkState(w1, b1, classes, lif, heads)

@@ -7,8 +7,8 @@ plain CSV/JSON; CSVs contain no timestamps so identical configs produce
 byte-identical files.
 
 Exit codes: 0 success, 2 configuration error (argparse uses the same
-code for usage errors), 3 data error (missing/corrupt data files or
-checkpoints), 4 runtime failure.
+code for usage errors), 3 data error (a ``data.DataError``: any bad
+IDX file or checkpoint), 4 runtime failure.
 
 Lanes.  The independent runs of one invocation (the seeds of ``run``,
 the (lambda, seed) pairs of ``sweep``) are spread over one lane per CPU
@@ -42,8 +42,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .checkpoint import (CheckpointError, load_checkpoint, save_checkpoint,
-                         write_atomic)
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import (DATA_FIELDS, FIELDS, ConfigError, comma_list,
                      load_config, text_parser)
 from .continual import METHODS, run_sequence
@@ -361,7 +360,7 @@ def cmd_sweep(cfg, lambdas):
 def cmd_importance_dump(cfg, checkpoint_path, task_id=None, out=None):
     net = load_checkpoint(checkpoint_path)
     if net.num_heads == 0:
-        raise CheckpointError(f"{checkpoint_path}: checkpoint has no heads")
+        raise DataError(f"{checkpoint_path}: checkpoint has no heads")
     if task_id is None:
         task_id = net.num_heads - 1
     if not 0 <= task_id < net.num_heads:
@@ -458,7 +457,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"spikecl: config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, CheckpointError) as exc:
+    except DataError as exc:
         print(f"spikecl: data error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -161,11 +161,11 @@ def load_config(path=None, overrides=None, env=None):
     env = os.environ if env is None else env
     values = {}
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"no such config file: {path}")
         try:
             with open(path, encoding="utf-8") as f:
                 raw = parse_config_text(f.read(), source=path)
+        except FileNotFoundError:
+            raise ConfigError(f"no such config file: {path}")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}")
         for key, text in raw.items():

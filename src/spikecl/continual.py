@@ -52,7 +52,8 @@ METHODS = {
 
 
 def resolve_lambda(method, lam=None):
-    """Method-specific default strength when ``lam`` is None."""
+    """Method-specific default strength when ``lam`` is None or the method
+    never anchors (its estimator is None)."""
     if method not in METHODS:
         raise ValueError(
             f"unknown method {method!r}, expected one of {tuple(METHODS)}")
@@ -63,7 +64,7 @@ def resolve_lambda(method, lam=None):
         raise ValueError(f"lambda must be finite, got {lam}")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    return lam
+    return METHODS[method][0] if METHODS[method][1] is None else lam
 
 
 @dataclass

@@ -7,8 +7,12 @@ deterministic tests.  Tasks hold uint8 pixels, one byte per pixel,
 which ``Dataset.rows`` scales into [0, 1] float64 one batch at a time;
 how long and how strongly an image drives the network is set by its
 ``LIFConfig``.
+Every input file, IDX or checkpoint, is opened by ``open_input`` and
+read by ``read_exact``; anything wrong with it, or with the data it
+holds, is a ``DataError``.
 """
 
+import contextlib
 import math
 import os
 import struct
@@ -39,27 +43,7 @@ BATCH_ROWS = 128
 
 
 class DataError(Exception):
-    """Base for everything wrong with input data."""
-
-
-class IdxMagicError(DataError):
-    pass
-
-
-class IdxTruncatedError(DataError):
-    pass
-
-
-class IdxCountMismatchError(DataError):
-    pass
-
-
-class MissingDataError(DataError, FileNotFoundError):
-    pass
-
-
-class ClassesAbsentError(DataError, ValueError):
-    """A split lacks a class that a task needs."""
+    """Everything wrong with an input file or the data read from it."""
 
 
 @dataclass
@@ -125,14 +109,26 @@ class Dataset:
         return Dataset(self.pixels[:count], self.labels[:count])
 
 
-def _read_exact(f, nbytes, path, what):
-    """Read ``nbytes``, checking first that the file holds them, so a
-    header that declares more is reported before that much is allocated."""
+@contextlib.contextmanager
+def open_input(path, what):
+    """``path`` open for binary reading; a missing file, or any other
+    OSError in the open or a read, is a DataError naming ``path``."""
+    try:
+        with open(path, "rb") as f:
+            yield f
+    except FileNotFoundError:
+        raise DataError(f"no such {what}: {path}") from None
+    except OSError as exc:
+        raise DataError(f"{path}: unreadable ({exc.strerror})") from None
+
+
+def read_exact(f, nbytes, path, what):
+    """Read ``nbytes`` of ``what``, checking first that the file holds them:
+    a header that declares more fails before that much is allocated."""
     left = os.fstat(f.fileno()).st_size - f.tell()
     if nbytes > left:
-        raise IdxTruncatedError(
-            f"{path}: expected {nbytes} bytes of {what}, got {left}"
-        )
+        raise DataError(f"{path}: truncated: expected {nbytes} bytes of "
+                        f"{what}, got {left}")
     return f.read(nbytes)
 
 
@@ -142,18 +138,13 @@ def _read_idx(path, magic, kind, what):
     number of dims, each a big-endian u32 after it; ``kind`` names the
     magic in its error ("image") and ``what`` the payload ("pixels")."""
     ndim = magic & 0xFF
-    try:
-        with open(path, "rb") as f:
-            found, *dims = struct.unpack(
-                f">{1 + ndim}I", _read_exact(f, 4 + 4 * ndim, path, "header"))
-            if found != magic:
-                raise IdxMagicError(f"{path}: bad {kind} magic 0x{found:08x}, "
-                                    f"expected 0x{magic:08x}")
-            raw = _read_exact(f, math.prod(dims), path, what)
-    except FileNotFoundError:
-        raise MissingDataError(f"no such data file: {path}") from None
-    except OSError as exc:
-        raise DataError(f"{path}: unreadable ({exc.strerror})") from None
+    with open_input(path, "data file") as f:
+        found, *dims = struct.unpack(
+            f">{1 + ndim}I", read_exact(f, 4 + 4 * ndim, path, "header"))
+        if found != magic:
+            raise DataError(f"{path}: bad {kind} magic 0x{found:08x}, "
+                            f"expected 0x{magic:08x}")
+        raw = read_exact(f, math.prod(dims), path, what)
     # with 0 items the payload check passes whatever the other dims say
     per_item = math.prod(dims[1:])
     if per_item >= 2 ** 63:
@@ -166,18 +157,15 @@ def _read_idx(path, magic, kind, what):
 def load_idx(images_path, labels_path):
     """Read one IDX image/label file pair into a Dataset.
 
-    Pixels stay uint8, row-major.  Raises
-    IdxMagicError, IdxTruncatedError or IdxCountMismatchError as
-    appropriate; a missing file raises MissingDataError, and any other
-    file that cannot be read a DataError.
+    Pixels stay uint8, row-major.  A missing or unreadable file, a bad
+    magic number, a file shorter than its header declares or a count
+    that differs between the two files is a DataError.
     """
     images = _read_idx(images_path, IMAGE_MAGIC, "image", "pixels")
     labels = _read_idx(labels_path, LABEL_MAGIC, "label", "labels")
     if len(images) != len(labels):
-        raise IdxCountMismatchError(
-            f"{images_path} holds {len(images)} images but "
-            f"{labels_path} holds {len(labels)} labels"
-        )
+        raise DataError(f"{images_path} holds {len(images)} images but "
+                        f"{labels_path} holds {len(labels)} labels")
     return Dataset(images, labels)
 
 
@@ -210,10 +198,8 @@ def load_idx_dir(data_dir):
     }
     missing = [p for pair in paths.values() for p in pair if not os.path.exists(p)]
     if missing:
-        raise MissingDataError(
-            "missing IDX files: " + ", ".join(missing)
-            + " (see scripts/fetch_mnist.py)"
-        )
+        raise DataError("missing IDX files: " + ", ".join(missing)
+                        + " (see scripts/fetch_mnist.py)")
     train, test = load_idx(*paths["train"]), load_idx(*paths["test"])
     for split, ds in (("train", train), ("test", test)):
         if len(ds) == 0 or ds.dim == 0:
@@ -265,7 +251,7 @@ class TaskSequence:
 
 def build_split(train, test, train_cap=None, test_cap=None):
     """Disjoint 2-class tasks over SPLIT_PAIRS; labels remapped to {0, 1}
-    per pair."""
+    per pair.  A class that either split lacks is a DataError."""
     for cap in (train_cap, test_cap):
         if cap is not None and cap < 0:
             raise ValueError(f"cannot take {cap} samples")
@@ -274,7 +260,7 @@ def build_split(train, test, train_cap=None, test_cap=None):
         unknown = [c for pair in SPLIT_PAIRS for c in pair
                    if not (source.labels == c).any()]
         if unknown:
-            raise ClassesAbsentError(
+            raise DataError(
                 f"classes absent from the {split} split: {unknown}")
 
     tasks = []

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import (BAD_LIF_RECORDS, checkpoint_blob,
                       oversized_checkpoint_header)
-from spikecl.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+from spikecl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from spikecl.data import DataError
 from spikecl.network import (Head, LIFConfig, NetworkState, new_network,
                              register_head)
 
@@ -95,10 +96,10 @@ def test_save_is_atomic(tmp_path):
 
 
 def test_missing_and_corrupt_files(tmp_path):
-    with pytest.raises(CheckpointError, match="no such"):
+    with pytest.raises(DataError, match="no such"):
         load_checkpoint(tmp_path / "absent.ckpt")
     # a path that cannot be read as a file names itself
-    with pytest.raises(CheckpointError, match="unreadable") as info:
+    with pytest.raises(DataError, match="unreadable") as info:
         load_checkpoint(tmp_path)
     assert str(info.value).startswith(f"{tmp_path}: ")
     path = tmp_path / "net.ckpt"
@@ -106,22 +107,22 @@ def test_missing_and_corrupt_files(tmp_path):
     blob = path.read_bytes()
 
     path.write_bytes(b"NOTACKPT" + blob[8:])
-    with pytest.raises(CheckpointError, match="magic"):
+    with pytest.raises(DataError, match="magic"):
         load_checkpoint(path)
 
     path.write_bytes(blob[:-7])
-    with pytest.raises(CheckpointError, match="truncated"):
+    with pytest.raises(DataError, match="truncated"):
         load_checkpoint(path)
 
     path.write_bytes(blob + b"\x00")
-    with pytest.raises(CheckpointError, match="trailing"):
+    with pytest.raises(DataError, match="trailing"):
         load_checkpoint(path)
 
 
 def test_oversized_dims_are_a_checkpoint_error(tmp_path):
     path = tmp_path / "net.ckpt"
     path.write_bytes(oversized_checkpoint_header() + b"\x00" * 64)
-    with pytest.raises(CheckpointError, match="truncated"):
+    with pytest.raises(DataError, match="truncated"):
         load_checkpoint(path)
 
 
@@ -131,11 +132,11 @@ def test_empty_array_with_oversized_dims_is_a_checkpoint_error(tmp_path):
     path = tmp_path / "net.ckpt"
     for dims in ((0, 2 ** 32 - 1, 2 ** 32 - 1), (0, 2 ** 31, 2 ** 29)):
         path.write_bytes(oversized_checkpoint_header(dims))
-        with pytest.raises(CheckpointError, match="do not fit int64"):
+        with pytest.raises(DataError, match="do not fit int64"):
             load_checkpoint(path)
     # one item less is a valid empty array; the file then lacks b1
     path.write_bytes(oversized_checkpoint_header((0, 2 ** 31, 2 ** 29 - 1)))
-    with pytest.raises(CheckpointError, match="missing array 'b1'"):
+    with pytest.raises(DataError, match="missing array 'b1'"):
         load_checkpoint(path)
 
 
@@ -148,7 +149,7 @@ def test_incomplete_head_is_rejected(tmp_path):
     at = blob.find(b"head0.b2")
     blob[at:at + 8] = b"head0.zz"
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match=re.escape(
+    with pytest.raises(DataError, match=re.escape(
             "missing array 'head0.b2' (record 4 is b'head0.zz')")):
         load_checkpoint(path)
     # a second head's weights with no bias after them: the file ends
@@ -158,7 +159,7 @@ def test_incomplete_head_is_rejected(tmp_path):
     del blob[blob.find(b"head1.b2") - 2:]
     struct.pack_into("<I", blob, 12, 6)
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="missing array 'head1.b2'$"):
+    with pytest.raises(DataError, match="missing array 'head1.b2'$"):
         load_checkpoint(path)
 
 
@@ -173,7 +174,7 @@ def test_records_out_of_order_are_rejected(tmp_path):
     b1_end = w1_end + 2 + len(b"b1") + 1 + 4 + 8 * net.b1.size
     path.write_bytes(blob[:16] + blob[w1_end:b1_end] + blob[16:w1_end]
                      + blob[b1_end:])
-    with pytest.raises(CheckpointError) as info:
+    with pytest.raises(DataError) as info:
         load_checkpoint(path)
     assert str(info.value) == (
         f"{path}: missing array 'w1' (record 0 is b'b1')")
@@ -197,7 +198,7 @@ def test_array_shapes_must_agree(tmp_path, field, bad_shape):
     )
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, net)
-    with pytest.raises(CheckpointError, match="shape"):
+    with pytest.raises(DataError, match="shape"):
         load_checkpoint(path)
 
 
@@ -206,10 +207,9 @@ def test_neuron_model_must_be_valid(tmp_path, case):
     record, message = BAD_LIF_RECORDS[case]
     path = tmp_path / "net.ckpt"
     path.write_bytes(checkpoint_blob(_net(), record))
-    with pytest.raises(CheckpointError, match=re.escape(message)) as info:
+    with pytest.raises(DataError, match=re.escape(message)) as info:
         load_checkpoint(path)
     assert str(info.value).startswith(f"{path}: ")
-
 
 
 def test_an_array_beyond_the_heads_is_rejected(tmp_path):
@@ -220,6 +220,51 @@ def test_an_array_beyond_the_heads_is_rejected(tmp_path):
     struct.pack_into("<I", blob, 12, 6)
     blob += struct.pack("<H", 2) + b"zz" + struct.pack("<BI", 1, 1) + bytes(8)
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match=re.escape(
+    with pytest.raises(DataError, match=re.escape(
             "missing array 'head1.w2' (record 5 is b'zz')")):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (4, 0)])
+def test_a_trunk_with_a_zero_dim_is_rejected(tmp_path, shape):
+    # b1 and the head match the empty trunk, so only the zero dim is
+    # wrong; new_network refuses to build such a trunk too
+    hidden = shape[0]
+    net = NetworkState(w1=np.zeros(shape), b1=np.zeros(hidden),
+                       classes_per_task=3, lif=LIF,
+                       heads=[Head(w2=np.zeros((3, hidden)), b2=np.zeros(3))])
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, net)
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}: w1 has shape {shape}, not (H, D)")):
+        load_checkpoint(path)
+
+
+def test_every_prefix_and_byte_corruption_is_loaded_or_a_data_error(
+        tmp_path):
+    # a two-head network of 2 hidden neurons on 3 inputs, 2 classes per
+    # head: 308 bytes.  Each cut and each changed byte must load or be a
+    # DataError, never another exception
+    rng = np.random.default_rng(62)
+    net = new_network(3, 2, 2, LIF, rng)
+    register_head(net, rng)
+    register_head(net, rng)
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, net)
+    blob = path.read_bytes()
+    assert len(blob) == 308
+    cases = [blob[:n] for n in range(len(blob))]
+    for at, byte in enumerate(blob):
+        for new in {0x00, 0xFF, byte ^ 1} - {byte}:
+            cases.append(blob[:at] + bytes([new]) + blob[at + 1:])
+    rejected = 0
+    for case in cases:
+        path.write_bytes(case)
+        try:
+            load_checkpoint(path)
+        except DataError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+            rejected += 1
+    # every cut misses a record; of the changed bytes, a weight or a bias
+    # byte mostly loads as another float
+    assert len(blob) <= rejected < len(cases)

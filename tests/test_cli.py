@@ -26,7 +26,7 @@ from spikecl.continual import (
     TaskLog,
 )
 from spikecl.data import MNIST_FILES, write_idx_images, write_idx_labels
-from spikecl.network import LIFConfig, new_network, register_head
+from spikecl.network import Head, LIFConfig, new_network, register_head
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -322,6 +322,15 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["importance-dump", "--checkpoint", str(bad),
                  *_data_flags()]) == 3
     assert "w1 has shape (288,)" in capsys.readouterr().err
+
+    # 3: a trunk of no hidden neurons, its bias and head to match (once
+    # an IndexError deep in the importance report, exit 4)
+    empty = replace(net, w1=net.w1[:0], b1=net.b1[:0],
+                    heads=[Head(np.zeros((2, 0)), np.zeros(2))])
+    save_checkpoint(bad, empty)
+    assert main(["importance-dump", "--checkpoint", str(bad),
+                 *_data_flags()]) == 3
+    assert f"{bad}: w1 has shape (0, 24)" in capsys.readouterr().err
 
     # 3: a head that does not fit the trunk (12 hidden neurons)
     register_head(net, np.random.default_rng(1))

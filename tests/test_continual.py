@@ -376,6 +376,8 @@ def test_method_none_ignores_lambda():
     b = run_sequence(tasks, "none", lam=123.0, seed=3, hidden_size=16,
                      lif_cfg=TOY_LIF, train_params=FAST)
     assert np.array_equal(a.matrix.values, b.matrix.values,  equal_nan=True)
+    # the result reports the strength it ran with, not the one passed
+    assert a.lam == b.lam == 0.0
 
 
 def test_trunk_drift_is_monotone_in_lambda():

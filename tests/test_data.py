@@ -5,6 +5,7 @@ import gzip
 import importlib.util
 import io
 import itertools
+import re
 import struct
 import urllib.request
 from pathlib import Path
@@ -20,10 +21,6 @@ from spikecl.continual import evaluate, run_sequence
 from spikecl.data import (
     DataError,
     Dataset,
-    IdxCountMismatchError,
-    IdxMagicError,
-    IdxTruncatedError,
-    MissingDataError,
     TaskSequence,
     build_permuted,
     build_split,
@@ -88,14 +85,14 @@ def test_bad_magic_is_reported(tmp_path):
     blob = bytearray(ip.read_bytes())
     blob[3] = 0x99
     ip.write_bytes(bytes(blob))
-    with pytest.raises(IdxMagicError, match="magic"):
+    with pytest.raises(DataError, match="magic"):
         load_idx(ip, lp)
     blob = bytearray(lp.read_bytes())
     blob[3] = 0x42
     lp.write_bytes(bytes(blob))
     # fix images back so the label file is what trips
     write_idx_images(ip, images)
-    with pytest.raises(IdxMagicError, match="label"):
+    with pytest.raises(DataError, match="label"):
         load_idx(ip, lp)
 
 
@@ -103,11 +100,11 @@ def test_truncated_files_are_reported(tmp_path):
     images = np.zeros((3, 2, 2), dtype=np.uint8)
     ip, lp = _write_pair(tmp_path, images, np.zeros(3, dtype=np.uint8))
     ip.write_bytes(ip.read_bytes()[:-5])
-    with pytest.raises(IdxTruncatedError, match="expected"):
+    with pytest.raises(DataError, match="expected"):
         load_idx(ip, lp)
     write_idx_images(ip, images)
     lp.write_bytes(lp.read_bytes()[:6])   # inside the header
-    with pytest.raises(IdxTruncatedError, match="header"):
+    with pytest.raises(DataError, match="header"):
         load_idx(ip, lp)
 
 
@@ -120,7 +117,7 @@ def test_image_header_larger_than_the_file_is_truncated(tmp_path, header):
     ip, lp = _write_pair(tmp_path, np.zeros((3, 2, 2), dtype=np.uint8),
                          np.zeros(3, dtype=np.uint8))
     ip.write_bytes(struct.pack(">IIII", 0x803, *header) + bytes(12))
-    with pytest.raises(IdxTruncatedError, match="got 12"):
+    with pytest.raises(DataError, match="got 12"):
         load_idx(ip, lp)
 
 
@@ -142,7 +139,7 @@ def test_label_header_larger_than_the_file_is_truncated(tmp_path):
     ip, lp = _write_pair(tmp_path, np.zeros((3, 2, 2), dtype=np.uint8),
                          np.zeros(3, dtype=np.uint8))
     lp.write_bytes(struct.pack(">II", 0x801, 2 ** 32 - 1) + bytes(3))
-    with pytest.raises(IdxTruncatedError,
+    with pytest.raises(DataError,
                        match=f"expected {2 ** 32 - 1} bytes of labels, got 3"):
         load_idx(ip, lp)
 
@@ -150,18 +147,47 @@ def test_label_header_larger_than_the_file_is_truncated(tmp_path):
 def test_count_mismatch_is_reported(tmp_path):
     ip, lp = _write_pair(tmp_path, np.zeros((3, 2, 2), dtype=np.uint8),
                          np.zeros(2, dtype=np.uint8))
-    with pytest.raises(IdxCountMismatchError, match="3 images"):
+    with pytest.raises(DataError, match="3 images"):
         load_idx(ip, lp)
 
 
-def test_missing_files_raise_a_filenotfound_subclass(tmp_path):
-    with pytest.raises(MissingDataError) as info:
+def test_missing_files_are_a_data_error(tmp_path):
+    with pytest.raises(DataError, match=re.escape(
+            f"no such data file: {tmp_path / 'nope-images'}")):
         load_idx(tmp_path / "nope-images", tmp_path / "nope-labels")
-    assert isinstance(info.value, FileNotFoundError)
+
+
+def test_every_prefix_and_byte_corruption_is_loaded_or_a_data_error(
+        tmp_path):
+    # each cut and each changed byte of either file of a 3-image pair must
+    # load or be a DataError, never another exception
+    rng = np.random.default_rng(56)
+    ip, lp = _write_pair(
+        tmp_path, rng.integers(0, 256, size=(3, 2, 2)).astype(np.uint8),
+        np.arange(3, dtype=np.uint8))
+    rejected = cases = 0
+    for path in (ip, lp):
+        blob = path.read_bytes()
+        variants = [blob[:n] for n in range(len(blob))]
+        for at, byte in enumerate(blob):
+            for new in {0x00, 0xFF, byte ^ 1} - {byte}:
+                variants.append(blob[:at] + bytes([new]) + blob[at + 1:])
+        for variant in variants:
+            path.write_bytes(variant)
+            try:
+                load_idx(ip, lp)
+            except DataError as exc:
+                assert str(path) in str(exc), exc
+                rejected += 1
+        cases += len(variants)
+        path.write_bytes(blob)
+    # every cut is short of its header or payload; a changed pixel or
+    # label byte loads as another value
+    assert len(ip.read_bytes()) + len(lp.read_bytes()) <= rejected < cases
 
 
 def test_load_idx_dir_lists_every_missing_file(tmp_path):
-    with pytest.raises(MissingDataError) as info:
+    with pytest.raises(DataError) as info:
         load_idx_dir(tmp_path)
     message = str(info.value)
     for names in MNIST_FILES.values():
@@ -344,9 +370,9 @@ def test_build_split_caps_and_bad_pairs():
         build_split(train, test, train_cap=-1)
     no_nines = Dataset(train.pixels[train.labels != 9],
                        train.labels[train.labels != 9])
-    with pytest.raises(ValueError, match=r"absent from the train split: \[9\]"):
+    with pytest.raises(DataError, match=r"absent from the train split: \[9\]"):
         build_split(no_nines, test)
-    with pytest.raises(ValueError, match=r"absent from the test split: \[9\]"):
+    with pytest.raises(DataError, match=r"absent from the test split: \[9\]"):
         build_split(train, no_nines)
 
 
