@@ -141,7 +141,7 @@ def generate(workdir):
                 "sweep", "-c", SMOKE, "--method", method,
                 "--lambdas", "1,100", "--out-dir", case)
             golden.update(_outputs(case))
-        for method in ("none", "isi-cv"):
+        for method in ("none", "isi-cv", "ewc"):
             case = f"run-{method}"
             golden[f"{case}/stdout.txt"] = _run(
                 "run", "-c", SMOKE, "--method", method, "--out-dir", case)
