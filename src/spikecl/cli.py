@@ -285,10 +285,11 @@ def cmd_run(cfg):
             os.path.join(cfg.out_dir, f"rmatrix_seed{seed}.csv"),
             result.matrix.to_csv(),
         )
-        for vec in result.importances:
+        for k, vec in enumerate(result.importances):
+            doc = vec.to_json_dict(result.method, k)
             _write_text(
-                os.path.join(imp_dir, f"seed{seed}_task{vec.task_id}.json"),
-                json.dumps(vec.to_json_dict(), indent=2, sort_keys=True) + "\n",
+                os.path.join(imp_dir, f"seed{seed}_task{k}.json"),
+                json.dumps(doc, indent=2, sort_keys=True) + "\n",
             )
         report = result.metrics()
         print(f"seed {seed}: AA={report.aa:.4f} BWT={report.bwt:+.4f} "
@@ -376,7 +377,7 @@ def cmd_importance_dump(cfg, checkpoint_path, task_id=None, out=None):
             f"provides {tasks.input_dim}"
         )
     record = collect_spike_record(net, tasks[task_id].train)
-    report = importance_report(record, task_id=task_id)
+    report = dict(importance_report(record), task_id=task_id)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out is None:
         sys.stdout.write(text)

@@ -27,7 +27,7 @@ from .training import TrainParams, train_task
 
 def _isi_cv(net, task, task_id, acc):
     record = collect_spike_record(net, task.train)
-    return isi_cv_importance(record, task_id=task_id)
+    return isi_cv_importance(record)
 
 
 def _ewc(net, task, task_id, acc):
@@ -35,7 +35,7 @@ def _ewc(net, task, task_id, acc):
 
 
 def _si(net, task, task_id, acc):
-    return si_importance(acc, net, task_id=task_id)
+    return si_importance(acc, net)
 
 
 # method -> (default lambda, estimator).  An estimator maps (net, task,

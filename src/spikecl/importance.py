@@ -37,11 +37,10 @@ SAMPLES = 1024
 
 @dataclass
 class ImportanceVector:
-    """One Ω value per hidden neuron, normalized to [0, 1]."""
+    """One Ω value per hidden neuron, normalized to [0, 1].  The run that
+    builds it names its method and task (``to_json_dict``)."""
 
     omega: np.ndarray
-    method: str
-    task_id: int = None
 
     def __post_init__(self):
         self.omega = np.asarray(self.omega, dtype=np.float64)
@@ -50,24 +49,24 @@ class ImportanceVector:
         if not np.all((0.0 <= self.omega) & (self.omega <= 1.0)):
             raise ValueError("omega entries must lie in [0, 1]")
 
-    def to_json_dict(self):
+    def to_json_dict(self, method, task_id):
         return {
-            "method": self.method,
-            "task_id": self.task_id,
+            "method": method,
+            "task_id": task_id,
             "omega": {str(i): float(v) for i, v in enumerate(self.omega)},
         }
 
     @classmethod
     def from_json_dict(cls, doc):
-        """Inverse of ``to_json_dict``; the Ω keys must be "0".."H-1"."""
+        """Ω of a ``to_json_dict`` document; the keys must be "0".."H-1".
+        The document's method and task are the reader's to check."""
         entries = doc["omega"]
         keys = [str(i) for i in range(len(entries))]
         stray = sorted(set(entries) - set(keys))
         if stray:
             raise ValueError(f"omega keys must be 0..{len(keys) - 1}, "
                              f"got {stray}")
-        return cls(omega=[entries[k] for k in keys], method=doc["method"],
-                   task_id=doc["task_id"])
+        return cls(omega=[entries[k] for k in keys])
 
 
 @dataclass
@@ -138,13 +137,13 @@ def _isi_cv_scores(record):
     return mean, std, cv, raw, omega, cutoff
 
 
-def isi_cv_importance(record, task_id=None):
+def isi_cv_importance(record):
     """Regularity importance: 1 / (CV + eps), percentile-clipped."""
     omega = _isi_cv_scores(record)[4]
-    return ImportanceVector(omega=omega, method="isi-cv", task_id=task_id)
+    return ImportanceVector(omega=omega)
 
 
-def importance_report(record, task_id=None):
+def importance_report(record):
     """Per-neuron diagnostic dict behind ``isi_cv_importance``.
 
     Same arithmetic, but keeps the intermediate quantities so they can
@@ -165,7 +164,6 @@ def importance_report(record, task_id=None):
         }
     return {
         "method": "isi-cv",
-        "task_id": task_id,
         "epsilon": EPSILON,
         "clip_percentile": CLIP_PERCENTILE,
         "clip_cutoff": cutoff,
@@ -231,9 +229,7 @@ def ewc_importance(net, data, task_id):
     fisher_b1 /= n
 
     per_neuron = fisher_w1.sum(axis=1) + fisher_b1
-    return ImportanceVector(
-        omega=_max_normalize(per_neuron), method="ewc", task_id=task_id
-    )
+    return ImportanceVector(omega=_max_normalize(per_neuron))
 
 
 @dataclass
@@ -272,7 +268,7 @@ def si_accumulate(acc, grads, deltas):
     acc.omega_b1 -= grads.b1 * deltas["b1"]
 
 
-def si_importance(acc, net, task_id=None):
+def si_importance(acc, net):
     """Per-parameter credit over squared displacement, per-neuron reduced.
 
     omega_param = max(0, omega) / ((w_end - w_start)^2 + XI), summed over
@@ -283,6 +279,4 @@ def si_importance(acc, net, task_id=None):
     per_w = np.maximum(acc.omega_w1, 0.0) / (dw * dw + XI)
     per_b = np.maximum(acc.omega_b1, 0.0) / (db * db + XI)
     per_neuron = per_w.sum(axis=1) + per_b
-    return ImportanceVector(
-        omega=_max_normalize(per_neuron), method="si", task_id=task_id
-    )
+    return ImportanceVector(omega=_max_normalize(per_neuron))

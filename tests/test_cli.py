@@ -96,6 +96,23 @@ def test_run_writes_the_full_artifact_set(tmp_path):
     # (checked loosely; exact numbers live in metrics.csv)
 
 
+@pytest.mark.parametrize("method", ["isi-cv", "ewc", "si"])
+def test_run_labels_each_importance_file_with_its_method_and_task(
+        tmp_path, method):
+    # the run names each vector: its method, and its task by position
+    out = tmp_path / "res"
+    assert main(["run", "--method", method, "--seeds", "0,1",
+                 *_flags(out)]) == 0
+    names = sorted(p.name for p in (out / "importance").iterdir())
+    assert names == [f"seed{s}_task{k}.json" for s in (0, 1) for k in (0, 1)]
+    for seed in (0, 1):
+        for k in (0, 1):
+            doc = json.loads(
+                (out / "importance" / f"seed{seed}_task{k}.json").read_text())
+            assert sorted(doc) == ["method", "omega", "task_id"]
+            assert (doc["method"], doc["task_id"]) == (method, k)
+
+
 def test_run_aggregates_across_seeds(tmp_path):
     out = tmp_path / "res"
     code = main(["run", "--method", "none", "--seeds", "0,1,2", *_flags(out)])

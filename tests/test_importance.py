@@ -263,8 +263,8 @@ def test_report_matches_importance_bit_exactly():
     rng = np.random.default_rng(34)
     raster = (rng.random((5, 12, 16)) < 0.25).astype(np.uint8)
     record = record_from_raster(raster)
-    vec = isi_cv_importance(record, task_id=3)
-    report = importance_report(record, task_id=3)
+    vec = isi_cv_importance(record)
+    report = importance_report(record)
     assert len(report["neurons"]) == 16
     for i in range(16):
         assert report["neurons"][str(i)]["omega"] == vec.omega[i]
@@ -337,13 +337,11 @@ def test_isi_cv_path_never_imports_numpy_ma():
 
 
 def test_importance_vector_json_round_trip():
-    vec = ImportanceVector(np.array([0.25, 1.0, 0.0]), method="isi-cv",
-                           task_id=2)
-    doc = vec.to_json_dict()
+    vec = ImportanceVector(np.array([0.25, 1.0, 0.0]))
+    doc = vec.to_json_dict("isi-cv", 2)
+    assert (doc["method"], doc["task_id"]) == ("isi-cv", 2)
     back = ImportanceVector.from_json_dict(doc)
     assert np.array_equal(back.omega, vec.omega)
-    assert back.method == "isi-cv"
-    assert back.task_id == 2
     doc["omega"] = dict(reversed(doc["omega"].items()))
     assert np.array_equal(ImportanceVector.from_json_dict(doc).omega, vec.omega)
 
@@ -360,13 +358,13 @@ def test_importance_vector_json_needs_keys_zero_to_h_minus_one(keys):
 
 def test_importance_vector_validation():
     with pytest.raises(ValueError):
-        ImportanceVector(np.array([[0.1]]), method="isi-cv")
+        ImportanceVector(np.array([[0.1]]))
     with pytest.raises(ValueError):
-        ImportanceVector(np.array([np.nan]), method="isi-cv")
-    ImportanceVector(np.array([0.0, 1.0]), method="isi-cv")   # both ends
+        ImportanceVector(np.array([np.nan]))
+    ImportanceVector(np.array([0.0, 1.0]))   # both ends
     for omega in ([5.0, -1.0], [0.5, 1.0000000000000002], [-0.0, -1e-300]):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            ImportanceVector(np.array(omega), method="ewc")
+            ImportanceVector(np.array(omega))
     # what a resumed run reads back must hold what an estimator writes
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         ImportanceVector.from_json_dict(
