@@ -275,7 +275,10 @@ def run_sequence(tasks, method, lam=None, seed=0, hidden_size=128,
 
     Seeding is positional so every method sees identical initial weights
     and batch order: trunk init uses (seed, 0), head k (seed, 1, k),
-    shuffling for task k (seed, 2, k).
+    shuffling for task k (seed, 2, k).  The data builders take the next
+    two: ``build_permuted``'s pixel permutations (seed, 3) and
+    ``build_synthetic``'s prototypes and noise (seed, 4).  5 is the next
+    free stream id.
 
     ``on_task_complete(task_id, net)`` runs after each task's estimate,
     e.g. to write checkpoints.  A failure in any of a task's steps raises

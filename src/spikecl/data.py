@@ -277,7 +277,9 @@ def build_split(train, test, train_cap=None, test_cap=None):
 
 def build_permuted(train, test, num_tasks=5, seed=0, train_cap=None,
                    test_cap=None):
-    """One fixed random pixel permutation per task, all classes kept."""
+    """One fixed random pixel permutation per task, all classes kept.
+    Two tasks that draw the same permutation (images of too few pixels)
+    are a DataError."""
     if num_tasks < 1:
         raise ValueError("need at least one task")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
@@ -286,7 +288,9 @@ def build_permuted(train, test, num_tasks=5, seed=0, train_cap=None,
     for a in range(num_tasks):
         for b in range(a + 1, num_tasks):
             if np.array_equal(perms[a], perms[b]):
-                raise RuntimeError("drew two identical pixel permutations")
+                raise DataError(
+                    f"drew two identical pixel permutations for {num_tasks} "
+                    f"tasks: {dim} pixels per image are too few")
 
     classes = int(max(train.labels.max(), test.labels.max())) + 1
     base_train = train.take(train_cap)

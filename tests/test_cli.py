@@ -5,6 +5,9 @@ import os
 import re
 import shlex
 import struct
+import subprocess
+import sys
+import textwrap
 import time
 from dataclasses import fields, replace
 from pathlib import Path
@@ -269,14 +272,18 @@ def test_exit_codes(tmp_path, capsys):
 
     # 3: IDX headers that declare more than the file holds (once a
     # MemoryError and an OverflowError), 0 images of more pixels than
-    # int64 counts (once a ValueError in reshape), a split of no images
-    # and images of no pixels (once numpy errors deep in build_permuted)
+    # int64 counts (once a ValueError in reshape), a split of no images,
+    # images of no pixels (once numpy errors deep in build_permuted) and
+    # images of one pixel, whose one permutation permuted tasks repeat
+    # (once a RuntimeError, exit 4)
     for k, (benchmark, images, message) in enumerate((
             ("split-mnist", (2 ** 32 - 1, 28, 28), "bytes of pixels"),
             ("split-mnist", (1, 2 ** 32 - 1, 2 ** 32 - 1), "bytes of pixels"),
             ("split-mnist", (0, 2 ** 32 - 1, 2 ** 32 - 1), "fit int64"),
             ("permuted-mnist", np.zeros((0, 4, 4)), "0 images"),
-            ("permuted-mnist", np.zeros((30, 0, 0)), "0 pixels"))):
+            ("permuted-mnist", np.zeros((30, 0, 0)), "0 pixels"),
+            ("permuted-mnist", np.zeros((30, 1, 1)),
+             "1 pixels per image are too few"))):
         data_dir = tmp_path / f"idx{k}"
         if isinstance(images, tuple):
             _write_digits(data_dir, np.arange(30) % 10, np.arange(30) % 10)
@@ -598,6 +605,25 @@ def test_readme_python_blocks_run(monkeypatch, tmp_path, capsys):
         exec(compile(block, f"README.md python block {k}", "exec"), {})
         assert capsys.readouterr().out, k
     assert os.listdir(tmp_path) == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # README's claim: importing the package and every command module pulls
+    # in the standard library, numpy and spikecl, nothing else.  The
+    # snapshot comes first, so a site hook's preloads do not count.
+    code = textwrap.dedent("""
+        import sys
+        before = set(sys.modules)
+        import spikecl, spikecl.cli, spikecl.config, spikecl.checkpoint
+        tops = {name.partition(".")[0] for name in set(sys.modules) - before}
+        print(*sorted(tops - set(sys.stdlib_module_names)))
+    """)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    third_party = set(out.stdout.split())
+    assert "spikecl" in third_party
+    assert third_party <= {"numpy", "spikecl"}, out.stdout
 
 
 def test_gain_reaches_the_network(tmp_path):

@@ -396,6 +396,14 @@ def test_build_permuted_draws_distinct_bijections():
     assert not np.array_equal(other[0].train.images, seq[0].train.images)
 
 
+def test_too_few_pixels_for_distinct_permutations_is_a_data_error():
+    # one pixel has one permutation, so two tasks must repeat it
+    one_pixel = Dataset(np.zeros((4, 1), dtype=np.uint8), np.arange(4) % 2)
+    with pytest.raises(DataError, match="for 2 tasks: 1 pixels per image"):
+        build_permuted(one_pixel, one_pixel, num_tasks=2)
+    assert len(build_permuted(one_pixel, one_pixel, num_tasks=1)) == 1
+
+
 def test_build_synthetic_prototypes_and_noise():
     clean = build_synthetic(num_tasks=2, train_per_class=10, test_per_class=5,
                             dim=16, noise=0.0, seed=3)
