@@ -139,7 +139,8 @@ def register_head(net, rng):
 class ForwardTrace:
     """Everything the backward pass, the replay check and the interval
     counters need, for one batch.  ``net`` is the network that recorded
-    it, not a copy: the backward pass reads its weights and neuron model.
+    it and ``head`` the head it ran, not copies: the backward pass reads
+    their weights and the neuron model.
 
     Arrays are indexed batch-major.  ``inputs`` (N, D) holds the drive
     (the input times the gain), the same at every timestep.  ``u``
@@ -156,7 +157,7 @@ class ForwardTrace:
     s: np.ndarray       # (N, T, H) bool
     sbar: np.ndarray    # (N, H) mean spike count over time
     logits: np.ndarray  # (N, C)
-    task_id: int
+    head: Head
     net: NetworkState
 
     @property
@@ -187,7 +188,7 @@ def forward_const(x, task_id, net):
         s=s,
         sbar=sbar,
         logits=logits,
-        task_id=task_id,
+        head=head,
         net=net,
     )
     return logits, trace

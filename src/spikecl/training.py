@@ -33,22 +33,20 @@ def _views(flat, params):
 
 
 class GradientSet:
-    """Gradients for the trunk and the single active head, as one flat
-    vector.
+    """Gradients for the trunk and one head, as one flat vector.
 
-    ``flat`` holds dW1, db1, dW2 and db2 back to back; ``w1``, ``b1``,
-    ``w2`` and ``b2`` are views of it shaped like ``net``'s parameters
-    for head ``task_id``.  ``backward`` writes the views, the anchor's
-    pull adds into them, and ``adam_step`` steps ``flat`` itself.  The
+    ``params`` is ``(net.w1, net.b1, head.w2, head.b2)``, the arrays the
+    gradients are for.  ``flat`` holds dW1, db1, dW2 and db2 back to
+    back; ``w1``, ``b1``, ``w2`` and ``b2`` are views of it shaped like
+    ``params``.  ``backward`` writes the views, the anchor's pull adds
+    into them, and ``adam_step`` steps ``params`` by ``flat``.  The
     vector starts uninitialized.
     """
 
-    def __init__(self, net, task_id):
-        head = net.head(task_id)
-        params = (net.w1, net.b1, head.w2, head.b2)
-        self.flat = np.empty(sum(p.size for p in params))
-        self.w1, self.b1, self.w2, self.b2 = _views(self.flat, params)
-        self.task_id = task_id
+    def __init__(self, net, head):
+        self.params = (net.w1, net.b1, head.w2, head.b2)
+        self.flat = np.empty(sum(p.size for p in self.params))
+        self.w1, self.b1, self.w2, self.b2 = _views(self.flat, self.params)
 
 
 def log_softmax(logits):
@@ -71,8 +69,7 @@ def _current_grad(trace, delta):
     dL/du[t].  Consumes the trace: the surrogate derivative overwrites
     its membrane, and its membrane and spikes are gone on return.
     """
-    head = trace.net.head(trace.task_id)
-    gsbar = np.ascontiguousarray(delta @ head.w2)  # (N, H) = dL/d(sbar)
+    gsbar = np.ascontiguousarray(delta @ trace.head.w2)  # (N, H) = dL/d(sbar)
     u = trace.u
     trace.u = trace.s = None
     lif = trace.net.lif
@@ -106,7 +103,7 @@ def backward(trace, targets):
     delta /= n
 
     dcur = _current_grad(trace, delta)
-    grads = GradientSet(trace.net, trace.task_id)
+    grads = GradientSet(trace.net, trace.head)
     np.matmul(delta.T, trace.sbar, out=grads.w2)
     delta.sum(axis=0, out=grads.b2)
     np.matmul(dcur.T, trace.inputs, out=grads.w1)
@@ -154,21 +151,19 @@ class OptimizerState:
         return delta
 
 
-def adam_step(net, grads, opt):
+def adam_step(grads, opt):
     """Apply one Adam update in place; returns the applied trunk deltas.
 
-    The trunk and the active head are updated as one flat vector, the
-    GradientSet's own.  The returned dict maps "w1"/"b1" to the actual
-    parameter changes (views of that step's delta), which path-integral
-    importance accumulation needs verbatim.
+    ``grads.params`` are stepped as one flat vector, the GradientSet's
+    own, so a gradient set steps only the arrays it was computed for.
+    The returned dict maps "w1"/"b1" to the actual parameter changes
+    (views of that step's delta), which path-integral importance
+    accumulation needs verbatim.
     """
     if not np.isfinite(grads.flat).all():
         raise DivergenceError("non-finite gradient passed to the optimizer")
-    head = net.head(grads.task_id)
-    params = (net.w1, net.b1, head.w2, head.b2)
-
-    deltas = _views(opt.update(grads.flat), params)
-    for p, d in zip(params, deltas):
+    deltas = _views(opt.update(grads.flat), grads.params)
+    for p, d in zip(grads.params, deltas):
         p += d
     return {"w1": deltas[0], "b1": deltas[1]}
 
@@ -231,7 +226,7 @@ def train_task(net, data, task_id, params, rng, reg=None, step_hook=None):
                 grads.w1 += pw1
                 grads.b1 += pb1
                 del pw1
-            deltas = adam_step(net, grads, opt)
+            deltas = adam_step(grads, opt)
             if step_hook is not None:
                 step_hook(grads, deltas)
             # no (H, D) array of this step lives into the next backward

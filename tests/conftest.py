@@ -82,7 +82,7 @@ def random_tiny_net(rng, hidden=None, dim=None, classes=None, timesteps=None):
 
 def filled_grads(net, fill=0.0, task_id=0):
     """A GradientSet for ``net``'s head ``task_id``, every entry ``fill``."""
-    grads = GradientSet(net, task_id)
+    grads = GradientSet(net, net.head(task_id))
     grads.flat[:] = fill
     return grads
 

@@ -282,7 +282,7 @@ def oracle_forward_const(x, task_id, net):
         s=s,
         sbar=sbar,
         logits=logits,
-        task_id=task_id,
+        head=head,
         net=net,
     )
     return logits, trace
@@ -310,20 +310,20 @@ class OracleOptimizerState:
         return -self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def oracle_adam_step(net, grads, opt):
+def oracle_adam_step(grads, opt):
     """Former ``training.adam_step``: four per-parameter Adam passes on an
-    ``OracleOptimizerState``."""
+    ``OracleOptimizerState``, over the arrays ``grads`` was built for."""
     for g in (grads.w1, grads.b1, grads.w2, grads.b2):
         if not np.all(np.isfinite(g)):
             raise DivergenceError("non-finite gradient passed to the optimizer")
-    head = net.head(grads.task_id)
+    w1, b1, w2, b2 = grads.params
 
     dw1 = opt.update("w1", grads.w1)
     db1 = opt.update("b1", grads.b1)
-    net.w1 += dw1
-    net.b1 += db1
-    head.w2 += opt.update(f"head{grads.task_id}.w2", grads.w2)
-    head.b2 += opt.update(f"head{grads.task_id}.b2", grads.b2)
+    w1 += dw1
+    b1 += db1
+    w2 += opt.update("w2", grads.w2)
+    b2 += opt.update("b2", grads.b2)
     return {"w1": dw1, "b1": db1}
 
 

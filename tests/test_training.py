@@ -162,6 +162,20 @@ def test_backward_fills_one_flat_gradient():
     assert grads.flat.tobytes() == b"".join(p.tobytes() for p in parts)
 
 
+def test_the_trace_carries_its_head_and_the_gradient_its_arrays():
+    # the head is looked up once, by the forward pass; the gradient set
+    # holds the very arrays adam_step will step
+    rng = np.random.default_rng(21)
+    net = random_tiny_net(rng, hidden=3, dim=4, classes=2)
+    register_head(net, rng)
+    _, trace = forward_const(rng.random((5, 4)), 1, net)
+    assert trace.head is net.heads[1]
+    _, grads = backward(trace, rng.integers(0, 2, size=5))
+    expected = (net.w1, net.b1, net.heads[1].w2, net.heads[1].b2)
+    assert len(grads.params) == len(expected)
+    assert all(a is b for a, b in zip(grads.params, expected))
+
+
 def test_anchored_step_holds_one_membrane_block_and_one_gradient():
     # peak_rss_mb: the surrogate is written over the membrane, which is
     # freed before dW1 is formed, and Adam steps the gradient's own flat
@@ -173,7 +187,7 @@ def test_anchored_step_holds_one_membrane_block_and_one_gradient():
                       np.random.default_rng(1))
     register_head(net, np.random.default_rng(2))
     anchor = Anchor(*net.copy_trunk(), omega=np.full(hidden, 0.5), lam=1.0)
-    flat = GradientSet(net, 0).flat.nbytes
+    flat = GradientSet(net, net.head(0)).flat.nbytes
     _, peak = traced_peak(lambda: train_task(
         net, data, 0, TrainParams(epochs=1, batch_size=n),
         np.random.default_rng(3), reg=anchor))
@@ -191,7 +205,7 @@ def test_adam_zero_gradient_leaves_parameters_unchanged():
     net = random_tiny_net(rng)
     before = (net.w1.copy(), net.b1.copy())
     opt = OptimizerState(lr=1e-3)
-    adam_step(net, filled_grads(net, 0.0), opt)
+    adam_step(filled_grads(net, 0.0), opt)
     assert np.array_equal(net.w1, before[0])
     assert np.array_equal(net.b1, before[1])
     assert opt.t == 1  # the step count advanced
@@ -206,7 +220,7 @@ def test_adam_first_step_magnitude_is_lr_times_sign():
     grads.b1[:] = -0.2
     adam_before = net.w1.copy()
     b1_before = net.b1.copy()
-    adam_step(net, grads, opt)
+    adam_step(grads, opt)
     np.testing.assert_allclose(net.w1 - adam_before, -1e-3, rtol=1e-7)
     np.testing.assert_allclose(net.b1 - b1_before, 1e-3, rtol=1e-6)
 
@@ -217,7 +231,7 @@ def test_adam_equal_gradients_get_equal_updates():
     opt = OptimizerState(lr=1e-3)
     grads = filled_grads(net, 0.42)
     before = net.w1.copy()
-    adam_step(net, grads, opt)
+    adam_step(grads, opt)
     deltas = net.w1 - before
     assert np.allclose(deltas, deltas.flat[0])
 
@@ -230,7 +244,7 @@ def test_adam_returns_the_applied_trunk_deltas():
     grads.w1[:] = rng.normal(size=grads.w1.shape)
     grads.b1[:] = rng.normal(size=grads.b1.shape)
     w1_before, b1_before = net.w1.copy(), net.b1.copy()
-    deltas = adam_step(net, grads, opt)
+    deltas = adam_step(grads, opt)
     np.testing.assert_array_equal(net.w1, w1_before + deltas["w1"])
     np.testing.assert_array_equal(net.b1, b1_before + deltas["b1"])
 
@@ -245,7 +259,7 @@ def test_adam_steps_the_gradient_vector_itself(monkeypatch):
                         lambda self, grad: stepped.append(grad)
                         or real_update(self, grad))
     grads = filled_grads(net, 0.5)
-    adam_step(net, grads, OptimizerState(lr=1e-3))
+    adam_step(grads, OptimizerState(lr=1e-3))
     assert len(stepped) == 1 and stepped[0] is grads.flat
 
 
@@ -255,7 +269,7 @@ def test_adam_rejects_non_finite_gradients():
     grads = filled_grads(net, 0.0)
     grads.w1[0, 0] = np.nan
     with pytest.raises(DivergenceError):
-        adam_step(net, grads, OptimizerState(lr=1e-3))
+        adam_step(grads, OptimizerState(lr=1e-3))
 
 
 def _toy_task(rng, n=20, dim=6):
@@ -341,7 +355,7 @@ def test_small_full_batch_step_rarely_increases_loss():
         y = rng.integers(0, 2, size=16)
         _, trace = forward_const(x, 0, net)
         loss0, grads = backward(trace, y)
-        adam_step(net, grads, OptimizerState(lr=1e-4))
+        adam_step(grads, OptimizerState(lr=1e-4))
         _, trace1 = forward_const(x, 0, net)
         loss1, _ = backward(trace1, y)
         wins += loss1 <= loss0 + 1e-12
