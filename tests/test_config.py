@@ -199,6 +199,13 @@ def test_unknown_override_is_rejected():
         load_config(overrides={"momentum": 0.9}, env={})
 
 
+def test_a_mistyped_override_is_a_config_error():
+    # the field's own check meets a str and raises TypeError
+    with pytest.raises(ConfigError, match="not supported") as info:
+        load_config(overrides={"hidden_size": "x"}, env={})
+    assert isinstance(info.value.__context__, TypeError)
+
+
 def test_to_dict_is_json_friendly():
     d = ExperimentConfig(seeds=(0, 1)).to_dict()
     assert d["seeds"] == [0, 1]

@@ -302,6 +302,20 @@ def test_result_matrix_validation_and_csv_round_trip():
         ResultMatrix.from_csv("0.5\n0.5,0.5,\n")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda net: ResultMatrix(0), "need at least one task"),
+    (lambda net: continual.evaluate(
+        net, data_module.Dataset(np.zeros((0, 3), dtype=np.uint8),
+                                 np.zeros(0)), 0),
+     "cannot evaluate on an empty dataset"),
+])
+def test_nothing_to_score_is_rejected(call, message):
+    net = new_network(3, 4, 2, LIFConfig(), np.random.default_rng(0))
+    register_head(net, np.random.default_rng(1))
+    with pytest.raises(ValueError, match=message):
+        call(net)
+
+
 # ---------------------------------------------------------------------------
 # run_sequence behavior
 # ---------------------------------------------------------------------------

@@ -327,6 +327,22 @@ def test_dataset_validation_and_take():
         ds.take(-1)
 
 
+_TINY = Dataset(np.zeros((2, 3), dtype=np.uint8), np.zeros(2))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Dataset(np.zeros((2, 2, 2), dtype=np.uint8), np.zeros(2)),
+     "pixels must be (N, D)"),
+    (lambda: build_permuted(_TINY, _TINY, num_tasks=0),
+     "need at least one task"),
+    (lambda: build_synthetic(num_tasks=0), "need >= 1 task and >= 2 classes"),
+    (lambda: build_synthetic(classes=1), "need >= 1 task and >= 2 classes"),
+])
+def test_builders_reject_what_holds_no_task(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # sequence builders
 # ---------------------------------------------------------------------------

@@ -158,6 +158,14 @@ def test_unknown_task_raises():
         forward_const(np.zeros((1, 3)), 1, net)
 
 
+@pytest.mark.parametrize("shape", [(4,), (1, 2, 4)])
+def test_forward_const_rejects_input_that_is_not_a_batch_of_rows(shape):
+    net = new_network(4, 2, 2, LIFConfig(), np.random.default_rng(0))
+    register_head(net, np.random.default_rng(1))
+    with pytest.raises(ValueError, match=r"expected \(N, D\) input"):
+        forward_const(np.ones(shape), 0, net)
+
+
 def test_batch_equals_concatenated_singles():
     # A one-row product runs through a different BLAS kernel (gemv) than a
     # batched one (gemm), which may round the trunk current differently in
