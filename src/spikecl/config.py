@@ -156,7 +156,8 @@ def load_config(path=None, overrides=None, env=None):
     """Build an ExperimentConfig with full precedence applied.
 
     ``overrides`` maps field names to already-typed values (None entries
-    are ignored); ``env`` defaults to os.environ.
+    are ignored, a value of another type is a ConfigError); ``env``
+    defaults to os.environ.
     """
     env = os.environ if env is None else env
     values = {}
@@ -180,8 +181,11 @@ def load_config(path=None, overrides=None, env=None):
             continue
         if key not in FIELDS:
             raise ConfigError(f"unknown config field {key!r}")
+        # typed as the field's text parser types it; a float takes an int
+        kind = FIELDS[key].type
+        kind = (int, float) if kind is float else kind
+        if not isinstance(value, kind) or (
+                kind is tuple and not all(isinstance(v, int) for v in value)):
+            raise ConfigError(f"bad value for {key}: {value!r}")
         values[key] = value
-    try:
-        return ExperimentConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    return ExperimentConfig(**values)

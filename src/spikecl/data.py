@@ -50,15 +50,15 @@ class DataError(Exception):
 class Dataset:
     """Flat uint8 pixels with integer class labels.
 
-    Samples are stored at one byte per pixel and scaled to [0, 1] only
-    when read, by ``rows``.
+    Samples are stored row-major, whatever layout they arrive in, at one
+    byte per pixel, and scaled to [0, 1] only when read, by ``rows``.
     """
 
     pixels: np.ndarray  # (N, D) uint8
     labels: np.ndarray  # (N,) int64
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels)
+        self.pixels = np.ascontiguousarray(self.pixels)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.pixels.dtype != np.uint8:
             raise ValueError(f"pixels must be uint8, got {self.pixels.dtype}")
@@ -296,8 +296,8 @@ def build_permuted(train, test, num_tasks=5, seed=0, train_cap=None,
     base_train = train.take(train_cap)
     base_test = test.take(test_cap)
     tasks = [
-        Task(Dataset(base_train.pixels[:, perm], base_train.labels),
-             Dataset(base_test.pixels[:, perm], base_test.labels))
+        Task(*(Dataset(np.take(base.pixels, perm, axis=1), base.labels)
+               for base in (base_train, base_test)))
         for perm in perms
     ]
     return TaskSequence(tasks=tasks, classes_per_task=classes)

@@ -201,34 +201,29 @@ def ewc_importance(net, data, task_id):
     samples of the Dataset ``data``, reduced to per-neuron scores.
 
     Fisher is the mean over samples of the squared per-sample loss
-    gradient.  With constant input currents the per-sample trunk
-    gradient factorizes as (sum_t du) outer x, so its square is
-    (sum_t du)^2 outer x^2 and one batched backward kernel call covers
-    every sample.  Per neuron: row sum over inputs plus the bias term,
-    then max-normalized.  Rows are read one ``Dataset.batches`` block at
-    a time.
+    gradient, summed over a neuron's w1 row and bias.  With constant
+    input currents the per-sample gradient of row i is dcur_i * (x, 1),
+    so neuron i's sum is exactly sum_n dcur[n, i]^2 (|x_n|^2 + 1) / n:
+    one batched backward kernel call and no (H, D) Fisher.  The max-
+    normalization cancels the 1/n.  Rows are read one ``Dataset.batches``
+    block at a time.
     """
     n = min(SAMPLES, len(data))
     if n < 1:
         raise ValueError("need at least one sample to estimate Fisher")
 
-    fisher_w1 = np.zeros_like(net.w1)
-    fisher_b1 = np.zeros_like(net.b1)
+    per_neuron = np.zeros_like(net.b1)
     for batch in data.batches(n):
         _, trace = forward_const(data.rows(batch), task_id, net)
         # per-sample gradients: no 1/N on delta
         delta = _logit_delta(log_softmax(trace.logits), data.labels[batch])
         dcur = _current_grad(trace, delta)  # frees the potentials
-        sq = dcur * dcur
         x2 = trace.inputs  # this batch's own rows, squared in place
         x2 *= x2
-        fisher_w1 += sq.T @ x2
-        fisher_b1 += sq.sum(axis=0)
+        dcur *= dcur
+        dcur *= x2.sum(axis=1, keepdims=True) + 1.0
+        per_neuron += dcur.sum(axis=0)
         del trace, x2  # free the rows before the next forward pass
-    fisher_w1 /= n
-    fisher_b1 /= n
-
-    per_neuron = fisher_w1.sum(axis=1) + fisher_b1
     return ImportanceVector(omega=_max_normalize(per_neuron))
 
 

@@ -178,7 +178,7 @@ def forward_const(x, task_id, net):
         raise ValueError(f"expected (N, D) input, got {x.shape}")
     if lif.gain != 1.0:
         x = x * lif.gain
-    cur = np.ascontiguousarray(x @ net.w1.T + net.b1)
+    cur = x @ net.w1.T + net.b1
     u, s = kernels.lif_forward_const(cur, lif.timesteps, lif.beta, lif.theta)
     sbar = s.mean(axis=1)
     logits = sbar @ head.w2.T + head.b2

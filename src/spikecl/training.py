@@ -69,7 +69,7 @@ def _current_grad(trace, delta):
     dL/du[t].  Consumes the trace: the surrogate derivative overwrites
     its membrane, and its membrane and spikes are gone on return.
     """
-    gsbar = np.ascontiguousarray(delta @ trace.head.w2)  # (N, H) = dL/d(sbar)
+    gsbar = delta @ trace.head.w2  # (N, H) = dL/d(sbar)
     u = trace.u
     trace.u = trace.s = None
     lif = trace.net.lif

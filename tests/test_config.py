@@ -200,10 +200,14 @@ def test_unknown_override_is_rejected():
 
 
 def test_a_mistyped_override_is_a_config_error():
-    # the field's own check meets a str and raises TypeError
-    with pytest.raises(ConfigError, match="not supported") as info:
-        load_config(overrides={"hidden_size": "x"}, env={})
-    assert isinstance(info.value.__context__, TypeError)
+    # named like a bad file value, before a field check meets the value
+    for key, value in (("hidden_size", "x"), ("lr", "fast"), ("seeds", 5),
+                       ("seeds", (0, "1")), ("data_dir", 3)):
+        with pytest.raises(ConfigError) as info:
+            load_config(overrides={key: value}, env={})
+        assert str(info.value) == f"bad value for {key}: {value!r}"
+    # an int is a float, as argparse's float type would give it
+    assert load_config(overrides={"lr": 1}, env={}).lr == 1
 
 
 def test_to_dict_is_json_friendly():

@@ -369,18 +369,25 @@ def test_anchoring_cuts_forgetting_at_a_cost_in_learning_accuracy():
     base = build_synthetic(num_tasks=1, classes=10, train_per_class=100,
                            test_per_class=50, dim=64, noise=0.3, seed=0)[0]
     tasks = build_permuted(base.train, base.test, num_tasks=3, seed=0)
-    metrics = {
-        method: run_sequence(
-            tasks, method, lam=None if method == "none" else 1.0, seed=0,
-            hidden_size=64, lif_cfg=LIFConfig(timesteps=10),
+
+    def metrics(method, lam):
+        return run_sequence(
+            tasks, method, lam=lam, seed=0, hidden_size=64,
+            lif_cfg=LIFConfig(timesteps=10),
             train_params=TrainParams(epochs=3, batch_size=16)).metrics()
-        for method in ("none", "isi-cv", "ewc", "si")
-    }
-    none = metrics.pop("none")
+
+    none = metrics("none", None)
     assert none.af > 0.05
-    for method, anchored in metrics.items():
+    for method in ("isi-cv", "ewc", "si"):
+        anchored = metrics(method, 1.0)
         assert anchored.af < none.af, method
         assert anchored.la < none.la, method
+        # at its default λ the trunk sits on the frozen floor: it keeps
+        # what it learns (LA = AA) because it learns little, and its AA
+        # is far below none's
+        frozen = metrics(method, None)
+        assert frozen.aa < none.aa - 0.15, method
+        assert abs(frozen.la - frozen.aa) <= 0.01, method
 
 
 def test_method_none_ignores_lambda():

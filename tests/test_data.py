@@ -412,6 +412,26 @@ def test_build_permuted_draws_distinct_bijections():
     assert not np.array_equal(other[0].train.images, seq[0].train.images)
 
 
+def test_every_builder_stores_row_major_pixels():
+    # a column gather such as pixels[:, perm] yields column-major pixels,
+    # over which a row reduction adds in another order
+    train = _fake_digits(per_class=3, dim=12)
+    test = _fake_digits(per_class=2, dim=12, seed=56)
+    for seq in (build_permuted(train, test, num_tasks=2),
+                build_split(train, test),
+                build_synthetic(train_per_class=3, dim=12)):
+        for task in seq:
+            for split in (task.train, task.test):
+                assert split.pixels.flags.c_contiguous
+
+
+def test_a_dataset_stores_column_major_pixels_row_major():
+    rows = random_dataset(np.random.default_rng(57), 5, 7)
+    cols = Dataset(np.asfortranarray(rows.pixels), rows.labels)
+    assert cols.pixels.strides == rows.pixels.strides == (7, 1)
+    assert cols.pixels.tobytes(order="K") == rows.pixels.tobytes(order="K")
+
+
 def test_too_few_pixels_for_distinct_permutations_is_a_data_error():
     # one pixel has one permutation, so two tasks must repeat it
     one_pixel = Dataset(np.zeros((4, 1), dtype=np.uint8), np.arange(4) % 2)
