@@ -125,7 +125,8 @@ def load_checkpoint(path):
     w1, b1, lif, *rest = arrays
     tau, theta, t, gain = lif.tolist()
     try:  # a whole t becomes an int; LIFConfig rejects any other
-        lif = LIFConfig(tau, theta, int(t) if t.is_integer() else t, gain)
+        lif = LIFConfig(tau=tau, theta=theta, gain=gain,
+                        timesteps=int(t) if t.is_integer() else t)
     except ValueError as exc:
         raise DataError(f"{path}: neuron model: {exc}") from None
     heads = [Head(w2, b2) for w2, b2 in zip(rest[::2], rest[1::2])]

@@ -88,14 +88,12 @@ class SpikeRecord:
     def isi_m2(self):
         """Pooled intervals' summed squared deviation from their mean (H,).
 
-        The numerator of (n * sum(d^2) - sum(d)^2) / n is an exact integer;
-        below 2^53 (samples^2 * (T - 1)^3 bounds it) m2 is rounded once.
-        Raises OverflowError where n * sum(d^2) would not fit in int64.
+        (n * sum(d^2) - sum(d)^2) / n in Python integers, whose division
+        rounds once: the exact value, rounded once, for any counters.
         """
-        n = self.isi_counts
-        if np.any(n * self.isi_sq_sums.astype(np.float64) >= 2.0 ** 63):
-            raise OverflowError("interval counters too large for int64 m2")
-        return (n * self.isi_sq_sums - self.isi_sums ** 2) / np.maximum(n, 1)
+        return np.array([(n * sq - s * s) / max(n, 1) for n, s, sq in zip(
+            self.isi_counts.tolist(), self.isi_sums.tolist(),
+            self.isi_sq_sums.tolist())], dtype=np.float64)
 
 
 def _clip_cutoff(raw):

@@ -26,9 +26,9 @@ class UnknownTaskError(KeyError):
     """Raised when a task id has no registered head."""
 
 
-# The largest T with importance.SAMPLES**2 * (T - 1)**3 < 2**53: below
-# that bound SpikeRecord.isi_m2 is the exact value rounded once.  The
-# shipped configs run T = 8 to 20.
+# A checkpoint stores T as a bare number, not as the shape of arrays it
+# holds, so this bound keeps one corrupt value from sizing an unbounded
+# (T, N, H) block.  The shipped configs run T = 8 to 20.
 MAX_TIMESTEPS = 2048
 
 

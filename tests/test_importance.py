@@ -220,15 +220,15 @@ def test_m2_is_the_exact_value_rounded_once():
             assert m2[i] == float(exact)
 
 
-def test_m2_refuses_counters_that_would_overflow_int64():
-    # 2^31 intervals of length 1: n * sum(d^2) = 2^62 still fits
+def test_m2_is_exact_for_counters_past_int64():
+    # n * sum(d^2) = 2^63 would wrap in int64; m2 = (2^63 - 2^62) / 2^31
     n = 2 ** 31
-    record = SpikeRecord(1, np.array([n]), np.array([n]), np.array([n]),
-                         np.array([n]))
-    assert record.isi_m2[0] == 0.0
-    record.isi_sq_sums[0] = 2 * n   # 2^63 would wrap
-    with pytest.raises(OverflowError):
-        record.isi_m2
+    record = SpikeRecord(1, np.array([n, n, 3]), np.array([n, n, 3]),
+                         np.array([n, n, 4]), np.array([n, 2 * n, 2 ** 62]))
+    want = [Fraction(c * q - s * s, c) for c, s, q in
+            ((n, n, n), (n, n, 2 * n), (3, 4, 2 ** 62))]
+    assert record.isi_m2.tolist() == [float(w) for w in want]
+    assert record.isi_m2[1] == 2 ** 31
 
 
 def test_any_interval_forces_a_near_one_maximum():
