@@ -45,13 +45,9 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import (DATA_FIELDS, FIELDS, ConfigError, comma_list,
                      load_config, text_parser)
-from .continual import METHODS, run_sequence
+from .continual import METHODS, csv_number, run_sequence
 from .data import DataError, build_permuted, build_split, build_synthetic, load_idx_dir
 from .importance import collect_spike_record, importance_report
-
-
-def _fmt(v):
-    return f"{v:.10g}"
 
 
 def _ensure_dir(path):
@@ -215,8 +211,8 @@ def _metrics_rows(results):
     for result in results:
         report = result.metrics()
         lines.append(",".join([
-            result.method, _fmt(result.lam), str(result.seed),
-            _fmt(report.aa), _fmt(report.bwt), _fmt(report.af),
+            result.method, csv_number(result.lam), str(result.seed),
+            *map(csv_number, (report.aa, report.bwt, report.af)),
         ]))
     return lines
 
@@ -342,7 +338,7 @@ def cmd_sweep(cfg, lambdas):
     for i in range(len(done) // n):   # every lambda whose seeds all ran
         lam_cfg, results = configs[i], done[i * n:(i + 1) * n]
         agg = _aggregate(results)
-        lines.append(",".join(_fmt(v) for v in (
+        lines.append(",".join(csv_number(v) for v in (
             lam_cfg.lam, agg["aa_mean"], agg["aa_std"],
             agg["af_mean"], agg["af_std"],
         )))

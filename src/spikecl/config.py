@@ -152,6 +152,11 @@ def parse_config_text(text, source="<config>"):
     return raw
 
 
+def _is(value, kind):
+    """isinstance, counting a bool as no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def load_config(path=None, overrides=None, env=None):
     """Build an ExperimentConfig with full precedence applied.
 
@@ -181,11 +186,12 @@ def load_config(path=None, overrides=None, env=None):
             continue
         if key not in FIELDS:
             raise ConfigError(f"unknown config field {key!r}")
-        # typed as the field's text parser types it; a float takes an int
+        # typed as the field's text parser types it; a float takes an
+        # int, and a bool is no number
         kind = FIELDS[key].type
         kind = (int, float) if kind is float else kind
-        if not isinstance(value, kind) or (
-                kind is tuple and not all(isinstance(v, int) for v in value)):
+        if not _is(value, kind) or (
+                kind is tuple and not all(_is(v, int) for v in value)):
             raise ConfigError(f"bad value for {key}: {value!r}")
         values[key] = value
     return ExperimentConfig(**values)

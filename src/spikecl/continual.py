@@ -107,6 +107,11 @@ class Anchor:
         return dw1, scale * db1
 
 
+def csv_number(v):
+    """How every CSV the engine writes spells a number."""
+    return f"{v:.10g}"
+
+
 class ResultMatrix:
     """Lower-triangular accuracy grid R[l][k], l = task just finished."""
 
@@ -137,7 +142,7 @@ class ResultMatrix:
             cells = []
             for k in range(self.num_tasks):
                 v = self.values[l, k]
-                cells.append("" if np.isnan(v) else f"{v:.10g}")
+                cells.append("" if np.isnan(v) else csv_number(v))
             out.write(",".join(cells) + "\n")
         return out.getvalue()
 

@@ -175,6 +175,11 @@ class TrainParams:
     lr: float = 1e-3
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer)):
+                raise ValueError(f"{name} must be an int, got {value}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:

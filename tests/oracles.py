@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spikecl.network import DivergenceError, ForwardTrace
+from spikecl.importance import SAMPLES
+from spikecl.network import DivergenceError, ForwardTrace, forward_const
 
 
 def _softmax(logits):
@@ -175,6 +176,41 @@ def oracle_isi_importance(raster, epsilon=1e-3, clip_percentile=95.0,
     cutoff = percentile_linear(raw, clip_percentile)
     omega = [min(r, cutoff) / (cutoff + epsilon) for r in raw]
     return omega, raw, cvs
+
+
+def oracle_ablation_importance(net, data, task_id):
+    """Per-neuron rise in mean cross-entropy over the first SAMPLES rows
+    of ``data`` when column i of the task's head is zeroed, clipped at 0
+    and max-normalized: the quantity that Molchanov et al. (2019,
+    "Importance Estimation for Neural Network Pruning") approximate.
+
+    Zeroing column i takes sbar[:, i] * w2[:, i] off the logits, so all H
+    ablations come from one (N, H, C) array per batch.
+    """
+    n = min(SAMPLES, len(data))
+    w2 = net.head(task_id).w2
+    rise = np.zeros(net.hidden_size)
+    for batch in data.batches(n):
+        logits, trace = forward_const(data.rows(batch), task_id, net)
+        labels = data.labels[batch]
+        ablated = logits[:, None, :] - trace.sbar[:, :, None] * w2.T
+        z = np.concatenate([logits[:, None, :], ablated], axis=1)
+        z -= z.max(axis=2, keepdims=True)
+        ce = (np.log(np.exp(z).sum(axis=2))
+              - z[np.arange(len(labels)), :, labels])   # (N, 1 + H)
+        rise += (ce[:, 1:] - ce[:, :1]).sum(axis=0)
+    rise = np.maximum(rise / n, 0.0)
+    return rise / rise.max() if rise.max() > 0.0 else rise
+
+
+def spearman(a, b):
+    """Spearman's rank correlation, tied values given their mean rank."""
+    def ranks(v):
+        v = np.asarray(v, dtype=np.float64)
+        below = (v[:, None] > v[None, :]).sum(axis=1)
+        ties = (v[:, None] == v[None, :]).sum(axis=1)
+        return below + (ties - 1) / 2.0
+    return float(np.corrcoef(ranks(a), ranks(b))[0, 1])
 
 
 def oracle_isi_raster_stats(raster):

@@ -202,7 +202,9 @@ def test_unknown_override_is_rejected():
 def test_a_mistyped_override_is_a_config_error():
     # named like a bad file value, before a field check meets the value
     for key, value in (("hidden_size", "x"), ("lr", "fast"), ("seeds", 5),
-                       ("seeds", (0, "1")), ("data_dir", 3)):
+                       ("seeds", (0, "1")), ("data_dir", 3),
+                       ("hidden_size", True), ("lr", True),
+                       ("seeds", (True,))):
         with pytest.raises(ConfigError) as info:
             load_config(overrides={key: value}, env={})
         assert str(info.value) == f"bad value for {key}: {value!r}"

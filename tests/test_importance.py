@@ -18,14 +18,16 @@ from conftest import (
     record_from_raster,
 )
 from oracles import (
+    oracle_ablation_importance,
     oracle_isi_importance,
     oracle_isi_raster_stats,
     oracle_loss_and_grads,
+    spearman,
 )
 import spikecl
 from spikecl import data as data_module
 from spikecl import importance, kernels
-from spikecl.data import Dataset
+from spikecl.data import Dataset, build_permuted, build_synthetic
 from spikecl.importance import (
     CLIP_PERCENTILE,
     ImportanceVector,
@@ -39,7 +41,8 @@ from spikecl.importance import (
     si_accumulate,
     si_importance,
 )
-from spikecl.network import LIFConfig, new_network, register_head
+from spikecl.network import LIFConfig, forward_const, new_network, register_head
+from spikecl.training import TrainParams, train_task
 
 EPS = 1e-3
 
@@ -637,3 +640,74 @@ def test_si_untouched_parameters_score_zero_and_negatives_clip():
     vec = si_importance(acc, net)
     assert vec.omega[0] == 0.0
     assert vec.omega[1] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Validity: agreement with the ablation oracle
+# ---------------------------------------------------------------------------
+
+def test_ablation_oracle_zeroes_one_head_column_at_a_time():
+    rng = np.random.default_rng(47)
+    inner = 0
+    for _ in range(10):
+        net = random_tiny_net(rng, hidden=5, dim=3, classes=3, timesteps=5)
+        data = random_dataset(rng, 12, 3, rng.integers(0, 3, size=12))
+        x, y = data.images, data.labels
+        head = net.heads[0]
+
+        def mean_ce():
+            logits = forward_const(x, 0, net)[0]
+            return float(np.mean([
+                math.log(sum(math.exp(v) for v in row)) - row[label]
+                for row, label in zip(logits, y)]))
+
+        base = mean_ce()
+        rise = []
+        for i in range(net.hidden_size):
+            column = head.w2[:, i].copy()
+            head.w2[:, i] = 0.0
+            rise.append(max(mean_ce() - base, 0.0))
+            head.w2[:, i] = column
+        top = max(rise)
+        want = np.array(rise) / top if top > 0.0 else np.array(rise)
+        got = oracle_ablation_importance(net, data, 0)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        inner += int(np.sum((0.0 < got) & (got < 1.0)))
+    assert inner > 0   # not only zeros and the maximum
+
+
+def test_spearman_averages_the_ranks_of_ties():
+    assert spearman([3.0, 1.0, 2.0], [30.0, 10.0, 20.0]) == pytest.approx(1.0)
+    assert spearman([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == pytest.approx(-1.0)
+    # ranks (0.5, 0.5, 2) against (0, 1, 2): 1.5 / sqrt(1.5 * 2)
+    assert spearman([1.0, 1.0, 2.0], [1.0, 2.0, 3.0]) == pytest.approx(
+        math.sqrt(0.75))
+
+
+@pytest.mark.parametrize("gain", [1.0, 3.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ewc_tracks_the_ablation_oracle_and_isi_cv_does_not(seed, gain):
+    # task 0 of the reduced proxy of test_anchoring_cuts_forgetting_at_a_
+    # cost_in_learning_accuracy, drawn and trained from run_sequence's seed
+    # streams.  Measured: rho(ewc) 0.46 to 0.70, rho(isi-cv) -0.63 to
+    # +0.30 and negative at every gain-1 seed, smallest gap 0.31 (gain 3,
+    # seed 1)
+    def stream(*key):
+        return np.random.default_rng(np.random.SeedSequence([seed, *key]))
+
+    base = build_synthetic(num_tasks=1, classes=10, train_per_class=100,
+                           test_per_class=50, dim=64, noise=0.3,
+                           seed=seed)[0]
+    train = build_permuted(base.train, base.test, num_tasks=3,
+                           seed=seed)[0].train
+    net = new_network(64, 64, 10, LIFConfig(timesteps=10, gain=gain),
+                      stream(0))
+    register_head(net, stream(1, 0))
+    train_task(net, train, 0, TrainParams(epochs=3, batch_size=16),
+               stream(2, 0))
+    oracle = oracle_ablation_importance(net, train, 0)
+    ewc = spearman(ewc_importance(net, train, 0).omega, oracle)
+    isi_cv = spearman(
+        isi_cv_importance(collect_spike_record(net, train)).omega, oracle)
+    assert ewc >= 0.4
+    assert ewc - isi_cv >= 0.25

@@ -57,6 +57,9 @@ def test_config_takes_a_numpy_integer_timesteps():
 @pytest.mark.parametrize("bad", [
     {"epochs": -1}, {"batch_size": 0},
     {"lr": 0.0}, {"lr": -1.0}, {"lr": float("inf")}, {"lr": float("nan")},
+    # a non-integer would fail only inside train_task, in range()
+    {"epochs": 2.5}, {"batch_size": 2.5}, {"epochs": True},
+    {"batch_size": True},
 ])
 def test_train_params_reject_bad_values(bad):
     with pytest.raises(ValueError):
