@@ -1,26 +1,60 @@
-"""Hot numeric kernels, in plain numpy.
+"""Hot numeric kernels.
 
 The per-timestep membrane recursion and its reverse-mode counterpart
-dominate training time.  The network always drives the trunk with a
-current that is constant over time, so the kernels take one (N, H)
-current per sample rather than a time series.  Each kernel's Python loop
-runs over timesteps, not over samples, and so does the interval count.
+dominate training time, with Adam next.  Those three run in C: their
+loops are in ``_kernels.c``, built on first import by ``_build.load``
+and called through ctypes.  Each computes every element with numpy's
+operations in numpy's order, so its results equal the numpy
+formulation's (kept in ``tests/oracles.py``) bit for bit.  The functions
+here check shapes, dtypes and layout before they pass a pointer.
+
+The network always drives the trunk with a current that is constant over
+time, so the LIF kernels take one (N, H) current per sample rather than
+a time series.  The interval count stays in numpy; its Python loop runs
+over timesteps, not over samples.
 
 Membrane potentials and currents are float64, spikes are bool and
 interval counters int64.
 """
 
+import ctypes
+import os
+
 import numpy as np
+
+from . import _build
 
 __all__ = [
     "BACKEND",
     "lif_forward_const",
     "lif_backward_sum",
+    "adam_update",
     "isi_raster_stats",
 ]
 
 # Kept for environment records such as the benchmark's; there is no other.
-BACKEND = "numpy"
+BACKEND = "c"
+
+_LIB = _build.load(os.path.join(os.path.dirname(__file__), "_kernels.c"))
+
+
+def _bind(name, *argtypes):
+    fn = getattr(_LIB, name)
+    fn.argtypes, fn.restype = argtypes, None
+    return fn
+
+
+_P, _N, _F = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
+_forward = _bind("lif_forward_const", _P, _P, _P, _N, _N, _F, _F)
+_backward = _bind("lif_backward_sum", _P, _P, _P, _N, _N, _F, _F, _F)
+_adam = _bind("adam_update", _P, _P, _P, _P, _N, _F, _F, _F, _F, _F, _F)
+
+
+def _float_matrix(a, name):
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be 2-D (N, H), got shape {a.shape}")
+    return a
 
 
 def lif_forward_const(cur, timesteps, beta, theta):
@@ -30,19 +64,13 @@ def lif_forward_const(cur, timesteps, beta, theta):
     (N, T, H).  Both are views of time-major (T, N, H) storage, so every
     step writes, and the backward kernel reads, one contiguous block.
     """
+    cur = _float_matrix(cur, "cur")
+    timesteps = int(timesteps)
     n_samples, hidden = cur.shape
     u = np.empty((timesteps, n_samples, hidden))
     s = np.empty((timesteps, n_samples, hidden), dtype=bool)
-    u_prev = np.zeros((n_samples, hidden))
-    reset = np.zeros((n_samples, hidden))  # theta * s[t - 1]
-    for t in range(timesteps):
-        u_t = u[t]
-        np.multiply(u_prev, beta, out=u_t)
-        u_t += cur
-        u_t -= reset
-        np.greater_equal(u_t, theta, out=s[t])
-        np.multiply(s[t], theta, out=reset)
-        u_prev = u_t
+    _forward(cur.ctypes.data, u.ctypes.data, s.ctypes.data, cur.size,
+             timesteps, beta, theta)
     return u.transpose(1, 0, 2), s.transpose(1, 0, 2)
 
 
@@ -52,34 +80,47 @@ def lif_backward_sum(u, gsbar, beta, theta, alpha):
     ``gsbar`` is dL/d(mean spike count) per sample and neuron; the spike
     path feeds it back with weight 1/T at every step, the reset path
     feeds -theta times the next step's membrane gradient.  The threshold
-    is differentiated with the ATan pseudo-derivative, evaluated for all
-    timesteps in one pass before the reverse loop.
+    is differentiated with the ATan pseudo-derivative.
 
-    The pseudo-derivative is written over ``u`` itself, so the membrane
-    is consumed: a step holds one (N, T, H) float block, not two.  Pass
-    a copy to keep the potentials.
+    ``u`` (N, T, H) is read, not written.  The forward kernel's views of
+    time-major storage are read in place; any other layout is copied to
+    time-major first.
     """
+    u = np.asarray(u)
+    if u.ndim != 3:
+        raise ValueError(f"u must be 3-D (N, T, H), got shape {u.shape}")
     n_samples, timesteps, hidden = u.shape
-    # g = alpha / (2 * (1 + (c * (u - theta))^2)), in u's buffer
-    g = u
-    g -= theta
-    g *= 0.5 * np.pi * alpha
-    np.multiply(g, g, out=g)
-    g += 1.0
-    g *= 2.0
-    np.divide(alpha, g, out=g)
-    drive = gsbar * (1.0 / timesteps)
-    du = np.zeros((n_samples, hidden))  # dL/du[t + 1], then dL/du[t]
-    ds = np.empty((n_samples, hidden))
-    total = np.zeros((n_samples, hidden))
-    for t in range(timesteps - 1, -1, -1):
-        np.multiply(du, theta, out=ds)
-        np.subtract(drive, ds, out=ds)
-        ds *= g[:, t, :]
-        du *= beta
-        du += ds
-        total += du
+    if timesteps < 1:
+        raise ValueError("u must hold at least one timestep")
+    u = np.ascontiguousarray(u.transpose(1, 0, 2), dtype=np.float64)
+    gsbar = _float_matrix(gsbar, "gsbar")
+    if gsbar.shape != (n_samples, hidden):
+        raise ValueError(f"gsbar must be {(n_samples, hidden)}, got "
+                         f"{gsbar.shape}")
+    total = np.empty((n_samples, hidden))
+    _backward(u.ctypes.data, gsbar.ctypes.data, total.ctypes.data,
+              gsbar.size, timesteps, beta, theta, alpha)
     return total
+
+
+def adam_update(grad, m, v, t, lr, beta1, beta2, eps):
+    """One Adam step, step number ``t`` (from 1), over flat float64 vectors.
+
+    ``m`` and ``v`` are the first and second moments, updated in place;
+    returns the additive delta -lr * mhat / (sqrt(vhat) + eps), with the
+    bias corrections mhat = m / (1 - beta1 ** t) and vhat likewise.
+    """
+    grad = np.ascontiguousarray(grad, dtype=np.float64)
+    for name, moment in (("m", m), ("v", v)):
+        if not (moment.dtype == np.float64 and moment.flags.c_contiguous
+                and moment.flags.writeable and moment.shape == grad.shape):
+            raise ValueError(f"{name} must be a writable C-contiguous float64 "
+                             f"array shaped like the gradient {grad.shape}")
+    delta = np.empty_like(grad)
+    _adam(grad.ctypes.data, m.ctypes.data, v.ctypes.data, delta.ctypes.data,
+          grad.size, beta1, beta2, eps, -lr, 1.0 - beta1 ** t,
+          1.0 - beta2 ** t)
+    return delta
 
 
 def isi_raster_stats(spikes):

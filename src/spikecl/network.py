@@ -11,6 +11,7 @@ per-step head pre-activations.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,12 @@ class UnknownTaskError(KeyError):
 MAX_TIMESTEPS = 2048
 
 
+def require_number(name, value):
+    """Raise ValueError unless ``value`` is a real number; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value}")
+
+
 @dataclass
 class LIFConfig:
     """Neuron parameters: time constant, threshold, steps per sample, and
@@ -43,13 +50,16 @@ class LIFConfig:
     gain: float = 1.0
 
     def __post_init__(self):
+        for name in ("tau", "theta", "gain"):
+            require_number(name, getattr(self, name))
         if not 1.0 < self.tau < math.inf:
             raise ValueError(f"tau must be > 1 and finite, got {self.tau}")
         if not 0.0 < self.theta < math.inf:
             raise ValueError(f"theta must be > 0 and finite, got {self.theta}")
         if not (math.isfinite(self.gain) and self.gain > 0.0):
             raise ValueError(f"gain must be finite and > 0, got {self.gain}")
-        if not isinstance(self.timesteps, (int, np.integer)):
+        if isinstance(self.timesteps, bool) or not isinstance(
+                self.timesteps, (int, np.integer)):
             raise ValueError(f"timesteps must be an int, got {self.timesteps}")
         if self.timesteps < 2:
             raise ValueError(f"timesteps must be >= 2, got {self.timesteps}")
@@ -147,9 +157,9 @@ class ForwardTrace:
     (float64) and ``s`` (bool) are the kernel's (N, T, H) views of
     time-major storage.
 
-    A backward pass consumes the trace: ``u`` and ``s`` are set to None
-    and the surrogate derivative is written over the membrane, which is
-    freed before the weight gradients are formed.
+    A backward pass consumes the trace: ``u`` and ``s`` are set to None,
+    and the membrane is freed once the reverse recursion has read it,
+    before the weight gradients are formed.
     """
 
     inputs: np.ndarray

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .network import DivergenceError, forward_const
+from .network import DivergenceError, forward_const, require_number
 
 # sharpness of the ATan pseudo-derivative that stands in for ds/du
 ALPHA = 2.0
@@ -66,8 +66,8 @@ def _current_grad(trace, delta):
     """dL/d(trunk current) (N, H), given dL/d(logits) ``delta``.
 
     The current is constant over time, so this is the sum over t of
-    dL/du[t].  Consumes the trace: the surrogate derivative overwrites
-    its membrane, and its membrane and spikes are gone on return.
+    dL/du[t].  Consumes the trace: its membrane and spikes are gone on
+    return.
     """
     gsbar = delta @ trace.head.w2  # (N, H) = dL/d(sbar)
     u = trace.u
@@ -130,25 +130,10 @@ class OptimizerState:
     def update(self, grad):
         """Return the additive delta for the flat parameter vector."""
         if self.t == 0:
-            self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
+            self.m, self.v = np.zeros(grad.shape), np.zeros(grad.shape)
         self.t += 1
-        m, v, t = self.m, self.v, self.t
-        # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
-        m *= BETA1
-        scratch = grad * (1.0 - BETA1)
-        m += scratch
-        v *= BETA2
-        np.multiply(grad, 1.0 - BETA2, out=scratch)
-        scratch *= grad
-        v += scratch
-        # -lr * mhat / (sqrt(vhat) + eps)
-        delta = m / (1.0 - BETA1 ** t)
-        delta *= -self.lr
-        np.divide(v, 1.0 - BETA2 ** t, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += EPS
-        delta /= scratch
-        return delta
+        return kernels.adam_update(grad, self.m, self.v, self.t, self.lr,
+                                   BETA1, BETA2, EPS)
 
 
 def adam_step(grads, opt):
@@ -180,6 +165,7 @@ class TrainParams:
             if isinstance(value, bool) or not isinstance(
                     value, (int, np.integer)):
                 raise ValueError(f"{name} must be an int, got {value}")
+        require_number("lr", self.lr)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:

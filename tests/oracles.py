@@ -6,10 +6,12 @@ plain-python interval statistics, a per-neuron, per-sample loop for the
 interval counters, and a hand-written linear-interpolation percentile.
 The former training step (float64 spikes, the surrogate recomputed
 inside the reverse loop, Adam as one pass per parameter) is kept here as
-the bit-for-bit reference for the engine's, and so is the former float64
-data path (images scaled once at load, stored as float64) for the uint8
-Datasets, and the former anchored penalty and gradient (each forming
-w - w* itself) for ``Anchor.pull``.  Shared by the unit tests and the acceptance suite.
+the bit-for-bit reference for the engine's, and so are the numpy bodies
+of the LIF kernels and Adam that the C kernels replaced (``numpy_*``),
+the former float64 data path (images scaled once at load, stored as
+float64) for the uint8 Datasets, and the former anchored penalty and
+gradient (each forming w - w* itself) for ``Anchor.pull``.  Shared by
+the unit tests and the acceptance suite.
 """
 
 import math
@@ -362,6 +364,71 @@ def oracle_adam_step(grads, opt):
     b2 += opt.update("b2", grads.b2)
     return {"w1": dw1, "b1": db1}
 
+
+
+def numpy_lif_forward_const(cur, timesteps, beta, theta):
+    """``kernels.lif_forward_const`` as numpy, the operations the C kernel
+    must repeat per element: (N, T, H) views of time-major storage."""
+    n_samples, hidden = cur.shape
+    u = np.empty((timesteps, n_samples, hidden))
+    s = np.empty((timesteps, n_samples, hidden), dtype=bool)
+    u_prev = np.zeros((n_samples, hidden))
+    reset = np.zeros((n_samples, hidden))  # theta * s[t - 1]
+    for t in range(timesteps):
+        u_t = u[t]
+        np.multiply(u_prev, beta, out=u_t)
+        u_t += cur
+        u_t -= reset
+        np.greater_equal(u_t, theta, out=s[t])
+        np.multiply(s[t], theta, out=reset)
+        u_prev = u_t
+    return u.transpose(1, 0, 2), s.transpose(1, 0, 2)
+
+
+def numpy_lif_backward_sum(u, gsbar, beta, theta, alpha):
+    """``kernels.lif_backward_sum`` as numpy: the ATan pseudo-derivative
+    for all timesteps first, written over ``u``, then the reverse loop."""
+    n_samples, timesteps, hidden = u.shape
+    # g = alpha / (2 * (1 + (c * (u - theta))^2)), in u's buffer
+    g = u
+    g -= theta
+    g *= 0.5 * np.pi * alpha
+    np.multiply(g, g, out=g)
+    g += 1.0
+    g *= 2.0
+    np.divide(alpha, g, out=g)
+    drive = gsbar * (1.0 / timesteps)
+    du = np.zeros((n_samples, hidden))  # dL/du[t + 1], then dL/du[t]
+    ds = np.empty((n_samples, hidden))
+    total = np.zeros((n_samples, hidden))
+    for t in range(timesteps - 1, -1, -1):
+        np.multiply(du, theta, out=ds)
+        np.subtract(drive, ds, out=ds)
+        ds *= g[:, t, :]
+        du *= beta
+        du += ds
+        total += du
+    return total
+
+
+def numpy_adam_update(grad, m, v, t, lr, beta1, beta2, eps):
+    """``kernels.adam_update`` as numpy: m and v in place, returns delta."""
+    # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
+    m *= beta1
+    scratch = grad * (1.0 - beta1)
+    m += scratch
+    v *= beta2
+    np.multiply(grad, 1.0 - beta2, out=scratch)
+    scratch *= grad
+    v += scratch
+    # -lr * mhat / (sqrt(vhat) + eps)
+    delta = m / (1.0 - beta1 ** t)
+    delta *= -lr
+    np.divide(v, 1.0 - beta2 ** t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += eps
+    delta /= scratch
+    return delta
 
 def oracle_anchor_penalty(anchor, net):
     """Former ``Anchor.penalty``: quadratic pull toward the anchor, weighted

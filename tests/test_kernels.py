@@ -2,8 +2,11 @@
 
 ``tests/oracles.py`` keeps the LIF kernels and Adam as they were before
 the spikes became bool, the surrogate moved out of the reverse loop and
-Adam became one flat in-place pass.  Every output here must match those
-references exactly, dtypes included, and so must a whole run.
+Adam became one flat in-place pass, and as the numpy bodies that the C
+kernels replaced (``numpy_*``).  Every output here must match those
+references exactly, dtypes included, and so must a whole run; against
+the numpy bodies that holds at the IEEE edges too (signed zeros,
+subnormals, NaN, infinities, overflow).
 """
 
 import copy
@@ -13,6 +16,9 @@ import pytest
 
 from oracles import (
     OracleOptimizerState,
+    numpy_adam_update,
+    numpy_lif_backward_sum,
+    numpy_lif_forward_const,
     oracle_adam_step,
     oracle_forward_const,
     oracle_lif_backward_sum,
@@ -188,3 +194,111 @@ def test_run_sequence_matches_the_former_training_step(method, monkeypatch):
     former = _run_bytes(method)
 
     assert engine == former
+
+
+def _same(got, want):
+    """Equal dtype, shape and values, NaN matching NaN and -0.0 only -0.0."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    if got.dtype.kind == "f":
+        assert np.array_equal(np.signbit(got) | np.isnan(got),
+                              np.signbit(want) | np.isnan(want))
+
+
+def _edge_currents(rng, n, hidden, theta):
+    """Currents around theta, with theta itself, both zeros, NaN and both
+    infinities planted at random places."""
+    cur = rng.uniform(-0.5 * theta, 2.5 * theta, size=(n, hidden))
+    flat = cur.reshape(-1)
+    for value in (theta, 0.0, -0.0, np.nan, np.inf, -np.inf):
+        flat[rng.integers(0, flat.size, size=max(1, flat.size // 10))] = value
+    return cur
+
+
+def _assert_c_equals_numpy(cur, timesteps, beta, theta, gsbar, alpha):
+    with np.errstate(all="ignore"):  # inf - inf and the like, on purpose
+        u_want, s_want = numpy_lif_forward_const(cur, timesteps, beta, theta)
+    u, s = kernels.lif_forward_const(cur, timesteps, beta, theta)
+    _same(u, u_want)
+    _same(s, s_want)
+    with np.errstate(all="ignore"):
+        want = numpy_lif_backward_sum(u_want.copy(order="K"), gsbar, beta,
+                                      theta, alpha)
+    u_before = u.copy()
+    _same(kernels.lif_backward_sum(u, gsbar, beta, theta, alpha), want)
+    _same(u, u_before)  # the membrane is read, not written
+    return u
+
+
+# (N, H): the vector width divides neither 7 * 13 nor 1 * 1; 33 * 20 spans
+# two of the C kernels' 512-element blocks
+@pytest.mark.parametrize("shape", [(7, 13), (1, 1), (33, 20)])
+@pytest.mark.parametrize("timesteps", [2, 37])
+def test_c_lif_kernels_equal_numpy_at_the_edges(shape, timesteps):
+    rng = np.random.default_rng([6, *shape, timesteps])
+    for beta, theta, alpha in ((0.5, 1.0, 2.0), (0.9, 0.3, 0.5),
+                               (1.0 - 1.0 / 7.3, 1.7, 4.0)):
+        cur = _edge_currents(rng, *shape, theta)
+        gsbar = rng.normal(size=shape)
+        _assert_c_equals_numpy(cur, timesteps, beta, theta, gsbar, alpha)
+        # gsbar at the edges; the membrane runs exactly at threshold
+        gsbar.reshape(-1)[:5] = (np.nan, np.inf, -np.inf, 0.0, -0.0)[
+            :gsbar.size]
+        _assert_c_equals_numpy(np.full(shape, theta), timesteps, beta, theta,
+                               gsbar, alpha)
+
+
+def test_c_lif_kernels_equal_numpy_on_non_contiguous_inputs():
+    rng = np.random.default_rng(7)
+    beta, theta, alpha = 0.6, 0.8, 2.0
+    wide = _edge_currents(rng, 9, 26, theta)
+    for cur in (wide[:, ::2], wide[::2, 1::2], np.asfortranarray(wide),
+                wide.T[:13, :9].T):
+        _assert_c_equals_numpy(cur, 5, beta, theta,
+                               np.asfortranarray(rng.normal(size=cur.shape)),
+                               alpha)
+    # a membrane in another layout than the forward kernel's own
+    u, _ = kernels.lif_forward_const(wide, 6, beta, theta)
+    gsbar = rng.normal(size=(9, 26))[:, ::-1]
+    for other in (u.copy(), np.asfortranarray(u)):
+        with np.errstate(all="ignore"):
+            want = numpy_lif_backward_sum(u.copy(), gsbar, beta, theta, alpha)
+        _same(kernels.lif_backward_sum(other, gsbar, beta, theta, alpha),
+              want)
+    u2, _ = kernels.lif_forward_const(
+        _edge_currents(rng, 9, 52, theta), 6, beta, theta)
+    with np.errstate(all="ignore"):
+        want = numpy_lif_backward_sum(u2[:, :, ::2].copy(), gsbar, beta,
+                                      theta, alpha)
+    _same(kernels.lif_backward_sum(u2[:, :, ::2], gsbar, beta, theta, alpha),
+          want)
+
+
+def test_c_adam_equals_numpy_at_the_edges():
+    rng = np.random.default_rng(8)
+    grads = rng.normal(size=(5, 203))
+    for k, value in enumerate((0.0, -0.0, 5e-324, -2.5e-320, 1e300,
+                               -1e300, 1e-160)):
+        grads[:, k::29] = value
+    grads[2, 100:] = 0.0  # a whole step of zeros over half the vector
+    m, v = np.zeros(203), np.zeros(203)
+    m_ref, v_ref = np.zeros(203), np.zeros(203)
+    for lr in (1e-3, 0.37):
+        for t, grad in enumerate(grads, start=1):
+            with np.errstate(all="ignore"):  # (1e300)^2 overflows to inf
+                want = numpy_adam_update(grad, m_ref, v_ref, t, lr,
+                                         training.BETA1, training.BETA2,
+                                         training.EPS)
+            got = kernels.adam_update(grad, m, v, t, lr, training.BETA1,
+                                      training.BETA2, training.EPS)
+            _same(got, want)
+            _same(m, m_ref)
+            _same(v, v_ref)
+
+
+def test_c_adam_rejects_moments_it_cannot_write():
+    grad = np.ones(4)
+    for m in (np.zeros(5), np.zeros(4, dtype=np.float32), np.zeros(8)[::2]):
+        with pytest.raises(ValueError, match="m must be"):
+            kernels.adam_update(grad, m, np.zeros(4), 1, 1e-3, 0.9, 0.999,
+                                1e-8)

@@ -38,6 +38,8 @@ def test_config_defaults_give_half_decay():
     {"tau": float("inf")}, {"theta": float("inf")},
     {"timesteps": 2.5}, {"timesteps": 10.0},
     {"timesteps": MAX_TIMESTEPS + 1}, {"timesteps": 2 ** 52},
+    # a bool is not a number, though Python lets it compute as 1 or 0
+    {"tau": True}, {"theta": True}, {"gain": True}, {"timesteps": True},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
@@ -59,7 +61,7 @@ def test_config_takes_a_numpy_integer_timesteps():
     {"lr": 0.0}, {"lr": -1.0}, {"lr": float("inf")}, {"lr": float("nan")},
     # a non-integer would fail only inside train_task, in range()
     {"epochs": 2.5}, {"batch_size": 2.5}, {"epochs": True},
-    {"batch_size": True},
+    {"batch_size": True}, {"lr": True},
 ])
 def test_train_params_reject_bad_values(bad):
     with pytest.raises(ValueError):
