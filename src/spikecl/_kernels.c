@@ -8,7 +8,8 @@
  * reassociates (no fast-math flag); _build.py owns the flags.
  *
  * Arrays are C-contiguous; kernels.py checks shapes, dtypes and layout
- * before it passes a pointer.  An (N, H) slab is nh = N * H elements and a
+ * before it passes a pointer, and passes a null pointer for an empty
+ * array, which no loop reads.  An (N, H) slab is nh = N * H elements and a
  * (T, N, H) block stores timestep t at offset t * nh.  The time loops run
  * over BLOCK elements at a time, so an element's state stays in cache
  * while its timesteps pass.
@@ -16,6 +17,7 @@
 
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 
 #define BLOCK 512
 
@@ -26,17 +28,25 @@ static ptrdiff_t block_len(ptrdiff_t lo, ptrdiff_t n)
 
 /* u[t] = beta * u[t-1] + cur - theta * s[t-1];  s[t] = u[t] >= theta,
  * with u[-1] = s[-1] = 0.  cur is (N, H); u and s are (T, N, H), s as
- * numpy bools (one byte, 0 or 1).  The reset theta * s[t-1] is formed
- * again from u[t-1], which is one block back and still in cache; the
- * spikes are stored in a loop of their own, which keeps the loop over
- * doubles vectorized. */
+ * numpy bools (one byte, 0 or 1).  sbar (N, H) receives the spike count
+ * over the T steps divided once by T: numpy's mean of bools, an exact
+ * count in float64 and one division.  The reset theta * s[t-1] is formed
+ * again from u[t-1], which is one block back and still in cache; each
+ * spike is stored and counted in a loop of its own, which keeps the loop
+ * over doubles vectorized.  The count is int32_t, so timesteps must be
+ * below 2^31. */
 void lif_forward_const(const double *restrict cur, double *restrict u,
-                       unsigned char *restrict s, ptrdiff_t nh,
-                       ptrdiff_t timesteps, double beta, double theta)
+                       unsigned char *restrict s, double *restrict sbar,
+                       ptrdiff_t nh, ptrdiff_t timesteps, double beta,
+                       double theta)
 {
+    const double t_count = (double)timesteps;
+    int32_t count[BLOCK];
     for (ptrdiff_t lo = 0; lo < nh; lo += BLOCK) {
         ptrdiff_t len = block_len(lo, nh);
         const double *c = cur + lo;
+        for (ptrdiff_t j = 0; j < len; j++)
+            count[j] = 0;
         for (ptrdiff_t t = 0; t < timesteps; t++) {
             double *ut = u + t * nh + lo;
             unsigned char *st = s + t * nh + lo;
@@ -55,9 +65,14 @@ void lif_forward_const(const double *restrict cur, double *restrict u,
                     ut[j] = x - (p >= theta ? 1.0 : 0.0) * theta;
                 }
             }
-            for (ptrdiff_t j = 0; j < len; j++)
-                st[j] = ut[j] >= theta;
+            for (ptrdiff_t j = 0; j < len; j++) {
+                int32_t spike = ut[j] >= theta;
+                st[j] = (unsigned char)spike;
+                count[j] += spike;
+            }
         }
+        for (ptrdiff_t j = 0; j < len; j++)
+            sbar[lo + j] = (double)count[j] / t_count;
     }
 }
 
@@ -104,13 +119,13 @@ void lif_backward_sum(const double *restrict u,
     }
 }
 
-/* One Adam step over n parameters: the moments m and v are updated in
- * place and delta receives -lr * mhat / (sqrt(vhat) + eps), where
- * mhat = m / bias1 and vhat = v / bias2. */
-void adam_update(const double *restrict grad, double *restrict m,
-                 double *restrict v, double *restrict delta,
-                 ptrdiff_t n, double beta1, double beta2, double eps,
-                 double neg_lr, double bias1, double bias2)
+/* Adam's moments and delta over one segment of the flat vector, and the
+ * segment's parameters p stepped by the delta: p = p + delta. */
+static void adam_segment(const double *restrict grad, double *restrict m,
+                         double *restrict v, double *restrict delta,
+                         double *restrict p, ptrdiff_t n, double beta1,
+                         double beta2, double eps, double neg_lr,
+                         double bias1, double bias2)
 {
     const double c1 = 1.0 - beta1;
     const double c2 = 1.0 - beta2;
@@ -129,6 +144,39 @@ void adam_update(const double *restrict grad, double *restrict m,
         double r = vi / bias2;
         r = sqrt(r);
         r = r + eps;
-        delta[i] = d / r;
+        d = d / r;
+        delta[i] = d;
+        p[i] = p[i] + d;
     }
+}
+
+/* One Adam step over the trunk and one head, whose gradients lie back to
+ * back in grad: n1 for w1, n2 for b1, n3 for w2 and n4 for b2.  Returns 1
+ * and writes nothing if any gradient entry is not finite.  Otherwise the
+ * moments m and v are updated in place, delta receives
+ * -lr * mhat / (sqrt(vhat) + eps), where mhat = m / bias1 and
+ * vhat = v / bias2, each parameter is stepped by its delta, and it
+ * returns 0. */
+int adam_apply(const double *restrict grad, double *restrict m,
+               double *restrict v, double *restrict delta,
+               double *restrict w1, ptrdiff_t n1, double *restrict b1,
+               ptrdiff_t n2, double *restrict w2, ptrdiff_t n3,
+               double *restrict b2, ptrdiff_t n4, double beta1, double beta2,
+               double eps, double neg_lr, double bias1, double bias2)
+{
+    double *const params[4] = {w1, b1, w2, b2};
+    const ptrdiff_t sizes[4] = {n1, n2, n3, n4};
+    const ptrdiff_t n = n1 + n2 + n3 + n4;
+    int finite = 1;
+    for (ptrdiff_t i = 0; i < n; i++)
+        finite &= isfinite(grad[i]) != 0;
+    if (!finite)
+        return 1;
+    ptrdiff_t lo = 0;
+    for (int k = 0; k < 4; k++) {
+        adam_segment(grad + lo, m + lo, v + lo, delta + lo, params[k],
+                     sizes[k], beta1, beta2, eps, neg_lr, bias1, bias2);
+        lo += sizes[k];
+    }
+    return 0;
 }

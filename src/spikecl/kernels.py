@@ -1,12 +1,14 @@
 """Hot numeric kernels.
 
 The per-timestep membrane recursion and its reverse-mode counterpart
-dominate training time, with Adam next.  Those three run in C: their
-loops are in ``_kernels.c``, built on first import by ``_build.load``
-and called through ctypes.  Each computes every element with numpy's
-operations in numpy's order, so its results equal the numpy
-formulation's (kept in ``tests/oracles.py``) bit for bit.  The functions
-here check shapes, dtypes and layout before they pass a pointer.
+dominate training time, with Adam next.  Those three run in C, together
+with the element-wise work around them (the mean spike count and the
+parameter step): their loops are in ``_kernels.c``, built on first
+import by ``_build.load`` and called through ctypes.  Each computes
+every element with numpy's operations in numpy's order, so its results
+equal the numpy formulation's (kept in ``tests/oracles.py``) bit for
+bit.  The functions here check shapes, dtypes and layout before they
+pass a pointer.
 
 The network always drives the trunk with a current that is constant over
 time, so the LIF kernels take one (N, H) current per sample rather than
@@ -28,7 +30,7 @@ __all__ = [
     "BACKEND",
     "lif_forward_const",
     "lif_backward_sum",
-    "adam_update",
+    "adam_apply",
     "isi_raster_stats",
 ]
 
@@ -38,16 +40,38 @@ BACKEND = "c"
 _LIB = _build.load(os.path.join(os.path.dirname(__file__), "_kernels.c"))
 
 
-def _bind(name, *argtypes):
+def _bind(name, restype, *argtypes):
     fn = getattr(_LIB, name)
-    fn.argtypes, fn.restype = argtypes, None
+    fn.argtypes, fn.restype = argtypes, restype
     return fn
 
 
 _P, _N, _F = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-_forward = _bind("lif_forward_const", _P, _P, _P, _N, _N, _F, _F)
-_backward = _bind("lif_backward_sum", _P, _P, _P, _N, _N, _F, _F, _F)
-_adam = _bind("adam_update", _P, _P, _P, _P, _N, _F, _F, _F, _F, _F, _F)
+_forward = _bind("lif_forward_const", None, _P, _P, _P, _P, _N, _N, _F, _F)
+_backward = _bind("lif_backward_sum", None, _P, _P, _P, _N, _N, _F, _F, _F)
+_adam = _bind("adam_apply", ctypes.c_int, _P, _P, _P, _P, _P, _N, _P, _N,
+              _P, _N, _P, _N, _F, _F, _F, _F, _F, _F)
+_from_buffer, _addressof = ctypes.c_char.from_buffer, ctypes.addressof
+# the forward kernel counts spikes in int32
+_MAX_TIMESTEPS = 2 ** 31 - 1
+
+
+def _address(a):
+    """The address of the C-contiguous array ``a``'s first element.
+
+    ``c_char.from_buffer`` costs a fraction of ``a.ctypes.data`` but
+    needs a writable, non-empty buffer.  A read-only array, which a
+    kernel only reads, takes ``a.ctypes.data``; an empty one passes a
+    null pointer, which no kernel loop reads.
+    """
+    try:
+        return _addressof(_from_buffer(a))
+    except TypeError:  # read-only, or not C-contiguous
+        if not a.flags.c_contiguous:
+            raise ValueError("a kernel array must be C-contiguous") from None
+        return a.ctypes.data
+    except ValueError:  # empty
+        return None
 
 
 def _float_matrix(a, name):
@@ -61,17 +85,23 @@ def lif_forward_const(cur, timesteps, beta, theta):
     """Membrane recursion for an input current constant over time (N, H).
 
     Returns the membrane potentials (float64) and the spikes (bool), each
-    (N, T, H).  Both are views of time-major (T, N, H) storage, so every
-    step writes, and the backward kernel reads, one contiguous block.
+    (N, T, H), and the mean spike count over time (N, H), float64 and
+    equal to the spikes' ``mean(axis=1)``.  The first two are views of
+    time-major (T, N, H) storage, so every step writes, and the backward
+    kernel reads, one contiguous block.
     """
     cur = _float_matrix(cur, "cur")
     timesteps = int(timesteps)
+    if timesteps > _MAX_TIMESTEPS:
+        raise ValueError(f"timesteps must be <= {_MAX_TIMESTEPS}, got "
+                         f"{timesteps}")
     n_samples, hidden = cur.shape
     u = np.empty((timesteps, n_samples, hidden))
     s = np.empty((timesteps, n_samples, hidden), dtype=bool)
-    _forward(cur.ctypes.data, u.ctypes.data, s.ctypes.data, cur.size,
-             timesteps, beta, theta)
-    return u.transpose(1, 0, 2), s.transpose(1, 0, 2)
+    sbar = np.empty((n_samples, hidden))
+    _forward(_address(cur), _address(u), _address(s), _address(sbar),
+             cur.size, timesteps, beta, theta)
+    return u.transpose(1, 0, 2), s.transpose(1, 0, 2), sbar
 
 
 def lif_backward_sum(u, gsbar, beta, theta, alpha):
@@ -98,28 +128,45 @@ def lif_backward_sum(u, gsbar, beta, theta, alpha):
         raise ValueError(f"gsbar must be {(n_samples, hidden)}, got "
                          f"{gsbar.shape}")
     total = np.empty((n_samples, hidden))
-    _backward(u.ctypes.data, gsbar.ctypes.data, total.ctypes.data,
-              gsbar.size, timesteps, beta, theta, alpha)
+    _backward(_address(u), _address(gsbar), _address(total), gsbar.size,
+              timesteps, beta, theta, alpha)
     return total
 
 
-def adam_update(grad, m, v, t, lr, beta1, beta2, eps):
-    """One Adam step, step number ``t`` (from 1), over flat float64 vectors.
+def adam_apply(grad, m, v, params, t, lr, beta1, beta2, eps):
+    """One Adam step, step number ``t`` (from 1), applied to ``params``.
 
-    ``m`` and ``v`` are the first and second moments, updated in place;
-    returns the additive delta -lr * mhat / (sqrt(vhat) + eps), with the
-    bias corrections mhat = m / (1 - beta1 ** t) and vhat likewise.
+    ``params`` are four arrays, (w1, b1, w2, b2), and ``grad`` holds
+    their gradients back to back as one flat float64 vector.  If an entry
+    of ``grad`` is not finite, nothing is written and None is returned.
+    Otherwise ``m`` and ``v``, the first and second moments, are updated
+    in place, every parameter is stepped in place by its delta
+    -lr * mhat / (sqrt(vhat) + eps), with the bias corrections
+    mhat = m / (1 - beta1 ** t) and vhat likewise, and the flat delta is
+    returned.
     """
     grad = np.ascontiguousarray(grad, dtype=np.float64)
+    w1, b1, w2, b2 = params
+    sizes = [p.size for p in params]
+    for name, a in (("m", m), ("v", v), ("w1", w1), ("b1", b1), ("w2", w2),
+                    ("b2", b2)):
+        if not (a.dtype == np.float64 and a.flags.c_contiguous
+                and a.flags.writeable):
+            raise ValueError(f"{name} must be a writable C-contiguous "
+                             f"float64 array")
     for name, moment in (("m", m), ("v", v)):
-        if not (moment.dtype == np.float64 and moment.flags.c_contiguous
-                and moment.flags.writeable and moment.shape == grad.shape):
-            raise ValueError(f"{name} must be a writable C-contiguous float64 "
-                             f"array shaped like the gradient {grad.shape}")
+        if moment.shape != grad.shape:
+            raise ValueError(f"{name} must be shaped like the gradient "
+                             f"{grad.shape}, got {moment.shape}")
+    if sum(sizes) != grad.size:
+        raise ValueError(f"the parameters hold {sum(sizes)} elements, the "
+                         f"gradient {grad.size}")
     delta = np.empty_like(grad)
-    _adam(grad.ctypes.data, m.ctypes.data, v.ctypes.data, delta.ctypes.data,
-          grad.size, beta1, beta2, eps, -lr, 1.0 - beta1 ** t,
-          1.0 - beta2 ** t)
+    if _adam(_address(grad), _address(m), _address(v), _address(delta),
+             _address(w1), sizes[0], _address(b1), sizes[1], _address(w2),
+             sizes[2], _address(b2), sizes[3], beta1, beta2, eps, -lr,
+             1.0 - beta1 ** t, 1.0 - beta2 ** t):
+        return None
     return delta
 
 

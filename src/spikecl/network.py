@@ -189,8 +189,8 @@ def forward_const(x, task_id, net):
     if lif.gain != 1.0:
         x = x * lif.gain
     cur = x @ net.w1.T + net.b1
-    u, s = kernels.lif_forward_const(cur, lif.timesteps, lif.beta, lif.theta)
-    sbar = s.mean(axis=1)
+    u, s, sbar = kernels.lif_forward_const(cur, lif.timesteps, lif.beta,
+                                           lif.theta)
     logits = sbar @ head.w2.T + head.b2
     trace = ForwardTrace(
         inputs=x,

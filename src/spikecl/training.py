@@ -127,30 +127,38 @@ class OptimizerState:
     v: np.ndarray = field(default=None, init=False)
     t: int = field(default=0, init=False)
 
-    def update(self, grad):
-        """Return the additive delta for the flat parameter vector."""
-        if self.t == 0:
+    def update(self, grad, params):
+        """Step ``params`` (w1, b1, w2, b2) in place by Adam; ``grad`` is
+        their gradients back to back.  Returns the flat delta applied.
+
+        A gradient with a non-finite entry raises DivergenceError and
+        leaves the parameters, the moments and t as they were.
+        """
+        if self.m is None:
             self.m, self.v = np.zeros(grad.shape), np.zeros(grad.shape)
+        delta = kernels.adam_apply(grad, self.m, self.v, params, self.t + 1,
+                                   self.lr, BETA1, BETA2, EPS)
+        if delta is None:
+            raise DivergenceError(
+                "non-finite gradient passed to the optimizer")
         self.t += 1
-        return kernels.adam_update(grad, self.m, self.v, self.t, self.lr,
-                                   BETA1, BETA2, EPS)
+        return delta
 
 
 def adam_step(grads, opt):
     """Apply one Adam update in place; returns the applied trunk deltas.
 
-    ``grads.params`` are stepped as one flat vector, the GradientSet's
+    ``grads.params`` are stepped by one flat vector, the GradientSet's
     own, so a gradient set steps only the arrays it was computed for.
-    The returned dict maps "w1"/"b1" to the actual parameter changes
+    They must be writable C-contiguous float64 arrays, as
+    ``new_network``, ``register_head`` and ``load_checkpoint`` make them;
+    any other raises ValueError before anything is written.  The
+    returned dict maps "w1"/"b1" to the actual parameter changes
     (views of that step's delta), which path-integral importance
     accumulation needs verbatim.
     """
-    if not np.isfinite(grads.flat).all():
-        raise DivergenceError("non-finite gradient passed to the optimizer")
-    deltas = _views(opt.update(grads.flat), grads.params)
-    for p, d in zip(grads.params, deltas):
-        p += d
-    return {"w1": deltas[0], "b1": deltas[1]}
+    dw1, db1 = _views(opt.update(grads.flat, grads.params), grads.params[:2])
+    return {"w1": dw1, "b1": db1}
 
 
 @dataclass

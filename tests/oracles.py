@@ -368,7 +368,8 @@ def oracle_adam_step(grads, opt):
 
 def numpy_lif_forward_const(cur, timesteps, beta, theta):
     """``kernels.lif_forward_const`` as numpy, the operations the C kernel
-    must repeat per element: (N, T, H) views of time-major storage."""
+    must repeat per element: (N, T, H) views of time-major storage, and
+    the mean spike count ``s.mean(axis=1)`` that ``forward_const`` took."""
     n_samples, hidden = cur.shape
     u = np.empty((timesteps, n_samples, hidden))
     s = np.empty((timesteps, n_samples, hidden), dtype=bool)
@@ -382,7 +383,8 @@ def numpy_lif_forward_const(cur, timesteps, beta, theta):
         np.greater_equal(u_t, theta, out=s[t])
         np.multiply(s[t], theta, out=reset)
         u_prev = u_t
-    return u.transpose(1, 0, 2), s.transpose(1, 0, 2)
+    s = s.transpose(1, 0, 2)
+    return u.transpose(1, 0, 2), s, s.mean(axis=1)
 
 
 def numpy_lif_backward_sum(u, gsbar, beta, theta, alpha):
@@ -412,7 +414,9 @@ def numpy_lif_backward_sum(u, gsbar, beta, theta, alpha):
 
 
 def numpy_adam_update(grad, m, v, t, lr, beta1, beta2, eps):
-    """``kernels.adam_update`` as numpy: m and v in place, returns delta."""
+    """The moments and delta of ``kernels.adam_apply`` as numpy: m and v
+    in place, returns delta.  The kernel then adds the delta to each
+    parameter, as ``p += d`` on a view of it would."""
     # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
     m *= beta1
     scratch = grad * (1.0 - beta1)

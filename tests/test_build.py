@@ -30,14 +30,18 @@ def _code():
 
 
 def _adam_one(lib):
-    """One Adam step of one parameter through ``lib``; returns the delta."""
-    fn = lib.adam_update
-    fn.argtypes = (ctypes.c_void_p,) * 4 + (ctypes.c_ssize_t,) + \
-        (ctypes.c_double,) * 6
-    fn.restype = None
+    """One Adam step of one parameter (w1's only entry; b1, w2 and b2
+    empty) through ``lib``; returns the delta."""
+    fn = lib.adam_apply
+    fn.argtypes = (ctypes.c_void_p,) * 4 + \
+        (ctypes.c_void_p, ctypes.c_ssize_t) * 4 + (ctypes.c_double,) * 6
+    fn.restype = ctypes.c_int
     grad, m, v, delta = np.array([0.5]), np.zeros(1), np.zeros(1), np.empty(1)
-    fn(grad.ctypes.data, m.ctypes.data, v.ctypes.data, delta.ctypes.data, 1,
-       0.9, 0.999, 1e-8, -1e-3, 1.0 - 0.9, 1.0 - 0.999)
+    w1 = np.zeros(1)
+    status = fn(grad.ctypes.data, m.ctypes.data, v.ctypes.data,
+                delta.ctypes.data, w1.ctypes.data, 1, None, 0, None, 0, None,
+                0, 0.9, 0.999, 1e-8, -1e-3, 1.0 - 0.9, 1.0 - 0.999)
+    assert status == 0 and w1[0] == delta[0]
     return delta[0]
 
 
@@ -127,6 +131,19 @@ def test_a_cache_directory_others_could_write_is_refused(tmp_cache, tmp_path,
         tmp_cache.symlink_to(tmp_path / "elsewhere")
     with pytest.raises(_build.BuildError, match="mode 0700"):
         _build.load(SOURCE)
+
+
+def test_the_kernels_compile_without_warnings(tmp_path):
+    # the build's own flags, spelled once in _build.COMMAND, plus every
+    # warning as an error
+    out = tmp_path / "kernels.so"
+    done = subprocess.run(
+        (*_build.COMMAND, "-Wall", "-Wextra", "-Werror", "-o", str(out)),
+        input=_code(), capture_output=True, timeout=_build.BUILD_TIMEOUT_S,
+    )
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    assert done.stderr == b""
+    assert out.stat().st_size > 0
 
 
 def test_the_flags_keep_ieee_arithmetic():

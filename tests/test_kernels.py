@@ -61,13 +61,14 @@ def _random_cases(seed, count):
 
 
 def _assert_forward_matches(cur, timesteps, beta, theta):
-    u, s = kernels.lif_forward_const(cur, timesteps, beta, theta)
+    u, s, sbar = kernels.lif_forward_const(cur, timesteps, beta, theta)
     u_ref, s_ref = oracle_lif_forward_const(cur, timesteps, beta, theta)
     assert u.dtype == np.float64 and s.dtype == np.bool_
     assert u.shape == s.shape == u_ref.shape
     assert np.array_equal(u, u_ref)
     assert np.array_equal(s, s_ref)
-    assert np.array_equal(s.mean(axis=1), s_ref.mean(axis=1))
+    assert sbar.dtype == np.float64 and sbar.flags.c_contiguous
+    assert sbar.tobytes() == s_ref.mean(axis=1).tobytes()
     return u, s
 
 
@@ -95,7 +96,7 @@ def test_lif_forward_matches_oracle_bit_for_bit(regime):
 def test_lif_backward_matches_oracle_bit_for_bit(regime):
     for rng, n, timesteps, hidden, beta, theta in _random_cases(2, 20):
         cur = _currents(rng, n, hidden, regime, theta)
-        u, _ = kernels.lif_forward_const(cur, timesteps, beta, theta)
+        u, _, _ = kernels.lif_forward_const(cur, timesteps, beta, theta)
         gsbar = rng.normal(size=(n, hidden))
         _assert_backward_matches(u, gsbar, beta, theta, rng.uniform(0.5, 4.0))
 
@@ -217,10 +218,12 @@ def _edge_currents(rng, n, hidden, theta):
 
 def _assert_c_equals_numpy(cur, timesteps, beta, theta, gsbar, alpha):
     with np.errstate(all="ignore"):  # inf - inf and the like, on purpose
-        u_want, s_want = numpy_lif_forward_const(cur, timesteps, beta, theta)
-    u, s = kernels.lif_forward_const(cur, timesteps, beta, theta)
+        u_want, s_want, sbar_want = numpy_lif_forward_const(cur, timesteps,
+                                                            beta, theta)
+    u, s, sbar = kernels.lif_forward_const(cur, timesteps, beta, theta)
     _same(u, u_want)
     _same(s, s_want)
+    _same(sbar, sbar_want)
     with np.errstate(all="ignore"):
         want = numpy_lif_backward_sum(u_want.copy(order="K"), gsbar, beta,
                                       theta, alpha)
@@ -258,20 +261,50 @@ def test_c_lif_kernels_equal_numpy_on_non_contiguous_inputs():
                                np.asfortranarray(rng.normal(size=cur.shape)),
                                alpha)
     # a membrane in another layout than the forward kernel's own
-    u, _ = kernels.lif_forward_const(wide, 6, beta, theta)
+    u, _, _ = kernels.lif_forward_const(wide, 6, beta, theta)
     gsbar = rng.normal(size=(9, 26))[:, ::-1]
     for other in (u.copy(), np.asfortranarray(u)):
         with np.errstate(all="ignore"):
             want = numpy_lif_backward_sum(u.copy(), gsbar, beta, theta, alpha)
         _same(kernels.lif_backward_sum(other, gsbar, beta, theta, alpha),
               want)
-    u2, _ = kernels.lif_forward_const(
+    u2, _, _ = kernels.lif_forward_const(
         _edge_currents(rng, 9, 52, theta), 6, beta, theta)
     with np.errstate(all="ignore"):
         want = numpy_lif_backward_sum(u2[:, :, ::2].copy(), gsbar, beta,
                                       theta, alpha)
     _same(kernels.lif_backward_sum(u2[:, :, ::2], gsbar, beta, theta, alpha),
           want)
+
+
+# (w1, b1, w2, b2) shapes whose sizes add to the 203 gradient entries
+PARAM_SHAPES = ((10, 15), (10,), (4, 10), (3,))
+
+
+def _edge_params(rng):
+    """Parameters with both zeros, a subnormal and large values planted,
+    so that the step's own signs of zero show in p + d."""
+    params = []
+    for shape in PARAM_SHAPES:
+        p = rng.normal(size=shape)
+        flat = p.reshape(-1)
+        flat[::3] = 0.0
+        flat[1::5] = -0.0
+        flat[2::7] = (5e-324, 1e300, -1e300)[len(params) % 3]
+        params.append(p)
+    return params
+
+
+def _numpy_adam_apply(grad, m, v, params, t, lr):
+    """``numpy_adam_update`` followed by ``p += d`` on views of the delta."""
+    with np.errstate(all="ignore"):  # (1e300)^2 overflows to inf
+        delta = numpy_adam_update(grad, m, v, t, lr, training.BETA1,
+                                  training.BETA2, training.EPS)
+        lo = 0
+        for p in params:
+            p += delta[lo:lo + p.size].reshape(p.shape)
+            lo += p.size
+    return delta
 
 
 def test_c_adam_equals_numpy_at_the_edges():
@@ -283,22 +316,111 @@ def test_c_adam_equals_numpy_at_the_edges():
     grads[2, 100:] = 0.0  # a whole step of zeros over half the vector
     m, v = np.zeros(203), np.zeros(203)
     m_ref, v_ref = np.zeros(203), np.zeros(203)
+    params = _edge_params(rng)
+    params_ref = [p.copy() for p in params]
     for lr in (1e-3, 0.37):
         for t, grad in enumerate(grads, start=1):
-            with np.errstate(all="ignore"):  # (1e300)^2 overflows to inf
-                want = numpy_adam_update(grad, m_ref, v_ref, t, lr,
-                                         training.BETA1, training.BETA2,
-                                         training.EPS)
-            got = kernels.adam_update(grad, m, v, t, lr, training.BETA1,
-                                      training.BETA2, training.EPS)
+            want = _numpy_adam_apply(grad, m_ref, v_ref, params_ref, t, lr)
+            got = kernels.adam_apply(grad, m, v, params, t, lr,
+                                     training.BETA1, training.BETA2,
+                                     training.EPS)
             _same(got, want)
             _same(m, m_ref)
             _same(v, v_ref)
+            for p, p_ref in zip(params, params_ref):
+                _same(p, p_ref)
+
+
+def _adam_args(size=4):
+    """A gradient, moments and (w1, b1, w2, b2) for ``size`` entries."""
+    params = [np.zeros((1, size - 1)), np.zeros(1), np.zeros((0, 1)),
+              np.zeros(0)]
+    return np.ones(size), np.zeros(size), np.zeros(size), params
 
 
 def test_c_adam_rejects_moments_it_cannot_write():
-    grad = np.ones(4)
+    grad, _, v, params = _adam_args()
     for m in (np.zeros(5), np.zeros(4, dtype=np.float32), np.zeros(8)[::2]):
         with pytest.raises(ValueError, match="m must be"):
-            kernels.adam_update(grad, m, np.zeros(4), 1, 1e-3, 0.9, 0.999,
-                                1e-8)
+            kernels.adam_apply(grad, m, v, params, 1, 1e-3, 0.9, 0.999, 1e-8)
+    read_only = np.zeros(4)
+    read_only.flags.writeable = False
+    with pytest.raises(ValueError, match="v must be"):
+        kernels.adam_apply(grad, np.zeros(4), read_only, params, 1, 1e-3,
+                           0.9, 0.999, 1e-8)
+
+
+def test_c_adam_rejects_parameters_it_cannot_write():
+    grad, _, _, params = _adam_args()
+    frozen = np.zeros(1)
+    frozen.flags.writeable = False
+    for index, bad in ((0, np.zeros((3, 2))[:, :1].T), (1, frozen),
+                       (3, np.zeros(1, dtype=np.float32))):
+        m, v = np.zeros(4), np.zeros(4)
+        wrong = list(params)
+        wrong[index] = bad
+        with pytest.raises(ValueError, match="must be a writable"):
+            kernels.adam_apply(grad, m, v, wrong, 1, 1e-3, 0.9, 0.999, 1e-8)
+        assert not m.any() and not v.any()
+    with pytest.raises(ValueError, match="parameters hold 5 elements"):
+        kernels.adam_apply(grad, np.zeros(4), np.zeros(4),
+                           [np.zeros((1, 4)), *params[1:]], 1, 1e-3, 0.9,
+                           0.999, 1e-8)
+
+
+def _frozen(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+def test_c_kernels_take_read_only_and_empty_inputs():
+    rng = np.random.default_rng(9)
+    beta, theta, alpha = 0.6, 0.8, 2.0
+    # read-only currents and gsbar: read through their own buffers
+    cur = _edge_currents(rng, 5, 7, theta)
+    gsbar = rng.normal(size=(5, 7))
+    _assert_c_equals_numpy(_frozen(cur), 4, beta, theta, _frozen(gsbar),
+                           alpha)
+    u, _, _ = kernels.lif_forward_const(cur, 4, beta, theta)
+    with np.errstate(all="ignore"):
+        want = numpy_lif_backward_sum(u.copy(), gsbar, beta, theta, alpha)
+    u.base.flags.writeable = False
+    _same(kernels.lif_backward_sum(u, gsbar, beta, theta, alpha), want)
+    # no samples, no neurons: empty arrays pass a null pointer
+    for shape in ((0, 7), (5, 0), (0, 0)):
+        _assert_c_equals_numpy(np.zeros(shape), 3, beta, theta,
+                               np.zeros(shape), alpha)
+    # Adam: a read-only and a strided gradient are copied or read in place
+    for grad in (_frozen(rng.normal(size=4)), rng.normal(size=8)[::2]):
+        _, m, v, params = _adam_args()
+        _, m_ref, v_ref, params_ref = _adam_args()
+        want = _numpy_adam_apply(np.array(grad), m_ref, v_ref, params_ref, 1,
+                                 1e-3)
+        got = kernels.adam_apply(grad, m, v, params, 1, 1e-3, training.BETA1,
+                                 training.BETA2, training.EPS)
+        _same(got, want)
+        _same(m, m_ref)
+        for p, p_ref in zip(params, params_ref):
+            _same(p, p_ref)
+    # nothing to step at all (_adam_args has a head with no classes)
+    empty = [np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)), np.zeros(0)]
+    got = kernels.adam_apply(np.zeros(0), np.zeros(0), np.zeros(0), empty, 1,
+                             1e-3, 0.9, 0.999, 1e-8)
+    assert got.shape == (0,) and got.dtype == np.float64
+    # the wrappers copy or reject a strided array; the pointer helper
+    # itself refuses one rather than pass its first element's address
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernels._address(np.zeros((3, 4))[:, ::2])
+
+
+def test_c_adam_writes_nothing_for_a_non_finite_gradient():
+    grad, m, v, params = _adam_args()
+    for value in (np.nan, np.inf, -np.inf):
+        for index in range(4):
+            bad = grad.copy()
+            bad[index] = value
+            assert kernels.adam_apply(bad, m, v, params, 1, 1e-3, 0.9,
+                                      0.999, 1e-8) is None
+            assert not m.any() and not v.any()
+            assert not any(p.any() for p in params)

@@ -256,11 +256,12 @@ def test_adam_steps_the_gradient_vector_itself(monkeypatch):
     stepped = []
     real_update = OptimizerState.update
     monkeypatch.setattr(OptimizerState, "update",
-                        lambda self, grad: stepped.append(grad)
-                        or real_update(self, grad))
+                        lambda self, grad, params: stepped.append(
+                            (grad, params)) or real_update(self, grad, params))
     grads = filled_grads(net, 0.5)
     adam_step(grads, OptimizerState(lr=1e-3))
-    assert len(stepped) == 1 and stepped[0] is grads.flat
+    assert len(stepped) == 1 and stepped[0][0] is grads.flat
+    assert stepped[0][1] is grads.params
 
 
 def test_adam_rejects_non_finite_gradients():
@@ -270,6 +271,27 @@ def test_adam_rejects_non_finite_gradients():
     grads.w1[0, 0] = np.nan
     with pytest.raises(DivergenceError):
         adam_step(grads, OptimizerState(lr=1e-3))
+    # a failed step changes nothing: not the parameters, the moments or t
+    opt = OptimizerState(lr=1e-3)
+    grads = GradientSet(net, net.head(0))
+    grads.flat[:] = rng.normal(size=grads.flat.size)
+    adam_step(grads, opt)
+    for segment in ("w1", "b1", "w2", "b2"):
+        for index in (0, -1):
+            for value in (np.nan, np.inf, -np.inf):
+                before = [a.tobytes() for a in (*grads.params, opt.m, opt.v)]
+                grads.flat[:] = rng.normal(size=grads.flat.size)
+                getattr(grads, segment).reshape(-1)[index] = value
+                with pytest.raises(DivergenceError):
+                    adam_step(grads, opt)
+                after = [a.tobytes() for a in (*grads.params, opt.m, opt.v)]
+                assert after == before and opt.t == 1
+    # nor does a failed first step
+    opt = OptimizerState(lr=1e-3)
+    before = [a.tobytes() for a in grads.params]
+    with pytest.raises(DivergenceError):
+        adam_step(grads, opt)
+    assert [a.tobytes() for a in grads.params] == before and opt.t == 0
 
 
 def _toy_task(rng, n=20, dim=6):
