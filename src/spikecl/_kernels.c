@@ -1,5 +1,6 @@
 /* The training step's element-wise loops: the LIF membrane recursion, its
- * surrogate-gradient reverse recursion and Adam.
+ * surrogate-gradient reverse recursion and Adam.  No loop stores spikes:
+ * they are u >= theta, formed from the membrane where they are read.
  *
  * Every element goes through the operations of the numpy formulation kept
  * in tests/oracles.py, one IEEE double operation at a time and in the same
@@ -27,18 +28,17 @@ static ptrdiff_t block_len(ptrdiff_t lo, ptrdiff_t n)
 }
 
 /* u[t] = beta * u[t-1] + cur - theta * s[t-1];  s[t] = u[t] >= theta,
- * with u[-1] = s[-1] = 0.  cur is (N, H); u and s are (T, N, H), s as
- * numpy bools (one byte, 0 or 1).  sbar (N, H) receives the spike count
- * over the T steps divided once by T: numpy's mean of bools, an exact
- * count in float64 and one division.  The reset theta * s[t-1] is formed
- * again from u[t-1], which is one block back and still in cache; each
- * spike is stored and counted in a loop of its own, which keeps the loop
- * over doubles vectorized.  The count is int32_t, so timesteps must be
- * below 2^31. */
+ * with u[-1] = s[-1] = 0.  cur is (N, H) and u is (T, N, H).  The spikes
+ * are not stored: a caller forms them from u with the same comparison.
+ * sbar (N, H) receives the spike count over the T steps divided once by
+ * T: numpy's mean of bools, an exact count in float64 and one division.
+ * The reset theta * s[t-1] is formed again from u[t-1], which is one
+ * block back and still in cache; each spike is counted in a loop of its
+ * own, which keeps the loop over doubles vectorized.  The count is
+ * int32_t, so timesteps must be below 2^31. */
 void lif_forward_const(const double *restrict cur, double *restrict u,
-                       unsigned char *restrict s, double *restrict sbar,
-                       ptrdiff_t nh, ptrdiff_t timesteps, double beta,
-                       double theta)
+                       double *restrict sbar, ptrdiff_t nh,
+                       ptrdiff_t timesteps, double beta, double theta)
 {
     const double t_count = (double)timesteps;
     int32_t count[BLOCK];
@@ -49,7 +49,6 @@ void lif_forward_const(const double *restrict cur, double *restrict u,
             count[j] = 0;
         for (ptrdiff_t t = 0; t < timesteps; t++) {
             double *ut = u + t * nh + lo;
-            unsigned char *st = s + t * nh + lo;
             if (t == 0) {
                 for (ptrdiff_t j = 0; j < len; j++) {
                     double x = 0.0 * beta;
@@ -65,11 +64,8 @@ void lif_forward_const(const double *restrict cur, double *restrict u,
                     ut[j] = x - (p >= theta ? 1.0 : 0.0) * theta;
                 }
             }
-            for (ptrdiff_t j = 0; j < len; j++) {
-                int32_t spike = ut[j] >= theta;
-                st[j] = (unsigned char)spike;
-                count[j] += spike;
-            }
+            for (ptrdiff_t j = 0; j < len; j++)
+                count[j] += ut[j] >= theta;
         }
         for (ptrdiff_t j = 0; j < len; j++)
             sbar[lo + j] = (double)count[j] / t_count;

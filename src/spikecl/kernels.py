@@ -15,8 +15,8 @@ time, so the LIF kernels take one (N, H) current per sample rather than
 a time series.  The interval count stays in numpy; its Python loop runs
 over timesteps, not over samples.
 
-Membrane potentials and currents are float64, spikes are bool and
-interval counters int64.
+Membrane potentials and currents are float64 and interval counters
+int64; spikes, ``u >= theta``, are formed from the membrane, not stored.
 """
 
 import ctypes
@@ -47,7 +47,7 @@ def _bind(name, restype, *argtypes):
 
 
 _P, _N, _F = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-_forward = _bind("lif_forward_const", None, _P, _P, _P, _P, _N, _N, _F, _F)
+_forward = _bind("lif_forward_const", None, _P, _P, _P, _N, _N, _F, _F)
 _backward = _bind("lif_backward_sum", None, _P, _P, _P, _N, _N, _F, _F, _F)
 _adam = _bind("adam_apply", ctypes.c_int, _P, _P, _P, _P, _P, _N, _P, _N,
               _P, _N, _P, _N, _F, _F, _F, _F, _F, _F)
@@ -84,11 +84,11 @@ def _float_matrix(a, name):
 def lif_forward_const(cur, timesteps, beta, theta):
     """Membrane recursion for an input current constant over time (N, H).
 
-    Returns the membrane potentials (float64) and the spikes (bool), each
-    (N, T, H), and the mean spike count over time (N, H), float64 and
-    equal to the spikes' ``mean(axis=1)``.  The first two are views of
-    time-major (T, N, H) storage, so every step writes, and the backward
-    kernel reads, one contiguous block.
+    Returns the membrane potentials (N, T, H) and the mean spike count
+    over time (N, H), both float64; the count equals
+    ``(u >= theta).mean(axis=1)``.  The membrane is a view of time-major
+    (T, N, H) storage, so every step writes, and the backward kernel
+    reads, one contiguous block.
     """
     cur = _float_matrix(cur, "cur")
     timesteps = int(timesteps)
@@ -97,11 +97,10 @@ def lif_forward_const(cur, timesteps, beta, theta):
                          f"{timesteps}")
     n_samples, hidden = cur.shape
     u = np.empty((timesteps, n_samples, hidden))
-    s = np.empty((timesteps, n_samples, hidden), dtype=bool)
     sbar = np.empty((n_samples, hidden))
-    _forward(_address(cur), _address(u), _address(s), _address(sbar),
-             cur.size, timesteps, beta, theta)
-    return u.transpose(1, 0, 2), s.transpose(1, 0, 2), sbar
+    _forward(_address(cur), _address(u), _address(sbar), cur.size,
+             timesteps, beta, theta)
+    return u.transpose(1, 0, 2), sbar
 
 
 def lif_backward_sum(u, gsbar, beta, theta, alpha):

@@ -147,28 +147,32 @@ def register_head(net, rng):
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass, the replay check and the interval
-    counters need, for one batch.  ``net`` is the network that recorded
-    it and ``head`` the head it ran, not copies: the backward pass reads
-    their weights and the neuron model.
+    """Everything the backward pass and the interval counters need, for
+    one batch.  ``net`` is the network that recorded it and ``head`` the
+    head it ran, not copies: the backward pass reads their weights and
+    the neuron model.
 
     Arrays are indexed batch-major.  ``inputs`` (N, D) holds the drive
     (the input times the gain), the same at every timestep.  ``u``
-    (float64) and ``s`` (bool) are the kernel's (N, T, H) views of
-    time-major storage.
+    (float64) is the kernel's (N, T, H) view of time-major storage.  The
+    spikes ``s`` are not stored but derived from it on each read.
 
-    A backward pass consumes the trace: ``u`` and ``s`` are set to None,
-    and the membrane is freed once the reverse recursion has read it,
-    before the weight gradients are formed.
+    A backward pass consumes the trace: ``u`` is set to None, and the
+    membrane is freed once the reverse recursion has read it, before the
+    weight gradients are formed.
     """
 
     inputs: np.ndarray
     u: np.ndarray       # (N, T, H) float64
-    s: np.ndarray       # (N, T, H) bool
     sbar: np.ndarray    # (N, H) mean spike count over time
     logits: np.ndarray  # (N, C)
     head: Head
     net: NetworkState
+
+    @property
+    def s(self):
+        """The spikes (N, T, H) bool, ``u >= theta``; None once consumed."""
+        return None if self.u is None else self.u >= self.net.lif.theta
 
     @property
     def batch_size(self):
@@ -189,13 +193,12 @@ def forward_const(x, task_id, net):
     if lif.gain != 1.0:
         x = x * lif.gain
     cur = x @ net.w1.T + net.b1
-    u, s, sbar = kernels.lif_forward_const(cur, lif.timesteps, lif.beta,
-                                           lif.theta)
+    u, sbar = kernels.lif_forward_const(cur, lif.timesteps, lif.beta,
+                                        lif.theta)
     logits = sbar @ head.w2.T + head.b2
     trace = ForwardTrace(
         inputs=x,
         u=u,
-        s=s,
         sbar=sbar,
         logits=logits,
         head=head,

@@ -66,12 +66,12 @@ def _current_grad(trace, delta):
     """dL/d(trunk current) (N, H), given dL/d(logits) ``delta``.
 
     The current is constant over time, so this is the sum over t of
-    dL/du[t].  Consumes the trace: its membrane and spikes are gone on
-    return.
+    dL/du[t].  Consumes the trace: its membrane, and with it the spikes,
+    are gone on return.
     """
     gsbar = delta @ trace.head.w2  # (N, H) = dL/d(sbar)
     u = trace.u
-    trace.u = trace.s = None
+    trace.u = None
     lif = trace.net.lif
     return kernels.lif_backward_sum(u, gsbar, lif.beta, lif.theta, ALPHA)
 
@@ -82,9 +82,9 @@ def backward(trace, targets):
 
     Returns (mean cross-entropy loss, GradientSet).  The weights must not
     have changed since the forward pass; that cannot be checked.  The
-    trace is consumed: its membrane and spikes are freed before the one
-    flat gradient vector is allocated, so no (N, T, H) block is alive
-    while the trunk gradient is formed.
+    trace is consumed: its membrane is freed before the one flat
+    gradient vector is allocated, so no (N, T, H) block is alive while
+    the trunk gradient is formed.
     """
     if trace.u is None:
         raise ValueError("trace was consumed by an earlier backward pass")

@@ -302,7 +302,11 @@ def oracle_lif_backward_sum(u, gsbar, beta, theta, alpha):
 
 
 def oracle_forward_const(x, task_id, net):
-    """Former ``network.forward_const``, on ``oracle_lif_forward_const``."""
+    """Former ``network.forward_const``, on ``oracle_lif_forward_const``.
+
+    Returns (logits, trace, spikes): the trace derives its spikes from
+    the membrane, so the recursion's own float64 spikes come beside it.
+    """
     head = net.head(task_id)
     cfg = net.lif
     x = np.asarray(x, dtype=np.float64)
@@ -317,13 +321,12 @@ def oracle_forward_const(x, task_id, net):
     trace = ForwardTrace(
         inputs=x,
         u=u,
-        s=s,
         sbar=sbar,
         logits=logits,
         head=head,
         net=net,
     )
-    return logits, trace
+    return logits, trace, s
 
 
 @dataclass

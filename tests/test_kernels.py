@@ -61,11 +61,12 @@ def _random_cases(seed, count):
 
 
 def _assert_forward_matches(cur, timesteps, beta, theta):
-    u, s, sbar = kernels.lif_forward_const(cur, timesteps, beta, theta)
+    u, sbar = kernels.lif_forward_const(cur, timesteps, beta, theta)
     u_ref, s_ref = oracle_lif_forward_const(cur, timesteps, beta, theta)
-    assert u.dtype == np.float64 and s.dtype == np.bool_
-    assert u.shape == s.shape == u_ref.shape
+    assert u.dtype == np.float64 and u.shape == u_ref.shape
     assert np.array_equal(u, u_ref)
+    # the spikes, derived from the kernel's membrane
+    s = u >= theta
     assert np.array_equal(s, s_ref)
     assert sbar.dtype == np.float64 and sbar.flags.c_contiguous
     assert sbar.tobytes() == s_ref.mean(axis=1).tobytes()
@@ -96,7 +97,7 @@ def test_lif_forward_matches_oracle_bit_for_bit(regime):
 def test_lif_backward_matches_oracle_bit_for_bit(regime):
     for rng, n, timesteps, hidden, beta, theta in _random_cases(2, 20):
         cur = _currents(rng, n, hidden, regime, theta)
-        u, _, _ = kernels.lif_forward_const(cur, timesteps, beta, theta)
+        u, _ = kernels.lif_forward_const(cur, timesteps, beta, theta)
         gsbar = rng.normal(size=(n, hidden))
         _assert_backward_matches(u, gsbar, beta, theta, rng.uniform(0.5, 4.0))
 
@@ -116,9 +117,10 @@ def test_forward_const_matches_former_forward_pass():
     register_head(net, rng)
     x = rng.random((50, 20))
     logits, trace = forward_const(x, 0, net)
-    logits_ref, ref = oracle_forward_const(x, 0, net)
-    assert trace.s.dtype == np.bool_ and ref.s.dtype == np.float64
-    assert np.array_equal(trace.s, ref.s != 0.0)
+    # the oracle's spikes come from its own recursion, not from its u
+    logits_ref, ref, s_ref = oracle_forward_const(x, 0, net)
+    assert trace.s.dtype == np.bool_ and s_ref.dtype == np.float64
+    assert np.array_equal(trace.s, s_ref != 0.0)
     assert trace.sbar.tobytes() == ref.sbar.tobytes()
     assert logits.tobytes() == logits_ref.tobytes()
 
@@ -186,10 +188,16 @@ def test_run_sequence_matches_the_former_training_step(method, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the engine's forward kernel ran")
 
+    def former_forward(x, task_id, net):
+        logits, trace, s = oracle_forward_const(x, task_id, net)
+        # what the trace derives is what the former recursion stored
+        assert np.array_equal(trace.s, s != 0.0)
+        return logits, trace
+
     monkeypatch.setattr(kernels, "lif_forward_const", unreachable)
     monkeypatch.setattr(kernels, "lif_backward_sum", oracle_lif_backward_sum)
     for module in (training, continual, importance):
-        monkeypatch.setattr(module, "forward_const", oracle_forward_const)
+        monkeypatch.setattr(module, "forward_const", former_forward)
     monkeypatch.setattr(training, "OptimizerState", OracleOptimizerState)
     monkeypatch.setattr(training, "adam_step", oracle_adam_step)
     former = _run_bytes(method)
@@ -220,9 +228,9 @@ def _assert_c_equals_numpy(cur, timesteps, beta, theta, gsbar, alpha):
     with np.errstate(all="ignore"):  # inf - inf and the like, on purpose
         u_want, s_want, sbar_want = numpy_lif_forward_const(cur, timesteps,
                                                             beta, theta)
-    u, s, sbar = kernels.lif_forward_const(cur, timesteps, beta, theta)
+    u, sbar = kernels.lif_forward_const(cur, timesteps, beta, theta)
     _same(u, u_want)
-    _same(s, s_want)
+    _same(u >= theta, s_want)
     _same(sbar, sbar_want)
     with np.errstate(all="ignore"):
         want = numpy_lif_backward_sum(u_want.copy(order="K"), gsbar, beta,
@@ -261,14 +269,14 @@ def test_c_lif_kernels_equal_numpy_on_non_contiguous_inputs():
                                np.asfortranarray(rng.normal(size=cur.shape)),
                                alpha)
     # a membrane in another layout than the forward kernel's own
-    u, _, _ = kernels.lif_forward_const(wide, 6, beta, theta)
+    u, _ = kernels.lif_forward_const(wide, 6, beta, theta)
     gsbar = rng.normal(size=(9, 26))[:, ::-1]
     for other in (u.copy(), np.asfortranarray(u)):
         with np.errstate(all="ignore"):
             want = numpy_lif_backward_sum(u.copy(), gsbar, beta, theta, alpha)
         _same(kernels.lif_backward_sum(other, gsbar, beta, theta, alpha),
               want)
-    u2, _, _ = kernels.lif_forward_const(
+    u2, _ = kernels.lif_forward_const(
         _edge_currents(rng, 9, 52, theta), 6, beta, theta)
     with np.errstate(all="ignore"):
         want = numpy_lif_backward_sum(u2[:, :, ::2].copy(), gsbar, beta,
@@ -382,7 +390,7 @@ def test_c_kernels_take_read_only_and_empty_inputs():
     gsbar = rng.normal(size=(5, 7))
     _assert_c_equals_numpy(_frozen(cur), 4, beta, theta, _frozen(gsbar),
                            alpha)
-    u, _, _ = kernels.lif_forward_const(cur, 4, beta, theta)
+    u, _ = kernels.lif_forward_const(cur, 4, beta, theta)
     with np.errstate(all="ignore"):
         want = numpy_lif_backward_sum(u.copy(), gsbar, beta, theta, alpha)
     u.base.flags.writeable = False

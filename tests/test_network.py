@@ -1,6 +1,7 @@
 """Membrane recursion and forward pass."""
 
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from spikecl.continual import run_sequence
 from spikecl.data import build_synthetic
 from spikecl.network import (
     MAX_TIMESTEPS,
+    ForwardTrace,
     LIFConfig,
     NetworkState,
     UnknownTaskError,
@@ -148,6 +150,27 @@ def test_gain_scales_the_drive_exactly():
         np.testing.assert_array_equal(trace.inputs, g * x)
         np.testing.assert_array_equal(trace.u, ref.u)
         np.testing.assert_array_equal(trace.s, ref.s)
+
+
+def test_a_forward_pass_holds_the_membrane_and_no_spike_raster():
+    # the spikes are derived from u on each read, so a forward call keeps
+    # one (T, N, H) block; a stored bool raster would add T * N * H bytes,
+    # 163,840 here
+    net = new_network(784, 128, 10, LIFConfig(timesteps=10),
+                      np.random.default_rng(0))
+    register_head(net, np.random.default_rng(1))
+    x = np.random.default_rng(2).random((128, 784))
+    forward_const(x[:2], 0, net)  # one-time allocations outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        logits, trace = forward_const(x, 0, net)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    arrays = trace.u.nbytes + trace.sbar.nbytes + logits.nbytes
+    assert 0 <= held - arrays < 4096
+    assert "s" not in [f.name for f in fields(ForwardTrace)]
 
 
 def test_unknown_task_raises():
