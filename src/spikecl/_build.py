@@ -13,7 +13,10 @@ The flags keep double arithmetic exactly as written: -ffp-contract=off
 forbids fused multiply-adds and no fast-math flag lets the compiler
 reassociate or flush subnormals.  -fno-math-errno only stops ``sqrt``
 from setting errno, which lets it vectorize.  -march=native is why the
-CPU is part of the digest.
+CPU is part of the digest, and it pays: without it, gcc 12.2 on an
+AVX-512 Xeon made the forward kernel 12-16x slower at 128x128, T=10
+(843-919 against 55-70 us a call) and 3.4x at 16x64, and the backward
+kernel and Adam 1.1-1.4x (minimum of 7 repeats of 2,000 calls).
 """
 
 import ctypes

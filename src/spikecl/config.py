@@ -10,6 +10,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .continual import METHODS, resolve_lambda
+from .data import SPLIT_PAIRS
 from .network import LIFConfig
 from .training import TrainParams
 
@@ -44,7 +45,7 @@ class ExperimentConfig:
     train_cap: int = field(default=None, metadata={   # None = full data
         "help": "per-task training samples (default: all)"})
     test_cap: int = None
-    num_tasks: int = 5           # permuted-mnist and synthetic only
+    num_tasks: int = 5           # a split benchmark has len(SPLIT_PAIRS)
     data_dir: str = "data"
     out_dir: str = "results"
     gain: float = LIFConfig.gain
@@ -80,6 +81,10 @@ class ExperimentConfig:
             raise ConfigError(
                 "num_tasks must be >= 2 (a continual sequence needs at "
                 "least 2 tasks)")
+        if self.benchmark.startswith("split-") and (
+                self.num_tasks != len(SPLIT_PAIRS)):
+            raise ConfigError(f"{self.benchmark} has {len(SPLIT_PAIRS)} "
+                              f"tasks, got num_tasks = {self.num_tasks}")
         for name in ("train_cap", "test_cap"):
             value = getattr(self, name)
             if value is not None and value < 1:

@@ -28,6 +28,7 @@ from . import _build
 
 __all__ = [
     "BACKEND",
+    "MAX_TIMESTEPS",
     "lif_forward_const",
     "lif_backward_sum",
     "adam_apply",
@@ -36,6 +37,11 @@ __all__ = [
 
 # Kept for environment records such as the benchmark's; there is no other.
 BACKEND = "c"
+
+# The one bound on T (LIFConfig's too): a checkpoint stores T as a bare
+# number, so a corrupt one must not size an unbounded (T, N, H) block,
+# and the forward kernel counts spikes in int32.  Configs run T = 8 to 20.
+MAX_TIMESTEPS = 2048
 
 _LIB = _build.load(os.path.join(os.path.dirname(__file__), "_kernels.c"))
 
@@ -52,8 +58,6 @@ _backward = _bind("lif_backward_sum", None, _P, _P, _P, _N, _N, _F, _F, _F)
 _adam = _bind("adam_apply", ctypes.c_int, _P, _P, _P, _P, _P, _N, _P, _N,
               _P, _N, _P, _N, _F, _F, _F, _F, _F, _F)
 _from_buffer, _addressof = ctypes.c_char.from_buffer, ctypes.addressof
-# the forward kernel counts spikes in int32
-_MAX_TIMESTEPS = 2 ** 31 - 1
 
 
 def _address(a):
@@ -88,13 +92,14 @@ def lif_forward_const(cur, timesteps, beta, theta):
     over time (N, H), both float64; the count equals
     ``(u >= theta).mean(axis=1)``.  The membrane is a view of time-major
     (T, N, H) storage, so every step writes, and the backward kernel
-    reads, one contiguous block.
+    reads, one contiguous block.  A ``timesteps`` outside
+    [1, MAX_TIMESTEPS] raises ValueError before anything is allocated.
     """
-    cur = _float_matrix(cur, "cur")
     timesteps = int(timesteps)
-    if timesteps > _MAX_TIMESTEPS:
-        raise ValueError(f"timesteps must be <= {_MAX_TIMESTEPS}, got "
+    if not 1 <= timesteps <= MAX_TIMESTEPS:
+        raise ValueError(f"timesteps must be in [1, {MAX_TIMESTEPS}], got "
                          f"{timesteps}")
+    cur = _float_matrix(cur, "cur")
     n_samples, hidden = cur.shape
     u = np.empty((timesteps, n_samples, hidden))
     sbar = np.empty((n_samples, hidden))
@@ -136,14 +141,16 @@ def adam_apply(grad, m, v, params, t, lr, beta1, beta2, eps):
     """One Adam step, step number ``t`` (from 1), applied to ``params``.
 
     ``params`` are four arrays, (w1, b1, w2, b2), and ``grad`` holds
-    their gradients back to back as one flat float64 vector.  If an entry
-    of ``grad`` is not finite, nothing is written and None is returned.
-    Otherwise ``m`` and ``v``, the first and second moments, are updated
-    in place, every parameter is stepped in place by its delta
-    -lr * mhat / (sqrt(vhat) + eps), with the bias corrections
-    mhat = m / (1 - beta1 ** t) and vhat likewise, and the flat delta is
-    returned.
+    their gradients back to back as one flat float64 vector.  A ``t``
+    below 1 raises ValueError and a non-finite ``grad`` returns None,
+    both before anything is written.  Otherwise ``m`` and ``v``, the
+    first and second moments, are updated in place, every parameter is
+    stepped in place by its delta -lr * mhat / (sqrt(vhat) + eps), with
+    the bias corrections mhat = m / (1 - beta1 ** t) and vhat likewise,
+    and the flat delta is returned.
     """
+    if t < 1:  # 1 - beta1 ** 0 = 0 would divide every moment by zero
+        raise ValueError(f"the step number t must be >= 1, got {t}")
     grad = np.ascontiguousarray(grad, dtype=np.float64)
     w1, b1, w2, b2 = params
     sizes = [p.size for p in params]

@@ -27,12 +27,6 @@ class UnknownTaskError(KeyError):
     """Raised when a task id has no registered head."""
 
 
-# A checkpoint stores T as a bare number, not as the shape of arrays it
-# holds, so this bound keeps one corrupt value from sizing an unbounded
-# (T, N, H) block.  The shipped configs run T = 8 to 20.
-MAX_TIMESTEPS = 2048
-
-
 def require_number(name, value):
     """Raise ValueError unless ``value`` is a real number; a bool is not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -63,8 +57,8 @@ class LIFConfig:
             raise ValueError(f"timesteps must be an int, got {self.timesteps}")
         if self.timesteps < 2:
             raise ValueError(f"timesteps must be >= 2, got {self.timesteps}")
-        if self.timesteps > MAX_TIMESTEPS:
-            raise ValueError(f"timesteps must be <= {MAX_TIMESTEPS}, "
+        if self.timesteps > kernels.MAX_TIMESTEPS:
+            raise ValueError(f"timesteps must be <= {kernels.MAX_TIMESTEPS}, "
                              f"got {self.timesteps}")
 
     @property

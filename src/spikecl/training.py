@@ -113,36 +113,19 @@ def backward(trace, targets):
 
 @dataclass
 class OptimizerState:
-    """Adam over the trunk and one head as a single flat parameter vector.
+    """Adam's state over the trunk and one head as a single flat vector.
 
     ``lr`` is the one setting; the decay rates and the denominator floor
     are the module constants BETA1, BETA2 and EPS.  The moments m and v
-    are allocated on the first step and updated in place; t counts the
-    steps taken.  A state serves one (trunk, head) pair, so ``train_task``
-    builds one per task.
+    are allocated by the first ``adam_step`` and updated in place; t
+    counts the steps taken.  A state serves one (trunk, head) pair, so
+    ``train_task`` builds one per task.
     """
 
     lr: float
     m: np.ndarray = field(default=None, init=False)
     v: np.ndarray = field(default=None, init=False)
     t: int = field(default=0, init=False)
-
-    def update(self, grad, params):
-        """Step ``params`` (w1, b1, w2, b2) in place by Adam; ``grad`` is
-        their gradients back to back.  Returns the flat delta applied.
-
-        A gradient with a non-finite entry raises DivergenceError and
-        leaves the parameters, the moments and t as they were.
-        """
-        if self.m is None:
-            self.m, self.v = np.zeros(grad.shape), np.zeros(grad.shape)
-        delta = kernels.adam_apply(grad, self.m, self.v, params, self.t + 1,
-                                   self.lr, BETA1, BETA2, EPS)
-        if delta is None:
-            raise DivergenceError(
-                "non-finite gradient passed to the optimizer")
-        self.t += 1
-        return delta
 
 
 def adam_step(grads, opt):
@@ -152,12 +135,20 @@ def adam_step(grads, opt):
     own, so a gradient set steps only the arrays it was computed for.
     They must be writable C-contiguous float64 arrays, as
     ``new_network``, ``register_head`` and ``load_checkpoint`` make them;
-    any other raises ValueError before anything is written.  The
-    returned dict maps "w1"/"b1" to the actual parameter changes
-    (views of that step's delta), which path-integral importance
-    accumulation needs verbatim.
+    any other raises ValueError before anything is written.  A
+    non-finite gradient raises DivergenceError and changes no parameter,
+    moment or ``opt.t``.  The returned dict maps "w1"/"b1" to the actual
+    parameter changes (views of that step's delta), which path-integral
+    importance accumulation needs verbatim.
     """
-    dw1, db1 = _views(opt.update(grads.flat, grads.params), grads.params[:2])
+    if opt.m is None:
+        opt.m, opt.v = np.zeros(grads.flat.shape), np.zeros(grads.flat.shape)
+    delta = kernels.adam_apply(grads.flat, opt.m, opt.v, grads.params,
+                               opt.t + 1, opt.lr, BETA1, BETA2, EPS)
+    if delta is None:
+        raise DivergenceError("non-finite gradient passed to the optimizer")
+    opt.t += 1
+    dw1, db1 = _views(delta, grads.params[:2])
     return {"w1": dw1, "b1": db1}
 
 

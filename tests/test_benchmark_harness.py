@@ -236,12 +236,8 @@ def workloads(monkeypatch):
     return workloads
 
 
-@pytest.mark.parametrize("name", sorted(REDUCED))
-def test_every_workload_runs_and_checks_at_reduced_size(
-        name, workloads, tmp_path, monkeypatch):
-    # a library signature change that breaks a workload's call sites
-    # fails here, not only when the benchmark runs
-    assert set(workloads.WORKLOADS) == set(REDUCED)
+def _run_at_reduced_size(workloads, name, tmp_path, monkeypatch):
+    """Set up, run and check one workload at its REDUCED size."""
     workload = workloads.WORKLOADS[name]
     for attr, value in REDUCED[name].items():
         monkeypatch.setattr(workload, attr, value)  # raises if attr is gone
@@ -251,7 +247,34 @@ def test_every_workload_runs_and_checks_at_reduced_size(
     result = workload.run(inputs, 1, str(rundir))
     outcome = workload.check(result, 1, str(rundir))
     assert outcome.aa >= workload.aa_floor
+    return outcome
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED))
+def test_every_workload_runs_and_checks_at_reduced_size(
+        name, workloads, tmp_path, monkeypatch):
+    # a library signature change that breaks a workload's call sites
+    # fails here, not only when the benchmark runs
+    assert set(workloads.WORKLOADS) == set(REDUCED)
+    outcome = _run_at_reduced_size(workloads, name, tmp_path, monkeypatch)
     assert len(outcome.fingerprint) == 64
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED))
+def test_every_workload_runs_traced_at_reduced_size(
+        name, workloads, tracing, tmp_path, monkeypatch):
+    # what `perfbench/run.py --trace 1` runs: the tracer's wrappers read
+    # the arguments and results of the calls they replace, so a changed
+    # signature or return value can break the traced pass only
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        _run_at_reduced_size(workloads, name, tmp_path, monkeypatch)
+    stats = tracing.layer_stats(tracer)
+    assert all(stats[f]["calls"] >= 1 for f in tracing.EVERY_WORKLOAD)
+    assert (stats["kernels.isi_raster_stats"]["calls"] > 0) == (
+        name == "dense-isicv")
+    assert (tracer.counters["checkpoint.save_checkpoint.out_bytes"] > 0) == (
+        name == "cli-permuted-si")
 
 
 def test_the_cli_process_trains_its_own_lane(tmp_path, monkeypatch):

@@ -393,6 +393,11 @@ def test_exit_codes(tmp_path, capsys):
           "--data-dir", str(tmp_path / "nodata"),
           "--timesteps", "4503599627370496"],
          "timesteps must be <= 2048, got 4503599627370496"),
+        # a split benchmark has one task per class pair, and says so
+        # before the missing IDX files are looked for
+        (["run", "--benchmark", "split-mnist",
+          "--data-dir", str(tmp_path / "nodata"), "--num-tasks", "3"],
+         "split-mnist has 5 tasks, got num_tasks = 3"),
         (["run", "--batch-size", "0"], "batch_size must be >= 1"),
         (["run", "--epochs", "0"], "epochs must be >= 1"),
         (["sweep", "--lambdas", "1,nan"], "lambda must be finite"),

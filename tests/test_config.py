@@ -14,6 +14,7 @@ from spikecl.config import (
     load_config,
     parse_config_text,
 )
+from spikecl.data import SPLIT_PAIRS
 from spikecl.network import LIFConfig
 from spikecl.training import TrainParams
 
@@ -78,6 +79,18 @@ def test_config_builds_the_engine_settings_it_describes():
 def test_validation_rejects(bad):
     with pytest.raises(ConfigError):
         ExperimentConfig(**bad)
+
+
+@pytest.mark.parametrize("name", ["split-mnist", "split-fashionmnist"])
+def test_a_split_benchmark_has_one_task_per_class_pair(name):
+    assert ExperimentConfig(benchmark=name).num_tasks == len(SPLIT_PAIRS)
+    for num_tasks in (2, 3, 6):
+        with pytest.raises(ConfigError, match=(
+                f"{name} has 5 tasks, got num_tasks = {num_tasks}")):
+            ExperimentConfig(benchmark=name, num_tasks=num_tasks)
+    # the other benchmarks build as many tasks as they are asked for
+    for other in ("permuted-mnist", "synthetic"):
+        assert ExperimentConfig(benchmark=other, num_tasks=3).num_tasks == 3
 
 
 def test_parse_config_text_with_comments_and_aliases():

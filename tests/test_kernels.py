@@ -10,6 +10,7 @@ subnormals, NaN, infinities, overflow).
 """
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +375,38 @@ def test_c_adam_rejects_parameters_it_cannot_write():
         kernels.adam_apply(grad, np.zeros(4), np.zeros(4),
                            [np.zeros((1, 4)), *params[1:]], 1, 1e-3, 0.9,
                            0.999, 1e-8)
+
+
+def test_c_adam_rejects_a_step_number_below_1():
+    # step 0 would divide by 1 - beta1 ** 0 = 0 and turn every parameter
+    # into NaN; nothing may be written
+    grad, m, v, params = _adam_args()
+    rng = np.random.default_rng(10)
+    for a in (m, v, *params):
+        a[...] = np.abs(rng.normal(size=a.shape))
+    before = [a.tobytes() for a in (m, v, *params)]
+    for t in (0, -1):
+        with pytest.raises(ValueError, match=f"t must be >= 1, got {t}"):
+            kernels.adam_apply(grad, m, v, params, t, 1e-3, 0.9, 0.999, 1e-8)
+        assert [a.tobytes() for a in (m, v, *params)] == before
+
+
+def test_the_forward_kernel_takes_1_to_max_timesteps():
+    cur = np.full((64, 64), 2, dtype=np.int64)  # a float64 copy is 32 KiB
+    for timesteps in (0, -1, kernels.MAX_TIMESTEPS + 1):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    rf"timesteps must be in \[1, 2048\], got {timesteps}")):
+                kernels.lif_forward_const(cur, timesteps, 0.5, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096  # rejected before the current is even copied
+    for timesteps in (1, kernels.MAX_TIMESTEPS):
+        u, sbar = kernels.lif_forward_const(cur[:2, :3], timesteps, 0.5, 1.0)
+        assert u.shape == (2, timesteps, 3)
+        assert np.array_equal(sbar, (u >= 1.0).mean(axis=1))
 
 
 def _frozen(a):

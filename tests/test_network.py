@@ -10,8 +10,8 @@ from conftest import random_tiny_net
 from oracles import replay_membrane
 from spikecl.continual import run_sequence
 from spikecl.data import build_synthetic
+from spikecl.kernels import MAX_TIMESTEPS
 from spikecl.network import (
-    MAX_TIMESTEPS,
     ForwardTrace,
     LIFConfig,
     NetworkState,

@@ -10,6 +10,7 @@ from conftest import (
     traced_peak,
 )
 from oracles import _softmax, _surrogate, oracle_loss_and_grads
+from spikecl import kernels
 from spikecl.continual import Anchor
 from spikecl.data import Dataset
 from spikecl.network import (
@@ -254,10 +255,13 @@ def test_adam_steps_the_gradient_vector_itself(monkeypatch):
     rng = np.random.default_rng(20)
     net = random_tiny_net(rng)
     stepped = []
-    real_update = OptimizerState.update
-    monkeypatch.setattr(OptimizerState, "update",
-                        lambda self, grad, params: stepped.append(
-                            (grad, params)) or real_update(self, grad, params))
+    real_apply = kernels.adam_apply
+
+    def recording(grad, m, v, params, *rest):
+        stepped.append((grad, params))
+        return real_apply(grad, m, v, params, *rest)
+
+    monkeypatch.setattr(kernels, "adam_apply", recording)
     grads = filled_grads(net, 0.5)
     adam_step(grads, OptimizerState(lr=1e-3))
     assert len(stepped) == 1 and stepped[0][0] is grads.flat
