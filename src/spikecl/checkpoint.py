@@ -43,12 +43,12 @@ def _record_name(i):
 
 
 def _pack_array(name, arr):
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    arr = np.ascontiguousarray(arr, dtype="<f8")
     encoded = name.encode("ascii")
     parts = [struct.pack("<H", len(encoded)), encoded,
              struct.pack("<B", arr.ndim)]
     parts.extend(struct.pack("<I", d) for d in arr.shape)
-    parts.append(arr.astype("<f8").tobytes())
+    parts.append(arr.tobytes())
     return b"".join(parts)
 
 

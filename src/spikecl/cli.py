@@ -17,6 +17,8 @@ one lane, as does a platform without that call).  A lane runs its
 share in order: run i goes to lane i % lanes.  Lane 0 is this process;
 every other lane is a forked child that writes only its own
 checkpoints and sends its results back as one pickle over a pipe.
+The children are fork-context ``multiprocessing`` processes; that
+module is loaded only when there are two lanes or more.
 Every other file and every printed line is written here, in
 seed/lambda order, so no output depends on the lane count.
 
@@ -48,10 +50,6 @@ from .config import (DATA_FIELDS, FIELDS, ConfigError, comma_list,
 from .continual import METHODS, csv_number, run_sequence
 from .data import DataError, build_permuted, build_split, build_synthetic, load_idx_dir
 from .importance import collect_spike_record, importance_report
-
-
-def _ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
 
 
 def _write_text(path, text):
@@ -124,23 +122,14 @@ def _portable(exc):
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _child_lane(job, share, read_fd, write_fd):
-    """Body of a forked lane: send (results, failure) down the pipe, exit.
-
-    ``os._exit`` skips the atexit hooks and finalizers the child
-    inherited from the parent.
-    """
-    status = 1
-    try:
-        os.close(read_fd)
-        results, failure = _lane(job, share)
-        if failure is not None:
-            failure = _portable(failure)
-        with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump((results, failure), pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
+def _child_lane(job, share, sender, receivers):
+    """Body of a child lane: close the receiving ends it inherited, so
+    that a send fails, not blocks, once the parent is gone; then send
+    (results, failure) through the pipe."""
+    for receiver in receivers.values():
+        receiver.close()
+    results, failure = _lane(job, share)
+    sender.send((results, _portable(failure)))
 
 
 def _run_lanes(job, items, label):
@@ -156,42 +145,42 @@ def _run_lanes(job, items, label):
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else 1)
     lanes = min(len(items), cpus)
-    pending = {}    # lane -> (pid, read end of its pipe), until reaped
+    receivers = {}  # lane -> receiving end of its pipe
+    running = {}    # lane -> child, until joined
     outcomes = {}   # lane -> (results, failure)
     try:
-        sys.stdout.flush()   # a child must not inherit unwritten output
+        if lanes > 1:   # one lane (as on Windows) never imports it
+            import multiprocessing
+            context = multiprocessing.get_context("fork")
         for lane in range(1, lanes):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _child_lane(job, items[lane::lanes], read_fd, write_fd)
-            os.close(write_fd)
-            pending[lane] = (pid, os.fdopen(read_fd, "rb"))
+            receivers[lane], sender = context.Pipe(duplex=False)
+            child = context.Process(target=_child_lane, args=(
+                job, items[lane::lanes], sender, receivers))
+            child.start()   # flushes stdout first, so no child inherits it
+            running[lane] = child
+            sender.close()
         done, failure = outcomes[0] = _lane(job, items[0::lanes])
         if failure is not None and not done:
             # the first item failed: no other lane's result is needed
             return [], failure
+        # recv before join: a child blocked on a full pipe never exits
         for lane in range(1, lanes):
-            pid, pipe = pending[lane]
-            # read to EOF first: a child blocked on a full pipe never exits
-            with pipe:
-                payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del pending[lane]
             try:
-                outcomes[lane] = pickle.loads(payload)
-            except Exception:  # noqa: BLE001 - empty or truncated payload
-                code = os.waitstatus_to_exitcode(status)
+                outcomes[lane] = receivers[lane].recv()
+            except (EOFError, OSError):   # it ended before or while sending
+                running[lane].join()
                 names = ", ".join(label(x) for x in items[lane::lanes])
                 outcomes[lane] = [], RuntimeError(
-                    f"lane {lane} ({names}) exited with status {code} "
-                    f"without sending its results"
-                )
+                    f"lane {lane} ({names}) exited with status "
+                    f"{running[lane].exitcode} without sending its results")
+            running[lane].join()
+            del running[lane]
     finally:
-        for pid, pipe in pending.values():
-            pipe.close()
-            os.kill(pid, 9)   # SIGKILL
-            os.waitpid(pid, 0)
+        for receiver in receivers.values():
+            receiver.close()
+        for child in running.values():
+            child.kill()
+            child.join()
 
     results = []
     for i in range(len(items)):
@@ -258,11 +247,11 @@ def _result_json(result, seconds):
 def cmd_run(cfg):
     started = time.perf_counter()
     base = _load_base(cfg)
-    _ensure_dir(cfg.out_dir)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt_dir = os.path.join(cfg.out_dir, "checkpoints")
     imp_dir = os.path.join(cfg.out_dir, "importance")
-    _ensure_dir(ckpt_dir)
-    _ensure_dir(imp_dir)
+    os.makedirs(ckpt_dir, exist_ok=True)
+    os.makedirs(imp_dir, exist_ok=True)
 
     def job(seed):
         def checkpointer(task_id, net):
@@ -327,7 +316,7 @@ def cmd_sweep(cfg, lambdas):
             f"method {cfg.method!r} never reads lambda; sweep a method "
             f"that anchors")
     base = _load_base(cfg)
-    _ensure_dir(cfg.out_dir)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     pairs = [(lam_cfg, seed) for lam_cfg in configs for seed in cfg.seeds]
     done, failure = _run_lanes(
         lambda pair: _run_one_seed(*pair, base), pairs,

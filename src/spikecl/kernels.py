@@ -20,6 +20,7 @@ int64; spikes, ``u >= theta``, are formed from the membrane, not stored.
 """
 
 import ctypes
+import operator
 import os
 
 import numpy as np
@@ -92,10 +93,11 @@ def lif_forward_const(cur, timesteps, beta, theta):
     over time (N, H), both float64; the count equals
     ``(u >= theta).mean(axis=1)``.  The membrane is a view of time-major
     (T, N, H) storage, so every step writes, and the backward kernel
-    reads, one contiguous block.  A ``timesteps`` outside
-    [1, MAX_TIMESTEPS] raises ValueError before anything is allocated.
+    reads, one contiguous block.  A ``timesteps`` that is not an integer
+    raises TypeError, and one outside [1, MAX_TIMESTEPS] ValueError,
+    before anything is allocated.
     """
-    timesteps = int(timesteps)
+    timesteps = operator.index(timesteps)
     if not 1 <= timesteps <= MAX_TIMESTEPS:
         raise ValueError(f"timesteps must be in [1, {MAX_TIMESTEPS}], got "
                          f"{timesteps}")
@@ -142,13 +144,15 @@ def adam_apply(grad, m, v, params, t, lr, beta1, beta2, eps):
 
     ``params`` are four arrays, (w1, b1, w2, b2), and ``grad`` holds
     their gradients back to back as one flat float64 vector.  A ``t``
-    below 1 raises ValueError and a non-finite ``grad`` returns None,
-    both before anything is written.  Otherwise ``m`` and ``v``, the
-    first and second moments, are updated in place, every parameter is
-    stepped in place by its delta -lr * mhat / (sqrt(vhat) + eps), with
-    the bias corrections mhat = m / (1 - beta1 ** t) and vhat likewise,
-    and the flat delta is returned.
+    that is not an integer raises TypeError, a ``t`` below 1 ValueError,
+    and a non-finite ``grad`` returns None, all before anything is
+    written.  Otherwise ``m`` and ``v``, the first and second moments,
+    are updated in place, every parameter is stepped in place by its
+    delta -lr * mhat / (sqrt(vhat) + eps), with the bias corrections
+    mhat = m / (1 - beta1 ** t) and vhat likewise, and the flat delta is
+    returned.
     """
+    t = operator.index(t)
     if t < 1:  # 1 - beta1 ** 0 = 0 would divide every moment by zero
         raise ValueError(f"the step number t must be >= 1, got {t}")
     grad = np.ascontiguousarray(grad, dtype=np.float64)

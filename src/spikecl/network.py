@@ -33,6 +33,13 @@ def require_number(name, value):
         raise ValueError(f"{name} must be a number, got {value}")
 
 
+def require_int(name, value):
+    """Raise ValueError unless ``value`` is an int or a numpy integer; a
+    bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value}")
+
+
 @dataclass
 class LIFConfig:
     """Neuron parameters: time constant, threshold, steps per sample, and
@@ -52,9 +59,7 @@ class LIFConfig:
             raise ValueError(f"theta must be > 0 and finite, got {self.theta}")
         if not (math.isfinite(self.gain) and self.gain > 0.0):
             raise ValueError(f"gain must be finite and > 0, got {self.gain}")
-        if isinstance(self.timesteps, bool) or not isinstance(
-                self.timesteps, (int, np.integer)):
-            raise ValueError(f"timesteps must be an int, got {self.timesteps}")
+        require_int("timesteps", self.timesteps)
         if self.timesteps < 2:
             raise ValueError(f"timesteps must be >= 2, got {self.timesteps}")
         if self.timesteps > kernels.MAX_TIMESTEPS:

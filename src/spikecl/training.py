@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .network import DivergenceError, forward_const, require_number
+from .network import (DivergenceError, forward_const, require_int,
+                      require_number)
 
 # sharpness of the ATan pseudo-derivative that stands in for ds/du
 ALPHA = 2.0
@@ -160,10 +161,7 @@ class TrainParams:
 
     def __post_init__(self):
         for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, np.integer)):
-                raise ValueError(f"{name} must be an int, got {value}")
+            require_int(name, getattr(self, name))
         require_number("lr", self.lr)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")

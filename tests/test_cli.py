@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import struct
 import subprocess
 import sys
@@ -690,6 +691,7 @@ def test_outputs_do_not_depend_on_the_lane_count(tmp_path, monkeypatch,
         _cpus(monkeypatch, cpus)
         out = tmp_path / f"cpus{cpus}"
         assert main([*argv, *_flags(out)]) == 0
+        _no_children_left()
         stdout = capsys.readouterr().out.replace(str(out), "OUT")
         seen.append((_tree(out), stdout))
     # run: metrics.csv, run.json and per seed one rmatrix, two importance
@@ -770,6 +772,83 @@ def test_a_child_lane_that_dies_is_named(tmp_path, monkeypatch, capsys):
     )
     _no_children_left()
     assert (out / "rmatrix_seed0.csv").exists()
+
+
+def test_a_child_lane_killed_by_a_signal_is_named(tmp_path, monkeypatch,
+                                                  capsys):
+    parent = os.getpid()
+
+    def killed(lam, seed):
+        if seed == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _failing_run_sequence(monkeypatch, killed)
+    _cpus(monkeypatch, 2)
+    out = tmp_path / "res"
+    assert main(["run", "--seeds", "0,1,2", *_flags(out)]) == 4
+    assert capsys.readouterr().err == (
+        "spikecl: RuntimeError: lane 1 (seed 1) exited with status -9 "
+        "without sending its results\n"
+    )
+    _no_children_left()
+    assert (out / "rmatrix_seed0.csv").exists()
+
+
+def test_a_child_lane_that_sends_part_of_its_results_is_named(
+        tmp_path, monkeypatch, capsys):
+    def child_lane(job, share, sender, receivers):
+        # a message header promising 100 bytes, then one byte
+        os.write(sender.fileno(), struct.pack("!i", 100) + b"x")
+
+    monkeypatch.setattr(cli, "_child_lane", child_lane)
+    _cpus(monkeypatch, 2)
+    assert main(["run", "--seeds", "0,1", *_flags(tmp_path / "res")]) == 4
+    assert capsys.readouterr().err == (
+        "spikecl: RuntimeError: lane 1 (seed 1) exited with status 0 "
+        "without sending its results\n"
+    )
+    _no_children_left()
+
+
+def test_a_child_lane_does_not_outlive_a_killed_parent(tmp_path):
+    # lane 0 kills the parent outright, so no finally runs; lane 1's
+    # results overfill the pipe, and its send must fail, not block
+    pid_file = tmp_path / "child.pid"
+    code = textwrap.dedent(f"""
+        import os, signal
+        from spikecl import cli
+        os.sched_getaffinity = lambda pid: {{0, 1}}
+        def job(item):
+            if item == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            with open({str(pid_file)!r}, "w") as f:
+                f.write(str(os.getpid()))
+            return bytes(1 << 20)
+        cli._run_lanes(job, [0, 1], str)
+    """)
+    subprocess.run([sys.executable, "-c", code], timeout=60,
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                   env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    deadline = time.monotonic() + 30
+    while not pid_file.exists() or not pid_file.read_text():
+        assert time.monotonic() < deadline, "lane 1 never ran"
+        time.sleep(0.05)
+    pid = int(pid_file.read_text())
+
+    def running():
+        # not gone, nor a zombie left to whichever process adopted it
+        try:
+            return Path(f"/proc/{pid}/stat").read_text().split()[2] != "Z"
+        except FileNotFoundError:
+            return False
+
+    try:
+        while running():
+            assert time.monotonic() < deadline, "lane 1 outlived its parent"
+            time.sleep(0.05)
+    finally:
+        if running():
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_a_failed_checkpoint_write_names_its_cause(tmp_path, monkeypatch,

@@ -389,21 +389,30 @@ def test_c_adam_rejects_a_step_number_below_1():
         with pytest.raises(ValueError, match=f"t must be >= 1, got {t}"):
             kernels.adam_apply(grad, m, v, params, t, 1e-3, 0.9, 0.999, 1e-8)
         assert [a.tobytes() for a in (m, v, *params)] == before
+    # a fractional step would bias-correct by 1 - beta1 ** 1.5
+    with pytest.raises(TypeError, match="integer"):
+        kernels.adam_apply(grad, m, v, params, 1.5, 1e-3, 0.9, 0.999, 1e-8)
+    assert [a.tobytes() for a in (m, v, *params)] == before
 
 
 def test_the_forward_kernel_takes_1_to_max_timesteps():
     cur = np.full((64, 64), 2, dtype=np.int64)  # a float64 copy is 32 KiB
-    for timesteps in (0, -1, kernels.MAX_TIMESTEPS + 1):
+    rejected = [(0, ValueError), (-1, ValueError),
+                (kernels.MAX_TIMESTEPS + 1, ValueError),
+                # int() would truncate 2.5 to 2 and run two steps
+                (2.5, TypeError), (2.0, TypeError)]
+    for timesteps, error in rejected:
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=(
-                    rf"timesteps must be in \[1, 2048\], got {timesteps}")):
+            with pytest.raises(error, match=(
+                    rf"timesteps must be in \[1, 2048\], got {timesteps}"
+                    if error is ValueError else "integer")):
                 kernels.lif_forward_const(cur, timesteps, 0.5, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4096  # rejected before the current is even copied
-    for timesteps in (1, kernels.MAX_TIMESTEPS):
+    for timesteps in (1, np.int64(3), kernels.MAX_TIMESTEPS):
         u, sbar = kernels.lif_forward_const(cur[:2, :3], timesteps, 0.5, 1.0)
         assert u.shape == (2, timesteps, 3)
         assert np.array_equal(sbar, (u >= 1.0).mean(axis=1))
