@@ -1,6 +1,7 @@
 /* The training step's element-wise loops: the LIF membrane recursion, its
- * surrogate-gradient reverse recursion and Adam.  No loop stores spikes:
- * they are u >= theta, formed from the membrane where they are read.
+ * surrogate-gradient reverse recursion, the anchor's pull and Adam; and
+ * the inter-spike-interval counters.  No loop stores spikes: they are
+ * u >= theta, formed from the membrane where they are read.
  *
  * Every element goes through the operations of the numpy formulation kept
  * in tests/oracles.py, one IEEE double operation at a time and in the same
@@ -175,4 +176,117 @@ int adam_apply(const double *restrict grad, double *restrict m,
         lo += sizes[k];
     }
     return 0;
+}
+
+/* numpy's pairwise sum of d * d, d = w - a, over n elements, adding
+ * d * s into g on the way: below 8 elements one running sum from -0.0,
+ * up to 128 elements 8 running sums combined as a tree, and above that
+ * two halves split at a multiple of 8. */
+static double pull_row(const double *restrict w, const double *restrict a,
+                       double *restrict g, ptrdiff_t n, double s)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (ptrdiff_t i = 0; i < n; i++) {
+            double d = w[i] - a[i];
+            g[i] = g[i] + d * s;
+            res = res + d * d;
+        }
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int k = 0; k < 8; k++) {
+            double d = w[k] - a[k];
+            g[k] = g[k] + d * s;
+            r[k] = d * d;
+        }
+        ptrdiff_t i = 8;
+        for (; i < n - n % 8; i += 8) {
+            for (int k = 0; k < 8; k++) {
+                double d = w[i + k] - a[i + k];
+                g[i + k] = g[i + k] + d * s;
+                r[k] = r[k] + d * d;
+            }
+        }
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) {
+            double d = w[i] - a[i];
+            g[i] = g[i] + d * s;
+            res = res + d * d;
+        }
+        return res;
+    }
+    ptrdiff_t n2 = n / 2;
+    n2 -= n2 % 8;
+    double lo = pull_row(w, a, g, n2, s);
+    return lo + pull_row(w + n2, a + n2, g + n2, n - n2, s);
+}
+
+/* The quadratic anchor's pull on the trunk (w, b), (H, D) and (H,),
+ * toward its snapshot (aw, ab), with per-neuron strengths scale (H,).
+ * Adds (w - aw) * scale[i] into the rows of gw and scale[i] * (b - ab)
+ * into gb, in place, and writes to sq (H,) each neuron's squared
+ * displacement, sum_j (w - aw)^2 + (b - ab)^2, the row sum taken in
+ * numpy's add.reduce order: 0.0 + the pairwise sum. */
+void anchor_pull(const double *restrict w, const double *restrict b,
+                 const double *restrict aw, const double *restrict ab,
+                 const double *restrict scale, double *restrict gw,
+                 double *restrict gb, double *restrict sq, ptrdiff_t hidden,
+                 ptrdiff_t dim)
+{
+    for (ptrdiff_t i = 0; i < hidden; i++) {
+        const ptrdiff_t row = i * dim;
+        double sum = pull_row(w + row, aw + row, gw + row, dim, scale[i]);
+        double db = b[i] - ab[i];
+        gb[i] = gb[i] + scale[i] * db;
+        sq[i] = (0.0 + sum) + db * db;
+    }
+}
+
+/* Inter-spike-interval counters of a time-major (T, N, H) bool raster,
+ * added into totals (4, H): spike counts, interval counts, interval sums
+ * and sums of squared intervals.  Each of the nh = N * H elements keeps
+ * its first and last spike time, its spike count and its sum of d * d
+ * over the intervals d that close; c spikes make max(c - 1, 0) intervals
+ * summing to last - first.  The loop over an element's timesteps has no
+ * branch.  The counters are int32_t, exact for timesteps up to 2048:
+ * each d * d formed is at most 2048^2, and the intervals of one element
+ * add to at most 2047, so their squares add to at most 2047^2. */
+void isi_raster_stats(const unsigned char *restrict spikes,
+                      int64_t *restrict totals, ptrdiff_t nh,
+                      ptrdiff_t hidden, ptrdiff_t timesteps)
+{
+    int32_t first[BLOCK], last[BLOCK], count[BLOCK], sq[BLOCK];
+    for (ptrdiff_t lo = 0; lo < nh; lo += BLOCK) {
+        ptrdiff_t len = block_len(lo, nh);
+        for (ptrdiff_t j = 0; j < len; j++) {
+            first[j] = -1;
+            last[j] = -1;
+            count[j] = 0;
+            sq[j] = 0;
+        }
+        for (ptrdiff_t t = 0; t < timesteps; t++) {
+            const unsigned char *st = spikes + t * nh + lo;
+            const int32_t now = (int32_t)t;
+            for (ptrdiff_t j = 0; j < len; j++) {
+                int32_t fired = st[j] != 0;
+                int32_t opened = last[j] >= 0;
+                int32_t d = now - last[j];
+                sq[j] += d * d * (fired & opened);
+                first[j] = fired & !opened ? now : first[j];
+                last[j] = fired ? now : last[j];
+                count[j] += fired;
+            }
+        }
+        ptrdiff_t h = lo % hidden;
+        for (ptrdiff_t j = 0; j < len; j++) {
+            totals[h] += count[j];
+            totals[hidden + h] += count[j] > 0 ? count[j] - 1 : 0;
+            totals[2 * hidden + h] += last[j] - first[j];
+            totals[3 * hidden + h] += sq[j];
+            h = h + 1 == hidden ? 0 : h + 1;
+        }
+    }
 }

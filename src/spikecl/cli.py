@@ -29,14 +29,18 @@ of every earlier seed written.  A child that ends without sending its
 results fails as a RuntimeError naming its lane and runs (exit 4).  No
 child outlives the command: all are reaped before it returns, and they
 are killed at once when this process's own lane fails on the first run
-or is interrupted.  After a failure, checkpoints of seeds later than the
-failed one may exist, written by lanes that ran ahead.
+or is interrupted.  Should this process die without that, each child
+gets SIGKILL from the kernel at once.  After a failure, checkpoints of
+seeds later than the failed one may exist, written by lanes that ran
+ahead.
 """
 
 import argparse
+import ctypes
 import json
 import os
 import pickle
+import signal
 import sys
 import time
 from dataclasses import replace
@@ -122,10 +126,28 @@ def _portable(exc):
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
+# prctl's option that names the signal a process gets when its parent dies
+PR_SET_PDEATHSIG = 1
+
+
 def _child_lane(job, share, sender, receivers):
-    """Body of a child lane: close the receiving ends it inherited, so
-    that a send fails, not blocks, once the parent is gone; then send
-    (results, failure) through the pipe."""
+    """Body of a child lane: ask for SIGKILL when the parent dies, and
+    return at once if it already has; close the receiving ends it
+    inherited, so that a send fails, not blocks, once the parent is gone;
+    then send (results, failure) through the pipe.
+
+    Children exist only where ``os.sched_getaffinity`` does, on Linux,
+    so ``prctl`` is there.  The signal follows the parent thread that
+    started the child, the one that runs ``_run_lanes``.
+    """
+    import multiprocessing
+
+    libc = ctypes.CDLL(None, use_errno=True)
+    if libc.prctl(PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) != 0:
+        errno = ctypes.get_errno()
+        raise OSError(errno, f"prctl(PR_SET_PDEATHSIG): {os.strerror(errno)}")
+    if os.getppid() != multiprocessing.parent_process().pid:
+        return   # the parent died before the prctl
     for receiver in receivers.values():
         receiver.close()
     results, failure = _lane(job, share)

@@ -9,10 +9,11 @@ finishing task l) feeds the summary metrics.
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .importance import (
     SIAccumulator,
     collect_spike_record,
@@ -67,14 +68,16 @@ def resolve_lambda(method, lam=None):
     return METHODS[method][0] if METHODS[method][1] is None else lam
 
 
-@dataclass
+@dataclass(frozen=True)
 class Anchor:
-    """Trunk snapshot plus per-neuron protection strengths."""
+    """Trunk snapshot plus per-neuron protection strengths, fixed once
+    made: ``scale``, lambda * omega, is formed at construction."""
 
     w1: np.ndarray
     b1: np.ndarray
     omega: np.ndarray
     lam: float
+    scale: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.lam < math.inf:
@@ -84,27 +87,29 @@ class Anchor:
             raise ValueError("anchor shapes disagree on hidden size")
         if not np.all((0 <= self.omega) & (self.omega < math.inf)):
             raise ValueError("omega must be finite and >= 0")
+        object.__setattr__(self, "scale", self.lam * self.omega)
 
-    def pull(self, net):
-        """(penalty, dW1, db1): the anchored penalty on ``net``'s trunk and
-        its gradient, from one displacement w - w*.  Heads are exempt.  The
-        two halves stay methods so perfbench times each as a layer."""
-        dw1 = net.w1 - self.w1
-        db1 = net.b1 - self.b1
-        return (self.penalty(dw1, db1), *self.gradient(dw1, db1))
+    def pull(self, grads):
+        """Add the anchored penalty's trunk gradient into the GradientSet
+        ``grads`` in place and return the penalty, both at the trunk
+        ``grads`` is for.  Heads are exempt.  The two halves stay methods
+        so perfbench times each as a layer."""
+        return self.penalty(self.gradient(grads))
 
-    def penalty(self, dw1, db1):
-        """(lambda/2) * sum_i omega_i * (|dw1[i]|^2 + db1[i]^2) at the trunk
-        displacement (dw1, db1) = (W1 - W1*, b1 - b1*)."""
-        per_neuron = (dw1 * dw1).sum(axis=1) + db1 * db1
-        return 0.5 * self.lam * float(self.omega @ per_neuron)
+    def penalty(self, sq):
+        """(lambda/2) * sum_i omega_i * sq[i], where sq[i] = |W1[i] -
+        W1*[i]|^2 + (b1[i] - b1*[i])^2 is neuron i's squared
+        displacement."""
+        return 0.5 * self.lam * float(self.omega @ sq)
 
-    def gradient(self, dw1, db1):
-        """d(penalty)/d(trunk) = lambda * omega_i * (w - w*) per row, as
-        (dW1, db1); scales ``dw1`` in place."""
-        scale = self.lam * self.omega
-        dw1 *= scale[:, np.newaxis]
-        return dw1, scale * db1
+    def gradient(self, grads):
+        """Add d(penalty)/d(trunk), lambda * omega_i * (w - w*) per row,
+        into ``grads.w1`` and ``grads.b1`` in place, at the trunk
+        ``grads.params`` names; returns the squared displacement per
+        neuron (H,) that ``penalty`` weighs."""
+        w1, b1 = grads.params[:2]
+        return kernels.anchor_pull(w1, b1, self.w1, self.b1, self.scale,
+                                   grads.w1, grads.b1)
 
 
 def csv_number(v):

@@ -1,19 +1,19 @@
 """Hot numeric kernels.
 
 The per-timestep membrane recursion and its reverse-mode counterpart
-dominate training time, with Adam next.  Those three run in C, together
-with the element-wise work around them (the mean spike count and the
-parameter step): their loops are in ``_kernels.c``, built on first
-import by ``_build.load`` and called through ctypes.  Each computes
-every element with numpy's operations in numpy's order, so its results
-equal the numpy formulation's (kept in ``tests/oracles.py``) bit for
-bit.  The functions here check shapes, dtypes and layout before they
-pass a pointer.
+dominate training time, with Adam and the anchor's pull next, and the
+interval counters dominate isi-cv's importance pass.  All of them run in
+C, together with the element-wise work around them (the mean spike
+count and the parameter step): their loops are in ``_kernels.c``, built
+on first import by ``_build.load`` and called through ctypes.  Each
+computes every element with numpy's operations in numpy's order, so its
+results equal the numpy formulation's (kept in ``tests/oracles.py``)
+bit for bit.  The functions here check shapes, dtypes and layout before
+they pass a pointer.
 
 The network always drives the trunk with a current that is constant over
 time, so the LIF kernels take one (N, H) current per sample rather than
-a time series.  The interval count stays in numpy; its Python loop runs
-over timesteps, not over samples.
+a time series.
 
 Membrane potentials and currents are float64 and interval counters
 int64; spikes, ``u >= theta``, are formed from the membrane, not stored.
@@ -33,6 +33,7 @@ __all__ = [
     "lif_forward_const",
     "lif_backward_sum",
     "adam_apply",
+    "anchor_pull",
     "isi_raster_stats",
 ]
 
@@ -41,7 +42,8 @@ BACKEND = "c"
 
 # The one bound on T (LIFConfig's too): a checkpoint stores T as a bare
 # number, so a corrupt one must not size an unbounded (T, N, H) block,
-# and the forward kernel counts spikes in int32.  Configs run T = 8 to 20.
+# and the forward kernel and the interval counters count in int32.
+# Configs run T = 8 to 20.
 MAX_TIMESTEPS = 2048
 
 _LIB = _build.load(os.path.join(os.path.dirname(__file__), "_kernels.c"))
@@ -58,6 +60,8 @@ _forward = _bind("lif_forward_const", None, _P, _P, _P, _N, _N, _F, _F)
 _backward = _bind("lif_backward_sum", None, _P, _P, _P, _N, _N, _F, _F, _F)
 _adam = _bind("adam_apply", ctypes.c_int, _P, _P, _P, _P, _P, _N, _P, _N,
               _P, _N, _P, _N, _F, _F, _F, _F, _F, _F)
+_pull = _bind("anchor_pull", None, _P, _P, _P, _P, _P, _P, _P, _P, _N, _N)
+_isi = _bind("isi_raster_stats", None, _P, _P, _N, _N, _N)
 _from_buffer, _addressof = ctypes.c_char.from_buffer, ctypes.addressof
 
 
@@ -77,6 +81,19 @@ def _address(a):
         return a.ctypes.data
     except ValueError:  # empty
         return None
+
+
+def _require_float(a, name, shape=None, writable=False):
+    """Raise ValueError unless ``a`` is a C-contiguous float64 array, of
+    ``shape`` if given, that can be written if ``writable``."""
+    if not (a.dtype == np.float64 and a.flags.c_contiguous
+            and (a.flags.writeable or not writable)
+            and (shape is None or a.shape == shape)):
+        raise ValueError(
+            f"{name} must be a {'writable ' if writable else ''}"
+            f"C-contiguous float64 array"
+            f"{'' if shape is None else f' of shape {shape}'}, got "
+            f"{a.dtype} {a.shape}")
 
 
 def _float_matrix(a, name):
@@ -160,10 +177,7 @@ def adam_apply(grad, m, v, params, t, lr, beta1, beta2, eps):
     sizes = [p.size for p in params]
     for name, a in (("m", m), ("v", v), ("w1", w1), ("b1", b1), ("w2", w2),
                     ("b2", b2)):
-        if not (a.dtype == np.float64 and a.flags.c_contiguous
-                and a.flags.writeable):
-            raise ValueError(f"{name} must be a writable C-contiguous "
-                             f"float64 array")
+        _require_float(a, name, writable=True)
     for name, moment in (("m", m), ("v", v)):
         if moment.shape != grad.shape:
             raise ValueError(f"{name} must be shaped like the gradient "
@@ -180,30 +194,62 @@ def adam_apply(grad, m, v, params, t, lr, beta1, beta2, eps):
     return delta
 
 
+def anchor_pull(w1, b1, anchor_w1, anchor_b1, scale, g_w1, g_b1):
+    """The quadratic anchor's pull on the trunk (w1, b1), in place.
+
+    Adds (w1 - anchor_w1) * scale[i] into the rows of ``g_w1`` and
+    scale[i] * (b1 - anchor_b1) into ``g_b1``, and returns each neuron's
+    squared displacement (H,), sum_j (w1 - anchor_w1)^2 + (b1 -
+    anchor_b1)^2, equal bit for bit to
+    ``((w1 - anchor_w1) ** 2).sum(axis=1) + db * db``.  All seven are
+    C-contiguous float64 arrays, the ``w1`` ones (H, D) and the others
+    (H,), and the two gradients are writable; any other raises ValueError
+    before anything is written.  The gradients must not overlap the
+    arrays that are read.
+    """
+    if w1.ndim != 2:
+        raise ValueError(f"w1 must be 2-D (H, D), got shape {w1.shape}")
+    hidden, dim = matrix = w1.shape
+    vector = (hidden,)
+    for name, a, shape, writable in (
+            ("w1", w1, matrix, False), ("b1", b1, vector, False),
+            ("anchor_w1", anchor_w1, matrix, False),
+            ("anchor_b1", anchor_b1, vector, False),
+            ("scale", scale, vector, False), ("g_w1", g_w1, matrix, True),
+            ("g_b1", g_b1, vector, True)):
+        _require_float(a, name, shape, writable)
+    sq = np.empty(hidden)
+    _pull(_address(w1), _address(b1), _address(anchor_w1),
+          _address(anchor_b1), _address(scale), _address(g_w1),
+          _address(g_b1), _address(sq), hidden, dim)
+    return sq
+
+
 def isi_raster_stats(spikes):
     """Inter-spike-interval counters per neuron of one (N, T, H) block.
 
     Intervals are taken within each sample and pooled across samples.
     Returns int64 (H,) (spike_counts, isi_counts, isi_sums, isi_sq_sums);
-    counters of separate blocks add.  One pass over time keeps each
-    sample's first and last spike time and adds d * d where an interval d
-    closes; c spikes make max(c - 1, 0) intervals summing to last - first.
+    counters of separate blocks add.  Each sample and neuron keeps its
+    first and last spike time and adds d * d where an interval d closes;
+    c spikes make max(c - 1, 0) intervals summing to last - first.
+
+    The kernel reads the raster time-major: the spikes of a
+    ``ForwardTrace``, views of (T, N, H) storage, are read in place, and
+    any other layout or dtype is copied to a time-major bool array first.
+    A raster that is not 3-D, or has more than MAX_TIMESTEPS steps,
+    raises ValueError before anything is copied.
     """
-    spikes = np.asarray(spikes, dtype=bool)
+    spikes = np.asarray(spikes)
+    if spikes.ndim != 3:
+        raise ValueError(f"spikes must be 3-D (N, T, H), got shape "
+                         f"{spikes.shape}")
     n_samples, timesteps, hidden = spikes.shape
-    first = np.full((n_samples, hidden), -1, dtype=np.int64)
-    last = np.full((n_samples, hidden), -1, dtype=np.int64)
-    sq_sums = np.zeros((n_samples, hidden), dtype=np.int64)
-    d = np.empty((n_samples, hidden), dtype=np.int64)
-    for t in range(timesteps):
-        fired = spikes[:, t, :]
-        opened = last >= 0
-        np.subtract(t, last, out=d)
-        d *= d
-        d *= fired & opened
-        sq_sums += d
-        np.copyto(first, t, where=fired & ~opened)
-        np.copyto(last, t, where=fired)
-    counts = spikes.sum(axis=1, dtype=np.int64)
-    return (counts.sum(axis=0), np.maximum(counts - 1, 0).sum(axis=0),
-            (last - first).sum(axis=0), sq_sums.sum(axis=0))
+    if timesteps > MAX_TIMESTEPS:
+        raise ValueError(f"spikes may hold at most {MAX_TIMESTEPS} "
+                         f"timesteps, got {timesteps}")
+    raster = np.ascontiguousarray(spikes.transpose(1, 0, 2), dtype=bool)
+    totals = np.zeros((4, hidden), dtype=np.int64)
+    _isi(_address(raster), _address(totals), n_samples * hidden, hidden,
+         timesteps)
+    return tuple(totals)

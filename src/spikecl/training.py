@@ -183,8 +183,9 @@ def train_task(net, data, task_id, params, rng, reg=None, step_hook=None):
 
     Each shuffled batch is read as floats with ``data.rows`` and drives
     the trunk as a constant current, scaled as ``forward_const`` does.
-    ``reg``, when given, must expose ``pull(net) -> (penalty, dW1, db1)``,
-    which is added to the loss and the trunk gradients.  ``step_hook(grads,
+    ``reg``, when given, must expose ``pull(grads) -> penalty``, which adds
+    its trunk gradient into the step's GradientSet in place and returns
+    the penalty that is added to the loss.  ``step_hook(grads,
     deltas)`` fires after every optimizer step with the total-loss
     gradients and the applied trunk deltas.  Returns one EpochLog per
     epoch (loss includes the penalty; accuracy is measured on the
@@ -209,11 +210,7 @@ def train_task(net, data, task_id, params, rng, reg=None, step_hook=None):
             loss, grads = backward(trace, yb)
             del trace  # backward freed its potentials; free its inputs
             if reg is not None:
-                penalty, pw1, pb1 = reg.pull(net)
-                loss += penalty
-                grads.w1 += pw1
-                grads.b1 += pb1
-                del pw1
+                loss += reg.pull(grads)
             deltas = adam_step(grads, opt)
             if step_hook is not None:
                 step_hook(grads, deltas)

@@ -7,11 +7,13 @@ interval counters, and a hand-written linear-interpolation percentile.
 The former training step (float64 spikes, the surrogate recomputed
 inside the reverse loop, Adam as one pass per parameter) is kept here as
 the bit-for-bit reference for the engine's, and so are the numpy bodies
-of the LIF kernels and Adam that the C kernels replaced (``numpy_*``),
-the former float64 data path (images scaled once at load, stored as
+that the C kernels replaced (``numpy_*``): the LIF kernels, Adam's
+update and the interval counters' one pass over time.  Kept too are the
+former float64 data path (images scaled once at load, stored as
 float64) for the uint8 Datasets, and the former anchored penalty and
-gradient (each forming w - w* itself) for ``Anchor.pull``.  Shared by
-the unit tests and the acceptance suite.
+gradient (each forming w - w* itself, in numpy) for ``Anchor.pull`` and
+``kernels.anchor_pull``.  Shared by the unit tests and the acceptance
+suite.
 """
 
 import math
@@ -436,6 +438,30 @@ def numpy_adam_update(grad, m, v, t, lr, beta1, beta2, eps):
     scratch += eps
     delta /= scratch
     return delta
+
+def numpy_isi_raster_stats(spikes):
+    """The numpy body of ``kernels.isi_raster_stats``: one pass over time
+    keeps each sample's first and last spike time and adds d * d where
+    an interval d closes, in int64."""
+    spikes = np.asarray(spikes, dtype=bool)
+    n_samples, timesteps, hidden = spikes.shape
+    first = np.full((n_samples, hidden), -1, dtype=np.int64)
+    last = np.full((n_samples, hidden), -1, dtype=np.int64)
+    sq_sums = np.zeros((n_samples, hidden), dtype=np.int64)
+    d = np.empty((n_samples, hidden), dtype=np.int64)
+    for t in range(timesteps):
+        fired = spikes[:, t, :]
+        opened = last >= 0
+        np.subtract(t, last, out=d)
+        d *= d
+        d *= fired & opened
+        sq_sums += d
+        np.copyto(first, t, where=fired & ~opened)
+        np.copyto(last, t, where=fired)
+    counts = spikes.sum(axis=1, dtype=np.int64)
+    return (counts.sum(axis=0), np.maximum(counts - 1, 0).sum(axis=0),
+            (last - first).sum(axis=0), sq_sums.sum(axis=0))
+
 
 def oracle_anchor_penalty(anchor, net):
     """Former ``Anchor.penalty``: quadratic pull toward the anchor, weighted

@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_dataset
+from conftest import filled_grads, random_dataset, traced_peak
 from spikecl import cli, continual, importance, kernels, training
 from spikecl import data as data_module
 from spikecl.importance import collect_spike_record, isi_cv_importance
@@ -171,9 +171,9 @@ def test_no_batch_trace_outlives_its_batch(module, run, monkeypatch):
 
 
 def test_no_step_array_outlives_its_step(monkeypatch):
-    # peak_rss_mb: the step's gradients, applied deltas and the anchor's
-    # (H, D) pull are dead before the next forward pass, and the batch's
-    # float rows before the optimizer step
+    # peak_rss_mb: the step's gradients and applied deltas are dead before
+    # the next forward pass, and the batch's float rows before the
+    # optimizer step; the anchor's pull forms no (H, D) array at all
     step_refs, batch_refs = [], []
 
     def assert_dead(refs, what):
@@ -183,7 +183,7 @@ def test_no_step_array_outlives_its_step(monkeypatch):
     real_forward = training.forward_const
 
     def forward(x, *args):
-        assert_dead(step_refs, "gradient, delta or anchor pull")
+        assert_dead(step_refs, "gradient or delta")
         batch_refs.append(weakref.ref(x))
         return real_forward(x, *args)
 
@@ -193,20 +193,12 @@ def test_no_step_array_outlives_its_step(monkeypatch):
         assert_dead(batch_refs, "float rows")
         return real_adam(*args)
 
-    real_pull = continual.Anchor.pull
-
-    def pull(self, net):
-        penalty, dw1, db1 = real_pull(self, net)
-        step_refs.append(weakref.ref(dw1))
-        return penalty, dw1, db1
-
     def hook(grads, deltas):
         step_refs.extend(weakref.ref(a) for a in (
             grads, grads.w1, deltas["w1"], deltas["w1"].base))
 
     monkeypatch.setattr(training, "forward_const", forward)
     monkeypatch.setattr(training, "adam_step", adam)
-    monkeypatch.setattr(continual.Anchor, "pull", pull)
     net = _tiny_net(timesteps=3)
     anchor = continual.Anchor(*net.copy_trunk(), omega=np.full(4, 0.5),
                               lam=1.0)
@@ -214,7 +206,19 @@ def test_no_step_array_outlives_its_step(monkeypatch):
                                    np.arange(10) % 2),
                0, TrainParams(epochs=2, batch_size=4),
                np.random.default_rng(0), reg=anchor, step_hook=hook)
-    assert len(batch_refs) == 6 and len(step_refs) == 6 * 5
+    assert len(batch_refs) == 6 and len(step_refs) == 6 * 4
+
+    # the pull adds into the step's gradients in place; forming w - w*
+    # and its scaled copy took two 401 KB blocks at this size
+    net = new_network(784, 64, 2, LIFConfig(), np.random.default_rng(3))
+    register_head(net, np.random.default_rng(4))
+    anchor = continual.Anchor(*net.copy_trunk(), omega=np.full(64, 0.5),
+                              lam=1.0)
+    net.w1 += 0.01
+    grads = filled_grads(net)
+    penalty, peak = traced_peak(lambda: anchor.pull(grads))
+    assert penalty > 0.0 and grads.w1.any()
+    assert peak < 4096
 
 
 # sizes that keep each workload's real call sites and checks but run in

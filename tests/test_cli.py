@@ -811,18 +811,23 @@ def test_a_child_lane_that_sends_part_of_its_results_is_named(
 
 
 def test_a_child_lane_does_not_outlive_a_killed_parent(tmp_path):
-    # lane 0 kills the parent outright, so no finally runs; lane 1's
-    # results overfill the pipe, and its send must fail, not block
+    # lane 0 kills the parent outright, so no finally runs, once lane 1
+    # has started (a child dies with its parent, so it might never run);
+    # lane 1's results overfill the pipe, and its send must fail, not block
     pid_file = tmp_path / "child.pid"
     code = textwrap.dedent(f"""
-        import os, signal
+        import os, signal, time
         from spikecl import cli
         os.sched_getaffinity = lambda pid: {{0, 1}}
+        pid_file = {str(pid_file)!r}
         def job(item):
             if item == 0:
+                while not os.path.exists(pid_file):
+                    time.sleep(0.01)
                 os.kill(os.getpid(), signal.SIGKILL)
-            with open({str(pid_file)!r}, "w") as f:
+            with open(pid_file + ".part", "w") as f:
                 f.write(str(os.getpid()))
+            os.replace(pid_file + ".part", pid_file)
             return bytes(1 << 20)
         cli._run_lanes(job, [0, 1], str)
     """)
@@ -834,20 +839,64 @@ def test_a_child_lane_does_not_outlive_a_killed_parent(tmp_path):
         assert time.monotonic() < deadline, "lane 1 never ran"
         time.sleep(0.05)
     pid = int(pid_file.read_text())
-
-    def running():
-        # not gone, nor a zombie left to whichever process adopted it
-        try:
-            return Path(f"/proc/{pid}/stat").read_text().split()[2] != "Z"
-        except FileNotFoundError:
-            return False
-
     try:
-        while running():
+        while _running(pid):
             assert time.monotonic() < deadline, "lane 1 outlived its parent"
             time.sleep(0.05)
     finally:
-        if running():
+        if _running(pid):
+            os.kill(pid, signal.SIGKILL)
+
+
+def _running(pid):
+    """Not gone, nor a zombie left to whichever process adopted it."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().split()[2] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_a_child_lane_dies_with_its_parent(tmp_path):
+    # lane 0 kills the parent outright once lane 1 has begun a 20 s job
+    # that writes a heartbeat every 50 ms; lane 1 must stop at once, not
+    # when it next sends
+    beat = tmp_path / "beat"
+    code = textwrap.dedent(f"""
+        import os, signal, time
+        from spikecl import cli
+        os.sched_getaffinity = lambda pid: {{0, 1}}
+        beat = {str(beat)!r}
+        def job(item):
+            if item == 0:
+                while not os.path.exists(beat):
+                    time.sleep(0.01)
+                os.kill(os.getpid(), signal.SIGKILL)
+            end = time.monotonic() + 20
+            n = 0
+            while time.monotonic() < end:
+                n += 1
+                with open(beat + ".part", "w") as f:
+                    f.write(f"{{os.getpid()}} {{n}}")
+                os.replace(beat + ".part", beat)
+                time.sleep(0.05)
+        cli._run_lanes(job, [0, 1], str)
+    """)
+    done = subprocess.run([sys.executable, "-c", code], timeout=60,
+                          stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL,
+                          env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    assert done.returncode == -signal.SIGKILL
+    deadline = time.monotonic() + 3
+    pid = int(beat.read_text().split()[0])
+    try:
+        while _running(pid):
+            assert time.monotonic() < deadline, "lane 1 outlived its parent"
+            time.sleep(0.05)
+        last = beat.read_text()
+        time.sleep(0.3)
+        assert beat.read_text() == last, "lane 1 still writes"
+    finally:
+        if _running(pid):
             os.kill(pid, signal.SIGKILL)
 
 

@@ -1,11 +1,13 @@
 """Anchored penalty, result metrics, and full sequence orchestration."""
 
+import dataclasses
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import random_dataset
+from conftest import filled_grads, random_dataset
 from oracles import oracle_anchor_gradient, oracle_anchor_penalty
 from spikecl import continual
 from spikecl import data as data_module
@@ -24,30 +26,43 @@ from spikecl.training import TrainParams, train_task
 
 def _net_and_anchor(rng, hidden=4, dim=3, lam=1.0, omega=None):
     net = new_network(dim, hidden, 2, LIFConfig(), rng)
+    # head 0 sizes the GradientSet that _pull hands the anchor
+    register_head(net, np.random.default_rng(0))
     omega = np.full(hidden, 0.5) if omega is None else omega
     anchor = Anchor(w1=net.w1.copy(), b1=net.b1.copy(), omega=omega, lam=lam)
     return net, anchor
 
 
+def _pull(anchor, net):
+    """``anchor.pull`` on a zero GradientSet for ``net``'s head 0:
+    (penalty, dW1, db1)."""
+    grads = filled_grads(net)
+    return anchor.pull(grads), grads.w1, grads.b1
+
+
 def test_penalty_zero_at_anchor_and_for_zero_lambda():
     rng = np.random.default_rng(40)
     net, anchor = _net_and_anchor(rng)
-    assert anchor.pull(net)[0] == 0.0
+    assert _pull(anchor, net)[0] == 0.0
     net.w1 += 1.0
-    assert anchor.pull(net)[0] > 0.0
-    anchor.lam = 0.0
-    assert anchor.pull(net)[0] == 0.0
+    assert _pull(anchor, net)[0] > 0.0
+    # lambda is fixed once the anchor is made, and so is its scale
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        anchor.lam = 0.0
+    anchor = dataclasses.replace(anchor, lam=0.0)
+    assert _pull(anchor, net)[0] == 0.0
 
 
 def test_penalty_worked_example():
     # H=1: omega 1, lambda 2, dW 0.1, db 0.2 -> (2/2)(0.01+0.04) = 0.05
     net = new_network(1, 1, 2, LIFConfig(), np.random.default_rng(0))
+    register_head(net, np.random.default_rng(0))
     anchor = Anchor(w1=net.w1.copy(), b1=net.b1.copy(),
                     omega=np.ones(1), lam=2.0)
     net.w1 += 0.1
     net.b1 += 0.2
-    assert anchor.pull(net)[0] == pytest.approx(0.05, rel=1e-12)
-    _, dw1, db1 = anchor.pull(net)
+    assert _pull(anchor, net)[0] == pytest.approx(0.05, rel=1e-12)
+    _, dw1, db1 = _pull(anchor, net)
     assert dw1[0, 0] == pytest.approx(0.2, rel=1e-12)
     assert db1[0] == pytest.approx(0.4, rel=1e-12)
 
@@ -58,15 +73,15 @@ def test_penalty_non_negative_and_heads_ignored():
         net, anchor = _net_and_anchor(rng, omega=rng.random(4))
         net.w1 += rng.normal(scale=0.5, size=net.w1.shape)
         net.b1 += rng.normal(scale=0.5, size=net.b1.shape)
-        assert anchor.pull(net)[0] >= 0.0
+        assert _pull(anchor, net)[0] >= 0.0
     register_head(net, rng)
-    before = anchor.pull(net)[0]
+    before = _pull(anchor, net)[0]
     net.heads[0].w2 += 100.0   # heads must not enter the penalty
-    assert anchor.pull(net)[0] == before
+    assert _pull(anchor, net)[0] == before
 
 
 def penalty_fd_discrepancy(n_cases, seed, step=1e-4, tol=1e-6):
-    """Max normalized gap between the gradient ``Anchor.pull`` returns and
+    """Max normalized gap between the gradient ``Anchor.pull`` adds and
     central differences of its penalty."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -79,16 +94,16 @@ def penalty_fd_discrepancy(n_cases, seed, step=1e-4, tol=1e-6):
         )
         net.w1 += rng.normal(scale=0.3, size=net.w1.shape)
         net.b1 += rng.normal(scale=0.3, size=net.b1.shape)
-        _, dw1, db1 = anchor.pull(net)
+        _, dw1, db1 = _pull(anchor, net)
         for arr, grad in ((net.w1, dw1), (net.b1, db1)):
             it = np.nditer(arr, flags=["multi_index"])
             for _value in it:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + step
-                hi = anchor.pull(net)[0]
+                hi = _pull(anchor, net)[0]
                 arr[idx] = orig - step
-                lo = anchor.pull(net)[0]
+                lo = _pull(anchor, net)[0]
                 arr[idx] = orig
                 fd = (hi - lo) / (2 * step)
                 gap = abs(grad[idx] - fd) / (tol + tol * abs(fd))
@@ -132,27 +147,41 @@ def test_pull_matches_the_former_penalty_and_gradient():
         omega[rng.random(hidden) < 0.3] = 0.0
         net, anchor = _displaced(rng, hidden, dim, lam, omega)
         w1, b1 = net.copy_trunk()
-        penalty, dw1, db1 = anchor.pull(net)
+        anchor_w1, anchor_b1 = anchor.w1.copy(), anchor.b1.copy()
+        grads = filled_grads(net)
+        grads.flat[:] = rng.normal(size=grads.flat.size)
+        grads.flat[::3] = (0.0, -0.0)[case % 2]   # signed zeros in g
+        before = grads.flat.copy()
+        penalty = anchor.pull(grads)
         assert penalty == oracle_anchor_penalty(anchor, net)
         want_w1, want_b1 = oracle_anchor_gradient(anchor, net)
-        assert dw1.tobytes() == want_w1.tobytes()
-        assert db1.tobytes() == want_b1.tobytes()
+        g_w1, g_b1, g_head = np.split(before, [w1.size, w1.size + b1.size])
+        assert grads.w1.tobytes() == (g_w1.reshape(w1.shape)
+                                      + want_w1).tobytes()
+        assert grads.b1.tobytes() == (g_b1 + want_b1).tobytes()
+        # the head's gradients are untouched
+        assert grads.flat[w1.size + b1.size:].tobytes() == g_head.tobytes()
         # pull reads the trunk and the anchor, it writes neither
         assert net.w1.tobytes() == w1.tobytes()
         assert net.b1.tobytes() == b1.tobytes()
-        assert dw1 is not anchor.w1 and dw1 is not net.w1
+        assert anchor.w1.tobytes() == anchor_w1.tobytes()
+        assert anchor.b1.tobytes() == anchor_b1.tobytes()
 
 
 class _OracleAnchor:
     """A ``train_task`` regularizer built from the former penalty and
-    gradient."""
+    gradient, added into the step's gradients as ``train_task`` once
+    did."""
 
     def __init__(self, anchor):
         self.anchor = anchor
 
-    def pull(self, net):
-        return (oracle_anchor_penalty(self.anchor, net),
-                *oracle_anchor_gradient(self.anchor, net))
+    def pull(self, grads):
+        trunk = SimpleNamespace(w1=grads.params[0], b1=grads.params[1])
+        dw1, db1 = oracle_anchor_gradient(self.anchor, trunk)
+        grads.w1 += dw1
+        grads.b1 += db1
+        return oracle_anchor_penalty(self.anchor, trunk)
 
 
 def test_train_task_with_pull_matches_the_oracle_regularizer():

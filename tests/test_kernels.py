@@ -1,9 +1,10 @@
-"""The training-step kernels against their former bodies, bit for bit.
+"""The C kernels against their former bodies, bit for bit.
 
 ``tests/oracles.py`` keeps the LIF kernels and Adam as they were before
 the spikes became bool, the surrogate moved out of the reverse loop and
-Adam became one flat in-place pass, and as the numpy bodies that the C
-kernels replaced (``numpy_*``).  Every output here must match those
+Adam became one flat in-place pass, the anchor's pull as it was formed
+in numpy, and the numpy bodies that the C kernels replaced
+(``numpy_*``), the interval counters' among them.  Every output here must match those
 references exactly, dtypes included, and so must a whole run; against
 the numpy bodies that holds at the IEEE edges too (signed zeros,
 subnormals, NaN, infinities, overflow).
@@ -11,6 +12,7 @@ subnormals, NaN, infinities, overflow).
 
 import copy
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,10 +20,13 @@ import pytest
 from oracles import (
     OracleOptimizerState,
     numpy_adam_update,
+    numpy_isi_raster_stats,
     numpy_lif_backward_sum,
     numpy_lif_forward_const,
     oracle_adam_step,
+    oracle_anchor_gradient,
     oracle_forward_const,
+    oracle_isi_raster_stats,
     oracle_lif_backward_sum,
     oracle_lif_forward_const,
 )
@@ -474,3 +479,150 @@ def test_c_adam_writes_nothing_for_a_non_finite_gradient():
                                       0.999, 1e-8) is None
             assert not m.any() and not v.any()
             assert not any(p.any() for p in params)
+
+
+def _trunk_and_anchor(rng, hidden, dim):
+    """A trunk (w1, b1), an anchor (w1*, b1*), per-neuron strengths and
+    trunk gradients, all random."""
+    return (rng.normal(size=(hidden, dim)), rng.normal(size=hidden),
+            rng.normal(size=(hidden, dim)), rng.normal(size=hidden),
+            rng.random(hidden), rng.normal(size=(hidden, dim)),
+            rng.normal(size=hidden))
+
+
+# D below 8, at and around the 8 running sums and numpy's 128-element
+# leaf, an uneven split of halves, the workload's 784, and past 8192
+@pytest.mark.parametrize("dim", [1, 7, 8, 9, 127, 128, 129, 255, 257, 784,
+                                 8193])
+@pytest.mark.parametrize("hidden", [1, 64])
+def test_c_anchor_pull_sums_equal_numpy(dim, hidden):
+    rng = np.random.default_rng([11, dim, hidden])
+    w1, b1, anchor_w1, anchor_b1, scale, g_w1, g_b1 = _trunk_and_anchor(
+        rng, hidden, dim)
+    sq = kernels.anchor_pull(w1, b1, anchor_w1, anchor_b1, scale, g_w1,
+                             g_b1)
+    db = b1 - anchor_b1
+    want = ((w1 - anchor_w1) ** 2).sum(axis=1) + db * db
+    assert sq.dtype == np.float64 and sq.shape == (hidden,)
+    assert sq.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 9, 129, 784])
+def test_c_anchor_pull_gradient_equals_the_former_gradient(dim):
+    hidden = 64
+    rng = np.random.default_rng([12, dim])
+    w1, b1, anchor_w1, anchor_b1, omega, g_w1, g_b1 = _trunk_and_anchor(
+        rng, hidden, dim)
+    # no displacement, zero strength, and gradients of either zero
+    anchor_w1[::5] = w1[::5]
+    anchor_b1[::5] = b1[::5]
+    omega[::3] = 0.0
+    g_w1.reshape(-1)[::4] = 0.0
+    g_w1.reshape(-1)[1::4] = -0.0
+    g_b1[::4], g_b1[1::4] = 0.0, -0.0
+    for lam in (0.0, 1e-3, 500.0):
+        anchor = SimpleNamespace(w1=anchor_w1, b1=anchor_b1, omega=omega,
+                                 lam=lam)
+        want_w1, want_b1 = oracle_anchor_gradient(
+            anchor, SimpleNamespace(w1=w1, b1=b1))
+        got_w1, got_b1 = g_w1.copy(), g_b1.copy()
+        kernels.anchor_pull(w1, b1, anchor_w1, anchor_b1, lam * omega,
+                            got_w1, got_b1)
+        _same(got_w1, g_w1 + want_w1)
+        _same(got_b1, g_b1 + want_b1)
+
+
+def test_c_anchor_pull_rejects_arrays_it_cannot_use():
+    rng = np.random.default_rng(13)
+    args = list(_trunk_and_anchor(rng, 4, 6))
+    before = [a.copy() for a in args]
+    frozen = [_frozen(a) for a in args[5:]]
+    for index, bad in ((0, args[0].astype(np.float32)),
+                       (0, args[0][0]),                 # 1-D trunk
+                       (1, args[1][:3]),
+                       (2, np.asfortranarray(args[2])),
+                       (3, args[3].astype(np.float32)),
+                       (4, args[4][:, None]),
+                       (5, frozen[0]), (5, args[5].T.copy()),
+                       (5, np.zeros((4, 12))[:, ::2]),
+                       (6, frozen[1]), (6, args[6].astype(np.float32))):
+        wrong = list(args)
+        wrong[index] = bad
+        with pytest.raises(ValueError, match="must be"):
+            kernels.anchor_pull(*wrong)
+        for a, b in zip(args, before):
+            assert a.tobytes() == b.tobytes()
+
+
+def _assert_isi_equals_the_references(raster):
+    """The kernel's counters of ``raster`` (N, T, H), read batch-major and
+    through a time-major view as a trace holds its spikes, against the
+    per-sample oracle (counts exactly, m2 to rounding) and the former
+    numpy body (all four exactly)."""
+    raster = np.ascontiguousarray(raster, dtype=bool)
+    time_major = np.ascontiguousarray(raster.transpose(1, 0, 2))
+    want = numpy_isi_raster_stats(raster)
+    spikes, counts, sums, _ = oracle_isi_raster_stats(raster)
+    for view in (raster, time_major.transpose(1, 0, 2)):
+        got = kernels.isi_raster_stats(view)
+        assert len(got) == 4
+        for g, w in zip(got, want):
+            _same(g, w)
+        for g, w in zip(got, (spikes, counts, sums)):
+            _same(g, w)
+    return got
+
+
+@pytest.mark.parametrize("shape", [(7, 13), (33, 20)])
+@pytest.mark.parametrize("timesteps", [1, 2, 37, 2048])
+def test_c_isi_raster_stats_equals_the_references(shape, timesteps):
+    # neither 7 * 13 nor 33 * 20 is a multiple of the 512-element block
+    rng = np.random.default_rng([14, *shape, timesteps])
+    n, hidden = shape
+    for p in (0.02, 0.3, 0.9):
+        _assert_isi_equals_the_references(
+            rng.random((n, timesteps, hidden)) < p)
+    silent = _assert_isi_equals_the_references(
+        np.zeros((n, timesteps, hidden), dtype=bool))
+    assert not any(c.any() for c in silent)
+    busy = _assert_isi_equals_the_references(
+        np.ones((n, timesteps, hidden), dtype=bool))
+    intervals = n * (timesteps - 1)
+    assert busy[0].tolist() == [n * timesteps] * hidden
+    assert busy[3].tolist() == [intervals] * hidden
+
+
+def test_c_isi_raster_stats_reads_a_trace_in_place():
+    # the spikes of a ForwardTrace are a view of time-major storage; only
+    # the (4, H) totals are allocated
+    rng = np.random.default_rng(15)
+    net = new_network(64, 128, 2, LIFConfig(timesteps=10), rng)
+    register_head(net, rng)
+    spikes = forward_const(rng.random((128, 64)), 0, net)[1].s
+    want = numpy_isi_raster_stats(spikes)
+    tracemalloc.start()
+    try:
+        got = kernels.isi_raster_stats(spikes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for g, w in zip(got, want):
+        _same(g, w)
+    assert peak < 8192  # 4 KiB of totals; a copy would be 163,840 B
+
+
+def test_c_isi_raster_stats_rejects_a_raster_it_cannot_count():
+    # too many timesteps: rejected before the raster is copied
+    for raster in (np.zeros((4, kernels.MAX_TIMESTEPS + 1, 3), dtype=bool),
+                   np.zeros((4, kernels.MAX_TIMESTEPS + 1, 3))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at most 2048 timesteps"):
+                kernels.isi_raster_stats(raster)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+    for shape in ((4, 3), (2, 4, 3, 1), ()):
+        with pytest.raises(ValueError, match="must be 3-D"):
+            kernels.isi_raster_stats(np.zeros(shape, dtype=bool))
