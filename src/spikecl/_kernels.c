@@ -9,9 +9,9 @@
  * compiler neither fuses a multiply and an add (-ffp-contract=off) nor
  * reassociates (no fast-math flag); _build.py owns the flags.
  *
- * Arrays are C-contiguous; kernels.py checks shapes, dtypes and layout
- * before it passes a pointer, and passes a null pointer for an empty
- * array, which no loop reads.  An (N, H) slab is nh = N * H elements and a
+ * Arrays are C-contiguous and non-empty: kernels.py refuses any other,
+ * rather than copy it, and checks shapes and dtypes before it passes a
+ * pointer.  An (N, H) slab is nh = N * H elements and a
  * (T, N, H) block stores timestep t at offset t * nh.  The time loops run
  * over BLOCK elements at a time, so an element's state stays in cache
  * while its timesteps pass.

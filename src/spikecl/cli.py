@@ -60,6 +60,11 @@ def _write_text(path, text):
     write_atomic(path, text.encode("utf-8"))
 
 
+def _json_text(doc):
+    """How every JSON document the CLI writes is spelled."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _load_base(cfg):
     """Load the IDX train/test pair once per invocation; synthetic needs none."""
     if cfg.benchmark == "synthetic":
@@ -293,10 +298,9 @@ def cmd_run(cfg):
             result.matrix.to_csv(),
         )
         for k, vec in enumerate(result.importances):
-            doc = vec.to_json_dict(result.method, k)
             _write_text(
                 os.path.join(imp_dir, f"seed{seed}_task{k}.json"),
-                json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                _json_text(vec.to_json_dict(result.method, k)),
             )
         report = result.metrics()
         print(f"seed {seed}: AA={report.aa:.4f} BWT={report.bwt:+.4f} "
@@ -317,7 +321,7 @@ def cmd_run(cfg):
     }
     _write_text(
         os.path.join(cfg.out_dir, "run.json"),
-        json.dumps(record, indent=2, sort_keys=True) + "\n",
+        _json_text(record),
     )
     print(f"wrote {os.path.join(cfg.out_dir, 'metrics.csv')}")
     return 0
@@ -385,7 +389,7 @@ def cmd_importance_dump(cfg, checkpoint_path, task_id=None, out=None):
         )
     record = collect_spike_record(net, tasks[task_id].train)
     report = dict(importance_report(record), task_id=task_id)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _json_text(report)
     if out is None:
         sys.stdout.write(text)
     else:

@@ -4,8 +4,10 @@ Three estimators share one output contract, an ImportanceVector whose
 entries live in [0, 1]:
 
 * isi-cv: firing-regularity statistics from integer spike and interval
-  counters, no raster and no gradients involved.  Neurons with regular
-  inter-spike intervals (low coefficient of variation) score high.
+  counters, no gradients involved.  Each batch's bool (N, T, H) raster,
+  ``u >= theta``, goes to the counter kernel and is dropped; only the
+  counters are kept.  Neurons with regular inter-spike intervals (low
+  coefficient of variation) score high.
 * ewc: diagonal Fisher information of the trunk parameters, reduced to
   one value per hidden neuron.
 * si: path-integral of gradient times parameter displacement accumulated

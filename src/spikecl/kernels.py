@@ -8,8 +8,10 @@ count and the parameter step): their loops are in ``_kernels.c``, built
 on first import by ``_build.load`` and called through ctypes.  Each
 computes every element with numpy's operations in numpy's order, so its
 results equal the numpy formulation's (kept in ``tests/oracles.py``)
-bit for bit.  The functions here check shapes, dtypes and layout before
-they pass a pointer.
+bit for bit.  A kernel takes exactly the arrays the program makes:
+``_pointer`` checks each array it reads or writes once per call and
+refuses, rather than copies, any that is not writable, non-empty,
+C-contiguous and of the kernel's dtype and shape.
 
 The network always drives the trunk with a current that is constant over
 time, so the LIF kernels take one (N, H) current per sample rather than
@@ -65,42 +67,21 @@ _isi = _bind("isi_raster_stats", None, _P, _P, _N, _N, _N)
 _from_buffer, _addressof = ctypes.c_char.from_buffer, ctypes.addressof
 
 
-def _address(a):
-    """The address of the C-contiguous array ``a``'s first element.
-
-    ``c_char.from_buffer`` costs a fraction of ``a.ctypes.data`` but
-    needs a writable, non-empty buffer.  A read-only array, which a
-    kernel only reads, takes ``a.ctypes.data``; an empty one passes a
-    null pointer, which no kernel loop reads.
-    """
-    try:
-        return _addressof(_from_buffer(a))
-    except TypeError:  # read-only, or not C-contiguous
-        if not a.flags.c_contiguous:
-            raise ValueError("a kernel array must be C-contiguous") from None
-        return a.ctypes.data
-    except ValueError:  # empty
-        return None
-
-
-def _require_float(a, name, shape=None, writable=False):
-    """Raise ValueError unless ``a`` is a C-contiguous float64 array, of
-    ``shape`` if given, that can be written if ``writable``."""
-    if not (a.dtype == np.float64 and a.flags.c_contiguous
-            and (a.flags.writeable or not writable)
-            and (shape is None or a.shape == shape)):
-        raise ValueError(
-            f"{name} must be a {'writable ' if writable else ''}"
-            f"C-contiguous float64 array"
-            f"{'' if shape is None else f' of shape {shape}'}, got "
-            f"{a.dtype} {a.shape}")
-
-
-def _float_matrix(a, name):
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D (N, H), got shape {a.shape}")
-    return a
+def _pointer(a, name, shape, dtype=np.float64):
+    """The address of ``a``'s first element.  Raises ValueError, naming
+    ``name``, unless ``a`` is a writable, non-empty, C-contiguous array
+    of ``dtype`` and ``shape``; ``c_char.from_buffer`` refuses the
+    read-only, strided and empty ones."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape:
+        try:
+            return _addressof(_from_buffer(a))
+        except (TypeError, ValueError):
+            pass
+    got = (f"{a.dtype} {a.shape} with strides {a.strides}"
+           f"{'' if a.flags.writeable else ', read-only'}"
+           if isinstance(a, np.ndarray) else type(a).__name__)
+    raise ValueError(f"{name} must be a writable, non-empty, C-contiguous "
+                     f"{np.dtype(dtype)} array of shape {shape}, got {got}")
 
 
 def lif_forward_const(cur, timesteps, beta, theta):
@@ -111,19 +92,22 @@ def lif_forward_const(cur, timesteps, beta, theta):
     ``(u >= theta).mean(axis=1)``.  The membrane is a view of time-major
     (T, N, H) storage, so every step writes, and the backward kernel
     reads, one contiguous block.  A ``timesteps`` that is not an integer
-    raises TypeError, and one outside [1, MAX_TIMESTEPS] ValueError,
-    before anything is allocated.
+    raises TypeError, and one outside [1, MAX_TIMESTEPS] or a refused
+    ``cur`` ValueError, before anything is allocated.
     """
     timesteps = operator.index(timesteps)
     if not 1 <= timesteps <= MAX_TIMESTEPS:
         raise ValueError(f"timesteps must be in [1, {MAX_TIMESTEPS}], got "
                          f"{timesteps}")
-    cur = _float_matrix(cur, "cur")
+    if not isinstance(cur, np.ndarray) or cur.ndim != 2:
+        raise ValueError(f"cur must be 2-D (N, H), got "
+                         f"{type(cur).__name__} {np.shape(cur)}")
     n_samples, hidden = cur.shape
+    cur_at = _pointer(cur, "cur", cur.shape)
     u = np.empty((timesteps, n_samples, hidden))
     sbar = np.empty((n_samples, hidden))
-    _forward(_address(cur), _address(u), _address(sbar), cur.size,
-             timesteps, beta, theta)
+    _forward(cur_at, _addressof(_from_buffer(u)),
+             _addressof(_from_buffer(sbar)), cur.size, timesteps, beta, theta)
     return u.transpose(1, 0, 2), sbar
 
 
@@ -135,23 +119,20 @@ def lif_backward_sum(u, gsbar, beta, theta, alpha):
     feeds -theta times the next step's membrane gradient.  The threshold
     is differentiated with the ATan pseudo-derivative.
 
-    ``u`` (N, T, H) is read, not written.  The forward kernel's views of
-    time-major storage are read in place; any other layout is copied to
-    time-major first.
+    ``u`` (N, T, H) is read, not written, in the forward kernel's layout:
+    ``u.transpose(1, 0, 2)`` must pass ``_pointer``, as the forward
+    kernel's views of time-major storage do, and ``gsbar`` must be
+    (N, H).
     """
-    u = np.asarray(u)
-    if u.ndim != 3:
-        raise ValueError(f"u must be 3-D (N, T, H), got shape {u.shape}")
+    if not isinstance(u, np.ndarray) or u.ndim != 3:
+        raise ValueError(f"u must be 3-D (N, T, H), got "
+                         f"{type(u).__name__} {np.shape(u)}")
     n_samples, timesteps, hidden = u.shape
-    if timesteps < 1:
-        raise ValueError("u must hold at least one timestep")
-    u = np.ascontiguousarray(u.transpose(1, 0, 2), dtype=np.float64)
-    gsbar = _float_matrix(gsbar, "gsbar")
-    if gsbar.shape != (n_samples, hidden):
-        raise ValueError(f"gsbar must be {(n_samples, hidden)}, got "
-                         f"{gsbar.shape}")
+    u_at = _pointer(u.transpose(1, 0, 2), "u.transpose(1, 0, 2)",
+                    (timesteps, n_samples, hidden))
+    gsbar_at = _pointer(gsbar, "gsbar", (n_samples, hidden))
     total = np.empty((n_samples, hidden))
-    _backward(_address(u), _address(gsbar), _address(total), gsbar.size,
+    _backward(u_at, gsbar_at, _addressof(_from_buffer(total)), total.size,
               timesteps, beta, theta, alpha)
     return total
 
@@ -160,36 +141,28 @@ def adam_apply(grad, m, v, params, t, lr, beta1, beta2, eps):
     """One Adam step, step number ``t`` (from 1), applied to ``params``.
 
     ``params`` are four arrays, (w1, b1, w2, b2), and ``grad`` holds
-    their gradients back to back as one flat float64 vector.  A ``t``
-    that is not an integer raises TypeError, a ``t`` below 1 ValueError,
-    and a non-finite ``grad`` returns None, all before anything is
-    written.  Otherwise ``m`` and ``v``, the first and second moments,
-    are updated in place, every parameter is stepped in place by its
-    delta -lr * mhat / (sqrt(vhat) + eps), with the bias corrections
-    mhat = m / (1 - beta1 ** t) and vhat likewise, and the flat delta is
-    returned.
+    their gradients back to back as one flat float64 vector, shaped like
+    ``m`` and ``v``, the first and second moments.  A ``t`` that is not
+    an integer raises TypeError, a ``t`` below 1 or an array that
+    ``_pointer`` refuses ValueError, and a non-finite ``grad`` returns
+    None, all before anything is written.  Otherwise ``m`` and ``v`` are
+    updated in place, every parameter is stepped in place by its delta
+    -lr * mhat / (sqrt(vhat) + eps), with the bias corrections mhat = m /
+    (1 - beta1 ** t) and vhat likewise, and the flat delta is returned.
     """
     t = operator.index(t)
     if t < 1:  # 1 - beta1 ** 0 = 0 would divide every moment by zero
         raise ValueError(f"the step number t must be >= 1, got {t}")
-    grad = np.ascontiguousarray(grad, dtype=np.float64)
-    w1, b1, w2, b2 = params
     sizes = [p.size for p in params]
-    for name, a in (("m", m), ("v", v), ("w1", w1), ("b1", b1), ("w2", w2),
-                    ("b2", b2)):
-        _require_float(a, name, writable=True)
-    for name, moment in (("m", m), ("v", v)):
-        if moment.shape != grad.shape:
-            raise ValueError(f"{name} must be shaped like the gradient "
-                             f"{grad.shape}, got {moment.shape}")
-    if sum(sizes) != grad.size:
-        raise ValueError(f"the parameters hold {sum(sizes)} elements, the "
-                         f"gradient {grad.size}")
-    delta = np.empty_like(grad)
-    if _adam(_address(grad), _address(m), _address(v), _address(delta),
-             _address(w1), sizes[0], _address(b1), sizes[1], _address(w2),
-             sizes[2], _address(b2), sizes[3], beta1, beta2, eps, -lr,
-             1.0 - beta1 ** t, 1.0 - beta2 ** t):
+    flat = (sum(sizes),)
+    grad_at, m_at, v_at = (_pointer(a, name, flat) for name, a in (
+        ("grad", grad), ("m", m), ("v", v)))
+    w1_at, b1_at, w2_at, b2_at = (_pointer(p, name, p.shape) for name, p in
+                                  zip(("w1", "b1", "w2", "b2"), params))
+    delta = np.empty(flat)
+    if _adam(grad_at, m_at, v_at, _addressof(_from_buffer(delta)), w1_at,
+             sizes[0], b1_at, sizes[1], w2_at, sizes[2], b2_at, sizes[3],
+             beta1, beta2, eps, -lr, 1.0 - beta1 ** t, 1.0 - beta2 ** t):
         return None
     return delta
 
@@ -201,27 +174,23 @@ def anchor_pull(w1, b1, anchor_w1, anchor_b1, scale, g_w1, g_b1):
     scale[i] * (b1 - anchor_b1) into ``g_b1``, and returns each neuron's
     squared displacement (H,), sum_j (w1 - anchor_w1)^2 + (b1 -
     anchor_b1)^2, equal bit for bit to
-    ``((w1 - anchor_w1) ** 2).sum(axis=1) + db * db``.  All seven are
-    C-contiguous float64 arrays, the ``w1`` ones (H, D) and the others
-    (H,), and the two gradients are writable; any other raises ValueError
-    before anything is written.  The gradients must not overlap the
-    arrays that are read.
+    ``((w1 - anchor_w1) ** 2).sum(axis=1) + db * db``.  All seven must
+    pass ``_pointer``, the ``w1`` ones as (H, D) and the others as (H,);
+    any other raises ValueError before anything is written.  The
+    gradients must not overlap the arrays that are read.
     """
-    if w1.ndim != 2:
-        raise ValueError(f"w1 must be 2-D (H, D), got shape {w1.shape}")
+    if not isinstance(w1, np.ndarray) or w1.ndim != 2:
+        raise ValueError(f"w1 must be 2-D (H, D), got "
+                         f"{type(w1).__name__} {np.shape(w1)}")
     hidden, dim = matrix = w1.shape
     vector = (hidden,)
-    for name, a, shape, writable in (
-            ("w1", w1, matrix, False), ("b1", b1, vector, False),
-            ("anchor_w1", anchor_w1, matrix, False),
-            ("anchor_b1", anchor_b1, vector, False),
-            ("scale", scale, vector, False), ("g_w1", g_w1, matrix, True),
-            ("g_b1", g_b1, vector, True)):
-        _require_float(a, name, shape, writable)
+    at = [_pointer(a, name, shape) for name, a, shape in (
+        ("w1", w1, matrix), ("b1", b1, vector),
+        ("anchor_w1", anchor_w1, matrix), ("anchor_b1", anchor_b1, vector),
+        ("scale", scale, vector), ("g_w1", g_w1, matrix),
+        ("g_b1", g_b1, vector))]
     sq = np.empty(hidden)
-    _pull(_address(w1), _address(b1), _address(anchor_w1),
-          _address(anchor_b1), _address(scale), _address(g_w1),
-          _address(g_b1), _address(sq), hidden, dim)
+    _pull(*at, _addressof(_from_buffer(sq)), hidden, dim)
     return sq
 
 
@@ -234,22 +203,23 @@ def isi_raster_stats(spikes):
     first and last spike time and adds d * d where an interval d closes;
     c spikes make max(c - 1, 0) intervals summing to last - first.
 
-    The kernel reads the raster time-major: the spikes of a
-    ``ForwardTrace``, views of (T, N, H) storage, are read in place, and
-    any other layout or dtype is copied to a time-major bool array first.
-    A raster that is not 3-D, or has more than MAX_TIMESTEPS steps,
-    raises ValueError before anything is copied.
+    The kernel reads the raster time-major, in place: a ``ForwardTrace``'s
+    spikes, views of (T, N, H) bool storage, are what it takes, and
+    ``spikes.transpose(1, 0, 2)`` must pass ``_pointer`` as bool.  A
+    raster that is not 3-D, has more than MAX_TIMESTEPS steps or is
+    refused raises ValueError.
     """
-    spikes = np.asarray(spikes)
-    if spikes.ndim != 3:
-        raise ValueError(f"spikes must be 3-D (N, T, H), got shape "
-                         f"{spikes.shape}")
+    if not isinstance(spikes, np.ndarray) or spikes.ndim != 3:
+        raise ValueError(f"spikes must be 3-D (N, T, H), got "
+                         f"{type(spikes).__name__} {np.shape(spikes)}")
     n_samples, timesteps, hidden = spikes.shape
     if timesteps > MAX_TIMESTEPS:
         raise ValueError(f"spikes may hold at most {MAX_TIMESTEPS} "
                          f"timesteps, got {timesteps}")
-    raster = np.ascontiguousarray(spikes.transpose(1, 0, 2), dtype=bool)
+    raster_at = _pointer(spikes.transpose(1, 0, 2),
+                         "spikes.transpose(1, 0, 2)",
+                         (timesteps, n_samples, hidden), bool)
     totals = np.zeros((4, hidden), dtype=np.int64)
-    _isi(_address(raster), _address(totals), n_samples * hidden, hidden,
-         timesteps)
+    _isi(raster_at, _addressof(_from_buffer(totals)), n_samples * hidden,
+         hidden, timesteps)
     return tuple(totals)

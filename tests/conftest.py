@@ -47,9 +47,15 @@ def mnist():
     return load_idx_dir(MNIST_DIR)
 
 
+def time_major(raster):
+    """A copy of the (N, T, H) ``raster`` in the layout of a trace's
+    membrane and spikes: an (N, T, H) view of (T, N, H) storage."""
+    return np.ascontiguousarray(np.swapaxes(raster, 0, 1)).swapaxes(0, 1)
+
+
 def record_from_raster(raster):
     """The SpikeRecord of an (N, T, H) 0/1 raster, counted in one block."""
-    raster = np.asarray(raster, dtype=bool)
+    raster = time_major(np.asarray(raster, dtype=bool))
     return SpikeRecord(len(raster), *kernels.isi_raster_stats(raster))
 
 

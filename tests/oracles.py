@@ -270,20 +270,22 @@ def replay_membrane(currents, tau, theta):
 
 
 def oracle_lif_forward_const(cur, timesteps, beta, theta):
-    """Former ``kernels.lif_forward_const``: float64 spikes, batch-major."""
+    """Former ``kernels.lif_forward_const``: float64 spikes, batch-major.
+    The membrane is stored time-major, as the kernel stores it, so that
+    the kernels can read a trace made from it."""
     n_samples, hidden = cur.shape
-    u = np.empty((n_samples, timesteps, hidden))
+    u = np.empty((timesteps, n_samples, hidden))
     s = np.empty((n_samples, timesteps, hidden))
     u_prev = np.zeros((n_samples, hidden))
     s_prev = np.zeros((n_samples, hidden))
     for t in range(timesteps):
         u_t = beta * u_prev + cur - theta * s_prev
         s_t = (u_t >= theta).astype(np.float64)
-        u[:, t, :] = u_t
+        u[t] = u_t
         s[:, t, :] = s_t
         u_prev = u_t
         s_prev = s_t
-    return u, s
+    return u.transpose(1, 0, 2), s
 
 
 def oracle_lif_backward_sum(u, gsbar, beta, theta, alpha):

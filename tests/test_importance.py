@@ -16,6 +16,7 @@ from conftest import (
     random_dataset,
     random_tiny_net,
     record_from_raster,
+    time_major,
 )
 from oracles import (
     oracle_ablation_importance,
@@ -143,7 +144,7 @@ def test_isi_importance_matches_bruteforce_oracle():
 def _assert_same_raster_stats(raster):
     # counts exactly, dtypes included; m2 from the integer counters to
     # 1e-12 relative of the oracle's dot product of deviations
-    got = kernels.isi_raster_stats(raster.astype(bool))
+    got = kernels.isi_raster_stats(time_major(raster.astype(bool)))
     want = oracle_isi_raster_stats(raster)
     for name, g, w in zip(("spike_counts", "isi_counts", "isi_sums"),
                           got, want):
@@ -184,7 +185,8 @@ def test_raster_stats_first_and_last_step_give_one_full_interval():
     timesteps = 9
     raster = np.zeros((3, timesteps, 2), dtype=np.uint8)
     raster[1, [0, timesteps - 1], 0] = 1
-    spikes, counts, sums, sq_sums = kernels.isi_raster_stats(raster)
+    spikes, counts, sums, sq_sums = kernels.isi_raster_stats(
+        time_major(raster.astype(bool)))
     assert spikes[0] == 2
     assert counts[0] == 1
     assert sums[0] == timesteps - 1
@@ -196,7 +198,8 @@ def test_raster_stats_first_and_last_step_give_one_full_interval():
 def test_raster_stats_neuron_firing_at_every_step():
     n, timesteps = 7, 6
     raster = np.ones((n, timesteps, 3), dtype=bool)
-    spikes, counts, sums, sq_sums = kernels.isi_raster_stats(raster)
+    spikes, counts, sums, sq_sums = kernels.isi_raster_stats(
+        time_major(raster))
     assert np.array_equal(spikes, np.full(3, n * timesteps))
     assert np.array_equal(counts, np.full(3, n * (timesteps - 1)))
     assert np.array_equal(sums, np.full(3, n * (timesteps - 1)))

@@ -17,6 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import time_major, traced_peak
 from oracles import (
     OracleOptimizerState,
     numpy_adam_update,
@@ -266,29 +267,35 @@ def test_c_lif_kernels_equal_numpy_at_the_edges(shape, timesteps):
 
 
 def test_c_lif_kernels_equal_numpy_on_non_contiguous_inputs():
+    # the kernels refuse these layouts rather than copy them; the
+    # caller's C-contiguous copy, or time-major one for a membrane, is
+    # what they take
     rng = np.random.default_rng(7)
     beta, theta, alpha = 0.6, 0.8, 2.0
     wide = _edge_currents(rng, 9, 26, theta)
     for cur in (wide[:, ::2], wide[::2, 1::2], np.asfortranarray(wide),
                 wide.T[:13, :9].T):
-        _assert_c_equals_numpy(cur, 5, beta, theta,
-                               np.asfortranarray(rng.normal(size=cur.shape)),
+        gsbar = np.asfortranarray(rng.normal(size=cur.shape))
+        with pytest.raises(ValueError, match="^cur must be"):
+            kernels.lif_forward_const(cur, 5, beta, theta)
+        _assert_c_equals_numpy(cur.copy(), 5, beta, theta, gsbar.copy(),
                                alpha)
+        u, _ = kernels.lif_forward_const(cur.copy(), 5, beta, theta)
+        with pytest.raises(ValueError, match="^gsbar must be"):
+            kernels.lif_backward_sum(u, gsbar, beta, theta, alpha)
     # a membrane in another layout than the forward kernel's own
     u, _ = kernels.lif_forward_const(wide, 6, beta, theta)
-    gsbar = rng.normal(size=(9, 26))[:, ::-1]
-    for other in (u.copy(), np.asfortranarray(u)):
-        with np.errstate(all="ignore"):
-            want = numpy_lif_backward_sum(u.copy(), gsbar, beta, theta, alpha)
-        _same(kernels.lif_backward_sum(other, gsbar, beta, theta, alpha),
-              want)
+    gsbar = rng.normal(size=(9, 26))[:, ::-1].copy()
     u2, _ = kernels.lif_forward_const(
         _edge_currents(rng, 9, 52, theta), 6, beta, theta)
-    with np.errstate(all="ignore"):
-        want = numpy_lif_backward_sum(u2[:, :, ::2].copy(), gsbar, beta,
-                                      theta, alpha)
-    _same(kernels.lif_backward_sum(u2[:, :, ::2], gsbar, beta, theta, alpha),
-          want)
+    for other in (u.copy(), np.asfortranarray(u), u2[:, :, ::2]):
+        with pytest.raises(ValueError, match=r"^u\.transpose\(1, 0, 2\)"):
+            kernels.lif_backward_sum(other, gsbar, beta, theta, alpha)
+        with np.errstate(all="ignore"):
+            want = numpy_lif_backward_sum(other.copy(), gsbar, beta, theta,
+                                          alpha)
+        _same(kernels.lif_backward_sum(time_major(other), gsbar, beta, theta,
+                                       alpha), want)
 
 
 # (w1, b1, w2, b2) shapes whose sizes add to the 203 gradient entries
@@ -345,39 +352,28 @@ def test_c_adam_equals_numpy_at_the_edges():
                 _same(p, p_ref)
 
 
-def _adam_args(size=4):
-    """A gradient, moments and (w1, b1, w2, b2) for ``size`` entries."""
-    params = [np.zeros((1, size - 1)), np.zeros(1), np.zeros((0, 1)),
-              np.zeros(0)]
-    return np.ones(size), np.zeros(size), np.zeros(size), params
-
-
-def test_c_adam_rejects_moments_it_cannot_write():
-    grad, _, v, params = _adam_args()
-    for m in (np.zeros(5), np.zeros(4, dtype=np.float32), np.zeros(8)[::2]):
-        with pytest.raises(ValueError, match="m must be"):
-            kernels.adam_apply(grad, m, v, params, 1, 1e-3, 0.9, 0.999, 1e-8)
-    read_only = np.zeros(4)
-    read_only.flags.writeable = False
-    with pytest.raises(ValueError, match="v must be"):
-        kernels.adam_apply(grad, np.zeros(4), read_only, params, 1, 1e-3,
-                           0.9, 0.999, 1e-8)
+def _adam_args():
+    """A gradient, moments and (w1, b1, w2, b2) for 5 entries."""
+    params = [np.zeros((1, 2)), np.zeros(1), np.zeros((1, 1)), np.zeros(1)]
+    return np.ones(5), np.zeros(5), np.zeros(5), params
 
 
 def test_c_adam_rejects_parameters_it_cannot_write():
     grad, _, _, params = _adam_args()
     frozen = np.zeros(1)
     frozen.flags.writeable = False
-    for index, bad in ((0, np.zeros((3, 2))[:, :1].T), (1, frozen),
+    for index, bad in ((0, np.zeros((1, 4))[:, ::2]), (1, frozen),
                        (3, np.zeros(1, dtype=np.float32))):
-        m, v = np.zeros(4), np.zeros(4)
+        m, v = np.zeros(5), np.zeros(5)
         wrong = list(params)
         wrong[index] = bad
-        with pytest.raises(ValueError, match="must be a writable"):
+        name = ("w1", "b1", "w2", "b2")[index]
+        with pytest.raises(ValueError, match=f"^{name} must be a writable"):
             kernels.adam_apply(grad, m, v, wrong, 1, 1e-3, 0.9, 0.999, 1e-8)
         assert not m.any() and not v.any()
-    with pytest.raises(ValueError, match="parameters hold 5 elements"):
-        kernels.adam_apply(grad, np.zeros(4), np.zeros(4),
+    # the parameters hold 7 elements, the gradient 5
+    with pytest.raises(ValueError, match=r"^grad must be .* shape \(7,\)"):
+        kernels.adam_apply(grad, np.zeros(5), np.zeros(5),
                            [np.zeros((1, 4)), *params[1:]], 1, 1e-3, 0.9,
                            0.999, 1e-8)
 
@@ -401,7 +397,7 @@ def test_c_adam_rejects_a_step_number_below_1():
 
 
 def test_the_forward_kernel_takes_1_to_max_timesteps():
-    cur = np.full((64, 64), 2, dtype=np.int64)  # a float64 copy is 32 KiB
+    cur = np.full((64, 64), 2.0)  # a membrane of 2 steps is 64 KiB
     rejected = [(0, ValueError), (-1, ValueError),
                 (kernels.MAX_TIMESTEPS + 1, ValueError),
                 # int() would truncate 2.5 to 2 and run two steps
@@ -416,63 +412,18 @@ def test_the_forward_kernel_takes_1_to_max_timesteps():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4096  # rejected before the current is even copied
+        assert peak < 4096  # rejected before the membrane is allocated
     for timesteps in (1, np.int64(3), kernels.MAX_TIMESTEPS):
-        u, sbar = kernels.lif_forward_const(cur[:2, :3], timesteps, 0.5, 1.0)
+        u, sbar = kernels.lif_forward_const(cur[:2, :3].copy(), timesteps,
+                                            0.5, 1.0)
         assert u.shape == (2, timesteps, 3)
         assert np.array_equal(sbar, (u >= 1.0).mean(axis=1))
-
-
-def _frozen(a):
-    a = np.array(a)
-    a.flags.writeable = False
-    return a
-
-
-def test_c_kernels_take_read_only_and_empty_inputs():
-    rng = np.random.default_rng(9)
-    beta, theta, alpha = 0.6, 0.8, 2.0
-    # read-only currents and gsbar: read through their own buffers
-    cur = _edge_currents(rng, 5, 7, theta)
-    gsbar = rng.normal(size=(5, 7))
-    _assert_c_equals_numpy(_frozen(cur), 4, beta, theta, _frozen(gsbar),
-                           alpha)
-    u, _ = kernels.lif_forward_const(cur, 4, beta, theta)
-    with np.errstate(all="ignore"):
-        want = numpy_lif_backward_sum(u.copy(), gsbar, beta, theta, alpha)
-    u.base.flags.writeable = False
-    _same(kernels.lif_backward_sum(u, gsbar, beta, theta, alpha), want)
-    # no samples, no neurons: empty arrays pass a null pointer
-    for shape in ((0, 7), (5, 0), (0, 0)):
-        _assert_c_equals_numpy(np.zeros(shape), 3, beta, theta,
-                               np.zeros(shape), alpha)
-    # Adam: a read-only and a strided gradient are copied or read in place
-    for grad in (_frozen(rng.normal(size=4)), rng.normal(size=8)[::2]):
-        _, m, v, params = _adam_args()
-        _, m_ref, v_ref, params_ref = _adam_args()
-        want = _numpy_adam_apply(np.array(grad), m_ref, v_ref, params_ref, 1,
-                                 1e-3)
-        got = kernels.adam_apply(grad, m, v, params, 1, 1e-3, training.BETA1,
-                                 training.BETA2, training.EPS)
-        _same(got, want)
-        _same(m, m_ref)
-        for p, p_ref in zip(params, params_ref):
-            _same(p, p_ref)
-    # nothing to step at all (_adam_args has a head with no classes)
-    empty = [np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)), np.zeros(0)]
-    got = kernels.adam_apply(np.zeros(0), np.zeros(0), np.zeros(0), empty, 1,
-                             1e-3, 0.9, 0.999, 1e-8)
-    assert got.shape == (0,) and got.dtype == np.float64
-    # the wrappers copy or reject a strided array; the pointer helper
-    # itself refuses one rather than pass its first element's address
-    with pytest.raises(ValueError, match="C-contiguous"):
-        kernels._address(np.zeros((3, 4))[:, ::2])
 
 
 def test_c_adam_writes_nothing_for_a_non_finite_gradient():
     grad, m, v, params = _adam_args()
     for value in (np.nan, np.inf, -np.inf):
-        for index in range(4):
+        for index in range(grad.size):
             bad = grad.copy()
             bad[index] = value
             assert kernels.adam_apply(bad, m, v, params, 1, 1e-3, 0.9,
@@ -532,44 +483,20 @@ def test_c_anchor_pull_gradient_equals_the_former_gradient(dim):
         _same(got_b1, g_b1 + want_b1)
 
 
-def test_c_anchor_pull_rejects_arrays_it_cannot_use():
-    rng = np.random.default_rng(13)
-    args = list(_trunk_and_anchor(rng, 4, 6))
-    before = [a.copy() for a in args]
-    frozen = [_frozen(a) for a in args[5:]]
-    for index, bad in ((0, args[0].astype(np.float32)),
-                       (0, args[0][0]),                 # 1-D trunk
-                       (1, args[1][:3]),
-                       (2, np.asfortranarray(args[2])),
-                       (3, args[3].astype(np.float32)),
-                       (4, args[4][:, None]),
-                       (5, frozen[0]), (5, args[5].T.copy()),
-                       (5, np.zeros((4, 12))[:, ::2]),
-                       (6, frozen[1]), (6, args[6].astype(np.float32))):
-        wrong = list(args)
-        wrong[index] = bad
-        with pytest.raises(ValueError, match="must be"):
-            kernels.anchor_pull(*wrong)
-        for a, b in zip(args, before):
-            assert a.tobytes() == b.tobytes()
-
-
 def _assert_isi_equals_the_references(raster):
-    """The kernel's counters of ``raster`` (N, T, H), read batch-major and
-    through a time-major view as a trace holds its spikes, against the
-    per-sample oracle (counts exactly, m2 to rounding) and the former
-    numpy body (all four exactly)."""
-    raster = np.ascontiguousarray(raster, dtype=bool)
-    time_major = np.ascontiguousarray(raster.transpose(1, 0, 2))
+    """The kernel's counters of ``raster`` (N, T, H), read through a
+    time-major view as a trace holds its spikes, against the per-sample
+    oracle (counts exactly, m2 to rounding) and the former numpy body
+    (all four exactly)."""
+    raster = np.asarray(raster, dtype=bool)
     want = numpy_isi_raster_stats(raster)
     spikes, counts, sums, _ = oracle_isi_raster_stats(raster)
-    for view in (raster, time_major.transpose(1, 0, 2)):
-        got = kernels.isi_raster_stats(view)
-        assert len(got) == 4
-        for g, w in zip(got, want):
-            _same(g, w)
-        for g, w in zip(got, (spikes, counts, sums)):
-            _same(g, w)
+    got = kernels.isi_raster_stats(time_major(raster))
+    assert len(got) == 4
+    for g, w in zip(got, want):
+        _same(g, w)
+    for g, w in zip(got, (spikes, counts, sums)):
+        _same(g, w)
     return got
 
 
@@ -626,3 +553,204 @@ def test_c_isi_raster_stats_rejects_a_raster_it_cannot_count():
     for shape in ((4, 3), (2, 4, 3, 1), ()):
         with pytest.raises(ValueError, match="must be 3-D"):
             kernels.isi_raster_stats(np.zeros(shape, dtype=bool))
+
+
+# The C boundary: every array a kernel reads or writes must be a
+# writable, non-empty, C-contiguous array of the kernel's dtype and
+# shape, the membrane and the raster time-major.  Any other is refused,
+# not copied.  Each case below starts from arrays a kernel takes
+# (N = 3, T = 4, H = 5, D = 6, 2 classes) and spoils one of them.
+
+ANCHOR_ARRAYS = ("w1", "b1", "anchor_w1", "anchor_b1", "scale", "g_w1",
+                 "g_b1")
+ADAM_PARAMS = ("w1", "b1", "w2", "b2")
+
+BOUNDARY_CALLS = {
+    "lif_forward_const": lambda a: kernels.lif_forward_const(
+        a["cur"], 4, 0.5, 1.0),
+    "lif_backward_sum": lambda a: kernels.lif_backward_sum(
+        a["u"], a["gsbar"], 0.5, 1.0, 2.0),
+    "adam_apply": lambda a: kernels.adam_apply(
+        a["grad"], a["m"], a["v"], [a[k] for k in ADAM_PARAMS], 1, 1e-3,
+        0.9, 0.999, 1e-8),
+    "anchor_pull": lambda a: kernels.anchor_pull(
+        *(a[k] for k in ANCHOR_ARRAYS)),
+    "isi_raster_stats": lambda a: kernels.isi_raster_stats(a["spikes"]),
+}
+
+
+def _boundary_arrays(kernel):
+    """Arrays that ``kernel`` takes, by argument name."""
+    rng = np.random.default_rng(16)
+    if kernel == "lif_forward_const":
+        return {"cur": rng.normal(size=(3, 5))}
+    if kernel == "lif_backward_sum":
+        u, _ = kernels.lif_forward_const(rng.normal(size=(3, 5)), 4, 0.5,
+                                         1.0)
+        return {"u": u, "gsbar": rng.normal(size=(3, 5))}
+    if kernel == "adam_apply":
+        params = [rng.normal(size=s) for s in ((5, 6), (5,), (2, 5), (2,))]
+        return {"grad": rng.normal(size=47), "m": rng.random(47),
+                "v": rng.random(47), **dict(zip(ADAM_PARAMS, params))}
+    if kernel == "anchor_pull":
+        return dict(zip(ANCHOR_ARRAYS, _trunk_and_anchor(rng, 5, 6)))
+    return {"spikes": time_major(rng.random((3, 4, 5)) < 0.5)}
+
+
+def _strided(a):
+    """``a``'s values in every other element of a wider array."""
+    wide = np.zeros(a.shape + (2,), dtype=a.dtype)
+    wide[..., 0] = a
+    return wide[..., 0]
+
+
+def _read_only(a):
+    a = a.copy(order="K")  # the same layout, a time-major view's included
+    a.flags.writeable = False
+    return a
+
+
+def _wrong_dtype(a):
+    return a.astype(np.uint8 if a.dtype == bool else np.float32)
+
+
+def _set(**bad):
+    """A case that puts ``bad``'s arrays in place of the good ones."""
+    return lambda arrays: arrays.update(bad)
+
+
+def _boundary_cases():
+    """(kernel, the name the ValueError gives, what spoils the arrays)."""
+    layouts = {"u": "u.transpose(1, 0, 2)",
+               "spikes": "spikes.transpose(1, 0, 2)"}
+    for kernel in BOUNDARY_CALLS:
+        for key, a in _boundary_arrays(kernel).items():
+            name = layouts.get(key, key)
+            defects = {"wrong_dtype": _wrong_dtype, "strided": _strided,
+                       "read_only": _read_only}
+            if a.ndim > 1:
+                defects["fortran_order"] = np.asfortranarray
+            if key in layouts:
+                defects["batch_major"] = np.ascontiguousarray
+            for defect, spoil in defects.items():
+                yield pytest.param(
+                    kernel, name,
+                    lambda arrays, key=key, spoil=spoil: arrays.update(
+                        {key: spoil(arrays[key])}),
+                    id=f"{kernel}-{key}-{defect}")
+    u, s = "u.transpose(1, 0, 2)", "spikes.transpose(1, 0, 2)"
+    special = [
+        # empty: no samples, no timesteps (T >= 1), no neurons or inputs
+        ("lif_forward_const", "cur", "no_samples", _set(cur=np.zeros((0, 5)))),
+        ("lif_forward_const", "cur", "no_neurons", _set(cur=np.zeros((3, 0)))),
+        ("lif_backward_sum", u, "no_samples",
+         _set(u=time_major(np.zeros((0, 4, 5))), gsbar=np.zeros((0, 5)))),
+        ("lif_backward_sum", u, "no_timesteps",
+         _set(u=time_major(np.zeros((3, 0, 5))))),
+        ("lif_backward_sum", u, "no_neurons",
+         _set(u=time_major(np.zeros((3, 4, 0))), gsbar=np.zeros((3, 0)))),
+        ("adam_apply", "grad", "nothing_to_step",
+         _set(grad=np.zeros(0), m=np.zeros(0), v=np.zeros(0),
+              w1=np.zeros((0, 6)), b1=np.zeros(0), w2=np.zeros((2, 0)),
+              b2=np.zeros(0))),
+        ("adam_apply", "w2", "no_classes",
+         _set(grad=np.zeros(35), m=np.zeros(35), v=np.zeros(35),
+              w2=np.zeros((0, 5)), b2=np.zeros(0))),
+        ("anchor_pull", "w1", "no_inputs",
+         _set(w1=np.zeros((5, 0)), anchor_w1=np.zeros((5, 0)),
+              g_w1=np.zeros((5, 0)))),
+        ("anchor_pull", "w1", "no_neurons",
+         _set(**{k: np.zeros((0, 6) if k.endswith("w1") else 0)
+                 for k in ANCHOR_ARRAYS})),
+        ("isi_raster_stats", s, "no_samples",
+         _set(spikes=time_major(np.zeros((0, 4, 5), dtype=bool)))),
+        ("isi_raster_stats", s, "no_timesteps",
+         _set(spikes=time_major(np.zeros((3, 0, 5), dtype=bool)))),
+        ("isi_raster_stats", s, "no_neurons",
+         _set(spikes=time_major(np.zeros((3, 4, 0), dtype=bool)))),
+        # wrong shape: against the membrane, the parameters or the trunk
+        ("lif_backward_sum", "gsbar", "wrong_shape",
+         _set(gsbar=np.zeros((3, 6)))),
+        ("lif_backward_sum", "gsbar", "wrong_samples",
+         _set(gsbar=np.zeros((4, 5)))),
+        ("adam_apply", "grad", "wrong_shape", _set(grad=np.zeros(48))),
+        ("adam_apply", "m", "wrong_shape", _set(m=np.zeros(46))),
+        ("adam_apply", "v", "wrong_shape", _set(v=np.zeros(48))),
+        ("adam_apply", "grad", "parameters_too_large",
+         _set(w1=np.zeros((5, 7)))),
+        ("anchor_pull", "b1", "wrong_shape", _set(b1=np.zeros(4))),
+        ("anchor_pull", "anchor_w1", "wrong_shape",
+         _set(anchor_w1=np.zeros((5, 7)))),
+        ("anchor_pull", "anchor_b1", "wrong_shape",
+         _set(anchor_b1=np.zeros(6))),
+        ("anchor_pull", "scale", "wrong_shape", _set(scale=np.zeros(4))),
+        ("anchor_pull", "g_w1", "wrong_shape", _set(g_w1=np.zeros((4, 6)))),
+        ("anchor_pull", "g_b1", "wrong_shape", _set(g_b1=np.zeros(6))),
+        # wrong ndim
+        ("lif_forward_const", "cur", "1d", _set(cur=np.zeros(5))),
+        ("lif_forward_const", "cur", "3d", _set(cur=np.zeros((3, 5, 1)))),
+        ("lif_backward_sum", "u", "2d", _set(u=np.zeros((3, 5)))),
+        ("lif_backward_sum", "u", "4d", _set(u=np.zeros((3, 4, 5, 1)))),
+        ("lif_backward_sum", "gsbar", "1d", _set(gsbar=np.zeros(5))),
+        ("adam_apply", "m", "2d", _set(m=np.zeros((47, 1)))),
+        ("adam_apply", "grad", "2d", _set(grad=np.zeros((1, 47)))),
+        ("anchor_pull", "w1", "1d", _set(w1=np.zeros(6))),
+        ("anchor_pull", "w1", "3d", _set(w1=np.zeros((5, 6, 1)))),
+        ("anchor_pull", "scale", "2d", _set(scale=np.zeros((5, 1)))),
+        ("isi_raster_stats", "spikes", "2d",
+         _set(spikes=np.zeros((3, 5), dtype=bool))),
+        ("isi_raster_stats", "spikes", "4d",
+         _set(spikes=np.zeros((3, 4, 5, 1), dtype=bool))),
+        ("isi_raster_stats", "spikes", "0d",
+         _set(spikes=np.zeros((), dtype=bool))),
+    ]
+    for kernel, name, defect, spoil in special:
+        yield pytest.param(kernel, name, spoil,
+                           id=f"{kernel}-{name.split('.')[0]}-{defect}")
+
+
+@pytest.mark.parametrize("kernel, name, spoil", _boundary_cases())
+def test_the_c_boundary_refuses_what_it_would_copy(kernel, name, spoil):
+    arrays = _boundary_arrays(kernel)
+    spoil(arrays)
+    before = {key: a.tobytes() for key, a in arrays.items()}
+
+    def refuse():
+        with pytest.raises(ValueError) as caught:
+            BOUNDARY_CALLS[kernel](arrays)
+        return str(caught.value)
+
+    message, peak = traced_peak(refuse)
+    assert message.startswith(f"{name} must be "), message
+    assert {key: a.tobytes() for key, a in arrays.items()} == before
+    assert peak < 4096  # nothing copied, nothing allocated
+
+
+# one training step's arrays at the dense workloads' and the CLI
+# workload's sizes: (rows, D, H, classes), T = 10
+@pytest.mark.parametrize("rows, dim, hidden, classes",
+                         [(128, 784, 128, 2), (16, 64, 64, 10)],
+                         ids=["dense", "cli"])
+def test_no_kernel_wrapper_copies_an_array(rows, dim, hidden, classes):
+    # each wrapper allocates its own outputs and at most 4 KiB more
+    rng = np.random.default_rng(17)
+    net = new_network(dim, hidden, classes, LIFConfig(timesteps=10), rng)
+    register_head(net, rng)
+    cur = rng.normal(size=(rows, hidden))
+    (u, sbar), peak = traced_peak(
+        lambda: kernels.lif_forward_const(cur, 10, 0.5, 1.0))
+    assert peak <= u.nbytes + sbar.nbytes + 4096
+    gsbar = rng.normal(size=(rows, hidden))
+    total, peak = traced_peak(
+        lambda: kernels.lif_backward_sum(u, gsbar, 0.5, 1.0, 2.0))
+    assert peak <= total.nbytes + 4096
+    grads = _random_grads(rng, net, 0)
+    m, v = np.zeros(grads.flat.size), np.zeros(grads.flat.size)
+    delta, peak = traced_peak(lambda: kernels.adam_apply(
+        grads.flat, m, v, grads.params, 1, 1e-3, 0.9, 0.999, 1e-8))
+    assert peak <= delta.nbytes + 4096
+    anchor_w1, anchor_b1 = net.w1 + 0.5, net.b1 - 0.5
+    scale = rng.random(hidden)
+    sq, peak = traced_peak(lambda: kernels.anchor_pull(
+        net.w1, net.b1, anchor_w1, anchor_b1, scale, grads.w1, grads.b1))
+    assert peak <= sq.nbytes + 4096
